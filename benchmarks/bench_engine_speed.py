@@ -21,8 +21,8 @@ be approached).  Three layers:
   be equal bit for bit.
 * **Off-path overhead guard** — best-of-5 plain-run wall clock against
   the committed ``BENCH_history.json`` record for ``engine_speed[tcm]``
-  via :func:`repro.prof.history.compare` at 3% tolerance.  Asserted
-  only under ``REPRO_BENCH_STRICT=1`` *and* a matching machine
+  via :func:`repro.prof.history.compare` at ``STRICT_TOLERANCE``.
+  Asserted only under ``REPRO_BENCH_STRICT=1`` *and* a matching machine
   fingerprint (fingerprint mismatch is a warn-verdict by design); the
   ratio lands in ``extra_info`` either way.
 """
@@ -33,7 +33,7 @@ import time
 
 import pytest
 
-from conftest import REPO_ROOT, record_history
+from conftest import REPO_ROOT, STRICT_TOLERANCE, record_history
 from repro import SimConfig, System, make_scheduler
 from repro.engine import HAS_NUMPY
 from repro.prof import history as prof_history
@@ -45,8 +45,6 @@ CYCLES = 60_000
 THREADS = 24
 ROUNDS = 3
 STRICT = os.environ.get("REPRO_BENCH_STRICT") == "1"
-#: profiler off-path budget vs the committed engine-speed record
-OFF_PATH_TOLERANCE = 1.03
 
 BACKENDS = [
     "reference",
@@ -128,8 +126,8 @@ def test_prof_off_path_overhead_vs_history(benchmark):
 
     The profiler's off path is the unwrapped original code plus two
     ``is None`` branches in ``System.run``; best-of-5 against the
-    committed ``engine_speed[tcm]`` median must stay within 3% on the
-    machine that recorded it.
+    committed ``engine_speed[tcm]`` median must stay within
+    ``STRICT_TOLERANCE`` on the machine that recorded it.
     """
     committed = prof_history.load(REPO_ROOT / prof_history.DEFAULT_HISTORY)
     baseline = prof_history.latest(committed, "engine_speed[tcm]")
@@ -140,7 +138,7 @@ def test_prof_off_path_overhead_vs_history(benchmark):
     fresh = prof_history.make_record("engine_speed[tcm]", "engine_speed",
                                      rounds)
     verdict = prof_history.compare(baseline, fresh,
-                                   tolerance=OFF_PATH_TOLERANCE)
+                                   tolerance=STRICT_TOLERANCE)
     benchmark.extra_info["verdict"] = verdict.verdict
     benchmark.extra_info["ratio"] = verdict.ratio
     benchmark.extra_info["message"] = verdict.message

@@ -11,8 +11,8 @@ observer-seam budget:
   ``REPRO_BENCH_STRICT=1`` on the baseline's machine) — with no
   collector attached the hot loops pay one ``is None`` branch per
   grant / arrival / completion, and the bare fast loop pays nothing at
-  all, so wall clock must stay within 3% of the committed
-  pre-telemetry baseline.
+  all, so wall clock must stay within ``STRICT_TOLERANCE`` of the
+  committed pre-telemetry baseline.
 * **Speed, attached** (recorded always) — one full shadow policy plus
   per-grant candidate scoring must stay within 2x the detached run;
   the measured ratio lands in ``BENCH_history.json`` as the
@@ -24,7 +24,7 @@ import os
 import time
 from pathlib import Path
 
-from conftest import record_history
+from conftest import STRICT_TOLERANCE, record_history
 from repro import SimConfig, System, make_scheduler
 from repro.explain import attach_explain
 from repro.prof.history import load_baseline, machine_fingerprint, same_machine
@@ -33,8 +33,6 @@ from repro.workloads import make_intensity_workload
 BASELINE = load_baseline(Path(__file__).parent / "telemetry_baseline.json")
 STRICT = os.environ.get("REPRO_BENCH_STRICT") == "1"
 SAME_MACHINE = same_machine(BASELINE.get("machine"), machine_fingerprint())
-#: explain-detached may cost at most 3% over the pre-telemetry baseline
-MAX_SLOWDOWN = 1.03
 #: explain-attached with one shadow may cost at most 2x detached
 MAX_ATTACHED = 2.0
 
@@ -106,15 +104,15 @@ def test_explain_detached_overhead_vs_baseline(benchmark):
     benchmark.extra_info["same_machine"] = SAME_MACHINE
     record_history(
         "explain_overhead[tcm]", "explain_overhead", timings,
-        tolerance=MAX_SLOWDOWN,
+        tolerance=STRICT_TOLERANCE,
         requests=BASELINE["requests"],
         slowdown_vs_baseline=ratio,
     )
     benchmark.pedantic(lambda: _system().run(), rounds=1, iterations=1)
     if STRICT and SAME_MACHINE:
-        assert ratio <= MAX_SLOWDOWN, (
+        assert ratio <= STRICT_TOLERANCE, (
             f"explain-detached sim is {ratio:.3f}x the pre-telemetry "
-            f"baseline (limit {MAX_SLOWDOWN}x)"
+            f"baseline (limit {STRICT_TOLERANCE}x)"
         )
 
 

@@ -9,8 +9,8 @@ The repro.obs PR's contract, mirroring the telemetry guard next door:
 * **Speed** (recorded always, asserted under ``REPRO_BENCH_STRICT=1``
   on the baseline's machine fingerprint) — with spans off the hot path
   pays one ``is None`` branch per emit site, so wall-clock must stay
-  within 5% of the pre-telemetry baseline.  The assert is opt-in for
-  the same reason as the telemetry guard: the baseline timing is
+  within ``STRICT_TOLERANCE`` of the pre-telemetry baseline.  The
+  assert is opt-in for the same reason as the telemetry guard: the baseline timing is
   machine-specific (the baseline now lives in ``repro.prof.history``
   v1 format and carries the measuring machine's fingerprint).
 * **Attribution sanity** (always) — the full collector's books balance
@@ -24,7 +24,7 @@ import os
 import time
 from pathlib import Path
 
-from conftest import record_history
+from conftest import STRICT_TOLERANCE, record_history
 from repro import SimConfig, System, make_scheduler
 from repro.obs import SpanCollector, reconcile
 from repro.prof.history import load_baseline, machine_fingerprint, same_machine
@@ -34,8 +34,6 @@ from repro.workloads import make_intensity_workload
 BASELINE = load_baseline(Path(__file__).parent / "telemetry_baseline.json")
 STRICT = os.environ.get("REPRO_BENCH_STRICT") == "1"
 SAME_MACHINE = same_machine(BASELINE.get("machine"), machine_fingerprint())
-#: spans-off may cost at most 5% over the pre-telemetry baseline
-MAX_SLOWDOWN = 1.05
 
 
 def _system(telemetry=None):
@@ -97,9 +95,9 @@ def test_full_collector_books_balance():
 def test_spans_off_overhead_vs_baseline(benchmark):
     """Spans-off wall clock vs the committed pre-telemetry baseline.
 
-    Best of 5, matching how the baseline was measured; the 5% budget
-    covers the per-emit-site ``is None`` branches this PR added on top
-    of the telemetry PR's.
+    Best of 5, matching how the baseline was measured; the budget
+    covers the per-emit-site ``is None`` branches the span collector
+    adds on top of telemetry's.
     """
     timings = []
     for _ in range(5):
@@ -115,15 +113,15 @@ def test_spans_off_overhead_vs_baseline(benchmark):
     benchmark.extra_info["same_machine"] = SAME_MACHINE
     record_history(
         "obs_overhead[tcm]", "obs_overhead", timings,
-        tolerance=MAX_SLOWDOWN,
+        tolerance=STRICT_TOLERANCE,
         requests=BASELINE["requests"],
         slowdown_vs_baseline=ratio,
     )
     benchmark.pedantic(lambda: _system().run(), rounds=1, iterations=1)
     if STRICT and SAME_MACHINE:
-        assert ratio <= MAX_SLOWDOWN, (
+        assert ratio <= STRICT_TOLERANCE, (
             f"spans-off sim is {ratio:.3f}x the pre-telemetry baseline "
-            f"(limit {MAX_SLOWDOWN}x)"
+            f"(limit {STRICT_TOLERANCE}x)"
         )
 
 

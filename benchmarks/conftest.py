@@ -23,6 +23,10 @@ local ``pytest benchmarks/`` never mutates the committed
 ``BENCH_history.json``; ``REPRO_BENCH_HISTORY`` points the append at a
 different file (CI appends to a job artifact and compares against the
 committed history with ``prof compare``).
+
+Speed guards assert only under ``REPRO_BENCH_STRICT=1`` on the machine
+that recorded their baseline, and all of them share one budget,
+:data:`STRICT_TOLERANCE`.
 """
 
 import os
@@ -34,6 +38,11 @@ from repro import SimConfig
 
 #: repo root (benchmarks/ lives directly under it)
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: wall-clock budget (fresh / baseline) of every strict speed guard.
+#: Same-build runs on one machine spread 5-15%, so a tighter budget
+#: fires on noise rather than on a regression.
+STRICT_TOLERANCE = 1.15
 
 
 def _env_int(name: str, default: int) -> int:

@@ -17,6 +17,7 @@ Run from the repo root (the fault shim lives in the test tree):
 """
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -72,8 +73,10 @@ def main() -> int:
     )
     write_report(report, out / "report.json")
     write_report_html(report, out / "report.html")
-    export_perfetto(report, out / "trace.json")
+    trace = export_perfetto(report, out / "trace.json")
     print(f"artifacts in {out}/")
+    markers = [e for e in json.loads(trace.read_text())["traceEvents"]
+               if e["name"] == "FIRST DIVERGENCE"]
 
     failures = []
     if divergence is None:
@@ -88,6 +91,10 @@ def main() -> int:
                 f"localised to {divergence.cycle}, fault fired at "
                 f"{fault.fired_cycles[0]}"
             )
+        if [m["ts"] for m in markers] != [divergence.cycle]:
+            failures.append(f"Perfetto trace marks {len(markers)} "
+                            f"divergences, expected one at "
+                            f"{divergence.cycle}")
         if divergence.components != ["dram"]:
             failures.append(
                 f"expected only dram to differ, got {divergence.components}"

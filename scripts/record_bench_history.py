@@ -1,9 +1,10 @@
 """Record a fresh set of benchmark-history records.
 
-Runs the three perf bench families (engine speed across the full
-scheduler registry, telemetry overhead, obs overhead) with recording
-enabled and appends one ``repro.prof.history`` v1 record per bench to
-the target history file:
+Runs every bench that calls ``record_history`` (engine speed across
+the full scheduler registry; telemetry, obs, explain and diverge
+overhead) with recording enabled and appends one
+``repro.prof.history`` v1 record per bench to the target history
+file:
 
     PYTHONPATH=src python scripts/record_bench_history.py              # repo root BENCH_history.json
     PYTHONPATH=src python scripts/record_bench_history.py --out p.json # elsewhere (CI artifact)
@@ -25,6 +26,8 @@ BENCHES = [
     "benchmarks/bench_engine_speed.py",
     "benchmarks/bench_telemetry_overhead.py",
     "benchmarks/bench_obs_overhead.py",
+    "benchmarks/bench_explain_overhead.py",
+    "benchmarks/bench_diverge_overhead.py",
 ]
 
 

@@ -643,7 +643,7 @@ def execute_plan(
     # path as Ctrl-C: convert it to KeyboardInterrupt so the one
     # interrupt flow below flushes the store before exiting.  Signal
     # handlers only install from the process main thread; elsewhere
-    # (serve's shard pool, test harnesses) SIGTERM keeps its previous
+    # (worker threads, test harnesses) SIGTERM keeps its previous
     # disposition.
     interrupted = False
     sigterm_prev = None

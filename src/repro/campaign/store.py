@@ -194,8 +194,8 @@ class CampaignStore:
         """Rewrite the log keeping only the latest record per key.
 
         Superseded records (a retried point overwriting its failure, a
-        re-run summary, serve resubmissions) accumulate as dead lines in
-        the append-only log; long-lived stores grow without bound.
+        re-run summary, a forced re-run) accumulate as dead lines in the
+        append-only log; long-lived stores grow without bound.
         Compaction rewrites the log with each key's winning record, in
         original append order, via a temp file and atomic
         ``os.replace`` — a crash mid-compaction leaves the old log

@@ -7,9 +7,10 @@ Turns a :class:`~repro.diverge.lockstep.LockstepResult` into:
   the field-level state diff, and both sides' event/decision ring
   buffers;
 * an optional Chrome ``trace_event`` export (loadable at
-  https://ui.perfetto.dev) laying both sides' last events and grants
-  on parallel tracks with a global "FIRST DIVERGENCE" marker at the
-  localised cycle;
+  https://ui.perfetto.dev), written through :mod:`repro.telemetry.sinks`
+  in the same document shape as every other trace, laying both sides'
+  last events and grants on parallel tracks with a global "FIRST
+  DIVERGENCE" marker at the localised cycle;
 * a no-JS HTML panel rendered by
   :func:`repro.obs.dashboard.render_diverge_dashboard`.
 """
@@ -21,6 +22,7 @@ from pathlib import Path
 from typing import Optional
 
 from repro.diverge.lockstep import LockstepResult
+from repro.telemetry.sinks import _meta, _open_creating_dirs
 
 REPORT_SCHEMA = "repro.diverge.report/v1"
 
@@ -89,18 +91,9 @@ def load_report(path) -> dict:
 # ----------------------------------------------------------------------
 
 def _side_events(trace: list, pid: int, label: str, rings: dict) -> None:
-    trace.append({
-        "ph": "M", "pid": pid, "tid": 0, "name": "process_name",
-        "args": {"name": label},
-    })
-    trace.append({
-        "ph": "M", "pid": pid, "tid": 1, "name": "thread_name",
-        "args": {"name": "events"},
-    })
-    trace.append({
-        "ph": "M", "pid": pid, "tid": 2, "name": "thread_name",
-        "args": {"name": "decisions"},
-    })
+    trace.extend(_meta(pid, label))
+    trace.extend(_meta(pid, "", tid=1, thread_name="events"))
+    trace.extend(_meta(pid, "", tid=2, thread_name="decisions"))
     for time, kind, payload, aux in rings.get("events", ()):
         trace.append({
             "ph": "i", "s": "t", "pid": pid, "tid": 1, "ts": time,
@@ -144,10 +137,9 @@ def export_perfetto(report: dict, path) -> Path:
                 "exact": divergence["exact"],
             },
         })
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(trace))
-    return path
+    with _open_creating_dirs(path) as f:
+        json.dump({"traceEvents": trace, "displayTimeUnit": "ms"}, f)
+    return Path(path)
 
 
 def render_report_html(report: dict) -> str:

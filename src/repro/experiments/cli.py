@@ -101,22 +101,6 @@ SVG flame graph (and optionally Brendan Gregg collapsed stacks);
 the latest records against a baseline history and exits non-zero on a
 same-machine regression under ``REPRO_BENCH_STRICT=1`` or
 ``--strict``; ``dashboard`` renders the perf trajectory page.
-
-Serving subcommands (see docs/SERVING.md)::
-
-    python -m repro.experiments.cli serve run --shards 4 --tracing
-    python -m repro.experiments.cli serve loadgen --noop 500 --trace
-    python -m repro.experiments.cli serve trace --out serve_trace
-    python -m repro.experiments.cli serve dashboard --out serve.html
-    python -m repro.experiments.cli telemetry report --serve
-
-``serve run --tracing`` boots the service with per-job stage-span
-tracing and the observability timeline on; ``serve trace`` pulls the
-completed job traces off a running service and writes both the raw
-trace JSON and a Perfetto-loadable file; ``serve dashboard`` renders
-the live service observability page; ``telemetry report --serve``
-prints the service's metrics registry / stage-latency report instead
-of running a simulation.
 """
 
 from __future__ import annotations
@@ -406,27 +390,6 @@ def _cmd_telemetry(args, config):
         raise SystemExit(
             f"telemetry: unknown action {action!r} (report|trace)"
         )
-
-    if action == "report" and args.serve:
-        # Service-side report: pull /v1/metrics off a running service
-        # instead of running a simulation.
-        import asyncio
-
-        from repro.serve import ServeClient
-        from repro.telemetry.report import render_metrics_report
-
-        async def _fetch():
-            client = ServeClient(args.host, args.port)
-            try:
-                _, payload = await client.metrics()
-            finally:
-                await client.close()
-            return payload
-
-        snapshot = asyncio.run(_fetch())
-        print(f"service metrics — {args.host}:{args.port}")
-        print(render_metrics_report(snapshot))
-        return
 
     if action == "trace" and args.trace_in:
         # Pure conversion: JSONL event log -> Perfetto trace_event JSON.
@@ -1107,200 +1070,10 @@ def _cmd_campaign(args, config):
         )
 
 
-# ----------------------------------------------------------------------
-# serve subcommands
-# ----------------------------------------------------------------------
-
-
-def _serve_jobs(args, config):
-    """Build the submission list: synthetic no-ops or plan points."""
-    from repro.serve import cycle_jobs, noop_jobs, plan_jobs
-
-    if args.noop:
-        jobs = noop_jobs(
-            args.noop, sleep_ms=args.sleep_ms, seed=args.seed,
-            lane=args.lane, deadline_s=args.deadline_s,
-            trace=args.trace,
-        )
-    else:
-        plan = _campaign_plan(args, config)
-        jobs = plan_jobs(plan, lane=args.lane,
-                         deadline_s=args.deadline_s,
-                         trace=args.trace)
-    if args.jobs and args.jobs > len(jobs):
-        jobs = cycle_jobs(jobs, args.jobs)
-    return jobs
-
-
-def _cmd_serve(args, config):
-    import asyncio
-    import json as json_mod
-
-    from repro.serve import (
-        LoadGenerator,
-        ServeClient,
-        ServeConfig,
-        start_serving,
-    )
-
-    action = args.action or "run"
-    if action not in ("run", "submit", "status", "loadgen", "shutdown",
-                      "trace", "dashboard"):
-        raise SystemExit(
-            f"serve: unknown action {action!r} "
-            "(run|submit|status|loadgen|shutdown|trace|dashboard)"
-        )
-
-    if action == "run":
-        async def _run():
-            cfg = ServeConfig(
-                shards=args.shards,
-                queue_capacity=args.queue_capacity,
-                retries=args.retries,
-                job_timeout_s=args.job_timeout,
-                default_deadline_s=args.deadline_s,
-                compact_threshold_bytes=args.compact_threshold,
-                tracing=args.tracing or bool(args.trace_dir),
-                trace_dir=args.trace_dir,
-                trace_epoch_cycles=args.epoch_cycles,
-            )
-            service, server = await start_serving(
-                args.store, cfg, host=args.host, port=args.port,
-            )
-            print(
-                f"serving on http://{server.host}:{server.port}  "
-                f"shards={args.shards}  "
-                f"store={args.store or '(none)'}  "
-                f"tracing={'on' if cfg.tracing else 'off'}",
-                flush=True,
-            )
-            try:
-                await server.run_until_shutdown()
-            finally:
-                await service.stop()
-
-        try:
-            asyncio.run(_run())
-        except KeyboardInterrupt:
-            print("serve: interrupted, shut down cleanly",
-                  file=sys.stderr)
-        return
-
-    if action == "status":
-        async def _status():
-            client = ServeClient(args.host, args.port)
-            try:
-                if args.job:
-                    _, payload = await client.status(args.job,
-                                                     result=True)
-                else:
-                    _, payload = await client.health()
-                print(json_mod.dumps(payload, indent=2))
-            finally:
-                await client.close()
-
-        asyncio.run(_status())
-        return
-
-    if action == "shutdown":
-        async def _shutdown():
-            client = ServeClient(args.host, args.port)
-            try:
-                _, payload = await client.shutdown(drain=True)
-                print(json_mod.dumps(payload))
-            finally:
-                await client.close()
-
-        asyncio.run(_shutdown())
-        return
-
-    if action == "trace":
-        from repro.serve import sim_trace_locator, write_perfetto
-
-        prefix = args.out or "serve_trace"
-        if prefix.endswith(".json"):
-            prefix = prefix[:-5]
-
-        async def _trace():
-            client = ServeClient(args.host, args.port)
-            try:
-                code, snap = await client.traces()
-                if code != 200:
-                    raise SystemExit(
-                        f"serve trace: {snap.get('error', snap)}")
-                _, obs = await client.obs()
-            finally:
-                await client.close()
-            raw_path = f"{prefix}_traces.json"
-            with open(raw_path, "w", encoding="utf-8") as f:
-                json_mod.dump(snap, f, indent=2)
-            locate = (sim_trace_locator(args.trace_dir)
-                      if args.trace_dir else None)
-            write_perfetto(
-                snap["traces"], f"{prefix}.json",
-                timeline=obs.get("timeline"), sim_trace_for=locate,
-            )
-            tiling = snap.get("tiling", {})
-            print(f"wrote {raw_path} and {prefix}.json "
-                  f"({len(snap['traces'])} traces, "
-                  f"{tiling.get('checked', 0)} tiling-checked, "
-                  f"{tiling.get('violations', 0)} violations)")
-
-        asyncio.run(_trace())
-        return
-
-    if action == "dashboard":
-        from repro.obs.dashboard import (
-            render_serve_dashboard,
-            write_dashboard,
-        )
-
-        async def _dashboard():
-            client = ServeClient(args.host, args.port)
-            try:
-                _, obs = await client.obs()
-            finally:
-                await client.close()
-            html = render_serve_dashboard(
-                obs, title=f"{args.host}:{args.port}")
-            out = args.out or "serve_dashboard.html"
-            print(f"wrote {write_dashboard(html, out)}")
-
-        asyncio.run(_dashboard())
-        return
-
-    # submit | loadgen both drive the LoadGenerator; submit is the
-    # fire-everything-and-wait special case.
-    jobs = _serve_jobs(args, config)
-    mode = "batch" if action == "submit" else args.mode
-
-    async def _drive():
-        gen = LoadGenerator(
-            args.host, args.port, jobs,
-            mode=mode, rate=args.rate, concurrency=args.concurrency,
-            batch=args.batch, seed=args.seed,
-        )
-        return await gen.run()
-
-    report = asyncio.run(_drive())
-    print(report.format_text())
-    if args.slo_out and report.slo is not None:
-        with open(args.slo_out, "w", encoding="utf-8") as f:
-            json_mod.dump(report.slo, f, indent=2)
-        print(f"wrote {args.slo_out}")
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as f:
-            json_mod.dump(report.to_dict(), f, indent=2)
-        print(f"wrote {args.json_out}")
-    if report.lost or report.errors:
-        raise SystemExit(1)
-
-
 _COMMANDS = {
     "campaign": _cmd_campaign,
     "diverge": _cmd_diverge,
     "explain": _cmd_explain,
-    "serve": _cmd_serve,
     "obs": _cmd_obs,
     "prof": _cmd_prof,
     "telemetry": _cmd_telemetry,
@@ -1333,8 +1106,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("action", nargs="?", default=None,
                         help="campaign action: run | resume | status | "
                              "compact; "
-                             "serve action: run | submit | status | "
-                             "loadgen | shutdown | trace | dashboard; "
                              "telemetry action: report | trace; "
                              "validate action: run | goldens; "
                              "diverge action: run | bisect | report; "
@@ -1384,12 +1155,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "(telemetry trace)")
     parser.add_argument("--trace-dir", default=None,
                         help="write per-point JSONL traces here "
-                             "(campaign run; serve run — also turns "
-                             "tracing on; serve trace — locate sim "
-                             "traces for Perfetto nesting)")
+                             "(campaign run)")
     parser.add_argument("--out", default=None,
-                        help="output path (obs/serve dashboard HTML; "
-                             "serve trace file prefix)")
+                        help="output path (obs/explain/prof dashboard "
+                             "HTML, diverge report HTML, prof flame SVG)")
     parser.add_argument("--deep", action="store_true",
                         help="prof run/flame: add cProfile deep mode")
     parser.add_argument("--collapsed", default=None,
@@ -1463,58 +1232,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="engine backend(s) for validate goldens "
                              "(default both — the check then also proves "
                              "cross-backend parity at golden scale)")
-    parser.add_argument("--host", default="127.0.0.1",
-                        help="serve: bind/connect address")
-    parser.add_argument("--port", type=int, default=8765,
-                        help="serve: TCP port (0 = ephemeral for run)")
-    parser.add_argument("--shards", type=int, default=2,
-                        help="serve run: worker shard processes")
-    parser.add_argument("--queue-capacity", type=int, default=512,
-                        help="serve run: bounded inbox size "
-                             "(back-pressure beyond this)")
-    parser.add_argument("--job-timeout", type=float, default=None,
-                        help="serve run: per-job wall-clock timeout "
-                             "in seconds")
-    parser.add_argument("--compact-threshold", type=int,
-                        default=64 * 1024 * 1024,
-                        help="serve run: compact the store once its log "
-                             "exceeds this many bytes")
-    parser.add_argument("--noop", type=int, default=None,
-                        help="serve submit/loadgen: submit N synthetic "
-                             "no-op jobs instead of plan points")
-    parser.add_argument("--sleep-ms", type=float, default=0.0,
-                        help="serve: per-noop-job simulated service time")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="serve loadgen: total submissions (cycles "
-                             "the base job list; exercises dedup)")
-    parser.add_argument("--mode", default="batch",
-                        choices=("open", "closed", "batch"),
-                        help="serve loadgen: arrival process")
-    parser.add_argument("--rate", type=float, default=200.0,
-                        help="serve loadgen open mode: mean arrivals/s "
-                             "(Poisson)")
-    parser.add_argument("--concurrency", type=int, default=8,
-                        help="serve loadgen closed mode: in-flight "
-                             "clients")
-    parser.add_argument("--batch", type=int, default=100,
-                        help="serve loadgen batch mode: jobs per request")
-    parser.add_argument("--deadline-s", type=float, default=None,
-                        help="serve: per-job SLO deadline in seconds")
-    parser.add_argument("--lane", default="default",
-                        help="serve: priority lane "
-                             "(interactive|default|batch)")
-    parser.add_argument("--job", default=None,
-                        help="serve status: show one job by key")
-    parser.add_argument("--tracing", action="store_true",
-                        help="serve run: per-job stage-span tracing + "
-                             "observability timeline")
-    parser.add_argument("--trace", action="store_true",
-                        help="serve submit/loadgen: ask the service to "
-                             "write a per-point sim trace for each "
-                             "submitted job (needs a --trace-dir run)")
-    parser.add_argument("--serve", action="store_true",
-                        help="telemetry report: pull /v1/metrics from a "
-                             "running service instead of simulating")
     parser.add_argument("--shadows", default=None,
                         help="explain: comma-separated shadow policies "
                              "(default: every evaluated policy except "
@@ -1523,14 +1240,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="telemetry report: attach shadow-policy "
                              "counterfactuals and append disagreement / "
                              "margin tables")
-    parser.add_argument("--slo-out", default=None,
-                        help="serve submit/loadgen: write the service "
-                             "SLO attainment report JSON here")
     parser.add_argument("--json-out", default=None,
-                        help="serve submit/loadgen: write the full "
-                             "loadgen report JSON here; diverge: write "
-                             "the forensic report JSON here; explain: "
-                             "write the collector snapshot JSON here")
+                        help="diverge: write the forensic report JSON "
+                             "here; explain: write the collector snapshot "
+                             "JSON here")
     add_log_level_argument(parser)
     return parser
 

@@ -497,169 +497,6 @@ def _trajectory(obs: CampaignObservation, metric: str, title: str) -> str:
 
 
 # ----------------------------------------------------------------------
-# service charts
-# ----------------------------------------------------------------------
-
-def _timeline_chart(samples: List[dict], series: List[Tuple[str, str]],
-                    title: str, threshold: Optional[float] = None,
-                    threshold_label: str = "",
-                    alert_key: Optional[str] = None) -> str:
-    """Timeline polylines over ``/v1/obs`` samples.
-
-    ``series`` maps a legend label to a sample key (dotted keys index
-    into nested dicts, e.g. ``depths.interactive``).  An optional
-    horizontal ``threshold`` gridline and, with ``alert_key``, firing
-    markers along the baseline.
-    """
-    def pick(sample: dict, key: str):
-        value = sample
-        for part in key.split("."):
-            if not isinstance(value, dict):
-                return None
-            value = value.get(part)
-        return value
-
-    if len(samples) < 2:
-        return (f"<h2>{escape(title)}</h2>"
-                '<p class="sub">(fewer than two timeline samples)</p>')
-    t0, t1 = samples[0].get("t_s", 0.0), samples[-1].get("t_s", 0.0)
-    t_span = (t1 - t0) or 1.0
-    values = [v for _, key in series for v in
-              (pick(s, key) for s in samples) if v is not None]
-    hi = max(values + ([threshold] if threshold is not None else []) + [0.0])
-    if hi == 0.0:
-        hi = 1.0
-    w, h, left, bottom = 640, 160, 46, 22
-
-    def sx(t):
-        return left + ((t - t0) / t_span) * (w - left - 20)
-
-    def sy(v):
-        return 8 + (1 - min(v, hi) / hi) * (h - bottom - 8)
-
-    parts = [f'<svg width="{w}" height="{h}" role="img" '
-             f'aria-label="{escape(title)}">']
-    for frac in (0.0, 0.5, 1.0):
-        y = sy(frac * hi)
-        parts.append(f'<line x1="{left}" y1="{y:.1f}" x2="{w - 10}" '
-                     f'y2="{y:.1f}" stroke="var(--grid)"/>')
-        parts.append(f'<text x="{left - 6}" y="{y + 4:.1f}" '
-                     f'text-anchor="end" fill="var(--muted)">'
-                     f"{frac * hi:.2f}</text>")
-    if threshold is not None:
-        y = sy(threshold)
-        parts.append(f'<line x1="{left}" y1="{y:.1f}" x2="{w - 10}" '
-                     f'y2="{y:.1f}" stroke="var(--critical)" '
-                     f'stroke-dasharray="5 4"/>')
-        parts.append(f'<text x="{w - 10}" y="{y - 4:.1f}" '
-                     f'text-anchor="end" fill="var(--critical)">'
-                     f"{escape(threshold_label)}</text>")
-    rows = []
-    for slot, (label, key) in enumerate(series):
-        pts = [(s.get("t_s", 0.0), pick(s, key)) for s in samples]
-        pts = [(t, v) for t, v in pts if v is not None]
-        if not pts:
-            continue
-        path = " ".join(f"{sx(t):.1f},{sy(v):.1f}" for t, v in pts)
-        parts.append(f'<polyline points="{path}" fill="none" '
-                     f'stroke="{_series_color(slot)}" stroke-width="2">'
-                     f"<title>{escape(label)}</title></polyline>")
-        for t, v in pts:
-            rows.append([label, round(t, 2), round(v, 4)])
-    if alert_key is not None:
-        for s in samples:
-            if pick(s, alert_key) == "firing":
-                parts.append(
-                    f'<rect x="{sx(s.get("t_s", 0.0)) - 2:.1f}" '
-                    f'y="{h - bottom - 4}" width="4" height="8" rx="1" '
-                    f'fill="var(--critical)"><title>alert firing @ '
-                    f'{s.get("t_s", 0.0):.2f}s</title></rect>')
-    parts.append(f'<line x1="{left}" y1="{h - bottom}" x2="{w - 10}" '
-                 f'y2="{h - bottom}" stroke="var(--baseline)"/>')
-    parts.append(f'<text x="{left}" y="{h - 6}" fill="var(--muted)">'
-                 f"{t0:.1f}s</text>")
-    parts.append(f'<text x="{w - 10}" y="{h - 6}" text-anchor="end" '
-                 f'fill="var(--muted)">{t1:.1f}s</text>')
-    parts.append("</svg>")
-    legend = _legend([(label, _series_color(i))
-                      for i, (label, _) in enumerate(series)])
-    table = _details_table(["series", "t_s", "value"], rows)
-    return f"<h2>{escape(title)}</h2>" + "".join(parts) + legend + table
-
-
-def _stage_waterfall(stages: Dict[str, dict]) -> str:
-    """Stage-latency waterfall: mean seconds per stage as offset bars.
-
-    Each bar starts where the previous stage's mean ended, so the
-    x-axis reads as the mean job's accept→terminal timeline.
-    """
-    named = [(stage, s) for stage, s in stages.items()
-             if s.get("count", 0) > 0]
-    if not named:
-        return ("<h2>Stage-latency waterfall</h2>"
-                '<p class="sub">(no finished traces yet)</p>')
-    total = sum(s["mean_s"] for _, s in named) or 1.0
-    w, bh, gap, left = 560, 22, 10, 120
-    height = len(named) * (bh + gap) + 6
-    parts = [f'<svg width="{w + left + 80}" height="{height}" role="img" '
-             f'aria-label="stage latency waterfall">']
-    offset, rows = 0.0, []
-    for slot, (stage, s) in enumerate(named):
-        y = slot * (bh + gap)
-        x = left + (offset / total) * w
-        seg = max(2.0, (s["mean_s"] / total) * w)
-        parts.append(f'<text x="{left - 8}" y="{y + bh - 6}" '
-                     f'text-anchor="end" fill="var(--muted)">'
-                     f"{escape(stage)}</text>")
-        parts.append(
-            f'<rect x="{x:.1f}" y="{y}" width="{seg:.1f}" height="{bh}" '
-            f'rx="3" fill="{_series_color(slot)}">'
-            f"<title>{escape(stage)} — mean {s['mean_s'] * 1e3:.2f} ms, "
-            f"p99 {s['p99_s'] * 1e3:.2f} ms over {s['count']} spans"
-            f"</title></rect>")
-        parts.append(f'<text x="{x + seg + 6:.1f}" y="{y + bh - 6}" '
-                     f'fill="var(--ink-2)">{s["mean_s"] * 1e3:.2f} ms'
-                     f"</text>")
-        offset += s["mean_s"]
-        rows.append([stage, s["count"], round(s["mean_s"] * 1e3, 3),
-                     round(s["p50_s"] * 1e3, 3),
-                     round(s["p90_s"] * 1e3, 3),
-                     round(s["p99_s"] * 1e3, 3),
-                     round(s["max_s"] * 1e3, 3)])
-    parts.append("</svg>")
-    table = _details_table(
-        ["stage", "spans", "mean ms", "p50 ms", "p90 ms", "p99 ms",
-         "max ms"], rows)
-    return ("<h2>Stage-latency waterfall (mean seconds per stage)</h2>"
-            + "".join(parts) + table)
-
-
-def _lane_table(lanes: Dict[str, dict]) -> str:
-    if not lanes:
-        return ""
-    rows = [
-        [lane, s.get("finished", 0),
-         round((s.get("wait") or {}).get("p50_s", 0.0) * 1e3, 3),
-         round((s.get("wait") or {}).get("p99_s", 0.0) * 1e3, 3),
-         round((s.get("service") or {}).get("p50_s", 0.0) * 1e3, 3),
-         round((s.get("service") or {}).get("p99_s", 0.0) * 1e3, 3)]
-        for lane, s in sorted(lanes.items())
-    ]
-    head = "".join(
-        f'<th class="{"l" if i == 0 else ""}">{escape(h)}</th>'
-        for i, h in enumerate(["lane", "finished", "wait p50 ms",
-                               "wait p99 ms", "service p50 ms",
-                               "service p99 ms"]))
-    cells = "".join(
-        "<tr>" + "".join(
-            f'<td class="{"l" if i == 0 else ""}">{_fmt(c)}</td>'
-            for i, c in enumerate(row)) + "</tr>"
-        for row in rows)
-    return (f"<h2>Per-lane wait / service latency</h2>"
-            f"<table><tr>{head}</tr>{cells}</table>")
-
-
-# ----------------------------------------------------------------------
 # pages
 # ----------------------------------------------------------------------
 
@@ -768,70 +605,6 @@ def render_campaign_dashboard(obs: CampaignObservation,
     return _page(f"repro.obs — campaign: {title}",
                  f"{points} points · {len(obs.schedulers)} schedulers",
                  "".join(body))
-
-
-def render_serve_dashboard(obs: dict, title: str = "service") -> str:
-    """One service's observability page from a ``/v1/obs`` snapshot."""
-    jobs = obs.get("jobs") or {}
-    slo = obs.get("slo") or {}
-    overall = slo.get("overall") or {}
-    burn = obs.get("burn") or {}
-    tiling = obs.get("tiling") or {}
-    timeline = obs.get("timeline") or []
-    hits = (jobs.get("hit_inflight", 0) + jobs.get("hit_ledger", 0)
-            + jobs.get("hit_store", 0))
-    attainment = overall.get("attainment")
-    tiles = [
-        ("submitted", _fmt(jobs.get("submitted", 0))),
-        ("served", _fmt(overall.get("served", 0))),
-        ("SLO attainment",
-         f"{attainment:.1%}" if attainment is not None else "-"),
-        ("burn alert", str(burn.get("state", "-"))),
-        ("dedup hits", _fmt(hits)),
-        ("failed", _fmt(jobs.get("failed", 0))),
-    ]
-    if obs.get("tracing"):
-        tiles += [("traces", _fmt(tiling.get("checked", 0))),
-                  ("tiling violations", _fmt(tiling.get("violations", 0)))]
-    body = [_tiles(tiles)]
-
-    lanes_seen = sorted({lane for s in timeline
-                         for lane in (s.get("depths") or {})})
-    depth_series = ([(f"queue {lane}", f"depths.{lane}")
-                     for lane in lanes_seen]
-                    + [("shards busy", "shards_busy")])
-    body.append('<div class="card">' + _timeline_chart(
-        timeline, depth_series, "Lane queue depth and busy shards")
-        + "</div>")
-    body.append('<div class="card">' + _timeline_chart(
-        timeline,
-        [("burn fast", "burn_fast"), ("burn slow", "burn_slow")],
-        "SLO error-budget burn rate",
-        threshold=burn.get("fire_threshold"),
-        threshold_label="fire", alert_key="alert") + "</div>")
-
-    if obs.get("tracing"):
-        body.append('<div class="card">'
-                    + _stage_waterfall(obs.get("stages") or {}) + "</div>")
-        lane_table = _lane_table(obs.get("lanes") or {})
-        if lane_table:
-            body.append(f'<div class="card">{lane_table}</div>')
-        reconcile = obs.get("reconcile") or {}
-        checks = ", ".join(f"{k}: {v}" for k, v in
-                           (reconcile.get("checks") or {}).items())
-        body.append(f'<p class="sub">trace reconciliation — '
-                    f'ok: {reconcile.get("ok")} · {escape(checks)}</p>')
-    else:
-        body.append('<p class="sub">tracing off — stage waterfalls and '
-                    "trace reconciliation need ServeConfig.tracing.</p>")
-    conservation = obs.get("conservation") or {}
-    return _page(
-        f"repro.serve — {title}",
-        f"uptime {obs.get('uptime_s', 0.0):.1f}s · "
-        f"{len(timeline)} timeline samples · "
-        f"ledger conservation ok: {conservation.get('ok')}",
-        "".join(body),
-    )
 
 
 # ----------------------------------------------------------------------

@@ -2,11 +2,10 @@
 
 Three cooperating pieces, all optional and all zero-cost when unused:
 
-* :class:`~repro.telemetry.registry.MetricsRegistry` — counters,
-  gauges, histograms and *polled providers* over the attribute counters
-  components already keep.  Every :class:`~repro.sim.system.System`
-  builds one (``system.metrics``); polling happens only when a snapshot
-  is taken.
+* :class:`~repro.telemetry.registry.MetricsRegistry` — *polled
+  providers* over the attribute counters components already keep.
+  Every :class:`~repro.sim.system.System` builds one
+  (``system.metrics``); polling happens only when a snapshot is taken.
 * :class:`~repro.telemetry.tracer.Tracer` — schema'd event stream
   (DRAM commands, scheduler decisions, clustering, shuffles, epochs)
   fanned out to sinks: JSONL and Chrome/Perfetto ``trace_event``.
@@ -29,12 +28,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.telemetry.log import configure_logging, get_logger
-from repro.telemetry.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.sampler import EpochSample, EpochSampler
 from repro.telemetry.schema import (
     EVENT_SCHEMA,
@@ -169,12 +163,9 @@ class Telemetry:
 
 
 __all__ = [
-    "Counter",
     "EVENT_SCHEMA",
     "EpochSample",
     "EpochSampler",
-    "Gauge",
-    "Histogram",
     "JsonlSink",
     "MemorySink",
     "MetricsRegistry",

@@ -1,19 +1,12 @@
-"""Metrics registry: named instruments plus polled providers.
+"""Metrics registry: polled providers over component counters.
 
-Two complementary registration styles, both near-zero-overhead on the
-simulation hot path:
-
-* **Instruments** (:class:`Counter`, :class:`Gauge`, :class:`Histogram`)
-  are owned by the registry and updated by the code that created them.
-  They are meant for warm paths (campaign engine events, per-quantum
-  policy decisions), not per-request simulation work.
-* **Providers** are read-only callbacks over counters a component
-  already keeps as plain attributes (``bank.row_hits`` etc.).  The hot
-  path keeps its raw ``+= 1`` attribute arithmetic; the registry polls
-  the provider only when a snapshot is taken (epoch sample, debug
-  report, end of run).  Registration happens once at system
-  construction, so simulation with telemetry disabled pays nothing per
-  event.
+**Providers** are read-only callbacks over counters a component
+already keeps as plain attributes (``bank.row_hits`` etc.).  The hot
+path keeps its raw ``+= 1`` attribute arithmetic; the registry polls
+the provider only when a snapshot is taken (epoch sample, debug
+report, end of run).  Registration happens once at system
+construction, so simulation with telemetry disabled pays nothing per
+event.
 
 Metric identity is ``name`` plus a frozen ``labels`` mapping; the flat
 :meth:`MetricsRegistry.snapshot` renders labels into the key
@@ -23,9 +16,8 @@ returns the structured (labels, value) pairs for one metric name.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 
 def _label_suffix(labels: Optional[Dict[str, object]]) -> str:
@@ -39,93 +31,6 @@ def _label_key(labels: Optional[Dict[str, object]]) -> Tuple:
     if not labels:
         return ()
     return tuple(sorted(labels.items()))
-
-
-class Counter:
-    """Monotonic counter instrument."""
-
-    __slots__ = ("name", "labels", "value")
-
-    def __init__(self, name: str, labels: Optional[Dict[str, object]] = None):
-        self.name = name
-        self.labels = dict(labels or {})
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        self.value += amount
-
-    def reset(self) -> None:
-        self.value = 0
-
-
-class Gauge:
-    """Last-value instrument."""
-
-    __slots__ = ("name", "labels", "value")
-
-    def __init__(self, name: str, labels: Optional[Dict[str, object]] = None):
-        self.name = name
-        self.labels = dict(labels or {})
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def reset(self) -> None:
-        self.value = 0.0
-
-
-class Histogram:
-    """Fixed-bucket histogram instrument (upper-bound buckets + +Inf)."""
-
-    __slots__ = ("name", "labels", "bounds", "counts", "total", "sum")
-
-    DEFAULT_BOUNDS = (1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000)
-
-    def __init__(
-        self,
-        name: str,
-        labels: Optional[Dict[str, object]] = None,
-        bounds: Optional[Iterable[float]] = None,
-    ):
-        self.name = name
-        self.labels = dict(labels or {})
-        self.bounds = tuple(sorted(bounds if bounds is not None
-                                   else self.DEFAULT_BOUNDS))
-        self.counts = [0] * (len(self.bounds) + 1)
-        self.total = 0
-        self.sum = 0.0
-
-    def observe(self, value: float) -> None:
-        self.counts[bisect.bisect_left(self.bounds, value)] += 1
-        self.total += 1
-        self.sum += value
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.total if self.total else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Approximate quantile: upper bound of the bucket holding it."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must be in [0, 1]")
-        if self.total == 0:
-            return 0.0
-        target = q * self.total
-        seen = 0
-        for bound, count in zip(self.bounds, self.counts):
-            seen += count
-            if seen >= target:
-                return float(bound)
-        return float("inf")
-
-    def reset(self) -> None:
-        self.counts = [0] * (len(self.bounds) + 1)
-        self.total = 0
-        self.sum = 0.0
-
-    def snapshot_value(self) -> Dict[str, float]:
-        return {"count": self.total, "sum": self.sum, "mean": self.mean}
 
 
 @dataclass(frozen=True)
@@ -150,7 +55,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._providers: Dict[Tuple[str, Tuple], _Provider] = {}
-        self._instruments: Dict[Tuple[str, Tuple], object] = {}
 
     # -- registration ---------------------------------------------------
 
@@ -162,7 +66,7 @@ class MetricsRegistry:
     ) -> None:
         """Register a polled provider for ``name`` with ``labels``."""
         key = (name, _label_key(labels))
-        if key in self._providers or key in self._instruments:
+        if key in self._providers:
             raise ValueError(
                 f"metric {name}{_label_suffix(labels)} already registered"
             )
@@ -171,54 +75,14 @@ class MetricsRegistry:
             label_dict=dict(labels or {}),
         )
 
-    def _instrument(self, cls, name, labels, **kwargs):
-        key = (name, _label_key(labels))
-        existing = self._instruments.get(key)
-        if existing is not None:
-            if not isinstance(existing, cls):
-                raise ValueError(
-                    f"metric {name}{_label_suffix(labels)} already "
-                    f"registered as {type(existing).__name__}"
-                )
-            return existing
-        if key in self._providers:
-            raise ValueError(
-                f"metric {name}{_label_suffix(labels)} already registered "
-                f"as a provider"
-            )
-        instrument = cls(name, labels, **kwargs)
-        self._instruments[key] = instrument
-        return instrument
-
-    def counter(self, name: str,
-                labels: Optional[Dict[str, object]] = None) -> Counter:
-        """Create (or fetch the existing) counter instrument."""
-        return self._instrument(Counter, name, labels)
-
-    def gauge(self, name: str,
-              labels: Optional[Dict[str, object]] = None) -> Gauge:
-        """Create (or fetch the existing) gauge instrument."""
-        return self._instrument(Gauge, name, labels)
-
-    def histogram(
-        self,
-        name: str,
-        labels: Optional[Dict[str, object]] = None,
-        bounds: Optional[Iterable[float]] = None,
-    ) -> Histogram:
-        """Create (or fetch the existing) histogram instrument."""
-        return self._instrument(Histogram, name, labels, bounds=bounds)
-
     # -- reads ----------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._providers) + len(self._instruments)
+        return len(self._providers)
 
     def names(self) -> List[str]:
         """Sorted distinct metric names."""
-        return sorted(
-            {k[0] for k in self._providers} | {k[0] for k in self._instruments}
-        )
+        return sorted({k[0] for k in self._providers})
 
     def collect(self, name: str) -> List[Tuple[Dict[str, object], float]]:
         """All (labels, value) pairs registered under ``name``."""
@@ -226,57 +90,32 @@ class MetricsRegistry:
         for (n, _), provider in self._providers.items():
             if n == name:
                 out.append((dict(provider.label_dict), provider.fn()))
-        for (n, _), inst in self._instruments.items():
-            if n == name:
-                value = (inst.snapshot_value()
-                         if isinstance(inst, Histogram) else inst.value)
-                out.append((dict(inst.labels), value))
         out.sort(key=lambda pair: sorted(pair[0].items()))
         return out
 
     def value(self, name: str,
               labels: Optional[Dict[str, object]] = None):
         """The single value registered under ``(name, labels)``."""
-        key = (name, _label_key(labels))
-        provider = self._providers.get(key)
-        if provider is not None:
-            return provider.fn()
-        inst = self._instruments.get(key)
-        if inst is None:
+        provider = self._providers.get((name, _label_key(labels)))
+        if provider is None:
             raise KeyError(f"no metric {name}{_label_suffix(labels)}")
-        return inst.snapshot_value() if isinstance(inst, Histogram) else inst.value
+        return provider.fn()
 
     def sum(self, name: str) -> float:
-        """Sum of all label variants of ``name`` (counters/gauges only)."""
-        return sum(v for _, v in self.collect(name)
-                   if not isinstance(v, dict))
+        """Sum of all label variants of ``name``."""
+        return sum(v for _, v in self.collect(name))
 
     def snapshot(self) -> Dict[str, float]:
         """Flat ``{name{labels}: value}`` view of every metric."""
-        out: Dict[str, float] = {}
-        for (name, _), provider in self._providers.items():
-            out[name + _label_suffix(provider.label_dict)] = provider.fn()
-        for (name, _), inst in self._instruments.items():
-            key = name + _label_suffix(inst.labels)
-            if isinstance(inst, Histogram):
-                for suffix, v in inst.snapshot_value().items():
-                    out[f"{key}.{suffix}"] = v
-            else:
-                out[key] = inst.value
-        return out
+        return {name + _label_suffix(provider.label_dict): provider.fn()
+                for (name, _), provider in self._providers.items()}
 
     # -- lifecycle ------------------------------------------------------
 
-    def reset_values(self) -> None:
-        """Zero every instrument; providers are untouched (read-only)."""
-        for inst in self._instruments.values():
-            inst.reset()
-
     def reset(self) -> None:
-        """Full clear: drop all providers and instruments.
+        """Full clear: drop all providers.
 
         A registry reused across runs must be reset so stale providers
         cannot silently poll a dead system's counters.
         """
         self._providers.clear()
-        self._instruments.clear()

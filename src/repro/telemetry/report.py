@@ -108,58 +108,3 @@ def render_report(samples: Sequence[EpochSample],
     ]
     return "\n".join(parts)
 
-
-def render_metrics_report(snapshot: dict) -> str:
-    """Text report for a ``/v1/metrics`` service snapshot.
-
-    Renders the flat registry metrics, and — when the service runs
-    with tracing on — the per-stage latency percentiles, the per-lane
-    wait/service percentiles, and the latest timeline sample.
-    """
-    parts: List[str] = []
-
-    metrics = snapshot.get("metrics") or {}
-    if metrics:
-        rows = [[name, value] for name, value in sorted(metrics.items())]
-        parts.append(_table(["metric", "value"], rows))
-    else:
-        parts.append("(no registry metrics)")
-
-    stages = snapshot.get("stages") or {}
-    if stages:
-        headers = ["stage", "count", "mean_s", "p50_s", "p90_s",
-                   "p99_s", "max_s"]
-        rows = [
-            [stage, s.get("count"), s.get("mean_s"), s.get("p50_s"),
-             s.get("p90_s"), s.get("p99_s"), s.get("max_s")]
-            for stage, s in stages.items()
-        ]
-        parts.extend(["", _table(headers, rows)])
-
-    lanes = snapshot.get("lanes") or {}
-    if lanes:
-        headers = ["lane", "finished", "wait p50", "wait p99",
-                   "service p50", "service p99"]
-        rows = [
-            [lane, s.get("finished"),
-             (s.get("wait") or {}).get("p50_s"),
-             (s.get("wait") or {}).get("p99_s"),
-             (s.get("service") or {}).get("p50_s"),
-             (s.get("service") or {}).get("p99_s")]
-            for lane, s in sorted(lanes.items())
-        ]
-        parts.extend(["", _table(headers, rows)])
-
-    series = snapshot.get("series") or []
-    if series:
-        last = series[-1]
-        depths = last.get("depths") or {}
-        depth_txt = " ".join(f"{lane}={d}" for lane, d in sorted(
-            depths.items())) or "-"
-        parts.extend(["", "timeline: {} samples; latest: depth [{}], "
-                      "shards busy {}, burn fast {:.2f}, alert {}".format(
-                          len(series), depth_txt,
-                          last.get("shards_busy", 0),
-                          last.get("burn_fast", 0.0),
-                          last.get("alert", "ok"))])
-    return "\n".join(parts)

@@ -35,7 +35,6 @@ def _open_creating_dirs(path, mode: str = "w"):
 _PID_DRAM = 1
 _PID_POLICY = 2
 _PID_THREADS = 3
-_PID_SERVE = 4
 
 
 class Sink:
@@ -135,26 +134,8 @@ def events_to_perfetto(events: Iterable[dict],
     trace.extend(_meta(_PID_DRAM, "DRAM"))
     trace.extend(_meta(_PID_POLICY, "policy"))
     trace.extend(_meta(_PID_THREADS, "threads"))
-    serve_meta_done = False
-    shard_tracks: set = set()
     # running explain counters: cumulative disagreements per shadow
     disagreements: Dict[str, int] = {}
-
-    def serve_pid() -> int:
-        nonlocal serve_meta_done
-        if not serve_meta_done:
-            serve_meta_done = True
-            trace.extend(_meta(_PID_SERVE, "serve"))
-        return _PID_SERVE
-
-    def shard_tid(shard: int) -> int:
-        # tid 0 holds the async job tracks; shard slices start at 1
-        tid = shard + 1
-        if tid not in shard_tracks:
-            shard_tracks.add(tid)
-            trace.extend(_meta(_PID_SERVE, "", tid=tid,
-                               thread_name=f"shard {shard}"))
-        return tid
 
     for event in events:
         ev, ts = event["ev"], event["ts"]
@@ -237,82 +218,10 @@ def events_to_perfetto(events: Iterable[dict],
                 "ph": "i", "s": "p", "pid": _PID_POLICY, "tid": 0,
                 "ts": ts, "name": ev, "args": args,
             })
-        elif ev == "job_span":
-            # serve-layer job stage spans: async b/e pairs keyed by the
-            # job's content hash (async tracks tolerate the overlap of
-            # concurrent jobs); execute spans additionally land as
-            # duration slices on per-shard thread tracks, which never
-            # overlap (a shard runs one task at a time)
-            pid = serve_pid()
-            stage = event["stage"]
-            key = event["key"]
-            dur = max(0.0, event.get("dur", 0.0))
-            args = {"lane": event.get("lane"),
-                    "status": event.get("status")}
-            if stage == "job":
-                args["hits"] = event.get("hits", 0)
-                args["attempts"] = event.get("attempts", 0)
-                name = f"job {key[:10]}"
-            else:
-                name = stage
-            trace.append({"ph": "b", "cat": "job", "id": key, "pid": pid,
-                          "tid": 0, "ts": ts, "name": name, "args": args})
-            trace.append({"ph": "e", "cat": "job", "id": key, "pid": pid,
-                          "tid": 0, "ts": ts + dur, "name": name})
-            if stage == "execute" and event.get("shard") is not None:
-                trace.append({
-                    "ph": "X", "pid": pid,
-                    "tid": shard_tid(event["shard"]),
-                    "ts": ts, "dur": max(1.0, dur),
-                    "name": f"execute {key[:10]}",
-                    "args": args,
-                })
-        elif ev == "serve_sample":
-            pid = serve_pid()
-            for lane, depth in sorted(event.get("depths", {}).items()):
-                trace.append({
-                    "ph": "C", "pid": pid, "tid": 0, "ts": ts,
-                    "name": f"queue {lane}", "args": {"depth": depth},
-                })
-            trace.append({
-                "ph": "C", "pid": pid, "tid": 0, "ts": ts,
-                "name": "shards busy",
-                "args": {"busy": event.get("shards_busy", 0)},
-            })
-            trace.append({
-                "ph": "C", "pid": pid, "tid": 0, "ts": ts,
-                "name": "burn rate",
-                "args": {"fast": event.get("burn_fast", 0.0)},
-            })
         # unknown events are dropped from the visual trace on purpose:
         # the JSONL stream remains the lossless record
 
     return {"traceEvents": trace, "displayTimeUnit": "ms"}
-
-
-def rebase_trace_events(doc: dict, ts_scale: float = 1.0,
-                        ts_offset: float = 0.0, pid_base: int = 0,
-                        process_prefix: str = "") -> dict:
-    """Rebase a converted trace document in place (and return it).
-
-    Timestamps map as ``ts * ts_scale + ts_offset`` (durations scale
-    only) and every pid shifts by ``pid_base`` — which is how a
-    per-point simulation trace is nested into the service-side
-    ``execute`` window of the job that ran it, with a unique pid block
-    per job so bank/thread tracks never collide.  ``process_prefix``
-    labels the relocated processes in the Perfetto UI.
-    """
-    for entry in doc["traceEvents"]:
-        entry["pid"] = entry.get("pid", 0) + pid_base
-        if "ts" in entry:
-            entry["ts"] = entry["ts"] * ts_scale + ts_offset
-        if "dur" in entry:
-            entry["dur"] = max(entry["dur"] * ts_scale, 0.001)
-        if (process_prefix and entry.get("ph") == "M"
-                and entry.get("name") == "process_name"):
-            entry["args"]["name"] = (
-                f"{process_prefix}{entry['args'].get('name', '')}")
-    return doc
 
 
 def jsonl_to_perfetto(src_path, dst_path) -> int:

@@ -89,7 +89,9 @@ class TestHtmlPanel:
 class TestPerfettoExport:
     def test_trace_structure(self, diverged_report, tmp_path):
         path = export_perfetto(diverged_report, tmp_path / "t.json")
-        trace = json.loads(path.read_text())
+        doc = json.loads(path.read_text())
+        assert doc["displayTimeUnit"] == "ms"
+        trace = doc["traceEvents"]
         phases = {event["ph"] for event in trace}
         assert "M" in phases  # track names
         marker = [e for e in trace if e["name"] == "FIRST DIVERGENCE"]
@@ -101,5 +103,5 @@ class TestPerfettoExport:
 
     def test_clean_trace_has_no_marker(self, clean_report, tmp_path):
         path = export_perfetto(clean_report, tmp_path / "t.json")
-        trace = json.loads(path.read_text())
+        trace = json.loads(path.read_text())["traceEvents"]
         assert not [e for e in trace if e["name"] == "FIRST DIVERGENCE"]

@@ -5,41 +5,6 @@ import pytest
 from repro.telemetry import MetricsRegistry
 
 
-class TestInstruments:
-    def test_counter(self):
-        reg = MetricsRegistry()
-        c = reg.counter("engine.retries")
-        c.inc()
-        c.inc(3)
-        assert reg.value("engine.retries") == 4
-
-    def test_counter_get_or_create(self):
-        reg = MetricsRegistry()
-        assert reg.counter("x") is reg.counter("x")
-
-    def test_gauge(self):
-        reg = MetricsRegistry()
-        reg.gauge("queue.depth").set(7.5)
-        assert reg.value("queue.depth") == 7.5
-
-    def test_histogram(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("latency", bounds=(10, 100, 1000))
-        for v in (5, 50, 500, 5000):
-            h.observe(v)
-        assert h.total == 4
-        assert h.mean == pytest.approx(1388.75)
-        assert h.quantile(0.25) == 10.0
-        snap = reg.value("latency")
-        assert snap["count"] == 4
-
-    def test_instrument_kind_collision(self):
-        reg = MetricsRegistry()
-        reg.counter("m")
-        with pytest.raises(ValueError):
-            reg.gauge("m")
-
-
 class TestProviders:
     def test_polled_not_copied(self):
         reg = MetricsRegistry()
@@ -63,12 +28,6 @@ class TestProviders:
         with pytest.raises(ValueError):
             reg.register("m", lambda: 0, {"tid": 1})
 
-    def test_provider_vs_instrument_collision(self):
-        reg = MetricsRegistry()
-        reg.register("m", lambda: 0)
-        with pytest.raises(ValueError):
-            reg.counter("m")
-
     def test_missing_metric_raises(self):
         with pytest.raises(KeyError):
             MetricsRegistry().value("nope")
@@ -78,10 +37,10 @@ class TestSnapshot:
     def test_flat_keys_include_labels(self):
         reg = MetricsRegistry()
         reg.register("hits", lambda: 5, {"ch": 0, "bank": 2})
-        reg.counter("retries").inc()
+        reg.register("quanta", lambda: 1)
         snap = reg.snapshot()
         assert snap["hits{bank=2,ch=0}"] == 5
-        assert snap["retries"] == 1
+        assert snap["quanta"] == 1
 
     def test_names_sorted_distinct(self):
         reg = MetricsRegistry()
@@ -92,14 +51,6 @@ class TestSnapshot:
 
 
 class TestReset:
-    def test_reset_values_zeroes_instruments_only(self):
-        reg = MetricsRegistry()
-        reg.counter("c").inc(5)
-        reg.register("p", lambda: 42)
-        reg.reset_values()
-        assert reg.value("c") == 0
-        assert reg.value("p") == 42
-
     def test_reset_allows_reregistration(self):
         reg = MetricsRegistry()
         reg.register("m", lambda: 1)
