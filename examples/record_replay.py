@@ -32,7 +32,7 @@ def main() -> None:
     recorder = TraceRecorder()
     source = System(
         workload, make_scheduler("frfcfs"), config, seed=0,
-        trace_recorder=recorder,
+        observers=[recorder],
     ).run()
     tracedir = Path(tempfile.mkdtemp(prefix="repro-traces-"))
     paths = recorder.save_all(tracedir)

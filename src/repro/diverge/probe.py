@@ -43,10 +43,8 @@ ints, floats, strings, None), so they hash canonically, diff with
 :func:`repro.validate.fingerprint.compare_fingerprints`, and survive a
 JSON round trip unchanged.
 
-Attachment rides the run's one-branch-when-off observer seams: a
-``None`` probe costs one ``is None`` test per dispatched event and per
-grant, and the fast backend's bare loop stays fully detached
-(``bare_eligible`` routes probed runs through the observed loop).
+The probe is a run observer (:mod:`repro.sim.observer`); like any
+observer it routes a fast-backend run through the observed loop.
 """
 
 from __future__ import annotations
@@ -60,6 +58,7 @@ import numpy as np
 
 from repro.cpu.thread import MAX_OUTSTANDING_MISSES
 from repro.dram.request import MemoryRequest
+from repro.sim.observer import Observer, find_observer
 
 #: Component keys in canonical order.
 COMPONENTS = (
@@ -451,17 +450,18 @@ def fingerprint_state(
 # the probe
 # ----------------------------------------------------------------------
 
-class StateProbe:
+class StateProbe(Observer):
     """Attached observer: ring buffers plus on-demand fingerprints.
 
-    ``attach`` binds the probe to ``System._probe``; the event loops
-    then feed it every dispatched event (:meth:`on_event`) and every
-    grant (:meth:`on_decision`), which the probe keeps in bounded ring
-    buffers for the forensic report.  Fingerprints and snapshots are
-    computed only when asked (between :meth:`~repro.sim.system.System.\
-advance` windows), so probe overhead scales with checkpoint cadence,
-    not event rate.
+    Once attached, the event loops feed the probe every dispatched event
+    (:meth:`on_event`) and every grant (:meth:`on_grant`), which it
+    keeps in bounded ring buffers for the forensic report.  Fingerprints
+    and snapshots are computed only when asked (between
+    :meth:`~repro.sim.system.System.advance` windows), so probe overhead
+    scales with checkpoint cadence, not event rate.
     """
+
+    name = "probe"
 
     def __init__(
         self,
@@ -483,33 +483,33 @@ advance` windows), so probe overhead scales with checkpoint cadence,
         self.system = None
 
     def attach(self, system) -> "StateProbe":
-        if system._probe is not None:
+        if find_observer(system, StateProbe) is not None:
             raise RuntimeError("system already carries a divergence probe")
-        system._probe = self
+        system.attach(self)
         self.system = system
         return self
 
     def detach(self) -> None:
         if self.system is not None:
-            self.system._probe = None
+            self.system.detach(self)
             self.system = None
 
-    # -- loop hooks (one is-None branch each when detached) -------------
+    # -- observer hooks --------------------------------------------------
 
     def on_event(self, time: int, kind: int, payload, aux: int) -> None:
         self.events.append(_event_entry(time, kind, payload, aux))
 
-    def on_decision(
-        self, now: int, channel_id: int, bank_id: int, request, queued, access
-    ) -> None:
+    def on_grant(self, request, waiting, access, completion: int,
+                 now: int) -> None:
         self.decisions.append({
             "cycle": now,
-            "ch": channel_id,
-            "bank": bank_id,
+            "ch": request.channel_id,
+            "bank": request.bank_id,
             "tid": request.thread_id,
             "row": request.row,
             "arrival": request.arrival,
-            "queued": queued,
+            # the queue length select chose from, winner included
+            "queued": len(waiting) + 1,
             "kind": access.kind,
             "row_hit": bool(access.is_row_hit),
             "data_end": access.data_end,

@@ -8,11 +8,11 @@ Two drivers over the same :class:`~repro.engine.wheel.TimingWheel`:
   per-instance wrappers installed by the invariant oracle
   (:mod:`repro.validate.oracle`) and the self-profiler
   (:mod:`repro.prof`) keep intercepting exactly as on the reference
-  backend, and tracer/span/sampler emit sites run unchanged.
+  backend, and tracer, sampler and observer sites run unchanged.
 * :func:`_drive_bare` — the fully inlined loop used when nothing is
-  watching: no tracer, spans, sampler, profiler, trace recorder,
-  prefetchers, write modelling, detailed timings, or per-instance
-  method overrides.  The wheel drain, the event dispatch, the CPU
+  watching: no tracer, observer or sampler, no prefetchers, write
+  modelling or detailed timings, and no per-instance method
+  overrides.  The wheel drain, the event dispatch, the CPU
   sliding-window model, the address stream, the non-detailed DRAM
   timing path and the behaviour monitor's bookkeeping are unrolled
   into one closure nest over cached locals — while still mutating the
@@ -24,9 +24,7 @@ Both drivers execute the reference semantics operation-for-operation
 (same event order, same RNG draws, same float arithmetic in the same
 order), which the cross-backend parity suite pins bit-identical.
 :func:`drive` picks the loop per run; eligibility is decided from the
-system's observer surface, so e.g. an STFM run (which binds
-interference accounting to ``system._spans``) automatically takes the
-observed loop.
+system's observer surface (see :func:`bare_eligible`).
 
 Scheduler policy code remains fully in charge: ``select`` and every
 overridden lifecycle hook are called exactly as the reference loop
@@ -79,19 +77,16 @@ def _overridden(obj, names) -> bool:
 def bare_eligible(system) -> bool:
     """True when the inlined loop preserves observable behaviour.
 
-    Any observer (tracer, spans, sampler, profiler, trace recorder),
-    optional subsystem (prefetchers, write modelling, detailed
-    timings), or per-instance method wrapper (oracle, profiler, test
-    doubles) routes the run through the observed loop instead.
+    The tracer or any attached observer (:mod:`repro.sim.observer`),
+    the epoch sampler or another optional subsystem (prefetchers, write
+    modelling, detailed timings), or a per-instance method wrapper
+    (oracle, profiler, test doubles) routes the run through the
+    observed loop instead.
     """
+    if system._tracer is not None or system.observers:
+        return False
     if (
-        system._tracer is not None
-        or system._spans is not None
-        or system._sampler is not None
-        or system._prof is not None
-        or system._probe is not None
-        or system._explain is not None
-        or system.trace_recorder is not None
+        system._sampler is not None
         or system.prefetchers is not None
         or system.config.model_writes
         or system.config.timings.detailed
@@ -144,13 +139,14 @@ def _drive_observed(system, horizon: int) -> None:
 
     threads = system.threads
     scheduler = system.scheduler
-    probe = system._probe
-    explain = system._explain
+    on_event = system._on_event
+    on_timer = system._on_timer
 
     def handler(time, kind, payload, aux):
         system.now = time
-        if probe is not None:
-            probe.on_event(time, kind, payload, aux)
+        if on_event:
+            for hook in on_event:
+                hook(time, kind, payload, aux)
         if kind == _EV_ISSUE:
             system._issue_miss(payload)
         elif kind == _EV_BANK_FREE:
@@ -160,11 +156,11 @@ def _drive_observed(system, horizon: int) -> None:
         elif kind == _EV_QUANTUM:
             system._quantum_boundary()
         elif kind == _EV_TIMER:
-            # tuple payloads are shadow timers (repro.explain)
-            if explain is not None and type(payload) is tuple:
-                explain.on_shadow_timer(time, payload)
-            else:
+            # tuple keys are observer-owned (explain's shadows)
+            if type(payload) is not tuple:
                 scheduler.on_timer(time, payload)
+            for hook in on_timer:
+                hook(time, payload)
         elif kind == _EV_PHIT:
             if threads[payload].on_request_completed(aux):
                 system._issue_miss(payload)

@@ -14,10 +14,9 @@ says *why each grant won* and *what a different policy would have done*:
   completions, recording which request each would have granted, with
   policy×policy disagreement matrices and per-thread
   would-have-been-granted deltas.
-* **Collector** (:mod:`repro.explain.collector`): the ``system._explain``
-  observer seam — one ``is None`` branch per hook when detached,
-  bit-identical results either way — plus a starvation watch and the
-  TCM cluster-flip timeline.
+* **Collector** (:mod:`repro.explain.collector`): a run observer
+  (:mod:`repro.sim.observer`) — bit-identical results with or without
+  it — plus a starvation watch and the TCM cluster-flip timeline.
 * **Surfaces**: ``explain`` / ``starvation`` telemetry events, Perfetto
   counters and markers (:mod:`repro.telemetry.sinks`), text tables
   (:mod:`repro.explain.report`), the no-JS HTML dashboard

@@ -1,14 +1,13 @@
-"""The explain collector: per-grant forensics behind one ``is None``.
+"""The explain collector: per-grant forensics as a run observer.
 
-``ExplainCollector`` binds to a :class:`~repro.sim.system.System` as
-``system._explain`` — the same observer-seam idiom as spans, the
-divergence probe and the profiler: a detached run pays exactly one
-``is None`` branch per seam and is bit-identical to a run before this
-module existed.  Attached, the collector:
+``ExplainCollector`` is an observer (:mod:`repro.sim.observer`)
+attached with :func:`attach_explain`; a run without one is
+bit-identical to a run before this module existed.  Attached, the
+collector:
 
 * captures a :class:`~repro.explain.records.DecisionRecord` for every
   grant (candidate set, per-candidate priority decomposition, winner
-  margin, tie-break provenance) — at the single seam inside
+  margin, tie-break provenance) — at the ``on_decision`` hook inside
   ``System._try_schedule`` both engine backends share, so records are
   backend-identical by construction;
 * drives any number of :class:`~repro.explain.shadow.ShadowPolicy`
@@ -38,6 +37,7 @@ from repro.explain.records import (
     margin_of,
 )
 from repro.explain.shadow import ShadowPolicy, make_shadow
+from repro.sim.observer import Observer, find_observer
 
 #: Default pending-age (cycles) beyond which a thread counts as starving.
 STARVATION_THRESHOLD = 100_000
@@ -68,8 +68,10 @@ def _bucket(delta: float) -> int:
         else int(math.floor(math.log2(delta))) + 1
 
 
-class ExplainCollector:
+class ExplainCollector(Observer):
     """Per-grant decision forensics and shadow-policy counterfactuals."""
+
+    name = "explain"
 
     def __init__(
         self,
@@ -119,25 +121,15 @@ class ExplainCollector:
     # ------------------------------------------------------------------
 
     def attach(self, system) -> "ExplainCollector":
-        """Bind to ``system`` before its run; builds and attaches shadows."""
-        if getattr(system, "_explain", None) is not None:
+        """Attach to ``system`` before its run; builds and attaches shadows."""
+        if find_observer(system, ExplainCollector) is not None:
             raise RuntimeError("system already carries an explain collector")
-        if getattr(system, "now", 0) or getattr(system, "_started", False):
-            raise RuntimeError(
-                "attach_explain must be called before system.run()"
-            )
+        system.attach(self)
         self.system = system
         n = system.workload.num_threads
-        specs = self._shadow_specs
-        if any(_spec_key(spec) == "stfm" for spec in specs):
-            # shadow STFM reads the shared interference accounting; make
-            # sure it exists before the shadow's on_attach looks for it
-            from repro.obs.spans import ensure_accounting
-
-            ensure_accounting(system)
         self.shadows = [
             make_shadow(system, spec, index)
-            for index, spec in enumerate(specs)
+            for index, spec in enumerate(self._shadow_specs)
         ]
         # bound lifecycle hooks, hoisted once: the relay loops below run
         # per arrival / grant / completion
@@ -159,30 +151,16 @@ class ExplainCollector:
         self.max_pending_age = [0] * n
         self._pending = [deque() for _ in range(n)]
         self._starving = [False] * n
-        system._explain = self
         return self
 
     def detach(self) -> None:
-        """Unbind from the system (shadow timers still queued become
-        harmless: tuple payloads fall through to the primary's
-        ``on_timer``, which ignores keys that are not its own)."""
-        if self.system is not None and \
-                getattr(self.system, "_explain", None) is self:
-            self.system._explain = None
-
-    def prof_points(self) -> List[Tuple[str, str]]:
-        """Hooks the self-profiler wraps when both layers are attached."""
-        return [
-            ("obs.explain.arrival", "on_arrival"),
-            ("obs.explain.decision", "on_decision"),
-            ("obs.explain.grant", "on_grant"),
-            ("obs.explain.complete", "on_complete"),
-            ("obs.explain.quantum", "on_quantum"),
-            ("obs.explain.timer", "on_shadow_timer"),
-        ]
+        """Detach from the system (shadow timers still queued become
+        harmless: the primary policy never sees tuple keys)."""
+        if self.system is not None and self in self.system.observers:
+            self.system.detach(self)
 
     # ------------------------------------------------------------------
-    # seam hooks (called by System; nothing here runs detached)
+    # observer hooks
     # ------------------------------------------------------------------
 
     def on_arrival(self, request, now: int) -> None:
@@ -324,7 +302,9 @@ class ExplainCollector:
                 disagree=disagreed,
             )
 
-    def on_grant(self, request, waiting, busy_cycles: int, now: int) -> None:
+    def on_grant(self, request, waiting, access, completion: int,
+                 now: int) -> None:
+        busy_cycles = access.data_end - now
         for hook in self._shadow_scheduled:
             hook(request, waiting, busy_cycles, now)
         self._granted_ids.add(request.request_id)
@@ -340,9 +320,10 @@ class ExplainCollector:
             shadow.scheduler.on_quantum(snapshot, now)
         self._track_clusters(snapshot, now)
 
-    def on_shadow_timer(self, now: int, payload: Tuple[int, str]) -> None:
-        index, key = payload
-        self.shadows[index].scheduler.on_timer(now, key)
+    def on_timer(self, now: int, key) -> None:
+        if type(key) is tuple:  # (shadow index, the shadow's own key)
+            index, shadow_key = key
+            self.shadows[index].scheduler.on_timer(now, shadow_key)
 
     # ------------------------------------------------------------------
     # starvation watch
@@ -467,20 +448,13 @@ class ExplainCollector:
         }
 
 
-def _spec_key(spec) -> str:
-    from repro.explain.shadow import canonical_policy_key
-
-    name = spec[0] if isinstance(spec, tuple) else spec
-    return canonical_policy_key(name)
-
-
 def attach_explain(
     system,
     shadows: Sequence = (),
     keep_records: Optional[int] = KEEP_RECORDS,
     starvation_threshold: int = STARVATION_THRESHOLD,
 ) -> ExplainCollector:
-    """Bind an :class:`ExplainCollector` to ``system`` before its run."""
+    """Attach an :class:`ExplainCollector` to ``system`` before its run."""
     collector = ExplainCollector(
         shadows=shadows,
         keep_records=keep_records,

@@ -3,8 +3,8 @@
 A shadow is a real registry scheduler attached to a
 :class:`ShadowSystemView` — a restricted proxy of the live system that
 forwards everything a policy is allowed to read (workload, config,
-seed, channels, monitor, prefetchers, the shared interference
-accounting) while cutting everything a policy could perturb: metrics
+seed, channels, monitor, prefetchers) while cutting everything a
+policy could perturb: metrics
 registration, tracer emission, and timers (rerouted through tuple
 payloads so the explain layer can dispatch them to the right shadow).
 
@@ -81,19 +81,12 @@ class ShadowSystemView:
     def now(self):
         return self._system.now
 
-    @property
-    def _spans(self):
-        # live forward: STFM shadows read the same shared interference
-        # accounting the primary does (attach_explain ensures it exists
-        # before any STFM shadow attaches)
-        return self._system._spans
-
     def schedule_timer(self, time: int, key: str) -> None:
         """Shadow timers ride the real event queue, payload-tagged.
 
         The tuple payload routes the firing to this shadow's
-        ``on_timer`` (see the ``_EV_TIMER`` dispatch in both observed
-        loops) at exactly the position a primary timer would occupy,
+        ``on_timer`` (via :meth:`ExplainCollector.on_timer`) at exactly
+        the position a primary timer would occupy,
         so shadow state updates stay ordered identically relative to
         same-cycle grants.
         """

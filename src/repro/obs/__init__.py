@@ -3,8 +3,8 @@
 The observability layer over :mod:`repro.telemetry`'s raw events:
 
 * :mod:`repro.obs.spans` — decompose every request's latency into
-  cause-tagged, culprit-tagged wait intervals, generalising STFM's
-  interference accounting into a scheduler-independent mechanism;
+  cause-tagged, culprit-tagged wait intervals, applying STFM's
+  interference accounting to every scheduler;
 * :mod:`repro.obs.attribution` — fold spans into a T×T
   ``delay[victim][culprit]`` matrix with per-thread cause breakdowns
   and attribution-derived slowdown estimates;
@@ -35,7 +35,6 @@ from repro.obs.spans import (
     SpanCollector,
     WaitInterval,
     attach_spans,
-    ensure_accounting,
 )
 from repro.obs.attribution import (
     AttributionReport,
@@ -55,6 +54,5 @@ __all__ = [
     "WaitInterval",
     "attach_spans",
     "attribution_report",
-    "ensure_accounting",
     "reconcile",
 ]

@@ -7,7 +7,7 @@ which has a cause and — crucially for the paper's argument — a
 * ``queue`` — the bank was servicing someone else's request.  The
   culprit is the thread being serviced.  These are the cycles STFM's
   interference accounting estimates (Mutlu & Moscibroda, MICRO 2007);
-  the span mechanism generalises that accounting to every scheduler.
+  the span mechanism applies that accounting to every scheduler.
 * ``row`` — the access was a row-buffer conflict: the precharge
   penalty is charged to the thread whose open row had to be closed.
 * ``bus`` — the burst waited for the channel data bus behind another
@@ -16,12 +16,10 @@ which has a cause and — crucially for the paper's argument — a
   (activate, burst, fixed round-trip overhead) plus self-inflicted
   waits, charged to the request's own thread.
 
-The :class:`SpanCollector` is bound to a :class:`repro.sim.System`
-before the run (``System(..., telemetry=Telemetry(spans=...))`` or
-:func:`attach_spans`).  The simulator's hot path pays exactly one
-``is None`` branch per emit site when no collector is bound — the same
-contract as the telemetry tracer — and collectors never mutate
-simulation state, so spans on/off runs are bit-identical.
+The :class:`SpanCollector` is an observer (:mod:`repro.sim.observer`)
+attached before the run (``System(..., telemetry=Telemetry(spans=...))``
+or :func:`attach_spans`).  Collectors never mutate simulation state, so
+spans on/off runs are bit-identical.
 
 Two accounting tiers share one class:
 
@@ -29,10 +27,10 @@ Two accounting tiers share one class:
   cycles, per-thread totals and the T×T victim/culprit matrix, all
   maintained with STFM's original grant-time rule: when a request is
   granted service, every *other* thread's request still waiting at that
-  bank is delayed by the full service occupancy.  STFM binds a lite
-  collector automatically (its fairness policy consumes these totals),
-  so ``t_interference`` here matches STFM's private ``_t_interference``
-  cross-check *exactly*, by construction.
+  bank is delayed by the full service occupancy.  ``t_interference``
+  here therefore matches STFM's own ``_t_interference`` books
+  *exactly* — an independent cross-check of the policy's accounting
+  (:func:`repro.obs.attribution.reconcile`).
 * **full** (``record_intervals=True``, the default) — additionally
   records, per request, the wait intervals themselves: disjoint,
   cause-tagged, culprit-tagged, and tiling the request's entire
@@ -48,6 +46,7 @@ from __future__ import annotations
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.dram.request import MemoryRequest
+from repro.sim.observer import Observer
 
 #: wait-interval causes
 CAUSE_QUEUE = "queue"      # bank busy with another request
@@ -135,17 +134,17 @@ class RequestSpan:
         )
 
 
-class SpanCollector:
+class SpanCollector(Observer):
     """Accumulates spans and interference attribution for one run.
 
-    Bound to a system either via the :class:`repro.telemetry.Telemetry`
-    bundle (``Telemetry(spans=SpanCollector())``) or with
-    :func:`attach_spans`.  All hooks are driven by the system's event
-    loop; the collector is strictly read-only with respect to
-    simulation state (it mutates only ``request.interference``, which
-    no scheduling decision of any registered policy reads before
-    writing — STFM consumes the collector's totals instead).
+    Attached either via the :class:`repro.telemetry.Telemetry` bundle
+    (``Telemetry(spans=SpanCollector())``) or with :func:`attach_spans`.
+    The collector is strictly read-only with respect to simulation
+    state: it mutates only ``request.interference``, which no
+    scheduling decision of any registered policy reads.
     """
+
+    name = "spans"
 
     def __init__(self, record_intervals: bool = True,
                  keep_spans: bool = True):
@@ -172,7 +171,7 @@ class SpanCollector:
     # lifecycle
     # ------------------------------------------------------------------
 
-    def bind(self, system) -> "SpanCollector":
+    def begin(self, system) -> None:
         """Size per-thread state for ``system`` and reset the run."""
         n = system.workload.num_threads
         self.num_threads = n
@@ -187,10 +186,9 @@ class SpanCollector:
         timings = system.config.timings
         self._fixed_overhead = timings.fixed_overhead
         self._t_rcd = timings.t_rcd
-        return self
 
     # ------------------------------------------------------------------
-    # hot-path hooks (called by System behind an ``is None`` guard)
+    # observer hooks
     # ------------------------------------------------------------------
 
     def on_arrival(self, request: MemoryRequest, now: int) -> None:
@@ -209,8 +207,8 @@ class SpanCollector:
                 now, occupied[0], occupied[1], CAUSE_QUEUE, partial=True,
             ))
 
-    def on_scheduled(self, request: MemoryRequest, waiting, access,
-                     completion: int, now: int) -> None:
+    def on_grant(self, request: MemoryRequest, waiting, access,
+                 completion: int, now: int) -> None:
         """``request`` was granted bank service; ``waiting`` still queue.
 
         Applies the grant-time attribution rule (identical to STFM's
@@ -255,8 +253,7 @@ class SpanCollector:
                 span.kind = access.kind
                 self._service_intervals(span, access, completion, now)
 
-    def on_write_scheduled(self, request: MemoryRequest, access,
-                           now: int) -> None:
+    def on_write(self, request: MemoryRequest, access, now: int) -> None:
         """A buffered write was drained; the bank is busy on its behalf."""
         if not self.record_intervals:
             return
@@ -344,36 +341,7 @@ class SpanCollector:
             ))
 
 
-def ensure_accounting(system) -> SpanCollector:
-    """The system's bound collector, creating a lite one if absent.
-
-    Schedulers whose *policy* consumes interference totals (STFM) call
-    this at attach time: if the run already carries a full collector it
-    is shared; otherwise a lite (intervals-off) collector is bound so
-    the totals exist on every run at STFM's original bookkeeping cost.
-    """
-    collector = getattr(system, "_spans", None)
-    if collector is None:
-        collector = SpanCollector(record_intervals=False,
-                                  keep_spans=False).bind(system)
-        system._spans = collector
-    return collector
-
-
 def attach_spans(system, collector: Optional[SpanCollector] = None
                  ) -> SpanCollector:
-    """Bind a (full, by default) collector to ``system`` before its run.
-
-    Replaces any collector bound earlier in construction — e.g. the
-    lite accountant STFM installs at attach time — which is safe before
-    the run starts because a full collector maintains a superset of the
-    lite counters under the identical accounting rule.  Consumers
-    (STFM) always read ``system._spans`` live, so they follow the
-    replacement.
-    """
-    if getattr(system, "now", 0):
-        raise RuntimeError("attach_spans must be called before system.run()")
-    collector = collector or SpanCollector()
-    collector.bind(system)
-    system._spans = collector
-    return collector
+    """Attach a (full, by default) collector to ``system`` before its run."""
+    return system.attach(collector or SpanCollector())

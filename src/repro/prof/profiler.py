@@ -5,8 +5,8 @@ machine; this module instruments the simulator itself.  A
 :class:`Profiler` attaches to a built :class:`~repro.sim.system.System`
 by per-instance bound-method wrapping — the same mechanism the
 invariant oracle uses — so a system that was never profiled executes
-byte-identical code, and the hot path carries only the single
-``self._prof is None`` branch pair in :meth:`System.run`.
+byte-identical code.  The profiler is also a run observer
+(:mod:`repro.sim.observer`): its ``begin``/``end`` hooks time the run.
 
 Every wrapped call pushes a frame label onto a shared stack and
 accumulates *inclusive* wall time and call counts per stack path, which
@@ -23,10 +23,10 @@ is exactly the shape a collapsed-stack flame graph wants
   re-evaluation, FQM's virtual-time scan);
 * ``dram.*`` — bank/channel service timing;
 * ``cpu.*`` — thread issue/retire and end-of-run finalize;
-* ``telemetry.*`` / ``obs.*`` — tracer emit, epoch sampling, span
-  collection and explain forensics overhead (``obs.explain.*``, via
-  :meth:`repro.explain.ExplainCollector.prof_points`) when those
-  layers are attached.  (An invariant
+* ``telemetry.*`` / ``obs.*`` — tracer emit and epoch sampling, and
+  every protocol hook of each observer attached before the profiler
+  (``obs.<observer name>.<hook>``: ``obs.spans.grant``,
+  ``obs.explain.decision``, ``obs.probe.event`` ...).  (An invariant
   oracle attached *before* the profiler is folded into the component
   that invokes its checks; attach the profiler first to see oracle
   cost separated under the wrapped component's frame.)
@@ -42,6 +42,8 @@ import io
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
+
+from repro.sim.observer import Observer, overridden_hooks
 
 #: stack-path key: root-first tuple of frame labels
 Path = Tuple[str, ...]
@@ -89,7 +91,7 @@ class ProfileReport:
     """
 
     nodes: Dict[Path, ProfileNode] = field(default_factory=dict)
-    #: engine metadata recorded by ``System.run``'s guard branch
+    #: engine metadata recorded by the profiler's begin/end hooks
     wall_s: float = 0.0
     cycles: int = 0
     events: int = 0
@@ -181,7 +183,7 @@ class ProfileReport:
         return "\n".join(lines)
 
 
-class Profiler:
+class Profiler(Observer):
     """Phase-scoped wall-time profiler for one simulated run.
 
     Usage::
@@ -194,8 +196,11 @@ class Profiler:
 
     Or in one call: :func:`profile_run`.  Attach wraps instrumentation
     points on the *instance*; detach restores every one, leaving the
-    system indistinguishable from an unprofiled one.
+    system indistinguishable from an unprofiled one.  Attach the
+    profiler after the observers it should time.
     """
+
+    name = "prof"
 
     def __init__(self, deep: bool = False):
         self.deep = deep
@@ -272,6 +277,7 @@ class Profiler:
         """Install instrumentation points; call before ``system.run()``."""
         if self._system is not None:
             raise RuntimeError("profiler already attached")
+        system.attach(self)
         self._system = system
         self._wrap_run(system)
         # engine-internal actions
@@ -296,20 +302,11 @@ class Profiler:
             self._wrap(system._tracer, "emit", "telemetry.emit")
         if system._sampler is not None:
             self._wrap(system._sampler, "sample", "telemetry.sample")
-        if system._spans is not None:
-            for method, label in (
-                ("on_arrival", "obs.spans.arrival"),
-                ("on_scheduled", "obs.spans.grant"),
-                ("on_write_scheduled", "obs.spans.write"),
-                ("on_complete", "obs.spans.complete"),
-            ):
-                if hasattr(system._spans, method):
-                    self._wrap(system._spans, method, label)
-        if system._explain is not None:
-            for label, method in system._explain.prof_points():
-                if hasattr(system._explain, method):
-                    self._wrap(system._explain, method, label)
-        system._prof = self
+        for observer in system.observers:
+            if observer is not self:
+                for hook in overridden_hooks(observer):
+                    label = f"obs.{observer.name}.{hook.removeprefix('on_')}"
+                    self._wrap(observer, hook, label)
         return self
 
     def detach(self) -> ProfileReport:
@@ -322,7 +319,7 @@ class Profiler:
             else:
                 delattr(obj, name)
         self._originals.clear()
-        self._system._prof = None
+        self._system.detach(self)
         self._system = None
         report = self._report
         report.nodes = {
@@ -335,16 +332,15 @@ class Profiler:
             report.deep_table = _deep_table(self._cprofile)
         return report
 
-    # -- System.run guard hooks (the one-branch-when-off sites) ---------
+    # -- observer hooks -------------------------------------------------
 
-    def begin_run(self, system) -> None:
-        """Called by ``System.run`` when a profiler is attached."""
+    def begin(self, system) -> None:
         self._run_t0 = time.perf_counter()
         self._events_at_start = system._seq
         self._report.scheduler = system.scheduler.name
         self._report.workload = system.workload.name
 
-    def end_run(self, system, horizon: int) -> None:
+    def end(self, system, horizon: int) -> None:
         self._report.wall_s += time.perf_counter() - self._run_t0
         self._report.cycles = horizon
         self._report.events += system._seq - self._events_at_start

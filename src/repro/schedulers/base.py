@@ -97,21 +97,6 @@ class Scheduler:
         if tracer is not None:
             tracer.emit(ev, now, **fields)
 
-    def interference_accounting(self):
-        """The run's shared interference accounting (repro.obs spans).
-
-        Policies whose decisions consume per-thread interference totals
-        (STFM's slowdown estimation) call this from :meth:`on_attach`:
-        it returns the system's bound :class:`~repro.obs.spans.\
-        SpanCollector`, creating a lite (counters-only) one when the run
-        was not already observing — so the totals exist on every run at
-        the original bookkeeping cost, and a full collector, when
-        present, is shared rather than duplicated.
-        """
-        from repro.obs.spans import ensure_accounting
-
-        return ensure_accounting(self.system)
-
     def prof_points(self) -> List[Tuple[str, str]]:
         """Instrumentation points the self-profiler wraps.
 

@@ -12,12 +12,11 @@ are being delayed by the service duration; those cycles are what the
 thread would *not* have waited alone and are subtracted from its shared
 memory time.
 
-The accounting itself lives in :mod:`repro.obs.spans` — a
-scheduler-independent mechanism this policy binds at attach time (see
-:meth:`repro.schedulers.base.Scheduler.interference_accounting`).  STFM
-keeps a private shadow of the per-victim totals, maintained with the
-same grant-time rule, purely as a cross-check that the shared mechanism
-it decides from never drifts from the paper's bookkeeping.
+The policy keeps these books itself (``_t_shared`` and
+``_t_interference``).  :mod:`repro.obs.spans` applies the same
+grant-time rule to every scheduler, and
+:func:`repro.obs.attribution.reconcile` checks that the two books agree
+exactly on STFM runs.
 """
 
 from __future__ import annotations
@@ -78,22 +77,10 @@ class STFMScheduler(Scheduler):
         self._t_interference = [0] * n
         self._victim = None
         self._next_eval = self.params.interval_length
-        self.interference_accounting()
 
     # ------------------------------------------------------------------
     # interference accounting
     # ------------------------------------------------------------------
-
-    @property
-    def accounting(self):
-        """The run's shared interference accounting (``system._spans``).
-
-        Read live rather than cached at attach time: a full span
-        collector attached later in construction (``attach_spans``)
-        replaces the lite one this policy bound, and both maintain the
-        totals under the identical grant-time rule.
-        """
-        return self.system._spans
 
     def on_request_scheduled(
         self,
@@ -102,8 +89,8 @@ class STFMScheduler(Scheduler):
         busy_cycles: int,
         now: int,
     ) -> None:
-        # private shadow of the shared grant-rule accounting; the spans
-        # mechanism is the source of truth, this is the cross-check
+        # grant-time rule: the service delays every other thread's
+        # request still waiting at this bank
         for other in waiting:
             if other.thread_id != request.thread_id:
                 self._t_interference[other.thread_id] += busy_cycles
@@ -120,11 +107,10 @@ class STFMScheduler(Scheduler):
 
     def slowdown_estimate(self, tid: int) -> float:
         """Estimated memory slowdown of thread ``tid`` (>= 1.0)."""
-        accounting = self.accounting
-        shared = accounting.t_shared[tid]
+        shared = self._t_shared[tid]
         if shared < _MIN_SHARED_CYCLES:
             return 1.0
-        alone = max(1, shared - accounting.t_interference[tid])
+        alone = max(1, shared - self._t_interference[tid])
         return shared / alone
 
     def _reevaluate(self, now: int = 0) -> None:

@@ -23,6 +23,7 @@ from repro.dram.channel import Channel
 from repro.dram.request import MemoryRequest
 from repro.engine import resolve_backend
 from repro.schedulers.base import Scheduler
+from repro.sim.observer import HOOKS, Observer, overridden_hooks
 from repro.telemetry.registry import MetricsRegistry
 from repro.workloads.mixes import Workload
 
@@ -69,8 +70,8 @@ class System:
         scheduler: Scheduler,
         config: Optional[SimConfig] = None,
         seed: Optional[int] = None,
-        trace_recorder=None,
         telemetry=None,
+        observers: Sequence[Observer] = (),
     ):
         self.config = config or SimConfig()
         self.workload = workload
@@ -124,8 +125,12 @@ class System:
         self.sched_decisions = 0
         #: per-quantum IPC of every thread (one tuple per quantum)
         self.ipc_timeline: List[Tuple[float, ...]] = []
-        self.trace_recorder = trace_recorder
         self._wb_rng = np.random.default_rng((self.seed, 0x3B))
+        #: attached observers (repro.sim.observer), in attach order; the
+        #: per-hook tuples the event loop calls are built at start_run
+        self.observers: List[Observer] = []
+        self._started = False
+        self._bind_hooks()
         # telemetry: the registry always exists (providers are polled,
         # so registration is init-only and per-event cost is zero);
         # tracer/sampler are bound only when a Telemetry bundle is
@@ -146,22 +151,6 @@ class System:
             else None
         )
         self._sampler = telemetry.sampler if telemetry is not None else None
-        # span collector (repro.obs): bound before scheduler attach so a
-        # policy that consumes interference accounting (STFM) shares it;
-        # None costs one branch per emit site, like the tracer.
-        spans = getattr(telemetry, "spans", None)
-        self._spans = spans.bind(self) if spans is not None else None
-        # self-profiler (repro.prof): attached per-instance via
-        # Profiler.attach, exactly like the invariant oracle; when None
-        # (the default everywhere) the run pays two branches total.
-        self._prof = None
-        # divergence probe (repro.diverge): bound via StateProbe.attach;
-        # None costs one branch per dispatched event and per grant.
-        self._probe = None
-        # explain collector (repro.explain): bound via attach_explain;
-        # None costs one branch per lifecycle hook and per grant.
-        self._explain = None
-        self._started = False
         self._sample_period = 0
         self._register_metrics()
         if self.config.prefetch_degree > 0:
@@ -173,7 +162,41 @@ class System:
             ]
         else:
             self.prefetchers = None
+        for observer in observers:
+            self.attach(observer)
         scheduler.attach(self)
+
+    # ------------------------------------------------------------------
+    # observers
+    # ------------------------------------------------------------------
+
+    def attach(self, observer: Observer) -> Observer:
+        """Attach ``observer`` (see :mod:`repro.sim.observer`); returns it.
+
+        Only before the run: the hook tuples are built at start_run.
+        """
+        if self._started:
+            raise RuntimeError("attach observers before system.run()")
+        if observer in self.observers:
+            raise RuntimeError(f"{observer.name} observer already attached")
+        self.observers.append(observer)
+        return observer
+
+    def detach(self, observer: Observer) -> None:
+        """Remove ``observer``; its hooks stop firing at once."""
+        self.observers.remove(observer)
+        if self._started:
+            self._bind_hooks()
+
+    def _bind_hooks(self) -> None:
+        """One tuple per hook (``self._on_grant`` ...) of the observers'
+        bound methods, for the hooks their classes override."""
+        bound = {hook: [] for hook in HOOKS}
+        for observer in self.observers:
+            for hook in overridden_hooks(observer):
+                bound[hook].append(getattr(observer, hook))
+        for hook, methods in bound.items():
+            setattr(self, "_" + hook, tuple(methods))
 
     # ------------------------------------------------------------------
     # telemetry
@@ -259,13 +282,6 @@ class System:
                 # DRAM request; completes when the prefetch fills
                 self._push(self.now + thread.issue_gap(), _EV_ISSUE, tid)
                 return
-        if self.trace_recorder is not None:
-            # misses are positioned on the thread's virtual program
-            # time, so recorded traces are free of contention stalls
-            self.trace_recorder.record(
-                tid, thread.spec.name, thread.program_time,
-                channel_id, bank_id, row,
-            )
         request = MemoryRequest(
             thread_id=tid,
             channel_id=channel_id,
@@ -275,12 +291,11 @@ class System:
             episode_id=thread.issued,
         )
         self.channels[channel_id].enqueue(request)
-        if self._spans is not None:
-            self._spans.on_arrival(request, self.now)
         self.monitor.on_request_arrival(request, self.now)
         self.scheduler.on_request_arrival(request, self.now)
-        if self._explain is not None:
-            self._explain.on_arrival(request, self.now)
+        if self._on_arrival:
+            for hook in self._on_arrival:
+                hook(request, self.now)
         if (
             self.config.model_writes
             and self._wb_rng.random() < self.config.writeback_ratio
@@ -311,11 +326,10 @@ class System:
                 is_prefetch=True,
             )
             self.channels[p_channel].enqueue(prefetch)
-            if self._spans is not None:
-                self._spans.on_arrival(prefetch, self.now)
             self.scheduler.on_request_arrival(prefetch, self.now)
-            if self._explain is not None:
-                self._explain.on_arrival(prefetch, self.now)
+            if self._on_arrival:
+                for hook in self._on_arrival:
+                    hook(prefetch, self.now)
             self._try_schedule(p_channel, p_bank)
 
     def _try_schedule(self, channel_id: int, bank_id: int) -> None:
@@ -330,8 +344,6 @@ class System:
                 write = channel.next_write_for(bank_id)
                 if write is not None:
                     access = channel.start_write_service(write, self.now)
-                    if self._spans is not None:
-                        self._spans.on_write_scheduled(write, access, self.now)
                     if self._tracer is not None:
                         self._tracer.emit(
                             "dram_cmd", self.now,
@@ -339,22 +351,22 @@ class System:
                             tid=write.thread_id, kind=access.kind,
                             start=self.now, end=access.data_end, write=True,
                         )
+                    if self._on_write:
+                        for hook in self._on_write:
+                            hook(write, access, self.now)
                     self._push(
                         access.data_end, _EV_BANK_FREE, channel_id, bank_id
                     )
             return
         queued = len(channel.queues[bank_id])
         request = self.scheduler.select(channel, bank_id, self.now)
-        if self._explain is not None:
+        if self._on_decision:
             # before start_service: the candidate queue is still intact
-            self._explain.on_decision(channel, bank_id, request, self.now)
+            for hook in self._on_decision:
+                hook(channel, bank_id, request, self.now)
         access, completion = channel.start_service(request, self.now)
         busy_cycles = access.data_end - self.now
         self.sched_decisions += 1
-        if self._probe is not None:
-            self._probe.on_decision(
-                self.now, channel_id, bank_id, request, queued, access
-            )
         if self._tracer is not None:
             self._tracer.emit(
                 "sched_decision", self.now,
@@ -368,32 +380,28 @@ class System:
                 start=self.now, end=access.data_end,
             )
         self.monitor.on_request_service(request, busy_cycles)
-        if self._spans is not None:
-            self._spans.on_scheduled(
-                request, channel.queues[bank_id], access, completion, self.now
-            )
+        waiting = channel.queues[bank_id]
         self.scheduler.on_request_scheduled(
-            request, channel.queues[bank_id], busy_cycles, self.now
+            request, waiting, busy_cycles, self.now
         )
-        if self._explain is not None:
-            self._explain.on_grant(
-                request, channel.queues[bank_id], busy_cycles, self.now
-            )
+        if self._on_grant:
+            for hook in self._on_grant:
+                hook(request, waiting, access, completion, self.now)
         self._push(access.data_end, _EV_BANK_FREE, channel_id, bank_id)
         self._push(completion, _EV_DONE, request)
 
     def _complete_request(self, request: MemoryRequest) -> None:
         tid = request.thread_id
-        if self._spans is not None:
-            # before the scheduler's hook, so a policy reading the shared
-            # accounting (STFM's re-evaluation) sees this request included
-            self._spans.on_complete(request, self.now)
-        if request.is_prefetch:
+        prefetch = request.is_prefetch
+        if not prefetch:
+            self.monitor.on_request_complete(request, self.now)
+        self.scheduler.on_request_complete(request, self.now)
+        if self._on_complete:
+            for hook in self._on_complete:
+                hook(request, self.now)
+        if prefetch:
             # prefetch fills go to the prefetch buffer, waking any
             # demand misses that merged with this prefetch
-            self.scheduler.on_request_complete(request, self.now)
-            if self._explain is not None:
-                self._explain.on_complete(request, self.now)
             if self.prefetchers is not None:
                 woken = self.prefetchers[tid].fill(
                     (request.channel_id, request.bank_id, request.row)
@@ -402,10 +410,6 @@ class System:
                     if self.threads[tid].on_request_completed(issue_id):
                         self._issue_miss(tid)
             return
-        self.monitor.on_request_complete(request, self.now)
-        self.scheduler.on_request_complete(request, self.now)
-        if self._explain is not None:
-            self._explain.on_complete(request, self.now)
         self._latency_sum[tid] += self.now - request.arrival
         self._latency_count[tid] += 1
         if self.threads[tid].on_request_completed(request.episode_id):
@@ -435,8 +439,8 @@ class System:
             thread.stats.reset_quantum()
         self.quantum_count += 1
         self.scheduler.on_quantum(snapshot, self.now)
-        if self._explain is not None:
-            self._explain.on_quantum(snapshot, self.now)
+        for hook in self._on_quantum:
+            hook(snapshot, self.now)
         self._push(self.now + self.config.quantum_cycles, _EV_QUANTUM)
 
     # ------------------------------------------------------------------
@@ -444,7 +448,7 @@ class System:
     # ------------------------------------------------------------------
 
     def start_run(self) -> None:
-        """Prime the event queue and begin-of-run observers.
+        """Prime the event queue and start the observers.
 
         First stage of :meth:`run`.  Callable at most once per system:
         the initial issue gaps consume RNG draws, so re-priming would
@@ -455,6 +459,7 @@ class System:
         if self._started:
             raise RuntimeError("System.start_run() called twice")
         self._started = True
+        self._bind_hooks()
         for tid, thread in enumerate(self.threads):
             self._push(thread.issue_gap(), _EV_ISSUE, tid)
         self._push(self.config.quantum_cycles, _EV_QUANTUM)
@@ -469,8 +474,8 @@ class System:
         if self._sampler is not None:
             self._sample_period = self._sampler.resolve_period(self)
             self._push_sample(self._sample_period)
-        if self._prof is not None:
-            self._prof.begin_run(self)
+        for hook in self._begin:
+            hook(self)
 
     def advance(self, limit: int) -> None:
         """Dispatch every pending event with ``time <= limit``.
@@ -489,12 +494,13 @@ class System:
             self._seq = self._wheel._seq
         else:
             events = self._events
-            probe = self._probe
+            on_event = self._on_event
             while events and events[0][0] <= limit:
                 time, _seq, kind, payload, aux = heapq.heappop(events)
                 self.now = time
-                if probe is not None:
-                    probe.on_event(time, kind, payload, aux)
+                if on_event:
+                    for hook in on_event:
+                        hook(time, kind, payload, aux)
                 if kind == _EV_ISSUE:
                     self._issue_miss(payload)
                 elif kind == _EV_BANK_FREE:
@@ -504,12 +510,11 @@ class System:
                 elif kind == _EV_QUANTUM:
                     self._quantum_boundary()
                 elif kind == _EV_TIMER:
-                    # tuple payloads are shadow timers (repro.explain);
-                    # plain keys go to the primary policy as always
-                    if self._explain is not None and type(payload) is tuple:
-                        self._explain.on_shadow_timer(self.now, payload)
-                    else:
-                        self.scheduler.on_timer(self.now, payload)
+                    # tuple keys are observer-owned (explain's shadows)
+                    if type(payload) is not tuple:
+                        self.scheduler.on_timer(time, payload)
+                    for hook in self._on_timer:
+                        hook(time, payload)
                 elif kind == _EV_PHIT:
                     if self.threads[payload].on_request_completed(aux):
                         self._issue_miss(payload)
@@ -533,8 +538,6 @@ class System:
         from repro.sim.results import RunResult, ThreadResult
 
         self.now = horizon
-        if self._prof is not None:
-            self._prof.end_run(self, horizon)
         for thread in self.threads:
             thread.finalize(horizon)
 
@@ -566,7 +569,7 @@ class System:
                 requests=sum(ch.serviced_requests for ch in self.channels),
                 row_hits=row_hits,
             )
-        return RunResult(
+        result = RunResult(
             scheduler=self.scheduler.name,
             workload=self.workload.name,
             cycles=horizon,
@@ -578,3 +581,6 @@ class System:
             quantum_count=self.quantum_count,
             ipc_timeline=tuple(self.ipc_timeline),
         )
+        for hook in self._end:
+            hook(self, horizon)
+        return result

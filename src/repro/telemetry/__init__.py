@@ -64,8 +64,8 @@ class Telemetry:
         self.tracer = tracer
         self.sampler = sampler
         self.registry = registry
-        #: optional repro.obs.spans.SpanCollector; the system binds it
-        #: at construction and drives it from the hot path
+        #: optional repro.obs.spans.SpanCollector; the system attaches it
+        #: as an observer at construction
         self.spans = spans
         self.system = None
 
@@ -123,6 +123,8 @@ class Telemetry:
         self.system = system
         if self.sampler is not None:
             self.sampler.reset()
+        if self.spans is not None:
+            system.attach(self.spans)
 
     @property
     def events(self):

@@ -5,34 +5,39 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, List, Union
 
+from repro.sim.observer import Observer
 from repro.trace.format import TraceEvent, write_trace
 
 
-class TraceRecorder:
+class TraceRecorder(Observer):
     """Collects every thread's miss stream during a simulation run.
 
-    Pass an instance as ``System(..., trace_recorder=...)``; after the
-    run, ``save_all`` writes one trace file per thread.
+    Attach an instance as an observer (``System(..., observers=[...])``);
+    after the run, ``save_all`` writes one trace file per thread.
     """
+
+    name = "trace"
 
     def __init__(self):
         self.events: Dict[int, List[TraceEvent]] = {}
         self.benchmarks: Dict[int, str] = {}
+        self._threads = []
 
-    def record(
-        self,
-        thread_id: int,
-        benchmark: str,
-        cycle: int,
-        channel: int,
-        bank: int,
-        row: int,
-    ) -> None:
-        """Record one miss (called by the simulation system)."""
-        self.events.setdefault(thread_id, []).append(
-            TraceEvent(cycle=cycle, channel=channel, bank=bank, row=row)
-        )
-        self.benchmarks.setdefault(thread_id, benchmark)
+    def begin(self, system) -> None:
+        self._threads = system.threads
+
+    def on_arrival(self, request, now: int) -> None:
+        # demand misses only, positioned on the thread's virtual program
+        # time, so recorded traces are free of contention stalls
+        if request.is_prefetch:
+            return
+        tid = request.thread_id
+        thread = self._threads[tid]
+        self.events.setdefault(tid, []).append(TraceEvent(
+            cycle=thread.program_time, channel=request.channel_id,
+            bank=request.bank_id, row=request.row,
+        ))
+        self.benchmarks.setdefault(tid, thread.spec.name)
 
     def save(self, thread_id: int, path: Union[str, Path]) -> int:
         """Write one thread's trace; returns the event count."""

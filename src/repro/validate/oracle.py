@@ -60,6 +60,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.dram.request import MemoryRequest
+from repro.sim.observer import find_observer
 from repro.telemetry.sinks import Sink
 from repro.telemetry.tracer import Tracer
 
@@ -254,7 +255,9 @@ class InvariantOracle:
                    self._make_select(scheduler, scheduler.select))
         self._wrap(scheduler, "on_request_complete",
                    self._make_complete(scheduler.on_request_complete))
-        explain = getattr(system, "_explain", None)
+        from repro.explain.collector import ExplainCollector
+
+        explain = find_observer(system, ExplainCollector)
         if explain is not None and self.config.check_decisions:
             self._wrap(
                 explain, "on_decision",
@@ -588,7 +591,9 @@ class InvariantOracle:
         return on_decision
 
     def _finish_decisions(self) -> None:
-        collector = getattr(self.system, "_explain", None)
+        from repro.explain.collector import ExplainCollector
+
+        collector = find_observer(self.system, ExplainCollector)
         if collector is None:
             return
         self._expect(
@@ -604,11 +609,13 @@ class InvariantOracle:
 
     def _finish_spans(self) -> None:
         """Validate every completed request span the run collected."""
-        collector = getattr(self.system, "_spans", None)
+        from repro.obs.spans import SpanCollector
+
+        collector = find_observer(self.system, SpanCollector)
         if (
             collector is None
-            or not getattr(collector, "record_intervals", False)
-            or not getattr(collector, "keep_spans", False)
+            or not collector.record_intervals
+            or not collector.keep_spans
         ):
             return
         for span in collector.spans:

@@ -135,7 +135,7 @@ class TestAttachment:
         system = _system()
         probe = StateProbe().attach(system)
         probe.detach()
-        assert system._probe is None
+        assert probe not in system.observers
         StateProbe().attach(system)
 
     def test_double_start_rejected(self):

@@ -49,7 +49,7 @@ class TestAttach:
         system = _system()
         collector = attach_explain(system)
         collector.detach()
-        assert system._explain is None
+        assert collector not in system.observers
         # the seam is free again
         attach_explain(system)
 
@@ -71,12 +71,12 @@ class TestObserverNeutrality:
 
     def test_explain_forces_the_observed_fast_loop(self):
         system = _system("fast")
-        attach_explain(system)
+        collector = attach_explain(system)
         system.run()
         # the bare loop never dispatches grants through the explain
         # seam; a populated collector proves the observed loop ran
-        assert system._explain.decisions_total == system.sched_decisions
-        assert system._explain.decisions_total > 0
+        assert collector.decisions_total == system.sched_decisions
+        assert collector.decisions_total > 0
 
 
 class TestAggregates:

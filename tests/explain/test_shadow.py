@@ -120,9 +120,8 @@ class TestShadowIsolation:
             shadowed.decisions_total
 
     def test_stfm_shadow_rides_shared_accounting(self):
-        """An STFM shadow needs the interference accounting; attaching
-        it on a non-observing run must bootstrap the lite collector
-        rather than crash or perturb."""
+        """An STFM shadow keeps its own interference books; attaching it
+        on a run without spans must neither crash nor perturb the run."""
         plain = System(
             make_intensity_workload(0.75, num_threads=4, seed=3),
             make_scheduler("tcm"),

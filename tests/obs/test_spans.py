@@ -7,7 +7,6 @@ from repro.obs.spans import (
     CAUSE_QUEUE,
     SpanCollector,
     attach_spans,
-    ensure_accounting,
 )
 from repro.schedulers import make_scheduler
 from repro.sim import System
@@ -120,23 +119,6 @@ class TestLiteTier:
 
 
 class TestBinding:
-    def test_ensure_accounting_creates_lite_once(self):
-        system = System(MIX, make_scheduler("fcfs"), CFG, seed=9)
-        assert system._spans is None
-        first = ensure_accounting(system)
-        assert system._spans is first
-        assert not first.record_intervals
-        assert ensure_accounting(system) is first
-
-    def test_attach_spans_replaces_lite_collector(self):
-        system = System(MIX, make_scheduler("stfm"), CFG, seed=9)
-        lite = system._spans
-        assert lite is not None and not lite.record_intervals
-        full = attach_spans(system)
-        assert system._spans is full and full.record_intervals
-        # STFM follows the replacement: it reads system._spans live
-        assert system.scheduler.accounting is full
-
     def test_attach_spans_after_run_start_raises(self):
         system = System(MIX, make_scheduler("fcfs"), CFG, seed=9)
         system.run()

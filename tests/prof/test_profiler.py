@@ -67,10 +67,10 @@ class TestIdentity:
             assert method not in vars(system.scheduler), label
         for channel in system.channels:
             assert "start_service" not in vars(channel)
-        assert system._prof is None
+        assert profiler not in system.observers
 
     def test_untouched_system_has_no_profiler(self):
-        assert _system()._prof is None
+        assert _system().observers == []
 
 
 class TestLifecycle:

@@ -33,11 +33,10 @@ def stfm():
 
 
 class TestInterferenceAccounting:
-    def test_attach_binds_shared_accounting(self, stfm):
-        # STFM's policy reads the scheduler-independent spans accounting;
-        # attach must have bound a (lite) collector to the system
-        assert stfm.accounting is stfm.system._spans
-        assert stfm.accounting.t_interference == [0, 0, 0]
+    def test_attach_sizes_private_books(self, stfm):
+        # STFM keeps its own books; attach sizes them per thread
+        assert stfm._t_interference == [0, 0, 0]
+        assert stfm._t_shared == [0, 0, 0]
 
     def test_waiting_other_threads_accumulate(self, stfm):
         serviced = req(thread=0)
@@ -64,19 +63,19 @@ class TestSlowdownEstimation:
         assert stfm.slowdown_estimate(0) == 1.0
 
     def test_interference_raises_estimate(self, stfm):
-        stfm.accounting.t_shared[1] = 10_000
-        stfm.accounting.t_interference[1] = 5_000
+        stfm._t_shared[1] = 10_000
+        stfm._t_interference[1] = 5_000
         assert stfm.slowdown_estimate(1) == pytest.approx(2.0)
 
     def test_victim_selected_above_threshold(self, stfm):
-        stfm.accounting.t_shared = [10_000, 10_000, 10_000]
-        stfm.accounting.t_interference = [0, 8_000, 1_000]
+        stfm._t_shared = [10_000, 10_000, 10_000]
+        stfm._t_interference = [0, 8_000, 1_000]
         stfm._reevaluate()
         assert stfm._victim == 1
 
     def test_no_victim_when_fair(self, stfm):
-        stfm.accounting.t_shared = [10_000, 10_000, 10_000]
-        stfm.accounting.t_interference = [500, 600, 550]
+        stfm._t_shared = [10_000, 10_000, 10_000]
+        stfm._t_interference = [500, 600, 550]
         stfm._reevaluate()
         assert stfm._victim is None
 

@@ -66,7 +66,7 @@ class TestFeatureMatrix:
         recorder = TraceRecorder()
         System(
             workload(), make_scheduler("frfcfs"), full_feature_config(),
-            seed=0, trace_recorder=recorder,
+            seed=0, observers=[recorder],
         ).run()
         paths = recorder.save_all(tmp_path)
         # only demand misses are recorded (no writes, no prefetches)

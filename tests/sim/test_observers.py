@@ -1,0 +1,301 @@
+"""The observer protocol: recorded outputs, hook order, attach rules.
+
+**Recorded outputs.**  One small, fully observed run per registry
+scheduler — tracer and sampler, request spans, explain with shadows, a
+state probe stepped through checkpoints, and a trace recorder — reduced
+to one digest per instrument output.  ``tests/goldens/
+observer_digests.json`` holds the digests, recorded before the
+instruments moved onto :mod:`repro.sim.observer`; the test reproduces
+them on both engine backends, so any change to when or with what an
+observer hook fires shows up as drift in the instrument whose output
+it changed.  Request ids are a process-global counter, so every digest
+is taken over id-free structures.  Re-record (only when an output
+change is intended) with::
+
+    PYTHONPATH=src python -m tests.sim.test_observers
+
+**Hook order.**  A recording observer and a recording policy share one
+log, pinning the documented position of every hook.
+
+**Attach rules.**  Every instrument refuses to attach to a started run.
+"""
+
+from __future__ import annotations
+
+import json
+from hashlib import blake2b
+from pathlib import Path
+
+import pytest
+
+from repro.config import SimConfig
+from repro.diverge import StateProbe
+from repro.diverge.probe import snapshot_events
+from repro.engine.fast import bare_eligible
+from repro.explain import attach_explain
+from repro.explain.records import record_structure
+from repro.obs import attach_spans
+from repro.prof import attach_profiler
+from repro.schedulers.frfcfs import FRFCFSScheduler
+from repro.schedulers.registry import SCHEDULERS, make_scheduler
+from repro.sim.observer import Observer
+from repro.sim.system import _EV_DONE, System
+from repro.telemetry import Telemetry
+from repro.trace import TraceRecorder
+from repro.validate.fingerprint import fingerprint_run
+from repro.workloads import make_intensity_workload
+
+FIXTURE = Path(__file__).resolve().parents[1] / "goldens" / \
+    "observer_digests.json"
+
+CYCLES = 60_000
+CHECKPOINT = 5_000
+SHADOWS = ("stfm", "tcm", "parbs")
+
+
+def _digest(value) -> str:
+    payload = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return blake2b(payload.encode(), digest_size=12).hexdigest()
+
+
+def _span_structure(collector) -> dict:
+    return {
+        "spans": [
+            [span.thread_id, span.channel_id, span.bank_id, span.row,
+             span.arrival, span.start_service, span.completion, span.kind,
+             span.is_prefetch, [list(i) for i in span.intervals]]
+            for span in collector.all_spans()
+        ],
+        "t_interference": collector.t_interference,
+        "t_shared": collector.t_shared,
+        "matrix": collector.matrix,
+        "total_attributed": collector.total_attributed,
+        "requests_completed": collector.requests_completed,
+    }
+
+
+def observed_digests(scheduler: str, backend: str = "reference") -> dict:
+    """Digests of every instrument's output on one observed run."""
+    config = SimConfig(
+        run_cycles=CYCLES, num_threads=4, quantum_cycles=5_000,
+        model_writes=True, prefetch_degree=2, backend=backend,
+    )
+    workload = make_intensity_workload(0.75, num_threads=4, seed=3)
+    telemetry = Telemetry.observing(epoch_cycles=5_000)
+    recorder = TraceRecorder()
+    system = System(workload, make_scheduler(scheduler), config, seed=5,
+                    telemetry=telemetry, observers=(recorder,))
+    explain = attach_explain(system, shadows=SHADOWS)
+    probe = StateProbe(ring=32).attach(system)
+
+    system.start_run()
+    checkpoints = []
+    for limit in range(CHECKPOINT, CYCLES + 1, CHECKPOINT):
+        system.advance(limit)
+        checkpoints.append(probe.fingerprint())
+    result = system.finish_run(CYCLES)
+
+    outputs = {
+        "result": fingerprint_run(result),
+        "trace": telemetry.events,
+        "spans": _span_structure(telemetry.spans),
+        "explain": [explain.snapshot(),
+                    [record_structure(r) for r in explain.records]],
+        "probe": [checkpoints, probe.rings()],
+        "recorder": [
+            [tid, recorder.benchmarks[tid],
+             [[e.cycle, e.channel, e.bank, e.row]
+              for e in recorder.events[tid]]]
+            for tid in sorted(recorder.events)
+        ],
+    }
+    digests = {name: _digest(value) for name, value in outputs.items()}
+    digests["counts"] = {
+        "events": len(telemetry.events),
+        "spans": len(telemetry.spans.all_spans()),
+        "decisions": explain.decisions_total,
+        "misses_recorded": sum(len(v) for v in recorder.events.values()),
+    }
+    return digests
+
+
+@pytest.mark.parametrize("backend", ["reference", "fast"])
+@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
+def test_observer_outputs_match_the_recording(scheduler, backend):
+    expected = json.loads(FIXTURE.read_text())[scheduler]
+    assert observed_digests(scheduler, backend) == expected
+
+
+# ----------------------------------------------------------------------
+# hook order
+# ----------------------------------------------------------------------
+
+_TIMER = "order-test"
+
+
+class LoggingPolicy(FRFCFSScheduler):
+    """FR-FCFS that logs its hooks and keeps a periodic timer."""
+
+    def __init__(self, log):
+        super().__init__()
+        self.log = log
+
+    def on_attach(self):
+        self.system.schedule_timer(1_500, _TIMER)
+
+    def select(self, channel, bank_id, now):
+        request = super().select(channel, bank_id, now)
+        self.log.append(("policy", "select", request.request_id))
+        return request
+
+    def on_request_arrival(self, request, now):
+        self.log.append(("policy", "arrival", request.request_id))
+
+    def on_request_scheduled(self, request, waiting, busy_cycles, now):
+        self.log.append(("policy", "grant", request.request_id))
+
+    def on_request_complete(self, request, now):
+        self.log.append(("policy", "complete", request.request_id))
+
+    def on_quantum(self, snapshot, now):
+        self.log.append(("policy", "quantum", now))
+
+    def on_timer(self, now, key):
+        self.log.append(("policy", "timer", now))
+        self.system.schedule_timer(now + 1_500, _TIMER)
+
+
+class LoggingObserver(Observer):
+    def __init__(self, log):
+        self.log = log
+        self.violations = []
+
+    def begin(self, system):
+        self.log.append(("obs", "begin", system.now))
+        if not snapshot_events(system):
+            self.violations.append("begin before the queue was primed")
+
+    def end(self, system, horizon):
+        self.log.append(("obs", "end", horizon))
+
+    def on_event(self, time, kind, payload, aux):
+        key = payload.request_id if kind == _EV_DONE else None
+        self.log.append(("obs", "event", kind, key))
+
+    def on_arrival(self, request, now):
+        self.log.append(("obs", "arrival", request.request_id))
+
+    def on_decision(self, channel, bank_id, request, now):
+        self.log.append(("obs", "decision", request.request_id))
+        if request not in channel.queues[bank_id]:
+            self.violations.append("decision after start_service")
+
+    def on_grant(self, request, waiting, access, completion, now):
+        self.log.append(("obs", "grant", request.request_id))
+        if request in waiting or request.start_service != now:
+            self.violations.append("grant before start_service")
+
+    def on_complete(self, request, now):
+        self.log.append(("obs", "complete", request.request_id))
+
+    def on_quantum(self, snapshot, now):
+        self.log.append(("obs", "quantum", now))
+
+    def on_timer(self, now, key):
+        self.log.append(("obs", "timer", now))
+
+
+@pytest.mark.parametrize("backend", ["reference", "fast"])
+def test_hooks_fire_at_their_documented_positions(backend):
+    log = []
+    config = SimConfig(run_cycles=20_000, num_threads=4,
+                       quantum_cycles=5_000, backend=backend)
+    workload = make_intensity_workload(0.75, num_threads=4, seed=3)
+    observer = LoggingObserver(log)
+    system = System(workload, LoggingPolicy(log), config, seed=5,
+                    observers=[observer])
+    system.run()
+    assert observer.violations == []
+    assert log[0][:2] == ("obs", "begin") and log[-1] == ("obs", "end",
+                                                          20_000)
+
+    # after the policy's hook at the same site (decision: after select)
+    after = {"arrival": "arrival", "decision": "select", "grant": "grant",
+             "complete": "complete", "quantum": "quantum",
+             "timer": "timer"}
+    seen = dict.fromkeys(after, 0)
+    for previous, entry in zip(log, log[1:]):
+        if entry[0] == "obs" and entry[1] in after:
+            assert previous == ("policy", after[entry[1]], entry[2]), entry
+            seen[entry[1]] += 1
+    assert all(seen.values()), seen
+
+    # on_event before dispatch: a completion's event precedes the
+    # policy's completion hook for that request
+    for entry, following in zip(log, log[1:]):
+        if entry[:3] == ("obs", "event", _EV_DONE):
+            assert following == ("policy", "complete", entry[3])
+
+
+def test_only_overridden_hooks_are_called_and_wrappers_intercept():
+    calls = []
+
+    class ArrivalsOnly(Observer):
+        def on_arrival(self, request, now):
+            calls.append("class")
+
+    observer = ArrivalsOnly()
+    system = System(make_intensity_workload(0.75, num_threads=4, seed=3),
+                    make_scheduler("frfcfs"),
+                    SimConfig(run_cycles=5_000, num_threads=4), seed=5,
+                    observers=[observer])
+    # a per-instance wrapper installed before the run takes the calls
+    observer.on_arrival = lambda request, now: calls.append("wrapper")
+    system.start_run()
+    assert system._on_arrival and not system._on_grant
+    system.advance(5_000)
+    assert calls and set(calls) == {"wrapper"}
+
+
+def test_bare_loop_needs_no_observer_and_admits_stfm():
+    def build(**kwargs):
+        return System(make_intensity_workload(0.75, num_threads=4, seed=3),
+                      make_scheduler("stfm"),
+                      SimConfig(run_cycles=5_000, num_threads=4,
+                                backend="fast"), seed=5, **kwargs)
+
+    assert bare_eligible(build())
+    assert not bare_eligible(build(observers=[Observer()]))
+
+
+# ----------------------------------------------------------------------
+# attach rules
+# ----------------------------------------------------------------------
+
+INSTRUMENTS = {
+    "profiler": attach_profiler,
+    "probe": lambda system: StateProbe().attach(system),
+    "spans": attach_spans,
+    "explain": attach_explain,
+    "trace": lambda system: system.attach(TraceRecorder()),
+}
+
+
+@pytest.mark.parametrize("instrument", sorted(INSTRUMENTS))
+def test_attach_after_start_run_is_rejected(instrument):
+    system = System(make_intensity_workload(0.75, num_threads=4, seed=3),
+                    make_scheduler("tcm"),
+                    SimConfig(run_cycles=5_000, num_threads=4), seed=5)
+    system.start_run()
+    with pytest.raises(RuntimeError, match="before system.run"):
+        INSTRUMENTS[instrument](system)
+    assert system.observers == []
+    assert "run" not in vars(system)  # the profiler wrapped nothing
+
+
+if __name__ == "__main__":
+    FIXTURE.write_text(json.dumps(
+        {name: observed_digests(name) for name in sorted(SCHEDULERS)},
+        indent=2, sort_keys=True,
+    ) + "\n")
+    print(f"wrote {FIXTURE}")

@@ -70,7 +70,7 @@ class TestRecorder:
         recorder = TraceRecorder()
         System(
             small_workload(), make_scheduler("frfcfs"), CFG, seed=0,
-            trace_recorder=recorder,
+            observers=[recorder],
         ).run()
         assert set(recorder.events) == {0, 1}
         assert len(recorder.events[0]) > 50
@@ -80,7 +80,7 @@ class TestRecorder:
         recorder = TraceRecorder()
         System(
             small_workload(), make_scheduler("frfcfs"), CFG, seed=0,
-            trace_recorder=recorder,
+            observers=[recorder],
         ).run()
         cycles = [e.cycle for e in recorder.events[0]]
         assert cycles == sorted(cycles)
@@ -89,7 +89,7 @@ class TestRecorder:
         recorder = TraceRecorder()
         System(
             small_workload(), make_scheduler("frfcfs"), CFG, seed=0,
-            trace_recorder=recorder,
+            observers=[recorder],
         ).run()
         paths = recorder.save_all(tmp_path)
         assert len(paths) == 2
@@ -102,7 +102,7 @@ class TestReplay:
         recorder = TraceRecorder()
         System(
             small_workload(), make_scheduler("frfcfs"), CFG, seed=0,
-            trace_recorder=recorder,
+            observers=[recorder],
         ).run()
         return recorder.save_all(tmp_path)
 
@@ -121,7 +121,7 @@ class TestReplay:
         alone = Workload(name="solo", benchmark_names=("mcf",))
         original = System(
             alone, make_scheduler("frfcfs"), CFG, seed=0,
-            trace_recorder=recorder,
+            observers=[recorder],
         ).run()
         path = recorder.save_all(tmp_path)[0]
         system = replay_workload([path], make_scheduler("frfcfs"), CFG)
