@@ -90,8 +90,8 @@ def test_probe_detached_overhead_vs_baseline(benchmark):
     """Probe-detached wall clock vs the committed baseline.
 
     Best of 5, matching how the baseline was measured.  With no probe
-    the fast engine still takes the *bare* loop, so the detached cost
-    is one eligibility check per drive call.
+    the run takes the fused loop, so the detached cost is one
+    eligibility check per ``advance`` call.
     """
     timings = []
     for _ in range(5):
@@ -122,7 +122,7 @@ def test_probe_detached_overhead_vs_baseline(benchmark):
 def test_probe_attached_cost_is_recorded(benchmark):
     """Record per-quantum checkpointing cost (informational).
 
-    Attached runs route through the observed loop and hash the full
+    Attached runs route through the dispatch loop and hash the full
     canonical state at every checkpoint; no strict budget — the probe
     is a forensic tool, not an always-on path — but the ratio lands in
     the benchmark artifact and ``BENCH_history.json`` so a pathological

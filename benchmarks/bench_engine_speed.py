@@ -4,21 +4,17 @@ Not a paper experiment — tracks the event-driven engine's own speed
 (the practical limit on how closely the paper's 100M-cycle scale can
 be approached).  Three layers:
 
-* **Per-scheduler speed, per engine backend** — every policy in the
-  registry on both the ``reference`` and the ``fast`` engine
-  (``repro.engine``; see docs/PERFORMANCE.md).  Reference records keep
-  their historical names (``engine_speed[tcm]``); fast-backend records
-  append a backend tag (``engine_speed[tcm,fast]``) so `prof compare`
-  tracks the two speed trajectories independently.  Each bench
+* **Per-scheduler speed** — every policy in the registry
+  (``engine_speed[tcm]`` ...; see docs/PERFORMANCE.md).  Each bench
   attaches ``repro.prof`` component shares as ``extra_info`` so the
   artifact says *where* the cycles went, and appends a
   ``repro.prof.history`` record when ``REPRO_BENCH_RECORD=1``.
 * **Profiler identity** — a profiled run returns a ``RunResult`` equal
   to the plain run's (the wrapping idiom must never perturb the
-  simulation).  On the fast backend this doubles as the
-  observed-vs-bare loop identity check: profiling forces the observed
-  loop, the plain run takes the bare loop, and the results must still
-  be equal bit for bit.
+  simulation).  This doubles as the fused-vs-dispatch loop identity
+  check: the profiler's wrappers force the dispatch loop, the plain
+  run takes the fused loop, and the results must still be equal bit
+  for bit.
 * **Off-path overhead guard** — best-of-5 plain-run wall clock against
   the committed ``BENCH_history.json`` record for ``engine_speed[tcm]``
   via :func:`repro.prof.history.compare` at ``STRICT_TOLERANCE``.
@@ -35,7 +31,6 @@ import pytest
 
 from conftest import REPO_ROOT, STRICT_TOLERANCE, record_history
 from repro import SimConfig, System, make_scheduler
-from repro.engine import HAS_NUMPY
 from repro.prof import history as prof_history
 from repro.prof import profile_run
 from repro.schedulers.registry import SCHEDULERS
@@ -46,57 +41,40 @@ THREADS = 24
 ROUNDS = 3
 STRICT = os.environ.get("REPRO_BENCH_STRICT") == "1"
 
-BACKENDS = [
-    "reference",
-    pytest.param("fast", marks=pytest.mark.skipif(
-        not HAS_NUMPY, reason="fast backend requires numpy (repro[fast])"
-    )),
-]
-
 
 def _workload():
     return make_intensity_workload(0.75, num_threads=THREADS, seed=0)
 
 
-def _system(scheduler_name, backend="reference"):
-    cfg = SimConfig(run_cycles=CYCLES, backend=backend)
+def _system(scheduler_name):
+    cfg = SimConfig(run_cycles=CYCLES)
     return System(_workload(), make_scheduler(scheduler_name), cfg, seed=0)
 
 
-def _timed_run(scheduler_name, backend="reference"):
-    system = _system(scheduler_name, backend)
+def _timed_run(scheduler_name):
+    system = _system(scheduler_name)
     t0 = time.perf_counter()
     result = system.run()
     return time.perf_counter() - t0, result, system
 
 
-def _record_key(name, backend):
-    """Reference keeps the historical record name; fast gets a tag."""
-    if backend == "reference":
-        return f"engine_speed[{name}]"
-    return f"engine_speed[{name},{backend}]"
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name", sorted(SCHEDULERS))
-def test_engine_speed(benchmark, name, backend):
+def test_engine_speed(benchmark, name):
     """Engine speed and component shares for one registered policy."""
     rounds, result, events = [], None, 0
     for _ in range(ROUNDS):
-        dt, result, system = _timed_run(name, backend)
+        dt, result, system = _timed_run(name)
         rounds.append(dt)
         events = system._seq
     assert result.total_requests > 500
     median = statistics.median(rounds)
 
     # Where the cycles go: one profiled run (not a timed round — the
-    # wrappers cost wall time by design).  Also the identity check: on
-    # the fast backend the profiler forces the observed loop while the
-    # timed rounds took the bare loop, so this equality pins the two
-    # loops to each other as well.
+    # wrappers cost wall time by design).  Also the identity check: the
+    # profiler forces the dispatch loop while the timed rounds took the
+    # fused loop, so this equality pins the two loops to each other.
     prof_result, report = profile_run(
-        _workload(), name, SimConfig(run_cycles=CYCLES, backend=backend),
-        seed=0,
+        _workload(), name, SimConfig(run_cycles=CYCLES), seed=0,
     )
     assert prof_result == result, "profiler changed the simulated outcome"
     shares = {k: round(v, 4) for k, v in report.component_shares().items()}
@@ -109,7 +87,7 @@ def test_engine_speed(benchmark, name, backend):
     )
     benchmark.extra_info["component_shares"] = shares
     record_history(
-        _record_key(name, backend), "engine_speed", rounds,
+        f"engine_speed[{name}]", "engine_speed", rounds,
         requests=result.total_requests,
         cycles=CYCLES,
         events=events,
@@ -117,7 +95,7 @@ def test_engine_speed(benchmark, name, backend):
         requests_per_sec=round(result.total_requests / median),
         extra={"component_shares": shares},
     )
-    benchmark.pedantic(lambda: _system(name, backend).run(),
+    benchmark.pedantic(lambda: _system(name).run(),
                        rounds=1, iterations=1)
 
 

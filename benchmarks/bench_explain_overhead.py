@@ -87,8 +87,8 @@ def test_explain_detached_overhead_vs_baseline(benchmark):
     """Explain-detached wall clock vs the committed baseline.
 
     Best of 5, matching how the baseline was measured.  With no
-    collector the fast engine still takes the *bare* loop, so this
-    PR's detached cost is one eligibility check per drive call.
+    collector the run takes the fused loop, so the detached cost is
+    one eligibility check per ``advance`` call.
     """
     timings = []
     for _ in range(5):
@@ -119,7 +119,7 @@ def test_explain_detached_overhead_vs_baseline(benchmark):
 def test_explain_attached_cost_is_bounded(benchmark):
     """One shadow + per-grant forensics must stay within 2x detached.
 
-    Attached runs route through the observed loop, score every queued
+    Attached runs route through the dispatch loop, score every queued
     candidate at every grant and drive a full shadow scheduler, so the
     cost is real — but it must stay proportionate (the collector is a
     forensic tool that still has to be usable on full-length runs).

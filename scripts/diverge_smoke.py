@@ -2,9 +2,10 @@
 
 Two proofs, end to end, in a few seconds:
 
-1. **Clean lockstep** — reference vs fast over the smoke horizon shows
-   no divergence at any checkpoint (the parity contract, witnessed by
-   the probe rather than end-of-run fingerprints).
+1. **Clean lockstep** — a run replayed against a fresh recording of
+   its own checkpoints shows no divergence at any checkpoint
+   (determinism, witnessed by the probe rather than end-of-run
+   fingerprints).
 2. **Injected-fault bisection** — a single open-row corruption planted
    at a known cycle is localised by ``bisect_divergence`` to *exactly*
    the cycle it fired, flagging only the ``dram`` component, with the
@@ -25,12 +26,13 @@ from repro.diverge import (
     RunSpec,
     bisect_divergence,
     build_report,
+    compare_to_recording,
     export_perfetto,
-    lockstep_compare,
+    record_checkpoints,
     write_report,
     write_report_html,
 )
-from tests.engine.faulty_backend import FaultSpec, faulty_factory
+from tests.diverge.faults import FaultSpec, faulty_factory
 
 HORIZON = 20_000
 CADENCE = 2_000
@@ -45,16 +47,14 @@ def main() -> int:
     out = Path(args.out)
 
     spec = RunSpec(seed=11, num_threads=4, run_cycles=HORIZON)
-    fast = RunSpec(seed=11, num_threads=4, run_cycles=HORIZON,
-                   backend="fast")
 
-    clean = lockstep_compare(
-        spec.factory(), fast.factory(), HORIZON, CADENCE
-    )
-    print(f"clean ref-vs-fast: {clean.summary()}")
+    recording = record_checkpoints(spec.factory(), HORIZON, CADENCE,
+                                   spec=spec)
+    clean = compare_to_recording(spec.factory(), recording)
+    print(f"clean run vs its recording: {clean.summary()}")
     if clean.diverged:
-        print("FAIL: backends diverged on a clean run", file=sys.stderr)
-        report = build_report(clean, spec.label(), fast.label(),
+        print("FAIL: a clean run left its own recording", file=sys.stderr)
+        report = build_report(clean, "recording", spec.label(),
                               context={"reason": "clean lockstep FAILED"})
         write_report(report, out / "clean_divergence.json")
         write_report_html(report, out / "clean_divergence.html")

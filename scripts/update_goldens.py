@@ -2,11 +2,13 @@
 
 The golden matrix under ``tests/goldens/golden_matrix.json`` pins
 result fingerprints for every registered scheduler across three
-memory-intensity mixes (see :mod:`repro.validate.goldens`).  CI fails
-when the simulator's behaviour drifts from these fingerprints; after
-an *intended* behavioural change, rerun this script and commit the
-updated file together with the change that caused it (the diff report
-below belongs in the commit message).
+memory-intensity mixes (see :mod:`repro.validate.goldens`), and
+``tests/goldens/golden_checkpoints.json`` records each point's state
+fingerprints once per quantum.  CI fails when the simulator's
+behaviour drifts from these fingerprints; after an *intended*
+behavioural change, rerun this script and commit the updated files
+together with the change that caused it (the diff report below
+belongs in the commit message).
 
     PYTHONPATH=src python scripts/update_goldens.py           # regenerate
     PYTHONPATH=src python scripts/update_goldens.py --check   # verify only
@@ -15,16 +17,12 @@ below belongs in the commit message).
 plus a per-point mismatch table, and exits non-zero on any drift —
 **3** when fingerprint values differ (behavioural/parity drift), **4**
 when only the matrix structure changed (goldens out of date) — this is
-what CI runs; ``--forensics DIR`` additionally lockstep-bisects the
-first drifting point (reference vs fast, see docs/DIVERGENCE.md) and
-writes the forensic artifacts there for upload.  By
-default the check runs on **both** engine backends (``--backend
-both``), so a golden pass certifies the cross-backend parity contract
-at golden scale, not just the reference engine's stability; narrow to
-one backend with ``--backend reference`` or ``--backend fast``.
-Regeneration writes reference-backend fingerprints; with ``--backend
-both`` it refuses to write unless the fast backend reproduces them
-bit-for-bit.
+what CI runs; ``--forensics DIR`` additionally replays the first
+drifting point against its recorded checkpoints (see
+docs/DIVERGENCE.md), reporting the first checkpoint and component that
+left the recording, and writes the forensic artifacts there for
+upload.  Regeneration rewrites both files (the recording only when
+``--path`` is not given).
 """
 import argparse
 import sys
@@ -39,6 +37,8 @@ from repro.validate import (
     drifts_exit_code,
     format_drift_report,
     load_goldens,
+    record_golden_checkpoints,
+    save_golden_checkpoints,
     save_goldens,
 )
 
@@ -48,31 +48,27 @@ def main() -> int:
     parser.add_argument("--check", action="store_true",
                         help="verify against the committed goldens instead "
                              "of rewriting them; exit 1 on drift")
-    parser.add_argument("--backend", default="both",
-                        choices=("reference", "fast", "both"),
-                        help="engine backend(s) to compute the matrix on "
-                             "(default: both — also proves backend parity)")
     parser.add_argument("--path", default=None,
                         help=f"golden matrix file (default {GOLDEN_PATH})")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress per-point progress output")
     parser.add_argument("--forensics", default=None,
-                        help="--check only: on drift, lockstep-bisect the "
-                             "first failing point (reference vs fast) and "
-                             "write forensic artifacts to this directory")
+                        help="--check only: on drift, replay the first "
+                             "failing point against its recorded "
+                             "checkpoints and write forensic artifacts "
+                             "to this directory")
     args = parser.parse_args()
     path = args.path or GOLDEN_PATH
     progress = not args.quiet
 
     if args.check:
-        drifts = check_goldens(path, progress=progress,
-                               backend=args.backend)
+        drifts = check_goldens(path, progress=progress)
         if drifts:
             print(format_drift_report(drifts))
             print()
             print(format_table(
-                ["backend", "mix", "scheduler", "seed", "field",
-                 "expected", "actual"],
+                ["mix", "scheduler", "seed", "field", "expected",
+                 "actual"],
                 drift_point_rows(drifts),
                 title="golden mismatches by point",
             ))
@@ -91,18 +87,10 @@ def main() -> int:
                 "    PYTHONPATH=src python scripts/update_goldens.py"
             )
             return code
-        print(f"goldens: no drift (backend: {args.backend})")
+        print("goldens: no drift")
         return 0
 
-    fresh = compute_golden_matrix(progress=progress, backend="reference")
-    if args.backend == "both":
-        fast = compute_golden_matrix(progress=progress, backend="fast")
-        parity = compare_fingerprints(fresh, fast)
-        if parity:
-            print(format_drift_report(parity))
-            print("\nbackend parity violated — refusing to write goldens "
-                  "(regenerate with --backend reference to override)")
-            return 1
+    fresh = compute_golden_matrix(progress=progress)
     try:
         drifts = compare_fingerprints(load_goldens(path), fresh)
     except (FileNotFoundError, ValueError):
@@ -116,6 +104,11 @@ def main() -> int:
               f"{len(drifts)} fields changed)")
     else:
         print(f"wrote {where} ({len(fresh)} points, unchanged)")
+    if args.path is None:
+        where = save_golden_checkpoints(
+            record_golden_checkpoints(progress=progress)
+        )
+        print(f"wrote {where}")
     return 0
 
 

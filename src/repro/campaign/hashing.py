@@ -39,15 +39,9 @@ def canonicalize(obj):
     representation), which is identical across CPython processes.
     """
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        # Fields listed in CACHE_KEY_EXCLUDE (e.g. SimConfig.backend)
-        # never influence results — the parity suite pins the backends
-        # bit-identical — so they are left out of content hashes and
-        # cache entries stay shared across them.
-        exclude = getattr(type(obj), "CACHE_KEY_EXCLUDE", frozenset())
         return {
             f.name: canonicalize(getattr(obj, f.name))
             for f in dataclasses.fields(obj)
-            if f.name not in exclude
         }
     if isinstance(obj, dict):
         return {str(k): canonicalize(v) for k, v in obj.items()}

@@ -96,18 +96,6 @@ class SimConfig:
     instruction window, 3-wide issue.
     """
 
-    #: Simulation engine backend: ``"reference"`` (the event-heap,
-    #: per-thread-object engine) or ``"fast"`` (``repro.engine``: the
-    #: vectorized struct-of-arrays CPU model plus timing-wheel event
-    #: core).  The two backends are contractually **bit-identical** —
-    #: enforced by the cross-backend parity matrix
-    #: (``tests/engine/test_backend_parity.py``) — which is why
-    #: ``backend`` is excluded from :meth:`cache_key` and the campaign
-    #: content hashes: results, alone-IPC cache entries and golden
-    #: fingerprints are backend-independent by construction.  The
-    #: ``REPRO_BACKEND`` environment variable overrides this field at
-    #: :class:`~repro.sim.system.System` construction time.
-    backend: str = "reference"
     num_threads: int = 24
     num_channels: int = 4
     banks_per_channel: int = 4
@@ -137,20 +125,6 @@ class SimConfig:
     timings: DramTimings = field(default_factory=DramTimings)
     seed: int = 42
 
-    #: Fields that never influence simulated *results* and are
-    #: therefore excluded from :meth:`cache_key` and the campaign
-    #: content hashes (see :mod:`repro.campaign.hashing`).  Only fields
-    #: whose result-independence is enforced by a test may be listed
-    #: here; ``backend`` is pinned bit-identical by the parity matrix.
-    CACHE_KEY_EXCLUDE = frozenset({"backend"})
-
-    def __post_init__(self):
-        if self.backend not in ("reference", "fast"):
-            raise ValueError(
-                f"unknown backend {self.backend!r} "
-                "(expected 'reference' or 'fast')"
-            )
-
     @property
     def num_banks(self) -> int:
         """Total banks across all channels (16 in the baseline)."""
@@ -173,21 +147,13 @@ class SimConfig:
 
 
 def _flatten_dataclass(obj) -> Tuple:
-    """Recursively flatten a dataclass into a hashable (name, value) tuple.
-
-    Fields named in the dataclass's ``CACHE_KEY_EXCLUDE`` class
-    attribute (e.g. :attr:`SimConfig.backend`) are skipped: they are
-    contractually result-independent, so cache entries stay shared
-    across them.
-    """
+    """Recursively flatten a dataclass into a hashable (name, value) tuple."""
     import dataclasses
 
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        exclude = getattr(type(obj), "CACHE_KEY_EXCLUDE", frozenset())
         return tuple(
             (f.name, _flatten_dataclass(getattr(obj, f.name)))
             for f in dataclasses.fields(obj)
-            if f.name not in exclude
         )
     if isinstance(obj, (list, tuple)):
         return tuple(_flatten_dataclass(v) for v in obj)

@@ -36,12 +36,16 @@ import numpy as np
 
 from repro.config import SimConfig
 from repro.cpu.stats import ThreadStats
+from repro.workloads.rng import BufferedPCG64
 from repro.workloads.spec import BenchmarkSpec
 from repro.workloads.synthetic import AddressStream
 
 #: Cap on concurrent misses per core (MSHR count); keeps the most
 #: memory-intensive threads' parallelism within realistic miss-buffer sizes.
 MAX_OUTSTANDING_MISSES = 16
+
+#: Issue-gap jitter: each compute gap is scaled by ``uniform(low, high)``.
+JITTER = (0.9, 1.1)
 
 
 class ThreadModel:
@@ -81,7 +85,9 @@ class ThreadModel:
         # core it lands on (and its alone run sees the same behaviour).
         if stream is None:
             stream = thread_id
-        self._rng = np.random.default_rng((seed, stream, 0x7E))
+        self._rng = BufferedPCG64(
+            np.random.default_rng((seed, stream, 0x7E))
+        )
         # Phases get their own rng: phase boundaries are wall-clock
         # events, so alone and shared runs of the same benchmark see
         # the same phase sequence regardless of how many misses each
@@ -181,7 +187,7 @@ class ThreadModel:
         bounded by the issue width under jitter and phase changes.
         """
         gap = self._current_ipm / self.config.ipc_peak
-        gap *= float(self._rng.uniform(0.9, 1.1))
+        gap *= self._rng.uniform(*JITTER)
         # carry the fractional cycles over so that short gaps (intense
         # threads) do not truncate towards higher miss rates
         gap += self._gap_carry

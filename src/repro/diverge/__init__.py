@@ -1,6 +1,6 @@
-"""repro.diverge — divergence forensics for the parity contract.
+"""repro.diverge — divergence forensics for simulated runs.
 
-Turns "the backends/seeds/configs diverged" into "the first divergent
+Turns "the runs/seeds/configs diverged" into "the first divergent
 cycle is N, these components differ, here is the field-level diff and
 the last events on each side":
 

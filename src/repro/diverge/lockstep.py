@@ -1,8 +1,8 @@
 """Lockstep differential execution with first-divergence bisection.
 
-Runs two simulations checkpoint-by-checkpoint — reference vs fast
-backend, two seeds, two configs, or a live run vs a recorded baseline
-— comparing :mod:`repro.diverge.probe` fingerprints at every
+Runs two simulations checkpoint-by-checkpoint — two seeds, two
+schedulers, two configs, or a live run vs a recorded baseline —
+comparing :mod:`repro.diverge.probe` fingerprints at every
 checkpoint.  On the first mismatch, :func:`bisect_divergence` re-runs
 the bracketing window at geometrically finer cadence until two
 *consecutive* checkpoints bracket the fault: the reported cycle is
@@ -51,14 +51,10 @@ class RunSpec:
     num_threads: int = 8
     mix_seed: int = 7
     seed: int = 11
-    backend: str = "reference"
     run_cycles: int = 150_000
 
     def label(self) -> str:
-        return (
-            f"{self.scheduler}/i{self.intensity:g}/s{self.seed}"
-            f"/{self.backend}"
-        )
+        return f"{self.scheduler}/i{self.intensity:g}/s{self.seed}"
 
     def build(self):
         from repro import System, make_scheduler
@@ -69,9 +65,7 @@ class RunSpec:
             num_threads=self.num_threads,
             seed=self.mix_seed,
         )
-        config = SimConfig(
-            run_cycles=self.run_cycles, backend=self.backend
-        )
+        config = SimConfig(run_cycles=self.run_cycles)
         return System(
             workload, make_scheduler(self.scheduler), config,
             seed=self.seed,
@@ -87,7 +81,6 @@ class RunSpec:
             "num_threads": self.num_threads,
             "mix_seed": self.mix_seed,
             "seed": self.seed,
-            "backend": self.backend,
             "run_cycles": self.run_cycles,
         }
 
@@ -298,13 +291,13 @@ def bisect_divergence(
     )
 
 
-def spec_for_golden_key(key: str, backend: str = "reference") -> RunSpec:
+def spec_for_golden_key(key: str) -> RunSpec:
     """The :class:`RunSpec` reproducing one golden-matrix point.
 
     Bridges ``validate goldens`` failures into the forensic machinery:
     a drifting key like ``mix-50pct-s7/tcm/s11`` becomes a spec whose
-    ``build()`` replays exactly that run, so reference-vs-fast lockstep
-    bisection can be launched on the failing point.
+    ``build()`` replays exactly that run, so it can be compared with
+    its recorded checkpoints (:func:`compare_to_recording`).
     """
     import re
 
@@ -314,7 +307,7 @@ def spec_for_golden_key(key: str, backend: str = "reference") -> RunSpec:
         parse_golden_key,
     )
 
-    _, mix, scheduler, seed = parse_golden_key(key)
+    mix, scheduler, seed = parse_golden_key(key)
     match = re.fullmatch(r"mix-(\d+)pct-s(\d+)", mix)
     if match is None or not scheduler or not seed:
         raise ValueError(f"cannot reconstruct a run from golden key {key!r}")
@@ -324,7 +317,6 @@ def spec_for_golden_key(key: str, backend: str = "reference") -> RunSpec:
         num_threads=GOLDEN_THREADS,
         mix_seed=int(match.group(2)),
         seed=int(seed),
-        backend=backend,
         run_cycles=GOLDEN_CONFIG.run_cycles,
     )
 

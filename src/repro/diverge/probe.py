@@ -1,33 +1,28 @@
 """StateProbe — canonical fingerprints of live simulation state.
 
-The parity contract (PR 8) pins two backends bit-identical at the
-*end* of a run; this module makes the same claim checkable at any
-cycle in the middle.  A :class:`StateProbe` attached to a
+The goldens pin runs bit-identical at the *end* of a run; this module
+makes the same claim checkable at any cycle in the middle.  A
+:class:`StateProbe` attached to a
 :class:`~repro.sim.system.System` can, at any checkpoint, produce a
 **canonical snapshot** of every component that feeds future scheduling
 decisions, and hash each component into a short fingerprint:
 
 ``events``
-    The pending-event multiset in dispatch order — the reference heap
-    sorted by ``(time, seq)`` and the timing wheel's
-    :meth:`~repro.engine.wheel.TimingWheel.pending_events` produce the
-    same canonical list (sequence numbers are dropped; order is kept).
+    The pending-event multiset in dispatch order: the heap sorted by
+    ``(time, seq)`` (sequence numbers are dropped; order is kept).
 ``dram``
     Per-bank row-buffer state (open row, owner, busy-until, service
     counters), per-channel queues, bus reservation, write buffer and
     refresh cursor.
 ``cpu``
-    Per-thread sliding-window columns in a backend-neutral form: the
-    reference model's ``(deque, completed set)`` and the fast batch's
-    ``(head, length, bitmask, credit ring)`` map to the same
-    ``(head, credits, completed offsets)`` triple.
+    Per-thread sliding-window state: the ``(deque, completed set)``
+    window as a ``(head, credits, completed offsets)`` triple.
 ``rng``
     Logical RNG cursors.  Raw generators are captured as PCG64 state
-    words; block-buffered façades (:mod:`repro.engine.rng`) cannot be
-    compared that way — their underlying generator sits whole blocks
-    ahead — so buffered and scalar streams are both canonicalised as
-    *the next few draws*, peeked from a clone without consuming the
-    stream.
+    words; block-buffered streams (:mod:`repro.workloads.rng`) cannot
+    be compared that way — their underlying generator sits a block
+    ahead, by however much was pre-fetched — so they are canonicalised
+    as *the next few draws*, peeked without consuming the stream.
 ``monitor``
     The behaviour monitor's shadow row-buffers, outstanding/BLP
     integrals and lifetime counters.
@@ -44,7 +39,7 @@ ints, floats, strings, None), so they hash canonically, diff with
 JSON round trip unchanged.
 
 The probe is a run observer (:mod:`repro.sim.observer`); like any
-observer it routes a fast-backend run through the observed loop.
+observer it routes the run through ``System``'s dispatch loop.
 """
 
 from __future__ import annotations
@@ -56,7 +51,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.cpu.thread import MAX_OUTSTANDING_MISSES
+from repro.cpu.thread import JITTER
 from repro.dram.request import MemoryRequest
 from repro.sim.observer import Observer, find_observer
 
@@ -123,15 +118,11 @@ def _event_entry(time: int, kind: int, payload, aux: int) -> list:
 # ----------------------------------------------------------------------
 
 def snapshot_events(system) -> list:
-    """Pending-event multiset in dispatch order, both backends."""
-    if system._wheel is not None:
-        pending = system._wheel.pending_events()
-    else:
-        pending = [
-            (time, kind, payload, aux)
-            for time, _seq, kind, payload, aux in sorted(system._events)
-        ]
-    return [_event_entry(*event) for event in pending]
+    """Pending-event multiset in dispatch order."""
+    return [
+        _event_entry(time, kind, payload, aux)
+        for time, _seq, kind, payload, aux in sorted(system._events)
+    ]
 
 
 def snapshot_dram(system) -> list:
@@ -182,8 +173,6 @@ def _stats_snapshot(stats) -> dict:
 
 
 def _addr_snapshot(addr) -> dict:
-    # field names are shared by the reference AddressStream and the
-    # fast FastAddressStream by construction
     return {
         "base": addr._base,
         "pos": addr._pos,
@@ -198,78 +187,41 @@ def _addr_snapshot(addr) -> dict:
 
 
 def snapshot_cpu(system) -> list:
-    """Per-thread window state, backend-neutral.
+    """Per-thread window state.
 
-    The reference keeps ``(deque of (id, credit), completed-id set)``;
-    the fast batch keeps ``(head id, length, completion bitmask, credit
-    ring)``.  Both reduce to: the head id (``issued + 1`` when the
-    window is empty, matching the batch's rest state), the in-window
-    credits oldest-first, and completed-but-unretired offsets from the
-    head.
+    The ``(deque of (id, credit), completed-id set)`` window reduces
+    to: the head id (``issued + 1`` when the window is empty), the
+    in-window credits oldest-first, and completed-but-unretired
+    offsets from the head.
     """
-    batch = system._batch
     threads = []
-    if batch is None:
-        for thread in system.threads:
-            rob = list(thread._rob)
-            head = rob[0][0] if rob else thread.issued + 1
-            threads.append({
-                "issued": thread.issued,
-                "head": head,
-                "rob_credits": [credit for _id, credit in rob],
-                "completed": sorted(
-                    issue_id - head for issue_id in thread._completed
-                ),
-                "window_blocked": bool(thread.window_blocked),
-                "instr_credit": thread._instr_credit,
-                "pending_credit": thread._pending_credit,
-                "gap_carry": thread._gap_carry,
-                "program_time": thread.program_time,
-                "last_issue_time": thread._last_issue_time,
-                "current_ipm": thread._current_ipm,
-                "phase_multiplier": thread.phase_multiplier,
-                "phase_end": thread._phase_end,
-                "max_outstanding": thread.max_outstanding,
-                "stats": _stats_snapshot(thread.stats),
-                "addr": _addr_snapshot(thread._addr),
-            })
-        return threads
-    for tid in range(len(batch.specs)):
-        head = batch.head_id[tid]
-        length = batch.rob_len[tid]
-        base = tid * MAX_OUTSTANDING_MISSES
-        mask = batch.completed_mask[tid]
+    for thread in system.threads:
+        rob = list(thread._rob)
+        head = rob[0][0] if rob else thread.issued + 1
         threads.append({
-            "issued": batch.issued[tid],
+            "issued": thread.issued,
             "head": head,
-            "rob_credits": [
-                batch.credits[base + (head + k) % MAX_OUTSTANDING_MISSES]
-                for k in range(length)
-            ],
-            "completed": [k for k in range(length) if (mask >> k) & 1],
-            "window_blocked": bool(batch.window_blocked[tid]),
-            "instr_credit": batch.instr_credit[tid],
-            "pending_credit": batch.pending_credit[tid],
-            "gap_carry": batch.gap_carry[tid],
-            "program_time": batch.program_time[tid],
-            "last_issue_time": batch.last_issue_time[tid],
-            "current_ipm": batch.current_ipm[tid],
-            "phase_multiplier": batch.phase_multiplier[tid],
-            "phase_end": batch.phase_end[tid],
-            "max_outstanding": batch.max_outstanding[tid],
-            "stats": _stats_snapshot(batch.stats[tid]),
-            "addr": _addr_snapshot(batch.addr[tid]),
+            "rob_credits": [credit for _id, credit in rob],
+            "completed": sorted(
+                issue_id - head for issue_id in thread._completed
+            ),
+            "window_blocked": bool(thread.window_blocked),
+            "instr_credit": thread._instr_credit,
+            "pending_credit": thread._pending_credit,
+            "gap_carry": thread._gap_carry,
+            "program_time": thread.program_time,
+            "last_issue_time": thread._last_issue_time,
+            "current_ipm": thread._current_ipm,
+            "phase_multiplier": thread.phase_multiplier,
+            "phase_end": thread._phase_end,
+            "max_outstanding": thread.max_outstanding,
+            "stats": _stats_snapshot(thread.stats),
+            "addr": _addr_snapshot(thread._addr),
         })
     return threads
 
 
 # -- RNG cursors -------------------------------------------------------
-
-def _clone_generator(generator: np.random.Generator) -> np.random.Generator:
-    bit_gen = type(generator.bit_generator)()
-    bit_gen.state = generator.bit_generator.state
-    return np.random.Generator(bit_gen)
-
 
 def _generator_cursor(generator: np.random.Generator) -> dict:
     """A raw generator's cursor: PCG64 state words plus the half-word
@@ -285,76 +237,34 @@ def _generator_cursor(generator: np.random.Generator) -> dict:
 
 
 def _peek_words(source) -> dict:
-    """A bit-stream cursor as content: the half-word bank plus the next
-    :data:`PEEK_DRAWS` raw 64-bit words, peeked without consuming.
+    """A :class:`~repro.workloads.rng.BufferedPCG64` cursor as content:
+    the half-word bank plus the next :data:`PEEK_DRAWS` raw 64-bit
+    words, peeked without consuming.
 
-    Works for a raw ``numpy.random.Generator`` and for
-    :class:`~repro.engine.rng.BufferedPCG64` — at the same logical
-    position both produce the same words, even though the buffered
-    façade's underlying generator sits a pre-fetched block ahead.
+    The same words sit at the same logical position however much the
+    stream has pre-fetched, and they equal what an unbuffered numpy
+    generator at that position would produce next.
     """
-    if isinstance(source, np.random.Generator):
-        state = source.bit_generator.state
-        has32 = int(state["has_uint32"])
-        half = int(state["uinteger"]) if has32 else 0
-        clone = _clone_generator(source)
-        words = clone.integers(
-            0, 1 << 64, size=PEEK_DRAWS, dtype=np.uint64
-        ).tolist()
-        return {"has_uint32": has32, "half": half, "words": words}
-    # BufferedPCG64: remaining buffer words first, then the wrapped
-    # generator (whose position is exactly the buffer's end)
     has32 = int(source._has32)
-    half = int(source._half) if has32 else 0
-    words = list(source._buf[source._i:source._n])
-    missing = PEEK_DRAWS - len(words)
-    if missing > 0:
-        clone = _clone_generator(source._rng)
-        words.extend(
-            clone.integers(0, 1 << 64, size=missing, dtype=np.uint64)
-            .tolist()
-        )
-    return {"has_uint32": has32, "half": half, "words": words[:PEEK_DRAWS]}
-
-
-def _peek_uniforms(source, low: float = 0.9, high: float = 1.1) -> list:
-    """The next :data:`PEEK_DRAWS` ``uniform(low, high)`` draws, peeked
-    from a clone — canonical across a scalar generator and a
-    :class:`~repro.engine.rng.BufferedUniform` block stream."""
-    if isinstance(source, np.random.Generator):
-        clone = _clone_generator(source)
-        return clone.uniform(low, high, size=PEEK_DRAWS).tolist()
-    draws = list(source._buf[source._i:source._n])
-    missing = PEEK_DRAWS - len(draws)
-    if missing > 0:
-        clone = _clone_generator(source._rng)
-        draws.extend(
-            clone.uniform(source._low, source._high, size=missing).tolist()
-        )
-    return draws[:PEEK_DRAWS]
+    return {
+        "has_uint32": has32,
+        "half": int(source._half) if has32 else 0,
+        "words": source.peek64(PEEK_DRAWS),
+    }
 
 
 def snapshot_rng(system) -> dict:
     """Every RNG cursor the run consumes (the policy RNG is digested by
     the scheduler component via ``state_digest``)."""
-    batch = system._batch
-    threads = []
-    if batch is None:
-        for thread in system.threads:
-            threads.append({
-                "jitter": _peek_uniforms(thread._rng),
+    return {
+        "threads": [
+            {
+                "jitter": thread._rng.peek_uniform(*JITTER, PEEK_DRAWS),
                 "phase": _generator_cursor(thread._phase_rng),
                 "addr": _peek_words(thread._addr._rng),
-            })
-    else:
-        for tid in range(len(batch.specs)):
-            threads.append({
-                "jitter": _peek_uniforms(batch.jitter[tid]),
-                "phase": _generator_cursor(batch.phase_rng[tid]),
-                "addr": _peek_words(batch.addr[tid]._rng),
-            })
-    return {
-        "threads": threads,
+            }
+            for thread in system.threads
+        ],
         "writeback": _generator_cursor(system._wb_rng),
     }
 
@@ -392,8 +302,7 @@ def snapshot_monitor(system) -> dict:
 def snapshot_progress(system) -> dict:
     return {
         "now": system.now,
-        "event_seq": system._seq if system._wheel is None
-        else system._wheel._seq,
+        "event_seq": system._seq,
         "sched_decisions": system.sched_decisions,
         "quantum_count": system.quantum_count,
         "latency_sum": list(system._latency_sum),

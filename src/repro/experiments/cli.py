@@ -61,24 +61,24 @@ Validation subcommands (see docs/VALIDATION.md)::
 ``validate run`` executes the workload under every registered
 scheduler with the invariant oracle attached and exits non-zero on
 any violation; ``validate goldens`` recomputes the pinned golden
-matrix and fails on fingerprint drift (``--update`` regenerates it) —
-exit 3 means values drifted, exit 4 means only the matrix structure
-changed, and ``--forensics DIR`` launches a lockstep bisection of the
-first failing point.
+matrix and fails on fingerprint drift (``--update`` regenerates it
+and its checkpoint recording) — exit 3 means values drifted, exit 4
+means only the matrix structure changed, and ``--forensics DIR``
+replays the first failing point against its recorded checkpoints.
 
 Divergence-forensics subcommands (see docs/DIVERGENCE.md)::
 
-    python -m repro.experiments.cli diverge run --cycles 150000
+    python -m repro.experiments.cli diverge run --cycles 150000 --seed-b 12
     python -m repro.experiments.cli diverge bisect --seed 11 --seed-b 12 \\
-        --backend-b reference --json-out report.json
+        --json-out report.json
     python -m repro.experiments.cli diverge bisect --record baseline.json
     python -m repro.experiments.cli diverge run --baseline baseline.json
     python -m repro.experiments.cli diverge report --json-in report.json \\
         --out report.html --perfetto trace.json
 
-``diverge run`` lockstep-compares two runs (reference vs fast by
-default; vary ``--seed-b``/``--scheduler-b``/``--backend-*``)
-checkpoint by checkpoint and stops at the first mismatch; ``bisect``
+``diverge run`` lockstep-compares two runs (vary ``--seed-b`` or
+``--scheduler-b``) or one run against a ``--baseline`` recording,
+checkpoint by checkpoint, and stops at the first mismatch; ``bisect``
 refines that mismatch down to the exact first divergent cycle and
 prints the field-level state diff; ``report`` re-renders a saved
 forensic report.  Exit code 2 signals a divergence.
@@ -606,55 +606,51 @@ def _cmd_obs(args, config):
 
 
 def _goldens_forensics(drifts, directory) -> None:
-    """Bisect the first drifting golden point (reference vs fast) and
-    drop forensic artifacts — drift list, report JSON, HTML panel —
-    into ``directory`` for CI upload."""
+    """Replay the first drifting golden point against its recorded
+    checkpoints and drop forensic artifacts — drift list, report JSON,
+    HTML panel — into ``directory`` for CI upload."""
     import json as json_mod
     from pathlib import Path
 
     from repro.diverge import (
-        bisect_divergence,
         build_report,
-        resolve_cadence,
+        compare_to_recording,
         spec_for_golden_key,
         write_report,
         write_report_html,
     )
-    from repro.validate import drift_point_rows
+    from repro.validate import drift_point_rows, load_golden_checkpoints
     from repro.validate.goldens import is_structural
 
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     (directory / "goldens_drift.json").write_text(json_mod.dumps(
-        [dict(zip(("backend", "mix", "scheduler", "seed", "field",
-                   "expected", "actual"), row))
+        [dict(zip(("mix", "scheduler", "seed", "field", "expected",
+                   "actual"), row))
          for row in drift_point_rows(drifts)],
         indent=1,
     ))
-    # bisect a point whose fingerprint *value* drifted if there is one;
+    # replay a point whose fingerprint *value* drifted if there is one;
     # structural drifts (missing/new entries) have nothing to replay
     key = next(
         (d.key for d in drifts if not is_structural(d)), drifts[0].key
     )
     try:
-        spec_a = spec_for_golden_key(key, backend="reference")
-        spec_b = spec_for_golden_key(key, backend="fast")
-    except ValueError as exc:
-        print(f"forensics: {exc}; wrote drift list only")
+        spec = spec_for_golden_key(key)
+        recording = load_golden_checkpoints()[key]
+    except (ValueError, KeyError, FileNotFoundError) as exc:
+        print(f"forensics: cannot replay {key} ({exc!r}); "
+              "wrote drift list only")
         return
-    print(f"forensics: lockstep bisect on {key} (reference vs fast)")
-    result = bisect_divergence(
-        spec_a.factory(), spec_b.factory(),
-        horizon=spec_a.run_cycles,
-        cadence=resolve_cadence("quantum"),
-    )
+    print(f"forensics: replaying {key} against its recorded checkpoints")
+    result = compare_to_recording(spec.factory(), recording)
     print(f"forensics: {result.summary()}")
     if not result.diverged:
-        print("forensics: both backends agree — the drift is against "
-              "the *committed* golden, i.e. behaviour changed on both "
-              "engines (see the drift list)")
+        print("forensics: every recorded checkpoint matches — the drift "
+              "is in the alone runs or the end-of-run results (see the "
+              "drift list)")
     report = build_report(
-        result, label_a=spec_a.label(), label_b=spec_b.label(),
+        result, label_a="recording", label_b=spec.label(),
         context={"golden_key": key, "reason": "goldens drift"},
     )
     write_report(report, directory / "diverge_report.json")
@@ -667,11 +663,12 @@ def _cmd_validate(args, config):
         OracleConfig,
         check_goldens,
         checked_run,
-        compare_fingerprints,
         compute_golden_matrix,
         drift_point_rows,
         drifts_exit_code,
         format_drift_report,
+        record_golden_checkpoints,
+        save_golden_checkpoints,
         save_goldens,
     )
 
@@ -684,31 +681,26 @@ def _cmd_validate(args, config):
     if action == "goldens":
         path = args.goldens_path or None
         kwargs = {"path": path} if path else {}
-        backend = args.goldens_backend
         if args.update and args.check:
             raise SystemExit("validate goldens: --update and --check "
                              "are mutually exclusive")
         if args.update:
-            matrix = compute_golden_matrix(progress=True,
-                                           backend="reference")
-            if backend == "both":
-                fast = compute_golden_matrix(progress=True, backend="fast")
-                parity = compare_fingerprints(matrix, fast)
-                if parity:
-                    print(format_drift_report(parity))
-                    print("backend parity violated — not writing goldens")
-                    raise SystemExit(1)
-            where = save_goldens(matrix, **kwargs) if path else \
-                save_goldens(matrix)
+            matrix = compute_golden_matrix(progress=True)
+            where = save_goldens(matrix, **kwargs)
             print(f"wrote {where} ({len(matrix)} points)")
+            if not path:
+                where = save_golden_checkpoints(
+                    record_golden_checkpoints(progress=True)
+                )
+                print(f"wrote {where}")
             return
-        drifts = check_goldens(**kwargs, progress=True, backend=backend)
+        drifts = check_goldens(**kwargs, progress=True)
         if drifts:
             print(format_drift_report(drifts))
             print()
             print(format_table(
-                ["backend", "mix", "scheduler", "seed", "field",
-                 "expected", "actual"],
+                ["mix", "scheduler", "seed", "field", "expected",
+                 "actual"],
                 drift_point_rows(drifts),
                 title="golden mismatches by point",
             ))
@@ -721,7 +713,7 @@ def _cmd_validate(args, config):
                      "matrix structure changed — goldens out of date "
                      "(regenerate with scripts/update_goldens.py)"))
             raise SystemExit(code)
-        print(f"goldens: no drift (backend: {backend})")
+        print("goldens: no drift")
         return
 
     from repro.schedulers import SCHEDULERS
@@ -804,7 +796,6 @@ def _cmd_diverge(args, config):
         scheduler=scheduler,
         intensity=args.intensity,
         seed=args.seed,
-        backend=args.backend_a,
         run_cycles=args.cycles,
     )
 
@@ -830,13 +821,13 @@ def _cmd_diverge(args, config):
             scheduler=args.scheduler_b or scheduler,
             intensity=args.intensity,
             seed=args.seed if args.seed_b is None else args.seed_b,
-            backend=args.backend_b,
             run_cycles=args.cycles,
         )
         if spec_a == spec_b:
             raise SystemExit(
                 "diverge: both sides are the identical run — vary "
-                "--backend-a/--backend-b, --seed-b or --scheduler-b"
+                "--seed-b or --scheduler-b, or compare against a "
+                "--baseline recording"
             )
         label_a, label_b = spec_a.label(), spec_b.label()
         context = {"spec_a": spec_a.to_json(), "spec_b": spec_b.to_json()}
@@ -1187,10 +1178,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "per-point mismatch table and exits 3 "
                              "(value drift) or 4 (structure changed)")
     parser.add_argument("--forensics", default=None,
-                        help="validate goldens: on drift, lockstep-bisect "
-                             "the first failing point (reference vs fast) "
-                             "and write forensic artifacts to this "
-                             "directory")
+                        help="validate goldens: on drift, replay the "
+                             "first failing point against its recorded "
+                             "checkpoints and write forensic artifacts "
+                             "to this directory")
     parser.add_argument("--cadence", default=None,
                         help="diverge: checkpoint cadence — 'quantum' "
                              "(default), 'cycle', or an integer cycle "
@@ -1198,12 +1189,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--refine", type=int, default=8,
                         help="diverge bisect: cadence shrink factor per "
                              "refinement round")
-    parser.add_argument("--backend-a", default="reference",
-                        choices=("reference", "fast"),
-                        help="diverge: engine backend for side A")
-    parser.add_argument("--backend-b", default="fast",
-                        choices=("reference", "fast"),
-                        help="diverge: engine backend for side B")
     parser.add_argument("--seed-b", type=int, default=None,
                         help="diverge: run seed for side B (default: "
                              "same as --seed)")
@@ -1227,11 +1212,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--goldens-path", default=None,
                         help="golden matrix JSON path (validate goldens; "
                              "default tests/goldens/golden_matrix.json)")
-    parser.add_argument("--backend", dest="goldens_backend", default="both",
-                        choices=("reference", "fast", "both"),
-                        help="engine backend(s) for validate goldens "
-                             "(default both — the check then also proves "
-                             "cross-backend parity at golden scale)")
     parser.add_argument("--shadows", default=None,
                         help="explain: comma-separated shadow policies "
                              "(default: every evaluated policy except "

@@ -8,8 +8,7 @@ collector:
 * captures a :class:`~repro.explain.records.DecisionRecord` for every
   grant (candidate set, per-candidate priority decomposition, winner
   margin, tie-break provenance) — at the ``on_decision`` hook inside
-  ``System._try_schedule`` both engine backends share, so records are
-  backend-identical by construction;
+  ``System._try_schedule``;
 * drives any number of :class:`~repro.explain.shadow.ShadowPolicy`
   instances through the same arrivals / grants / completions / quantum
   snapshots / timer ticks, asking each at every grant which request it
@@ -332,7 +331,7 @@ class ExplainCollector(Observer):
     def _check_starvation(self, now: int) -> None:
         # stride-throttled: crossings are detected within ~0.1% of the
         # threshold, and the stride counts simulated cycles, so the
-        # events stay deterministic and backend-identical
+        # events stay deterministic
         if now - self._starvation_checked_at < self._starvation_stride:
             return
         self._starvation_checked_at = now

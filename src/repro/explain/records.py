@@ -10,8 +10,7 @@ tuple) plus the named decomposition of that tuple against the policy's
 ``PRIORITY_COMPONENTS`` vocabulary.  Richer per-policy detail (ATLAS
 attained service, STFM slowdown estimates, TCM cluster membership) is
 available on demand via :meth:`repro.schedulers.base.Scheduler.\
-explain_components`.  The records are backend-identical by
-construction: both engine backends dispatch grants through
+explain_components`.  Grants reach the collector through
 ``System._try_schedule``, the one seam that captures them.
 """
 
@@ -113,12 +112,11 @@ def margin_of(
 
 
 def record_structure(record: DecisionRecord) -> tuple:
-    """Backend-comparable shape of a record.
+    """Run-comparable shape of a record.
 
     Everything except ``request_id``s (the id counter is process-global,
     so two runs in one process allocate different ids for the same
-    simulated requests).  Candidate order is queue order, which the
-    parity contract pins identical across backends.
+    simulated requests).  Candidate order is queue order.
     """
     return (
         record.index,

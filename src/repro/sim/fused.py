@@ -1,0 +1,415 @@
+"""The fused event loop: :meth:`System.advance` for unobserved runs.
+
+:meth:`~repro.sim.system.System.advance` has two loops over the same
+state — the same ``heapq`` of ``(time, seq, kind, payload, aux)``
+tuples and the same :class:`~repro.cpu.thread.ThreadModel`,
+:class:`~repro.workloads.synthetic.AddressStream`,
+:class:`~repro.dram.bank.Bank`, :class:`~repro.dram.channel.Channel`
+and :class:`~repro.core.monitor.BehaviorMonitor` objects:
+
+* the **dispatch loop** sends every event through the ``System``
+  methods (``_issue_miss``, ``_try_schedule``, ...), which call the
+  component methods.  Tracer, sampler and observer sites live there,
+  and so does every seam a wrapper can intercept;
+* the **fused loop** (:func:`advance_fused`) performs the same
+  statements with the call frames between them removed: the miss
+  issue, the address stream, the non-detailed bank access, the
+  monitor's bookkeeping and in-order retirement are inlined over
+  cached locals.
+
+The fused loop runs only when nothing can observe the difference
+(:func:`fusable`).  Scheduler policy code stays in charge: ``select``
+and every lifecycle hook a policy overrides are called exactly where
+the dispatch loop calls them (base-class no-op hooks are skipped).
+Quantum boundaries and timers go through the ``System`` methods.
+Both loops execute the same operations in the same order — same
+event order, same RNG draws, same float arithmetic — which the parity
+suite (``tests/engine/test_backend_parity.py``) pins bit-identical.
+"""
+
+from __future__ import annotations
+
+from heapq import heappop, heappush
+
+from repro.core.monitor import BehaviorMonitor
+from repro.cpu.stats import ThreadStats
+from repro.cpu.thread import JITTER, ThreadModel
+from repro.dram.bank import Bank
+from repro.dram.channel import Channel
+from repro.dram.request import MemoryRequest
+from repro.schedulers.base import Scheduler
+from repro.workloads.rng import _INV_2_53
+from repro.workloads.synthetic import AddressStream
+
+
+def _shadowed(obj) -> bool:
+    """True when an instance attribute hides a method of its class: a
+    per-instance wrapper (oracle, profiler, tracer, fault injection)."""
+    cls = type(obj)
+    return any(
+        callable(getattr(cls, name, None)) for name in vars(obj)
+    )
+
+
+def fusable(system) -> bool:
+    """True when the fused loop cannot be told apart from the dispatch
+    loop.
+
+    Requires no tracer, observer or sampler; no prefetchers, write
+    modelling or detailed timings; every component exactly its base
+    class and built on the system's config; and no per-instance
+    method override on the system, scheduler or any component.
+    """
+    config = system.config
+    if (
+        system._tracer is not None
+        or system.observers
+        or system._sampler is not None
+        or system.prefetchers is not None
+        or config.model_writes
+        or config.timings.detailed
+    ):
+        return False
+    monitor = system.monitor
+    if (
+        type(monitor) is not BehaviorMonitor
+        or _shadowed(system)
+        or _shadowed(system.scheduler)
+        or _shadowed(monitor)
+    ):
+        return False
+    for thread in system.threads:
+        if (
+            type(thread) is not ThreadModel
+            or thread.config is not config
+            or type(thread._addr) is not AddressStream
+            or type(thread.stats) is not ThreadStats
+            or _shadowed(thread)
+            or _shadowed(thread._addr)
+            or _shadowed(thread.stats)
+        ):
+            return False
+    for channel in system.channels:
+        if (
+            type(channel) is not Channel
+            or channel.config is not config
+            or _shadowed(channel)
+        ):
+            return False
+        for bank in channel.banks:
+            if type(bank) is not Bank or _shadowed(bank):
+                return False
+    return True
+
+
+def advance_fused(system, limit: int) -> None:
+    """Dispatch every pending event with ``time <= limit``, inlined.
+
+    Mirrors ``System._issue_miss`` / ``_try_schedule`` /
+    ``_complete_request`` with ``ThreadModel.try_issue`` /
+    ``issue_gap`` / ``on_request_completed``,
+    ``AddressStream.next_location``, the non-detailed
+    ``Channel.start_service`` / ``Bank.begin_access`` and the
+    ``BehaviorMonitor`` hooks, statement for statement.  The event
+    counter lives on the system (``system._seq``), so timers a policy
+    pushes from its hooks interleave with the inlined pushes.
+    """
+    from repro.sim.system import (
+        _EV_BANK_FREE, _EV_DONE, _EV_ISSUE, _EV_QUANTUM, _EV_TIMER,
+    )
+
+    events = system._events
+    config = system.config
+    timings = config.timings
+    t_rp = timings.t_rp
+    t_rcd = timings.t_rcd
+    burst = timings.burst
+    fixed_overhead = timings.fixed_overhead
+    page_closed = timings.page_policy == "closed"
+    banks_per_channel = config.banks_per_channel
+    num_banks = config.num_banks
+    num_rows = config.num_rows
+    ipc_peak = config.ipc_peak
+    phased = config.phase_mean_cycles > 0
+    jitter_low, jitter_high = JITTER
+    jitter_span = jitter_high - jitter_low
+    threads = system.threads
+    channels = system.channels
+    queues_by_ch = [channel.queues for channel in channels]
+    banks_by_ch = [channel.banks for channel in channels]
+    latency_sum = system._latency_sum
+    latency_count = system._latency_count
+
+    scheduler = system.scheduler
+    select = scheduler.select
+    cls = type(scheduler)
+    on_arrival = (
+        scheduler.on_request_arrival
+        if cls.on_request_arrival is not Scheduler.on_request_arrival
+        else None
+    )
+    on_scheduled = (
+        scheduler.on_request_scheduled
+        if cls.on_request_scheduled is not Scheduler.on_request_scheduled
+        else None
+    )
+    on_complete = (
+        scheduler.on_request_complete
+        if cls.on_request_complete is not Scheduler.on_request_complete
+        else None
+    )
+
+    # monitor structures that are never rebound; reset_quantum swaps
+    # the inner per-channel lists and the per-quantum BLP lists, which
+    # are therefore reached through their owners at use
+    monitor = system.monitor
+    shadow_rows = monitor._shadow_rows
+    shadow_accesses = monitor.shadow_accesses
+    shadow_hits = monitor.shadow_hits
+    service_cycles = monitor.service_cycles
+    l_service = monitor.lifetime_service_cycles
+    l_accesses = monitor.lifetime_shadow_accesses
+    l_hits = monitor.lifetime_shadow_hits
+    l_blp = monitor.lifetime_blp_integral
+    l_busy = monitor.lifetime_busy_time
+    bank_outstanding = monitor._bank_outstanding
+    active_banks = monitor._active_banks
+    outstanding = monitor._outstanding
+    last_update = monitor._last_update
+
+    def try_schedule(channel_id, bank_id, time):
+        # System._try_schedule + Channel.start_service +
+        # Bank.begin_access (non-detailed) + monitor service
+        bank = banks_by_ch[channel_id][bank_id]
+        if time < bank.busy_until:
+            return
+        queue = queues_by_ch[channel_id][bank_id]
+        if not queue:
+            return  # no write path without write modelling
+        channel = channels[channel_id]
+        request = select(channel, bank_id, time)
+        index = 0
+        while queue[index] is not request:  # request ids are unique
+            index += 1
+        del queue[index]
+        row = request.row
+        tid = request.thread_id
+        open_row = bank.open_row
+        if open_row is None:
+            bank.last_activate = time
+            prep_done = time + t_rcd
+            bank.row_closed += 1
+        elif open_row == row:
+            prep_done = time
+            bank.row_hits += 1
+        else:
+            activate = time + t_rp
+            bank.last_activate = activate
+            prep_done = activate + t_rcd
+            bank.row_conflicts += 1
+        bus_free = channel.bus_free_until
+        data_end = (prep_done if prep_done >= bus_free else bus_free) + burst
+        if page_closed:
+            bank.open_row = None
+            bank.open_row_owner = None
+        else:
+            bank.open_row = row
+            bank.open_row_owner = tid
+        bank.busy_until = data_end
+        busy_cycles = data_end - time
+        bank.busy_cycles += busy_cycles
+        channel.bus_owner = tid
+        channel.bus_free_until = data_end
+        request.start_service = time
+        completion = data_end + fixed_overhead
+        request.completion = completion
+        channel.serviced_requests += 1
+        system.sched_decisions += 1
+        service_cycles[channel_id][tid] += busy_cycles
+        l_service[tid] += busy_cycles
+        if on_scheduled is not None:
+            on_scheduled(request, queue, busy_cycles, time)
+        seq = system._seq
+        system._seq = seq + 2
+        heappush(events,
+                 (data_end, seq + 1, _EV_BANK_FREE, channel_id, bank_id))
+        heappush(events, (completion, seq + 2, _EV_DONE, request, 0))
+
+    def issue_miss(tid, time):
+        # System._issue_miss + ThreadModel.try_issue / issue_gap +
+        # AddressStream.next_location + monitor arrival
+        thread = threads[tid]
+        if phased and time >= thread._phase_end:
+            thread._maybe_change_phase(time)
+        rob = thread._rob
+        if len(rob) >= thread.max_outstanding:
+            thread.window_blocked = True
+            return  # window full: the retry happens at a completion
+        thread.window_blocked = False
+        issue_id = thread.issued + 1
+        thread.issued = issue_id
+        rob.append((issue_id, thread._pending_credit))
+        thread._last_issue_time = time
+        # -- AddressStream.next_location
+        addr = thread._addr
+        rng = addr._rng
+        pos = addr._pos
+        if pos >= addr._spread:
+            pos = 0
+            spread = addr._spread_lo
+            if spread != addr._spread_hi and rng.random() < addr._spread_frac:
+                spread = addr._spread_hi
+            addr._spread = spread
+        gbank = (addr._base + pos) % num_banks
+        addr._pos = pos + 1
+        addr.accesses += 1
+        last_row = addr._last_row
+        last = last_row.get(gbank)
+        if last is None:
+            row = rng.integers(num_rows)
+            last_row[gbank] = row
+        else:
+            i = rng._i
+            if i < rng._n:  # BufferedPCG64.random(), buffer hit inlined
+                rng._i = i + 1
+                draw = (rng._buf[i] >> 11) * _INV_2_53
+            else:
+                draw = rng.random()
+            if draw < addr._reuse_prob:
+                addr.row_reuses += 1
+                row = last
+            else:
+                # row exhausted: next row, and the bank window drifts
+                row = (last + 1) % num_rows
+                last_row[gbank] = row
+                departed = addr._base
+                addr._base = (departed + 1) % num_banks
+                last_row.pop(departed, None)
+                addr.drifts += 1
+        channel_id = gbank // banks_per_channel
+        bank_id = gbank % banks_per_channel
+        # -- enqueue + BehaviorMonitor.on_request_arrival
+        request = MemoryRequest(tid, channel_id, bank_id, row, time, issue_id)
+        queues_by_ch[channel_id][bank_id].append(request)
+        shadow = shadow_rows[channel_id][tid]
+        shadow_accesses[channel_id][tid] += 1
+        l_accesses[tid] += 1
+        if shadow.get(bank_id) == row:
+            shadow_hits[channel_id][tid] += 1
+            l_hits[tid] += 1
+        shadow[bank_id] = row
+        dt = time - last_update[tid]
+        if dt > 0 and outstanding[tid] > 0:
+            weighted = active_banks[tid] * dt
+            monitor._blp_integral[tid] += weighted
+            monitor._busy_time[tid] += dt
+            l_blp[tid] += weighted
+            l_busy[tid] += dt
+        last_update[tid] = time
+        gbank = channel_id * banks_per_channel + bank_id
+        counts = bank_outstanding[tid]
+        count = counts.get(gbank, 0) + 1
+        counts[gbank] = count
+        if count == 1:
+            active_banks[tid] += 1
+        outstanding[tid] += 1
+        if on_arrival is not None:
+            on_arrival(request, time)
+        try_schedule(channel_id, bank_id, time)
+        # -- ThreadModel.issue_gap
+        gap = thread._current_ipm / ipc_peak
+        rng = thread._rng
+        i = rng._i
+        if i < rng._n:
+            rng._i = i + 1
+            draw = (rng._buf[i] >> 11) * _INV_2_53
+        else:
+            draw = rng.random()
+        gap *= jitter_low + jitter_span * draw
+        gap += thread._gap_carry
+        cycles = int(gap)
+        if cycles < 1:
+            cycles = 1
+        thread._gap_carry = gap - cycles
+        thread._pending_credit = cycles * ipc_peak
+        thread.program_time += cycles
+        seq = system._seq + 1
+        system._seq = seq
+        heappush(events, (time + cycles, seq, _EV_ISSUE, tid, 0))
+
+    def complete(request, time):
+        # System._complete_request + BehaviorMonitor.on_request_complete
+        # + ThreadModel.on_request_completed + ThreadStats.retire
+        tid = request.thread_id
+        dt = time - last_update[tid]
+        if dt > 0 and outstanding[tid] > 0:
+            weighted = active_banks[tid] * dt
+            monitor._blp_integral[tid] += weighted
+            monitor._busy_time[tid] += dt
+            l_blp[tid] += weighted
+            l_busy[tid] += dt
+        last_update[tid] = time
+        gbank = request.channel_id * banks_per_channel + request.bank_id
+        counts = bank_outstanding[tid]
+        count = counts[gbank] - 1
+        if count:
+            counts[gbank] = count
+        else:
+            del counts[gbank]
+            active_banks[tid] -= 1
+        outstanding[tid] -= 1
+        if on_complete is not None:
+            on_complete(request, time)
+        latency_sum[tid] += time - request.arrival
+        latency_count[tid] += 1
+        thread = threads[tid]
+        rob = thread._rob
+        if not rob:
+            raise RuntimeError(
+                f"thread {tid} completion with no outstanding misses"
+            )
+        if rob[0][0] != request.episode_id:
+            # an older miss is still out: retire later, in order
+            thread._completed.add(request.episode_id)
+            return
+        completed = thread._completed
+        stats = thread.stats
+        credit = thread._instr_credit
+        while True:
+            credit += rob.popleft()[1]
+            instrs = int(credit)
+            credit -= instrs
+            stats.instructions += instrs
+            stats.misses += 1
+            stats.quantum_instructions += instrs
+            stats.quantum_misses += 1
+            stats.episodes += 1
+            if not rob or rob[0][0] not in completed:
+                break
+            completed.discard(rob[0][0])
+        thread._instr_credit = credit
+        if thread.window_blocked:
+            # the window was stalled on this completion; the next
+            # miss's compute is already done, so it issues now
+            thread.window_blocked = False
+            issue_miss(tid, time)
+
+    while events and events[0][0] <= limit:
+        time, _seq, kind, payload, aux = heappop(events)
+        system.now = time
+        if kind == _EV_ISSUE:
+            issue_miss(payload, time)
+        elif kind == _EV_DONE:
+            complete(payload, time)
+        elif kind == _EV_BANK_FREE:
+            try_schedule(payload, aux, time)
+        elif kind == _EV_QUANTUM:
+            system._quantum_boundary()
+        elif kind == _EV_TIMER:
+            # tuple keys are observer-owned (explain's shadows)
+            if type(payload) is not tuple:
+                scheduler.on_timer(time, payload)
+        else:  # pragma: no cover - PHIT/SAMPLE need prefetch/sampler
+            raise RuntimeError(
+                f"event kind {kind} cannot occur on the fused loop"
+            )

@@ -6,6 +6,11 @@ completions, quantum boundaries, scheduler timers).  Between events,
 cores compute and banks service requests; nothing else can change
 scheduling state, so the event granularity loses no accuracy relative
 to a per-cycle loop while running orders of magnitude faster.
+
+:meth:`System.advance` dispatches each event through the ``System``
+methods below, where tracers, observers and wrappers hook in — or,
+when nothing can observe the run, drains the same events through the
+bit-identical fused loop of :mod:`repro.sim.fused`.
 """
 
 from __future__ import annotations
@@ -18,11 +23,12 @@ import numpy as np
 from repro.config import SimConfig
 from repro.core.meta import MetaController
 from repro.core.monitor import BehaviorMonitor
+from repro.cpu.prefetch import PREFETCH_HIT_LATENCY, StreamPrefetcher
 from repro.cpu.thread import ThreadModel
 from repro.dram.channel import Channel
 from repro.dram.request import MemoryRequest
-from repro.engine import resolve_backend
 from repro.schedulers.base import Scheduler
+from repro.sim.fused import advance_fused, fusable
 from repro.sim.observer import HOOKS, Observer, overridden_hooks
 from repro.telemetry.registry import MetricsRegistry
 from repro.workloads.mixes import Workload
@@ -77,38 +83,19 @@ class System:
         self.workload = workload
         self.seed = self.config.seed if seed is None else seed
         weights = workload.weights or tuple([1] * workload.num_threads)
-        #: resolved engine backend for this run ("reference" or "fast");
-        #: the two are bit-identical by contract (see repro.engine), so
-        #: the choice never reaches cache keys or results
-        self.backend = resolve_backend(self.config.backend)
-        if self.backend == "fast":
-            from repro.engine.cpu import build_cpu_batch
-            from repro.engine.wheel import TimingWheel
-
-            self._batch, self.threads = build_cpu_batch(
-                workload.specs,
+        self.threads: List[ThreadModel] = [
+            ThreadModel(
+                tid,
+                spec,
                 self.config,
                 self.seed,
-                weights,
-                _benchmark_streams(workload),
+                weight=weights[tid],
+                stream=stream,
             )
-            self._wheel = TimingWheel()
-        else:
-            self._batch = None
-            self._wheel = None
-            self.threads: List[ThreadModel] = [
-                ThreadModel(
-                    tid,
-                    spec,
-                    self.config,
-                    self.seed,
-                    weight=weights[tid],
-                    stream=stream,
-                )
-                for tid, (spec, stream) in enumerate(
-                    zip(workload.specs, _benchmark_streams(workload))
-                )
-            ]
+            for tid, (spec, stream) in enumerate(
+                zip(workload.specs, _benchmark_streams(workload))
+            )
+        ]
         self.channels: List[Channel] = [
             Channel(ch, self.config) for ch in range(self.config.num_channels)
         ]
@@ -154,8 +141,6 @@ class System:
         self._sample_period = 0
         self._register_metrics()
         if self.config.prefetch_degree > 0:
-            from repro.cpu.prefetch import StreamPrefetcher
-
             self.prefetchers: Optional[List[StreamPrefetcher]] = [
                 StreamPrefetcher(self.config.prefetch_degree)
                 for _ in range(workload.num_threads)
@@ -217,10 +202,6 @@ class System:
 
     def _push_sample(self, time: int) -> None:
         """Queue an epoch-sampler tick sorting after all peers at ``time``."""
-        wheel = self._wheel
-        if wheel is not None:
-            wheel.push_sample(time, _EV_SAMPLE)
-            return
         self._seq += 1
         heapq.heappush(
             self._events,
@@ -240,10 +221,6 @@ class System:
     # ------------------------------------------------------------------
 
     def _push(self, time: int, kind: int, payload: object = None, aux: int = 0):
-        wheel = self._wheel
-        if wheel is not None:
-            wheel.push(time, kind, payload, aux)
-            return
         self._seq += 1
         heapq.heappush(self._events, (time, self._seq, kind, payload, aux))
 
@@ -269,8 +246,6 @@ class System:
             self._inject_prefetches(tid, prefetcher.observe(location))
             if prefetcher.consume(location):
                 # the block was prefetched: completes at on-chip latency
-                from repro.cpu.prefetch import PREFETCH_HIT_LATENCY
-
                 self._push(
                     self.now + PREFETCH_HIT_LATENCY, _EV_PHIT, tid,
                     thread.issued,
@@ -483,43 +458,44 @@ class System:
         Middle stage of :meth:`run`; resumable — repeated calls with
         increasing limits drain the run in windows, and the state after
         ``advance(a); advance(b)`` is bit-identical to ``advance(b)``
-        (the loop condition is a pure time bound on both backends).
-        """
-        if self._wheel is not None:
-            from repro.engine.fast import drive
+        (the loop condition is a pure time bound).
 
-            drive(self, limit)
-            # the bench and profiler read the event counter off the
-            # system; the wheel's push counter is its equivalent
-            self._seq = self._wheel._seq
-        else:
-            events = self._events
-            on_event = self._on_event
-            while events and events[0][0] <= limit:
-                time, _seq, kind, payload, aux = heapq.heappop(events)
-                self.now = time
-                if on_event:
-                    for hook in on_event:
-                        hook(time, kind, payload, aux)
-                if kind == _EV_ISSUE:
+        When nothing can observe the difference (see
+        :func:`repro.sim.fused.fusable`) the events drain through the
+        fused loop; otherwise through the dispatch loop below, which
+        sends each event through the methods every tracer, observer
+        and wrapper hooks into.  The two are bit-identical.
+        """
+        if fusable(self):
+            advance_fused(self, limit)
+            return
+        events = self._events
+        on_event = self._on_event
+        while events and events[0][0] <= limit:
+            time, _seq, kind, payload, aux = heapq.heappop(events)
+            self.now = time
+            if on_event:
+                for hook in on_event:
+                    hook(time, kind, payload, aux)
+            if kind == _EV_ISSUE:
+                self._issue_miss(payload)
+            elif kind == _EV_BANK_FREE:
+                self._try_schedule(payload, aux)
+            elif kind == _EV_DONE:
+                self._complete_request(payload)
+            elif kind == _EV_QUANTUM:
+                self._quantum_boundary()
+            elif kind == _EV_TIMER:
+                # tuple keys are observer-owned (explain's shadows)
+                if type(payload) is not tuple:
+                    self.scheduler.on_timer(time, payload)
+                for hook in self._on_timer:
+                    hook(time, payload)
+            elif kind == _EV_PHIT:
+                if self.threads[payload].on_request_completed(aux):
                     self._issue_miss(payload)
-                elif kind == _EV_BANK_FREE:
-                    self._try_schedule(payload, aux)
-                elif kind == _EV_DONE:
-                    self._complete_request(payload)
-                elif kind == _EV_QUANTUM:
-                    self._quantum_boundary()
-                elif kind == _EV_TIMER:
-                    # tuple keys are observer-owned (explain's shadows)
-                    if type(payload) is not tuple:
-                        self.scheduler.on_timer(time, payload)
-                    for hook in self._on_timer:
-                        hook(time, payload)
-                elif kind == _EV_PHIT:
-                    if self.threads[payload].on_request_completed(aux):
-                        self._issue_miss(payload)
-                elif kind == _EV_SAMPLE:
-                    self._take_sample()
+            elif kind == _EV_SAMPLE:
+                self._take_sample()
 
     def run(self, cycles: Optional[int] = None):
         """Simulate for ``cycles`` (default: config.run_cycles)."""

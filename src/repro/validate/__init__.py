@@ -43,7 +43,7 @@ from repro.validate.fingerprint import (
 from repro.validate.goldens import (
     EXIT_DRIFT,
     EXIT_MISSING,
-    GOLDEN_BACKENDS,
+    GOLDEN_CHECKPOINTS_PATH,
     GOLDEN_CONFIG,
     GOLDEN_PATH,
     GOLDEN_SCHEDULERS,
@@ -57,8 +57,11 @@ from repro.validate.goldens import (
     golden_key,
     golden_mixes,
     is_structural,
+    load_golden_checkpoints,
     load_goldens,
     parse_golden_key,
+    record_golden_checkpoints,
+    save_golden_checkpoints,
     save_goldens,
 )
 from repro.validate.oracle import (
@@ -75,7 +78,7 @@ __all__ = [
     "EXIT_DRIFT",
     "EXIT_MISSING",
     "FLOAT_DIGITS",
-    "GOLDEN_BACKENDS",
+    "GOLDEN_CHECKPOINTS_PATH",
     "GOLDEN_CONFIG",
     "GOLDEN_PATH",
     "GOLDEN_SCHEDULERS",
@@ -103,11 +106,14 @@ __all__ = [
     "golden_key",
     "golden_mixes",
     "is_structural",
+    "load_golden_checkpoints",
     "load_goldens",
     "parse_golden_key",
     "permute_workload",
     "run_matrix",
+    "record_golden_checkpoints",
     "run_outcome",
+    "save_golden_checkpoints",
     "save_goldens",
     "single_thread_matrix",
     "thread_outcome",

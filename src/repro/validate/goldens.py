@@ -11,6 +11,11 @@ legitimate).
 The matrix is sized to stay cheap (a few seconds) while covering every
 registered scheduler, three memory-intensity classes, and several
 quanta of TCM clustering/shuffling.
+
+Beside the end-of-run fingerprints, ``tests/goldens/golden_checkpoints.json``
+records every point's :mod:`repro.diverge` state fingerprints once per
+quantum, so a drift can be placed at the first checkpoint and component
+where the run left its recorded path.
 """
 
 from __future__ import annotations
@@ -35,6 +40,9 @@ GOLDEN_PATH = (
     Path(__file__).resolve().parents[3] / "tests" / "goldens"
     / "golden_matrix.json"
 )
+
+#: Default location of the committed per-quantum checkpoint recording.
+GOLDEN_CHECKPOINTS_PATH = GOLDEN_PATH.with_name("golden_checkpoints.json")
 
 #: Every scheduler in the registry, pinned alphabetically.
 GOLDEN_SCHEDULERS: Tuple[str, ...] = (
@@ -74,7 +82,6 @@ def compute_golden_matrix(
     mixes: Optional[Sequence[Workload]] = None,
     seeds: Sequence[int] = GOLDEN_SEEDS,
     progress: bool = False,
-    backend: Optional[str] = None,
 ) -> Dict[str, Dict]:
     """Run the pinned matrix and fingerprint every point.
 
@@ -82,16 +89,10 @@ def compute_golden_matrix(
     per benchmark by the runner, so the whole matrix costs
     ``len(schedulers) * len(mixes) * len(seeds)`` shared runs plus one
     alone run per distinct benchmark.
-
-    ``backend`` forces every run onto one engine backend (the parity
-    contract makes the fingerprints backend-independent; checking the
-    matrix on ``"fast"`` *is* the contract's golden-scale enforcement).
     """
     from repro.experiments.runner import alone_ipcs, run_shared
 
     config = config or GOLDEN_CONFIG
-    if backend is not None:
-        config = config.with_(backend=backend)
     matrix: Dict[str, Dict] = {}
     for workload in (mixes if mixes is not None else golden_mixes()):
         for seed in seeds:
@@ -143,39 +144,70 @@ def load_goldens(path=GOLDEN_PATH) -> Dict[str, Dict]:
     return document["matrix"]
 
 
-#: Backends ``check_goldens``'s ``backend="both"`` expands to.
-GOLDEN_BACKENDS: Tuple[str, ...] = ("reference", "fast")
-
-
-def check_goldens(
-    path=GOLDEN_PATH, progress: bool = False,
-    backend: Optional[str] = None,
-) -> List[Drift]:
+def check_goldens(path=GOLDEN_PATH, progress: bool = False) -> List[Drift]:
     """Recompute the matrix and diff it against the committed goldens.
 
-    Returns the drift list (empty = regression-free).  ``backend``
-    selects the engine backend the recomputation runs on —
-    ``"reference"`` (the default, ``None``), ``"fast"``, or
-    ``"both"``, which checks each backend in turn and tags any drift's
-    key with the backend that produced it.  A clean ``"both"`` check
-    certifies the committed fingerprints hold bit-for-bit on either
-    engine.
+    Returns the drift list (empty = regression-free).
     """
-    if backend == "both":
-        drifts: List[Drift] = []
-        for one in GOLDEN_BACKENDS:
-            if progress:
-                print(f" backend {one}", flush=True)
-            for drift in check_goldens(path, progress=progress,
-                                       backend=one):
-                drifts.append(Drift(
-                    f"[{one}] {drift.key}", drift.path,
-                    drift.golden, drift.fresh,
-                ))
-        return drifts
     golden = load_goldens(path)
-    fresh = compute_golden_matrix(progress=progress, backend=backend)
+    fresh = compute_golden_matrix(progress=progress)
     return compare_fingerprints(golden, fresh)
+
+
+# ----------------------------------------------------------------------
+# per-quantum checkpoint recordings
+# ----------------------------------------------------------------------
+
+
+def golden_keys() -> List[str]:
+    """Every point of the golden matrix, in matrix order."""
+    return [
+        golden_key(workload, scheduler, seed)
+        for workload in golden_mixes()
+        for seed in GOLDEN_SEEDS
+        for scheduler in GOLDEN_SCHEDULERS
+    ]
+
+
+def record_golden_checkpoints(progress: bool = False) -> Dict[str, Dict]:
+    """Per golden point, :func:`repro.diverge.record_checkpoints` of
+    its run: every component fingerprinted once per quantum."""
+    from repro.diverge import (
+        record_checkpoints,
+        resolve_cadence,
+        spec_for_golden_key,
+    )
+
+    recordings: Dict[str, Dict] = {}
+    for key in golden_keys():
+        if progress:
+            print(f"  checkpoints {key}", flush=True)
+        spec = spec_for_golden_key(key)
+        recordings[key] = record_checkpoints(
+            spec.factory(), spec.run_cycles,
+            resolve_cadence("quantum", GOLDEN_CONFIG), spec=spec,
+        )
+    return recordings
+
+
+def save_golden_checkpoints(
+    recordings: Dict[str, Dict], path=GOLDEN_CHECKPOINTS_PATH
+) -> Path:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    document = {"version": GOLDEN_VERSION, "points": recordings}
+    path.write_text(json.dumps(document, indent=1, sort_keys=True) + "\n")
+    return path
+
+
+def load_golden_checkpoints(path=GOLDEN_CHECKPOINTS_PATH) -> Dict[str, Dict]:
+    document = json.loads(Path(path).read_text())
+    if document.get("version") != GOLDEN_VERSION:
+        raise ValueError(
+            f"checkpoint file {path} has version "
+            f"{document.get('version')}, expected {GOLDEN_VERSION}"
+        )
+    return document["points"]
 
 
 # ----------------------------------------------------------------------
@@ -183,7 +215,7 @@ def check_goldens(
 # ----------------------------------------------------------------------
 
 #: ``validate goldens`` exit code: fingerprint *values* differ — a
-#: behavioural regression or a backend-parity violation.
+#: behavioural regression.
 EXIT_DRIFT = 3
 
 #: ``validate goldens`` exit code: only whole entries or fields are
@@ -197,21 +229,13 @@ _STRUCTURAL_MARKERS = frozenset(("<absent>", "<new entry>", "<entry>"))
 
 
 def parse_golden_key(key: str):
-    """Split a (possibly backend-tagged) matrix key back into
-    ``(backend, mix, scheduler, seed)`` strings.
-
-    Keys look like ``mix-50pct-s7/tcm/s11`` or, from a
-    ``backend="both"`` check, ``[fast] mix-50pct-s7/tcm/s11``.
-    """
-    backend = ""
-    if key.startswith("["):
-        backend, _, key = key.partition("] ")
-        backend = backend[1:]
+    """Split a matrix key like ``mix-50pct-s7/tcm/s11`` back into
+    ``(mix, scheduler, seed)`` strings."""
     parts = key.rsplit("/", 2)
     if len(parts) != 3:
-        return backend, key, "", ""
+        return key, "", ""
     mix, scheduler, seed = parts
-    return backend, mix, scheduler, seed.lstrip("s")
+    return mix, scheduler, seed.lstrip("s")
 
 
 def is_structural(drift: Drift) -> bool:
@@ -241,12 +265,12 @@ def drifts_exit_code(drifts: Sequence[Drift]) -> int:
 
 def drift_point_rows(drifts: Sequence[Drift]) -> List[List[object]]:
     """Per-point mismatch rows for the CLI table:
-    ``[backend, mix, scheduler, seed, field, expected, actual]``."""
+    ``[mix, scheduler, seed, field, expected, actual]``."""
     rows: List[List[object]] = []
     for drift in drifts:
-        backend, mix, scheduler, seed = parse_golden_key(drift.key)
+        mix, scheduler, seed = parse_golden_key(drift.key)
         rows.append([
-            backend or "-", mix, scheduler, seed or "-",
+            mix, scheduler, seed or "-",
             drift.path or "<entry>",
             repr(drift.golden), repr(drift.fresh),
         ])

@@ -31,11 +31,16 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.config import SimConfig
+from repro.workloads.rng import BufferedPCG64
 from repro.workloads.spec import BenchmarkSpec
 
 
 class AddressStream:
-    """Generates DRAM targets for one thread's cache misses."""
+    """Generates DRAM targets for one thread's cache misses.
+
+    ``rng`` is wrapped in a :class:`~repro.workloads.rng.BufferedPCG64`
+    and must not be drawn from elsewhere afterwards.
+    """
 
     def __init__(
         self,
@@ -45,10 +50,10 @@ class AddressStream:
     ):
         self.spec = spec
         self.config = config
-        self._rng = rng
+        self._rng = BufferedPCG64(rng)
         num_banks = config.num_banks
         self._window = min(num_banks, max(1, math.ceil(spec.blp)))
-        self._base = int(rng.integers(num_banks))
+        self._base = self._rng.integers(num_banks)
         # The first access after drifting onto a bank can never reuse a
         # row, so the per-access reuse probability is raised such that
         # the *measured* reuse rate (hits / all accesses, first touches
@@ -56,6 +61,12 @@ class AddressStream:
         #   measured = p / (2 - p)  =>  p = 2*rbl / (1 + rbl)
         self._reuse_prob = 2.0 * spec.rbl / (1.0 + spec.rbl)
         self._last_row = {}  # global bank id -> last row accessed
+        # spread bounds: the floor/ceil of the BLP target (clamped to
+        # the window) and the chance of taking the ceiling
+        target = max(1.0, min(spec.blp, float(self._window)))
+        self._spread_lo = math.floor(target)
+        self._spread_hi = math.ceil(target)
+        self._spread_frac = target - self._spread_lo
         self._spread = self._sample_spread()
         self._pos = 0
         self.accesses = 0
@@ -66,14 +77,12 @@ class AddressStream:
 
     def _sample_spread(self) -> int:
         """How many banks the next rotation of misses covers."""
-        target = min(self.spec.blp, float(self._window))
-        target = max(1.0, target)
-        lo = math.floor(target)
-        hi = math.ceil(target)
-        if lo == hi:
+        lo = self._spread_lo
+        if lo == self._spread_hi:
             return lo
-        frac = target - lo
-        return hi if self._rng.random() < frac else lo
+        if self._rng.random() < self._spread_frac:
+            return self._spread_hi
+        return lo
 
     def _global_to_location(self, gbank: int, row: int) -> Tuple[int, int, int]:
         channel = gbank // self.config.banks_per_channel
@@ -99,7 +108,7 @@ class AddressStream:
         self.accesses += 1
         last = self._last_row.get(gbank)
         if last is None:
-            row = int(self._rng.integers(self.config.num_rows))
+            row = self._rng.integers(self.config.num_rows)
             self._last_row[gbank] = row
             return row, False
         if self._rng.random() < self._reuse_prob:

@@ -8,6 +8,7 @@ import pytest
 from repro.campaign.hashing import (
     alone_key,
     canonicalize,
+    config_fingerprint,
     point_key,
     stable_hash,
 )
@@ -122,8 +123,6 @@ class TestCacheKeyCompleteness:
 
         base = SimConfig()
         for f in dataclasses.fields(SimConfig):
-            if f.name in SimConfig.CACHE_KEY_EXCLUDE:
-                continue  # covered by the exclusion test below
             if f.name == "timings":
                 changed = base.with_(
                     timings=dataclasses.replace(base.timings, t_rcd=999)
@@ -135,17 +134,15 @@ class TestCacheKeyCompleteness:
                 changed = base.with_(**{f.name: value + 1})
             assert changed.cache_key() != base.cache_key(), f.name
 
-    def test_excluded_fields_do_not_change_the_key(self):
-        # backend is excluded by the parity contract: both engines
-        # produce bit-identical results, so caches are shared freely
-        # across backends (docs/PERFORMANCE.md).
-        base = SimConfig()
-        assert "backend" in SimConfig.CACHE_KEY_EXCLUDE
-        fast = base.with_(backend="fast")
-        assert fast.cache_key() == base.cache_key()
-        assert point_key(workload(), "tcm", fast, 0) == point_key(
-            workload(), "tcm", base, 0
-        )
+    def test_default_keys_are_pinned(self):
+        # content hashes address every store and alone-run cache
+        # entry: a change to these values orphans every existing store
+        assert stable_hash(config_fingerprint(SimConfig())) == \
+            "3e35ae9c46baddabf0a7"
+        assert point_key(
+            Workload(name="w", benchmark_names=("mcf", "gcc")), "tcm",
+            SimConfig(), 0,
+        ) == "218cb51bbd5ed3fef401"
 
     def test_cache_key_is_hashable(self):
         assert hash(SimConfig().cache_key()) == hash(SimConfig().cache_key())

@@ -55,8 +55,8 @@ def sim_configs(max_run_cycles: int = 8_000) -> st.SearchStrategy:
 
     Covers the geometry, CPU-model and feature axes that steer the
     simulator down different code paths — including the ones that
-    decide between the fast backend's bare and observed loops
-    (``detailed`` timings, prefetchers, write modelling).  Run lengths
+    decide between ``System``'s fused and dispatch loops (``detailed``
+    timings, prefetchers, write modelling).  Run lengths
     are kept small: property tests trade cycles per example for
     examples.  ``num_threads`` is deliberately tiny — thread count is
     the workload's axis, and interleaving bugs need only two actors.

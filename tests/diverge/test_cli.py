@@ -17,22 +17,26 @@ def _exit_code(argv):
 
 
 class TestDivergeRun:
-    def test_backends_agree_exit_zero(self, capsys):
-        assert _exit_code(["diverge", "run", *QUICK]) == 0
+    def test_run_agrees_with_its_recording_exit_zero(self, capsys,
+                                                     tmp_path):
+        baseline = tmp_path / "baseline.json"
+        assert _exit_code(
+            ["diverge", "run", *QUICK, "--record", str(baseline)]
+        ) == 0
+        assert _exit_code(
+            ["diverge", "run", *QUICK, "--baseline", str(baseline)]
+        ) == 0
         assert "no divergence" in capsys.readouterr().out
 
     def test_seed_mismatch_exit_two(self, capsys):
         code = _exit_code(
-            ["diverge", "run", *QUICK, "--seed", "11", "--seed-b", "12",
-             "--backend-b", "reference"]
+            ["diverge", "run", *QUICK, "--seed", "11", "--seed-b", "12"]
         )
         assert code == 2
         assert "first divergence" in capsys.readouterr().out
 
     def test_identical_sides_rejected(self):
-        code = _exit_code(
-            ["diverge", "run", *QUICK, "--backend-b", "reference"]
-        )
+        code = _exit_code(["diverge", "run", *QUICK])
         assert code not in (0, 2)
 
     def test_unknown_action_rejected(self):
@@ -46,7 +50,6 @@ class TestDivergeBisect:
         trace = tmp_path / "trace.json"
         code = _exit_code(
             ["diverge", "bisect", *QUICK, "--seed", "11", "--seed-b", "12",
-             "--backend-b", "reference",
              "--json-out", str(report_json),
              "--out", str(report_html),
              "--perfetto", str(trace)]
@@ -81,7 +84,7 @@ class TestDivergeReport:
         path = tmp_path / "report.json"
         _exit_code(
             ["diverge", "bisect", *QUICK, "--seed", "11", "--seed-b", "12",
-             "--backend-b", "reference", "--json-out", str(path)]
+             "--json-out", str(path)]
         )
         return path
 

@@ -17,7 +17,7 @@ from repro.diverge import (
     spec_for_golden_key,
 )
 from repro.config import SimConfig
-from tests.engine.faulty_backend import FaultSpec, faulty_factory
+from tests.diverge.faults import FaultSpec, faulty_factory
 
 CYCLES = 20_000
 CADENCE = 2_000
@@ -26,11 +26,9 @@ SPEC = RunSpec(seed=11, num_threads=4, run_cycles=CYCLES)
 
 
 class TestLockstepCompare:
-    def test_backends_never_diverge(self):
-        fast = RunSpec(seed=11, num_threads=4, run_cycles=CYCLES,
-                       backend="fast")
+    def test_identical_runs_never_diverge(self):
         result = lockstep_compare(
-            SPEC.factory(), fast.factory(), CYCLES, CADENCE
+            SPEC.factory(), SPEC.factory(), CYCLES, CADENCE
         )
         assert not result.diverged
         assert result.checkpoints == CYCLES // CADENCE
@@ -89,7 +87,7 @@ class TestFaultLocalisation:
         fault = FaultSpec(cycle=3_000, kind="bank_row")
 
         def once_faulty():
-            from tests.engine.faulty_backend import install_fault
+            from tests.diverge.faults import install_fault
 
             return install_fault(SPEC.build(), fault)
 
@@ -143,18 +141,12 @@ class TestRecordings:
 
 class TestGoldenBridge:
     def test_spec_round_trips_a_golden_key(self):
-        spec = spec_for_golden_key("mix-50pct-s7/tcm/s11", backend="fast")
+        spec = spec_for_golden_key("mix-50pct-s7/tcm/s11")
         assert spec.scheduler == "tcm"
         assert spec.intensity == 0.5
         assert spec.mix_seed == 7
         assert spec.seed == 11
-        assert spec.backend == "fast"
         spec.build()  # must construct
-
-    def test_backend_tagged_key_accepted(self):
-        spec = spec_for_golden_key("[fast] mix-25pct-s7/atlas/s11")
-        assert spec.scheduler == "atlas"
-        assert spec.intensity == 0.25
 
     def test_garbage_key_rejected(self):
         with pytest.raises(ValueError):

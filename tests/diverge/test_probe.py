@@ -1,9 +1,12 @@
 """StateProbe: canonical snapshots, fingerprints, and the observer seam.
 
-The probe's core promise is *backend independence*: the reference heap
-engine and the vectorised fast engine must produce identical
-fingerprints for every component at every checkpoint — that is what
-makes lockstep comparison across backends meaningful at all.
+The probe's core promise is that state fingerprints depend on the
+simulated state alone, not on the loop that produced it: the dispatch
+loop (``"reference"`` below, forced by a no-op observer) and the fused
+loop (``"fast"``, nothing attached) must produce identical
+fingerprints for every component at every checkpoint.  An attached
+probe is itself an observer, so the fused side is fingerprinted with
+:func:`fingerprint_state` between ``advance`` windows instead.
 """
 
 import json
@@ -13,24 +16,42 @@ import pytest
 from repro.config import SimConfig
 from repro.diverge import COMPONENTS, StateProbe, snapshot_state
 from repro.diverge.probe import fingerprint_state
+from repro.sim.fused import fusable
+from repro.sim.observer import Observer
 from repro.workloads import make_intensity_workload
 
 CYCLES = 6_000
 
 
-def _system(backend="reference", seed=11, scheduler="tcm"):
+def _system(loop="reference", seed=11, scheduler="tcm"):
+    """A system bound for the dispatch loop (``"reference"``) or the
+    fused loop (``"fast"``)."""
     from repro import System, make_scheduler
 
     workload = make_intensity_workload(0.5, num_threads=4, seed=7)
-    config = SimConfig(run_cycles=CYCLES, backend=backend)
-    return System(workload, make_scheduler(scheduler), config, seed=seed)
+    config = SimConfig(run_cycles=CYCLES)
+    observers = [Observer()] if loop == "reference" else ()
+    return System(workload, make_scheduler(scheduler), config, seed=seed,
+                  observers=observers)
 
 
-def _probed(backend="reference", seed=11, scheduler="tcm"):
-    system = _system(backend, seed, scheduler)
+def _probed(loop="reference", seed=11, scheduler="tcm"):
+    system = _system(loop, seed, scheduler)
     probe = StateProbe().attach(system)
     system.start_run()
     return system, probe
+
+
+def _stepped(loop, scheduler="tcm"):
+    """A started system and a function fingerprinting its state; the
+    fused side stays unobserved."""
+    if loop == "reference":
+        system, probe = _probed(scheduler=scheduler)
+        return system, probe.fingerprint
+    system = _system("fast", scheduler=scheduler)
+    system.start_run()
+    assert fusable(system)
+    return system, lambda: fingerprint_state(system)
 
 
 class TestSnapshots:
@@ -74,13 +95,13 @@ class TestSnapshots:
 class TestBackendIndependence:
     @pytest.mark.parametrize("scheduler", ["tcm", "atlas", "frfcfs"])
     def test_reference_and_fast_fingerprints_match(self, scheduler):
-        ref, probe_ref = _probed("reference", scheduler=scheduler)
-        fast, probe_fast = _probed("fast", scheduler=scheduler)
+        ref, ref_fingerprint = _stepped("reference", scheduler)
+        fast, fast_fingerprint = _stepped("fast", scheduler)
         for cycle in range(1_000, CYCLES + 1, 1_000):
             ref.advance(cycle)
             fast.advance(cycle)
-            assert probe_ref.fingerprint() == probe_fast.fingerprint(), (
-                f"{scheduler}: backends disagree at cycle {cycle}"
+            assert ref_fingerprint() == fast_fingerprint(), (
+                f"{scheduler}: the loops disagree at cycle {cycle}"
             )
 
     def test_different_seeds_fingerprint_differently(self):
@@ -95,25 +116,24 @@ class TestSteppingInvariance:
     """``advance(a); advance(b)`` must be bit-identical to
     ``advance(b)`` — the soundness basis of re-execution bisection."""
 
-    @pytest.mark.parametrize("backend", ["reference", "fast"])
-    def test_stepped_equals_one_shot(self, backend):
-        stepped, probe_stepped = _probed(backend)
+    @pytest.mark.parametrize("loop", ["reference", "fast"])
+    def test_stepped_equals_one_shot(self, loop):
+        stepped, stepped_fingerprint = _stepped(loop)
         for cycle in (500, 1_700, 1_701, 4_000, CYCLES):
             stepped.advance(cycle)
-        oneshot, probe_oneshot = _probed(backend)
+        oneshot, oneshot_fingerprint = _stepped(loop)
         oneshot.advance(CYCLES)
-        assert probe_stepped.fingerprint() == probe_oneshot.fingerprint()
+        assert stepped_fingerprint() == oneshot_fingerprint()
 
-    @pytest.mark.parametrize("backend", ["reference", "fast"])
-    def test_stepped_run_result_matches_plain_run(self, backend):
-        stepped = _system(backend)
+    @pytest.mark.parametrize("loop", ["reference", "fast"])
+    def test_stepped_run_result_matches_plain_run(self, loop):
+        stepped = _system(loop)
         stepped.start_run()
         for cycle in (1_000, 2_500, CYCLES):
             stepped.advance(cycle)
         result = stepped.finish_run(CYCLES)
-        plain = _system(backend).run(CYCLES)
-        assert result.total_requests == plain.total_requests
-        assert result.ipcs == plain.ipcs
+        plain = _system(loop).run(CYCLES)
+        assert result == plain
 
     def test_detached_run_unchanged_by_probe_elsewhere(self):
         # a probe on one system must not perturb another bare run

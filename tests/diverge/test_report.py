@@ -33,10 +33,8 @@ def diverged_report():
 
 @pytest.fixture(scope="module")
 def clean_report():
-    fast = RunSpec(seed=11, num_threads=4, run_cycles=CYCLES,
-                   backend="fast")
-    result = lockstep_compare(A.factory(), fast.factory(), CYCLES, CADENCE)
-    return build_report(result, label_a=A.label(), label_b=fast.label())
+    result = lockstep_compare(A.factory(), A.factory(), CYCLES, CADENCE)
+    return build_report(result, label_a=A.label(), label_b=A.label())
 
 
 class TestReportDocument:

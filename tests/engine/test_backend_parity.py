@@ -1,35 +1,32 @@
-"""Cross-backend differential matrix: ``fast`` must equal ``reference``.
+"""Loop parity matrix: the fused loop must equal the dispatch loop.
 
-The fast backend's contract (docs/PERFORMANCE.md, "Backends and the
-parity contract") is *bit-identity*: for any configuration both
-backends must produce equal :class:`~repro.sim.results.RunResult`
-objects — every instruction count, latency sum, float IPC and
-per-quantum timeline entry, not statistical agreement.  This module is
-the contract's enforcement:
+``System.advance`` drains events through one of two loops over the
+same state (docs/PERFORMANCE.md, "One engine, two loops"): the fused
+loop when nothing can observe the run, the method-dispatch loop
+otherwise.  Their contract is *bit-identity*: equal
+:class:`~repro.sim.results.RunResult` objects — every instruction
+count, latency sum, float IPC and per-quantum timeline entry, not
+statistical agreement.  Attaching a no-op
+:class:`~repro.sim.observer.Observer` forces the dispatch loop, so
+each check runs one configuration both ways:
 
 * a **smoke tier** (always on) differencing six scheduler/intensity
-  points plus telemetry counters and span tilings;
+  points plus telemetry counters and sampled runs, and holding the
+  span tiling and explain decision records of an instrumented run
+  (dispatch loop) against the fused loop's books;
 * a **full tier** (``-m slow``) differencing all eight registered
   schedulers across the three golden intensity classes (24 points) and
-  checking the committed golden matrix itself on the fast backend.
-
-Request ids come from a process-global counter, so any check touching
-them (span identity) compares *structure* — lifecycle timestamps and
-cause-tagged intervals — never ``request_id``.
+  checking the committed golden matrix on the dispatch loop.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.engine import HAS_NUMPY
-
-pytestmark = pytest.mark.skipif(
-    not HAS_NUMPY, reason="fast backend requires numpy (repro[fast])"
-)
-
-from repro.config import SimConfig  # noqa: E402
+from repro.config import SimConfig
 from repro.schedulers.registry import SCHEDULERS, make_scheduler
+from repro.sim.fused import fusable
+from repro.sim.observer import Observer
 from repro.sim.system import System
 from repro.telemetry import Telemetry
 from repro.telemetry.registry import MetricsRegistry
@@ -65,42 +62,42 @@ FULL_POINTS = [
 ]
 
 
-def _run(scheduler, intensity, backend, run_cycles, telemetry=None):
-    config = SimConfig(
-        run_cycles=run_cycles,
-        num_threads=GOLDEN_THREADS,
-        backend=backend,
-    )
+def _build(scheduler, intensity, run_cycles, dispatch, telemetry=None):
+    """A system on the fused loop, or with a no-op observer attached
+    (``dispatch``) so that it takes the dispatch loop."""
+    config = SimConfig(run_cycles=run_cycles, num_threads=GOLDEN_THREADS)
     workload = make_intensity_workload(
         intensity, num_threads=GOLDEN_THREADS, seed=GOLDEN_MIX_SEED
     )
-    system = System(
+    return System(
         workload,
         make_scheduler(scheduler),
         config,
         seed=RUN_SEED,
         telemetry=telemetry,
+        observers=[Observer()] if dispatch else (),
     )
-    return system, system.run()
 
 
 def _pair(scheduler, intensity, run_cycles=12_000):
-    ref_sys, ref = _run(scheduler, intensity, "reference", run_cycles)
-    fast_sys, fast = _run(scheduler, intensity, "fast", run_cycles)
-    return ref_sys, ref, fast_sys, fast
+    dispatch_sys = _build(scheduler, intensity, run_cycles, dispatch=True)
+    fused_sys = _build(scheduler, intensity, run_cycles, dispatch=False)
+    assert not fusable(dispatch_sys) and fusable(fused_sys)
+    return dispatch_sys, dispatch_sys.run(), fused_sys, fused_sys.run()
 
 
 @pytest.mark.parametrize("scheduler,intensity", SMOKE_POINTS)
 def test_smoke_parity(scheduler, intensity):
-    """Fast and reference backends agree bit-for-bit (smoke tier)."""
-    ref_sys, ref, fast_sys, fast = _pair(scheduler, intensity)
-    assert ref == fast
-    assert fingerprint_run(ref) == fingerprint_run(fast)
-    # the engines also agree on how much work they did
-    assert ref_sys._seq == fast_sys._seq
-    assert ref_sys.sched_decisions == fast_sys.sched_decisions
-    assert ref_sys._latency_sum == fast_sys._latency_sum
-    assert ref_sys._latency_count == fast_sys._latency_count
+    """The fused and dispatch loops agree bit-for-bit (smoke tier)."""
+    dispatch_sys, dispatch, fused_sys, fused = _pair(scheduler, intensity)
+    assert dispatch == fused
+    assert fingerprint_run(dispatch) == fingerprint_run(fused)
+    # the loops also agree on how much work they did
+    assert dispatch_sys._seq == fused_sys._seq
+    assert dispatch_sys.now == fused_sys.now
+    assert dispatch_sys.sched_decisions == fused_sys.sched_decisions
+    assert dispatch_sys._latency_sum == fused_sys._latency_sum
+    assert dispatch_sys._latency_count == fused_sys._latency_count
 
 
 def test_registry_covered_by_matrix():
@@ -114,143 +111,138 @@ def test_registry_covered_by_matrix():
 @pytest.mark.parametrize("scheduler,intensity", FULL_POINTS)
 def test_full_matrix_parity(scheduler, intensity):
     """All 24 scheduler x intensity points are bit-identical."""
-    _, ref, _, fast = _pair(scheduler, intensity, run_cycles=60_000)
-    assert ref == fast
-    assert fingerprint_run(ref) == fingerprint_run(fast)
+    _, dispatch, _, fused = _pair(scheduler, intensity, run_cycles=60_000)
+    assert dispatch == fused
+    assert fingerprint_run(dispatch) == fingerprint_run(fused)
 
 
 @pytest.mark.slow
 @pytest.mark.validate
-def test_golden_matrix_on_fast_backend():
-    """The committed goldens hold verbatim on the fast backend.
+def test_golden_matrix_on_dispatch_loop(monkeypatch):
+    """The committed goldens hold verbatim on the dispatch loop.
 
-    ``check_goldens(backend="fast")`` recomputes the full golden
-    matrix — golden scale, alone runs included — with every simulation
-    running the fast engine, and diffs it against the fingerprints the
-    reference backend committed.  Zero drift means the two backends
-    are interchangeable at the level CI already trusts for behavioural
-    regressions.
+    Every simulation of the golden matrix — alone runs included, with
+    the alone-run cache cleared — is routed through the dispatch loop
+    and diffed against the committed fingerprints, which the default
+    check reproduces on the fused loop.
     """
+    import repro.sim.system
+    from repro.experiments import runner
     from repro.validate.goldens import check_goldens
 
-    drifts = check_goldens(backend="fast")
+    monkeypatch.setattr(repro.sim.system, "fusable", lambda system: False)
+    runner.clear_alone_cache()
+    try:
+        drifts = check_goldens()
+    finally:
+        runner.clear_alone_cache()
     assert not drifts, "\n".join(str(d) for d in drifts)
 
 
 def test_telemetry_counter_parity():
-    """Metric registries (polled counters) agree across backends."""
+    """Metric registries (polled counters) agree across the loops; a
+    registry alone leaves the run on the fused loop."""
     registries = {}
-    for backend in ("reference", "fast"):
+    for dispatch in (True, False):
         telemetry = Telemetry(registry=MetricsRegistry())
-        system, _ = _run("tcm", 0.75, backend, 12_000, telemetry=telemetry)
-        registries[backend] = system.metrics.snapshot()
-    assert registries["reference"] == registries["fast"]
+        system = _build("tcm", 0.75, 12_000, dispatch, telemetry=telemetry)
+        assert fusable(system) is not dispatch
+        system.run()
+        registries[dispatch] = system.metrics.snapshot()
+    assert registries[True] == registries[False]
 
 
 def test_observed_run_parity():
-    """Sampled/traced runs route through the fast backend's observed
-    path; samples and counters still agree with the reference."""
-    outcomes = {}
-    for backend in ("reference", "fast"):
-        telemetry = Telemetry.in_memory(epoch_cycles=4_000)
-        system, result = _run(
-            "atlas", 0.5, backend, 12_000, telemetry=telemetry
-        )
-        outcomes[backend] = (
-            result,
-            list(telemetry.samples),
-            system.metrics.snapshot(),
-        )
-    ref, fast = outcomes["reference"], outcomes["fast"]
-    assert ref[0] == fast[0]
-    assert ref[1] == fast[1]
-    assert ref[2] == fast[2]
+    """A sampled and traced run takes the dispatch loop; its result and
+    final counters equal the unobserved run's on the fused loop."""
+    telemetry = Telemetry.in_memory(epoch_cycles=4_000)
+    observed = _build("atlas", 0.5, 12_000, dispatch=False,
+                      telemetry=telemetry)
+    assert not fusable(observed)
+    observed_result = observed.run()
+    assert telemetry.samples
+    plain = _build("atlas", 0.5, 12_000, dispatch=False,
+                   telemetry=Telemetry(registry=MetricsRegistry()))
+    assert plain.run() == observed_result
+    assert plain.metrics.snapshot() == observed.metrics.snapshot()
 
 
-def _span_structure(span):
-    """A request span minus its process-global ``request_id``."""
-    return (
-        span.thread_id,
-        span.channel_id,
-        span.bank_id,
-        span.row,
-        span.arrival,
-        span.start_service,
-        span.completion,
-        span.kind,
-        span.is_prefetch,
-        tuple(span.intervals),
-    )
+def _bank_books(system):
+    """Per-bank ``(row hits, row conflicts, closed-row accesses)``."""
+    return {
+        (channel.channel_id, bank.bank_id):
+            (bank.row_hits, bank.row_conflicts, bank.row_closed)
+        for channel in system.channels
+        for bank in channel.banks
+    }
 
 
 def test_span_tiling_parity():
-    """Interference tilings are structurally identical across backends.
+    """Span lifecycles account exactly for the fused loop's books.
 
-    Spans force the observed fast path (the collector hooks the
-    scheduling seams), and carry process-global request ids — so the
-    comparison is structural: same lifecycle timestamps, same
-    cause-tagged wait intervals, same culprits, in the same arrival
-    order.
+    Spans force the dispatch loop (the collector hooks the scheduling
+    seams), so a span-collecting run is held against the same point on
+    the fused loop: equal results, per-thread latency totals equal to
+    the fused loop's latency books, and per-bank grants of each access
+    kind equal to the fused loop's bank counters.
     """
-    spans = {}
-    for backend in ("reference", "fast"):
-        telemetry = Telemetry.observing()
-        _, result = _run("stfm", 0.75, backend, 12_000, telemetry=telemetry)
-        spans[backend] = [
-            _span_structure(span)
-            for span in telemetry.spans.all_spans()
-        ]
-    assert spans["reference"] == spans["fast"]
-    assert len(spans["reference"]) > 100
+    telemetry = Telemetry.observing()
+    spanned = _build("stfm", 0.75, 12_000, dispatch=False,
+                     telemetry=telemetry)
+    fused = _build("stfm", 0.75, 12_000, dispatch=False)
+    assert not fusable(spanned) and fusable(fused)
+    assert spanned.run() == fused.run()
+
+    spans = telemetry.spans.all_spans()
+    assert len(spans) > 100
+    latency = [0] * len(fused.threads)
+    completed = [0] * len(fused.threads)
+    granted = {key: [0, 0, 0] for key in _bank_books(fused)}
+    slot = {"hit": 0, "conflict": 1, "closed": 2}
+    for span in spans:
+        if span.completion is not None:
+            latency[span.thread_id] += span.latency
+            completed[span.thread_id] += 1
+        if span.start_service is not None:
+            granted[(span.channel_id, span.bank_id)][slot[span.kind]] += 1
+    assert latency == fused._latency_sum == telemetry.spans.t_shared
+    assert completed == fused._latency_count
+    assert {key: tuple(books) for key, books in granted.items()} == \
+        _bank_books(fused)
 
 
 def test_decision_record_parity():
-    """Explain decision records are structurally identical across
-    backends.
+    """Explain decision records tally with the fused loop's grants.
 
-    Attaching explain forces the fast engine's observed loop, and both
-    backends dispatch every grant through ``System._try_schedule`` — so
-    the forensics stream (candidate sets, winner keys, margins,
-    tie-break provenance) must match record for record.  Request ids
-    are process-global, so the comparison uses
-    :func:`record_structure`, which strips them.
+    Attaching explain forces the dispatch loop, which records every
+    grant; the same point on the fused loop records none but keeps the
+    counts.  At every smoke point: one record per grant, and per bank
+    the records' grants and row-hit winners equal the fused loop's bank
+    counters.
     """
     from repro.explain import attach_explain
-    from repro.explain.records import record_structure
 
     for scheduler, intensity in SMOKE_POINTS:
-        streams = {}
-        for backend in ("reference", "fast"):
-            config = SimConfig(
-                run_cycles=8_000,
-                num_threads=GOLDEN_THREADS,
-                backend=backend,
-            )
-            workload = make_intensity_workload(
-                intensity, num_threads=GOLDEN_THREADS, seed=GOLDEN_MIX_SEED
-            )
-            system = System(
-                workload, make_scheduler(scheduler), config, seed=RUN_SEED
-            )
-            collector = attach_explain(system, keep_records=None)
-            system.run()
-            streams[backend] = (
-                [record_structure(r) for r in collector.records],
-                dict(collector.decided_by),
-                collector.ties,
-                collector.actual_granted,
-            )
-        ref, fast = streams["reference"], streams["fast"]
-        assert len(ref[0]) > 0, f"{scheduler}: no decisions recorded"
-        assert ref == fast, f"{scheduler}@{intensity}: records diverge"
+        explained = _build(scheduler, intensity, 8_000, dispatch=False)
+        collector = attach_explain(explained, keep_records=None)
+        fused = _build(scheduler, intensity, 8_000, dispatch=False)
+        assert not fusable(explained) and fusable(fused)
+        assert explained.run() == fused.run(), scheduler
 
-
-def test_env_override_selects_fast(monkeypatch):
-    """REPRO_BACKEND overrides the config default at System build."""
-    monkeypatch.setenv("REPRO_BACKEND", "fast")
-    system, fast = _run("fcfs", 0.5, "reference", 6_000)
-    assert system.backend == "fast"
-    monkeypatch.delenv("REPRO_BACKEND")
-    system, ref = _run("fcfs", 0.5, "reference", 6_000)
-    assert system.backend == "reference"
-    assert ref == fast
+        records = list(collector.records)
+        assert records, f"{scheduler}: no decisions recorded"
+        assert len(records) == collector.decisions_total == \
+            fused.sched_decisions == sum(collector.actual_granted)
+        books = _bank_books(fused)
+        grants = dict.fromkeys(books, 0)
+        hits = dict.fromkeys(books, 0)
+        for record in records:
+            key = (record.channel_id, record.bank_id)
+            winner = next(c for c in record.candidates
+                          if c.request_id == record.winner_request_id)
+            grants[key] += 1
+            hits[key] += winner.row_hit
+        assert grants == {key: sum(books[key]) for key in books}, \
+            f"{scheduler}@{intensity}: grants diverge"
+        assert hits == {key: books[key][0] for key in books}, \
+            f"{scheduler}@{intensity}: row hits diverge"

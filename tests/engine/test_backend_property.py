@@ -1,10 +1,16 @@
-"""Property-based parity: random configurations, identical results.
+"""Property-based loop parity: random configurations, identical results.
 
 The example-based matrix (``test_backend_parity``) pins the golden
 axes; this module turns hypothesis loose on the configuration space —
 geometry, window size, page policy, detailed timings, writes,
-prefetchers, phases, seeds — and requires the two backends to agree
-bit-for-bit on every drawn point.  The shared ``sim_configs`` strategy
+prefetchers, phases, seeds — and requires a run left to
+``System.advance``'s choice of loop to equal the same run forced onto
+the dispatch loop (a no-op observer attached), bit for bit, on every
+drawn point.  Points with detailed timings, writes or prefetchers take
+the dispatch loop either way; the rest pit the fused loop against it.
+The test names call the two loops backends: ``fast`` is the fused
+loop, ``reference`` the dispatch loop.
+The shared ``sim_configs`` strategy
 (``tests/conftest.py``) is ordered simplest-first, so a parity break
 shrinks to the smallest system that still exhibits it, which is
 usually a one-line repro.
@@ -20,28 +26,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.schedulers.registry import SCHEDULERS, make_scheduler
-from repro.engine import HAS_NUMPY
+from repro.sim.fused import fusable
+from repro.sim.observer import Observer
 from repro.sim.system import System
 from repro.workloads.mixes import make_intensity_workload
 from tests.conftest import sim_configs
 
-pytestmark = [
-    pytest.mark.property,
-    pytest.mark.skipif(
-        not HAS_NUMPY, reason="fast backend requires numpy (repro[fast])"
-    ),
-]
+pytestmark = pytest.mark.property
 
 
-def _run(config, scheduler, intensity, mix_seed, backend):
+def _run(config, scheduler, intensity, mix_seed, dispatch):
     workload = make_intensity_workload(
         intensity, num_threads=config.num_threads, seed=mix_seed
     )
     system = System(
         workload,
         make_scheduler(scheduler),
-        config.with_(backend=backend),
+        config,
         seed=config.seed,
+        observers=[Observer()] if dispatch else (),
     )
     return system, system.run()
 
@@ -54,21 +57,27 @@ def _run(config, scheduler, intensity, mix_seed, backend):
 )
 @settings(max_examples=60, deadline=None)
 def test_backends_bit_identical(config, scheduler, intensity, mix_seed):
-    """For any drawn configuration, fast == reference exactly."""
-    ref_sys, ref = _run(config, scheduler, intensity, mix_seed, "reference")
-    fast_sys, fast = _run(config, scheduler, intensity, mix_seed, "fast")
-    assert ref == fast
-    assert ref_sys._seq == fast_sys._seq
-    assert ref_sys.sched_decisions == fast_sys.sched_decisions
+    """For any drawn configuration, fused (fast) == dispatch (reference)
+    exactly."""
+    dispatch_sys, dispatch = _run(config, scheduler, intensity, mix_seed,
+                                  dispatch=True)
+    fused_sys, fused = _run(config, scheduler, intensity, mix_seed,
+                            dispatch=False)
+    assert dispatch == fused
+    assert dispatch_sys._seq == fused_sys._seq
+    assert dispatch_sys.sched_decisions == fused_sys.sched_decisions
+    optional = (config.model_writes or config.prefetch_degree > 0
+                or config.timings.detailed)
+    assert fusable(fused_sys) is not optional
 
 
 @given(config=sim_configs(max_run_cycles=4_000))
 @settings(max_examples=20, deadline=None)
 def test_fast_backend_idempotent(config):
-    """Two fast-backend runs of one configuration are identical (the
+    """Two fused-loop runs of one configuration are identical (the
     engine holds no state that leaks across ``System`` instances —
-    buffered RNG blocks, wheel cursors, batch columns are all
-    per-run)."""
-    _, first = _run(config, "tcm", 0.75, 3, "fast")
-    _, second = _run(config, "tcm", 0.75, 3, "fast")
+    buffered RNG blocks are per-stream)."""
+    _, first = _run(config, "tcm", 0.75, 3, dispatch=False)
+    _, second = _run(config, "tcm", 0.75, 3, dispatch=False)
     assert first == second
+

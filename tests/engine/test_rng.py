@@ -1,12 +1,12 @@
-"""Bit-exactness of the fast backend's buffered RNG façade.
+"""Bit-exactness of the CPU model's buffered RNG streams.
 
-:class:`repro.engine.rng.BufferedPCG64` claims to reproduce the exact
-bit stream of scalar ``numpy.random.Generator`` calls while fetching
-raw words in blocks.  These tests hold it to that claim draw by draw:
-any interleaving of ``random()`` / ``integers(n)`` / ``uniform()``
-against a twin generator with the same seed must agree with ``==``
-(no tolerance — the parity contract is bit-identity, and a single
-off-by-one-ulp draw cascades into a fingerprint mismatch).
+:class:`repro.workloads.rng.BufferedPCG64` claims to reproduce the
+exact bit stream of scalar ``numpy.random.Generator`` calls while
+fetching raw words in blocks.  These tests hold it to that claim draw
+by draw: any interleaving of ``random()`` / ``integers(n)`` /
+``uniform()`` against a twin generator with the same seed must agree
+with ``==`` (no tolerance — a single off-by-one-ulp draw cascades into
+a golden fingerprint mismatch).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 np = pytest.importorskip("numpy")
 
-from repro.engine.rng import BLOCK, BufferedPCG64, BufferedUniform  # noqa: E402
+from repro.workloads.rng import BLOCK, FIRST_BLOCK, BufferedPCG64  # noqa: E402
 
 
 def _twins(seed):
@@ -103,12 +103,14 @@ def test_interleaved_patterns_bit_exact(seed, ops):
 
 
 def test_buffered_uniform_matches_scalar_stream():
-    """The vectorised jitter buffer equals sequential scalar calls."""
+    """The issue-gap jitter stream, drawn through the buffer across its
+    growing refills, equals sequential scalar ``uniform`` calls."""
+    from repro.cpu.thread import JITTER
+
     rng = np.random.Generator(np.random.PCG64(17))
-    jitter = BufferedUniform(np.random.Generator(np.random.PCG64(17)),
-                             0.9, 1.1, block=64)
-    for _ in range(5 * 64):
-        assert jitter.next() == rng.uniform(0.9, 1.1)
+    jitter = BufferedPCG64(np.random.Generator(np.random.PCG64(17)))
+    for _ in range(5 * BLOCK):
+        assert jitter.uniform(*JITTER) == rng.uniform(*JITTER)
 
 
 def test_block_size_does_not_change_stream():
@@ -118,3 +120,39 @@ def test_block_size_does_not_change_stream():
                           block=4096)
     for _ in range(1000):
         assert small.random() == large.random()
+
+
+def test_refills_start_small_and_stay_compact():
+    """The first refill fetches a few words; later ones double up to
+    BLOCK, into an 8-byte-per-word array rather than a list."""
+    from array import array
+
+    stream = BufferedPCG64(np.random.Generator(np.random.PCG64(4)))
+    sizes = []
+    for _ in range(4 * BLOCK):
+        refills = stream._i >= stream._n
+        stream.random()
+        if refills:
+            sizes.append(stream._n)
+    assert sizes[0] == FIRST_BLOCK
+    assert all(b == min(2 * a, BLOCK) for a, b in zip(sizes, sizes[1:]))
+    assert sizes[-1] == BLOCK
+    assert isinstance(stream._buf, array) and stream._buf.itemsize == 8
+
+
+def test_peek_does_not_consume():
+    """``peek64`` shows the next raw words, across a refill boundary,
+    and the stream then draws exactly those words; ``peek_uniform``
+    shows them as the draws ``uniform`` would make."""
+    buffered, scalar = _twins(21)
+    buffered.random()
+    scalar.random()
+    twin = np.random.Generator(np.random.PCG64(21))
+    twin.random()
+    assert buffered.peek_uniform(0.9, 1.1, 2 * BLOCK) == \
+        twin.uniform(0.9, 1.1, size=2 * BLOCK).tolist()
+    peeked = buffered.peek64(2 * BLOCK)
+    expected = scalar.integers(0, 1 << 64, size=2 * BLOCK,
+                               dtype=np.uint64).tolist()
+    assert peeked == expected
+    assert [buffered.next64() for _ in range(2 * BLOCK)] == expected

@@ -7,18 +7,24 @@ import pytest
 from repro.config import SimConfig
 from repro.explain import ExplainCollector, attach_explain, explain_run
 from repro.schedulers.registry import make_scheduler
+from repro.sim.fused import fusable
+from repro.sim.observer import Observer
 from repro.sim.system import System
 from repro.workloads import make_intensity_workload
 
 CYCLES = 6_000
 
 
-def _system(backend="reference", num_threads=4, seed=1, **cfg):
+def _system(loop="fast", num_threads=4, seed=1, **cfg):
+    """A system left to the fused loop (``"fast"``) or forced onto the
+    dispatch loop by a no-op observer (``"reference"``)."""
     config = SimConfig(run_cycles=CYCLES, num_threads=num_threads,
-                       quantum_cycles=2_000, backend=backend, **cfg)
+                       quantum_cycles=2_000, **cfg)
     workload = make_intensity_workload(0.75, num_threads=num_threads,
                                        seed=3)
-    return System(workload, make_scheduler("tcm"), config, seed=seed)
+    observers = [Observer()] if loop == "reference" else ()
+    return System(workload, make_scheduler("tcm"), config, seed=seed,
+                  observers=observers)
 
 
 def _fingerprint(result):
@@ -60,21 +66,23 @@ class TestAttach:
 
 
 class TestObserverNeutrality:
-    @pytest.mark.parametrize("backend", ["reference", "fast"])
-    def test_results_bit_identical(self, backend):
-        """Attached (with a shadow) vs detached: same results."""
-        plain = _system(backend).run()
-        observed_system = _system(backend)
+    @pytest.mark.parametrize("loop", ["reference", "fast"])
+    def test_results_bit_identical(self, loop):
+        """Attached (with a shadow) vs detached on either loop: same
+        results."""
+        plain = _system(loop).run()
+        observed_system = _system("fast")
         attach_explain(observed_system, shadows=("frfcfs",))
         observed = observed_system.run()
         assert _fingerprint(observed) == _fingerprint(plain)
 
-    def test_explain_forces_the_observed_fast_loop(self):
+    def test_explain_forces_the_dispatch_loop(self):
         system = _system("fast")
         collector = attach_explain(system)
+        assert not fusable(system)
         system.run()
-        # the bare loop never dispatches grants through the explain
-        # seam; a populated collector proves the observed loop ran
+        # the fused loop never dispatches grants through the explain
+        # seam; a populated collector proves the dispatch loop ran
         assert collector.decisions_total == system.sched_decisions
         assert collector.decisions_total > 0
 

@@ -212,7 +212,7 @@ class TestMarginOf:
 class TestRecordStructure:
     def test_structure_ignores_request_ids(self):
         """Two runs in one process allocate different global request
-        ids for the same simulated requests; the backend-comparable
+        ids for the same simulated requests; the run-comparable
         structure must not see them."""
         _, first = _explained()
         _, second = _explained()

@@ -1,0 +1,100 @@
+"""When ``System.advance`` may take the fused loop (``fusable``).
+
+The fused loop inlines the CPU model, address stream, DRAM timing and
+monitor, so anything that could observe or replace one of those calls
+must route the run through the dispatch loop instead: a tracer,
+sampler or observer, the optional subsystems the fused loop does not
+implement, a component subclass, or a per-instance method wrapper.
+"""
+
+import pytest
+
+from repro.config import DramTimings, SimConfig
+from repro.dram.bank import Bank
+from repro.schedulers.registry import make_scheduler
+from repro.sim.fused import fusable
+from repro.sim.system import System
+from repro.telemetry import EpochSampler, MemorySink, Telemetry, Tracer
+from repro.workloads import make_intensity_workload
+
+CYCLES = 8_000
+
+
+def _system(telemetry=None, **cfg):
+    config = SimConfig(run_cycles=CYCLES, num_threads=4, **cfg)
+    workload = make_intensity_workload(0.75, num_threads=4, seed=3)
+    return System(workload, make_scheduler("tcm"), config, seed=5,
+                  telemetry=telemetry)
+
+
+def test_a_plain_run_is_fusable():
+    assert fusable(_system())
+
+
+@pytest.mark.parametrize("cfg", [
+    {"model_writes": True},
+    {"prefetch_degree": 2},
+    {"timings": DramTimings(detailed=True)},
+], ids=["writes", "prefetch", "detailed"])
+def test_optional_subsystems_need_the_dispatch_loop(cfg):
+    assert not fusable(_system(**cfg))
+
+
+@pytest.mark.parametrize("telemetry", [
+    lambda: Telemetry(sampler=EpochSampler(2_000)),
+    lambda: Telemetry(tracer=Tracer([MemorySink()])),
+], ids=["sampler", "tracer"])
+def test_telemetry_streams_need_the_dispatch_loop(telemetry):
+    assert not fusable(_system(telemetry=telemetry()))
+
+
+#: (label, component of a system, one of its methods the fused loop
+#: inlines or calls)
+SEAMS = [
+    ("system", lambda s: s, "_try_schedule"),
+    ("scheduler", lambda s: s.scheduler, "on_request_complete"),
+    ("monitor", lambda s: s.monitor, "on_request_arrival"),
+    ("thread", lambda s: s.threads[0], "issue_gap"),
+    ("address stream", lambda s: s.threads[1]._addr, "next_location"),
+    ("thread stats", lambda s: s.threads[2].stats, "retire"),
+    ("channel", lambda s: s.channels[0], "start_service"),
+    ("bank", lambda s: s.channels[1].banks[2], "begin_access"),
+]
+
+
+@pytest.mark.parametrize("label, component, method", SEAMS,
+                         ids=[seam[0] for seam in SEAMS])
+def test_a_per_instance_wrapper_intercepts(label, component, method):
+    """A wrapper on any seam keeps the run on the dispatch loop, so it
+    sees its calls, and the run still equals the plain one."""
+    system = _system()
+    target = component(system)
+    original = getattr(target, method)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    setattr(target, method, wrapper)
+    assert not fusable(system)
+    assert system.run() == _system().run()
+    assert calls, f"{label}.{method} was never called"
+
+
+def test_a_component_subclass_needs_the_dispatch_loop():
+    class CountingBank(Bank):
+        accesses = 0
+
+        def begin_access(self, *args, **kwargs):
+            CountingBank.accesses += 1
+            return super().begin_access(*args, **kwargs)
+
+    system = _system()
+    old = system.channels[1].banks[0]
+    system.channels[1].banks[0] = CountingBank(
+        old.channel_id, old.bank_id, old.timings
+    )
+    assert not fusable(system)
+    assert system.run() == _system().run()
+    assert CountingBank.accesses > 0

@@ -6,16 +6,18 @@ state probe stepped through checkpoints, and a trace recorder — reduced
 to one digest per instrument output.  ``tests/goldens/
 observer_digests.json`` holds the digests, recorded before the
 instruments moved onto :mod:`repro.sim.observer`; the test reproduces
-them on both engine backends, so any change to when or with what an
-observer hook fires shows up as drift in the instrument whose output
-it changed.  Request ids are a process-global counter, so every digest
-is taken over id-free structures.  Re-record (only when an output
-change is intended) with::
+them (observed runs take ``System``'s dispatch loop), so any change to
+when or with what an observer hook fires shows up as drift in the
+instrument whose output it changed.  Request ids are a process-global
+counter, so every digest is taken over id-free structures.  Re-record
+(only when an output change is intended) with::
 
     PYTHONPATH=src python -m tests.sim.test_observers
 
 **Hook order.**  A recording observer and a recording policy share one
-log, pinning the documented position of every hook.
+log, pinning the documented position of every hook; without the
+observer, the fused loop must call the policy's hooks in the same
+order.
 
 **Attach rules.**  Every instrument refuses to attach to a started run.
 """
@@ -31,13 +33,13 @@ import pytest
 from repro.config import SimConfig
 from repro.diverge import StateProbe
 from repro.diverge.probe import snapshot_events
-from repro.engine.fast import bare_eligible
 from repro.explain import attach_explain
 from repro.explain.records import record_structure
 from repro.obs import attach_spans
 from repro.prof import attach_profiler
 from repro.schedulers.frfcfs import FRFCFSScheduler
 from repro.schedulers.registry import SCHEDULERS, make_scheduler
+from repro.sim.fused import fusable
 from repro.sim.observer import Observer
 from repro.sim.system import _EV_DONE, System
 from repro.telemetry import Telemetry
@@ -74,11 +76,11 @@ def _span_structure(collector) -> dict:
     }
 
 
-def observed_digests(scheduler: str, backend: str = "reference") -> dict:
+def observed_digests(scheduler: str) -> dict:
     """Digests of every instrument's output on one observed run."""
     config = SimConfig(
         run_cycles=CYCLES, num_threads=4, quantum_cycles=5_000,
-        model_writes=True, prefetch_degree=2, backend=backend,
+        model_writes=True, prefetch_degree=2,
     )
     workload = make_intensity_workload(0.75, num_threads=4, seed=3)
     telemetry = Telemetry.observing(epoch_cycles=5_000)
@@ -119,11 +121,10 @@ def observed_digests(scheduler: str, backend: str = "reference") -> dict:
     return digests
 
 
-@pytest.mark.parametrize("backend", ["reference", "fast"])
 @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
-def test_observer_outputs_match_the_recording(scheduler, backend):
+def test_observer_outputs_match_the_recording(scheduler):
     expected = json.loads(FIXTURE.read_text())[scheduler]
-    assert observed_digests(scheduler, backend) == expected
+    assert observed_digests(scheduler) == expected
 
 
 # ----------------------------------------------------------------------
@@ -205,16 +206,48 @@ class LoggingObserver(Observer):
         self.log.append(("obs", "timer", now))
 
 
-@pytest.mark.parametrize("backend", ["reference", "fast"])
-def test_hooks_fire_at_their_documented_positions(backend):
+def _logged_run(observed: bool):
+    """A run of the logging policy, with the logging observer attached
+    when ``observed``; returns (system, observer, shared log)."""
     log = []
+    observer = LoggingObserver(log) if observed else None
     config = SimConfig(run_cycles=20_000, num_threads=4,
-                       quantum_cycles=5_000, backend=backend)
+                       quantum_cycles=5_000)
     workload = make_intensity_workload(0.75, num_threads=4, seed=3)
-    observer = LoggingObserver(log)
     system = System(workload, LoggingPolicy(log), config, seed=5,
-                    observers=[observer])
+                    observers=[observer] if observed else [])
+    return system, observer, log
+
+
+_TIMED_HOOKS = ("quantum", "timer")
+
+
+def _policy_entries(log):
+    """The policy's log entries with request ids made run-relative
+    (ids come from a process-global counter)."""
+    entries = [entry for entry in log if entry[0] == "policy"]
+    ids = [entry[2] for entry in entries if entry[1] not in _TIMED_HOOKS]
+    base = min(ids, default=0)
+    return [
+        entry if entry[1] in _TIMED_HOOKS
+        else (entry[0], entry[1], entry[2] - base)
+        for entry in entries
+    ]
+
+
+@pytest.mark.parametrize("loop", ["reference", "fast"])
+def test_hooks_fire_at_their_documented_positions(loop):
+    """Observer hooks on the dispatch loop (``"reference"``) sit at
+    their documented positions; the fused loop (``"fast"``, no
+    observer) calls the policy's hooks in the same order."""
+    system, observer, log = _logged_run(observed=True)
     system.run()
+    if loop == "fast":
+        plain, _, plain_log = _logged_run(observed=False)
+        assert fusable(plain)
+        plain.run()
+        assert _policy_entries(plain_log) == _policy_entries(log)
+        return
     assert observer.violations == []
     assert log[0][:2] == ("obs", "begin") and log[-1] == ("obs", "end",
                                                           20_000)
@@ -258,14 +291,15 @@ def test_only_overridden_hooks_are_called_and_wrappers_intercept():
 
 
 def test_bare_loop_needs_no_observer_and_admits_stfm():
+    """The bare run takes the fused loop; an observer forces dispatch."""
     def build(**kwargs):
         return System(make_intensity_workload(0.75, num_threads=4, seed=3),
                       make_scheduler("stfm"),
-                      SimConfig(run_cycles=5_000, num_threads=4,
-                                backend="fast"), seed=5, **kwargs)
+                      SimConfig(run_cycles=5_000, num_threads=4), seed=5,
+                      **kwargs)
 
-    assert bare_eligible(build())
-    assert not bare_eligible(build(observers=[Observer()]))
+    assert fusable(build())
+    assert not fusable(build(observers=[Observer()]))
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,8 @@ import pytest
 from repro.config import SimConfig
 from repro.schedulers import make_scheduler
 from repro.sim import System
+from repro.sim.fused import fusable
+from repro.sim.observer import Observer
 from repro.trace import (
     TraceEvent,
     TraceRecorder,
@@ -129,6 +131,24 @@ class TestReplay:
         assert result.threads[0].misses == pytest.approx(
             original.threads[0].misses, rel=0.15
         )
+
+    def test_replayed_run_is_the_same_plain_and_observed(self, tmp_path):
+        """Replay threads override the CPU model, so a replayed system
+        must stay off the fused loop: nothing attached, it simulates
+        the traces exactly as it does with a no-op observer."""
+        recorder = TraceRecorder()
+        four = Workload(name="four", benchmark_names=(
+            "mcf", "libquantum", "gcc", "povray"))
+        System(four, make_scheduler("frfcfs"), CFG, seed=0,
+               observers=[recorder]).run()
+        saved = recorder.save_all(tmp_path)
+        paths = [saved[tid] for tid in range(4)]
+        config = SimConfig(run_cycles=60_000)
+        plain = replay_workload(paths, make_scheduler("frfcfs"), config)
+        assert not fusable(plain)
+        observed = replay_workload(paths, make_scheduler("frfcfs"), config)
+        observed.attach(Observer())
+        assert plain.run() == observed.run()
 
     def test_replay_addresses_match_trace(self, tmp_path):
         paths = self._record(tmp_path)

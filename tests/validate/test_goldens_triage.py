@@ -1,5 +1,6 @@
 """Failure triage for ``validate goldens``: mismatch table, distinct
-exit codes, and the forensics hand-off to :mod:`repro.diverge`."""
+exit codes, and the forensics hand-off to :mod:`repro.diverge`'s
+recorded checkpoints."""
 
 import json
 
@@ -28,16 +29,11 @@ pytestmark = pytest.mark.validate
 class TestKeyParsing:
     def test_plain_key(self):
         assert parse_golden_key("mix-50pct-s7/tcm/s11") == (
-            "", "mix-50pct-s7", "tcm", "11"
-        )
-
-    def test_backend_tagged_key(self):
-        assert parse_golden_key("[fast] mix-25pct-s7/atlas/s11") == (
-            "fast", "mix-25pct-s7", "atlas", "11"
+            "mix-50pct-s7", "tcm", "11"
         )
 
     def test_unparseable_key_degrades(self):
-        backend, mix, scheduler, seed = parse_golden_key("garbage")
+        mix, scheduler, seed = parse_golden_key("garbage")
         assert (scheduler, seed) == ("", "")
 
 
@@ -68,14 +64,9 @@ class TestMismatchTable:
     def test_rows_name_point_and_values(self):
         rows = drift_point_rows([VALUE_DRIFT, NEW_ENTRY])
         assert rows[0] == [
-            "-", "mix-50pct-s7", "tcm", "11", "threads[3].ipc",
-            "0.5", "0.6",
+            "mix-50pct-s7", "tcm", "11", "threads[3].ipc", "0.5", "0.6",
         ]
-        assert rows[1][4] == "<entry>"
-
-    def test_backend_column_filled_for_both_checks(self):
-        tagged = Drift("[fast] mix-50pct-s7/tcm/s11", "ipc", 1, 2)
-        assert drift_point_rows([tagged])[0][0] == "fast"
+        assert rows[1][3] == "<entry>"
 
 
 class TestForensicsHook:
@@ -94,7 +85,7 @@ class TestForensicsHook:
                                                  monkeypatch):
         captured = {}
 
-        def fake_spec(key, backend="reference"):
+        def fake_spec(key):
             captured.setdefault("keys", []).append(key)
             raise ValueError("stop here")
 
@@ -105,3 +96,28 @@ class TestForensicsHook:
         )
         _goldens_forensics([NEW_ENTRY, VALUE_DRIFT], tmp_path)
         assert captured["keys"] == [VALUE_DRIFT.key]
+
+    def test_replays_the_point_against_its_recording(self, capsys,
+                                                     tmp_path):
+        _goldens_forensics([VALUE_DRIFT], tmp_path)
+        out = capsys.readouterr().out
+        assert "every recorded checkpoint matches" in out
+        report = json.loads((tmp_path / "diverge_report.json").read_text())
+        assert report["diverged"] is False
+
+    def test_reports_first_divergent_checkpoint_and_component(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import repro.validate
+
+        recordings = repro.validate.load_golden_checkpoints()
+        recording = recordings[VALUE_DRIFT.key]
+        recording["checkpoints"]["100000"]["monitor"] = "0" * 16
+        monkeypatch.setattr(repro.validate, "load_golden_checkpoints",
+                            lambda: recordings)
+        _goldens_forensics([VALUE_DRIFT], tmp_path)
+        assert "first divergence at window (50000, 100000]: monitor " \
+            "differ" in capsys.readouterr().out
+        report = json.loads((tmp_path / "diverge_report.json").read_text())
+        assert report["divergence"]["cycle"] == 100_000
+        assert report["divergence"]["components"] == ["monitor"]
