@@ -122,7 +122,7 @@ def test_probe_detached_overhead_vs_baseline(benchmark):
 def test_probe_attached_cost_is_recorded(benchmark):
     """Record per-quantum checkpointing cost (informational).
 
-    Attached runs route through the dispatch loop and hash the full
+    Attached runs keep event and grant rings and hash the full
     canonical state at every checkpoint; no strict budget — the probe
     is a forensic tool, not an always-on path — but the ratio lands in
     the benchmark artifact and ``BENCH_history.json`` so a pathological

@@ -119,10 +119,10 @@ def test_explain_detached_overhead_vs_baseline(benchmark):
 def test_explain_attached_cost_is_bounded(benchmark):
     """One shadow + per-grant forensics must stay within 2x detached.
 
-    Attached runs route through the dispatch loop, score every queued
-    candidate at every grant and drive a full shadow scheduler, so the
-    cost is real — but it must stay proportionate (the collector is a
-    forensic tool that still has to be usable on full-length runs).
+    Attached runs score every queued candidate at every grant and
+    drive a full shadow scheduler, so the cost is real — but it must
+    stay proportionate (the collector is a forensic tool that still
+    has to be usable on full-length runs).
     """
 
     # interleaved best-of-5: alternating off/on pairs keeps a slow

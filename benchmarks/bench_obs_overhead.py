@@ -129,21 +129,28 @@ def test_full_span_overhead_is_bounded(benchmark):
     """Record the cost of full span collection (informational).
 
     Full spans are an opt-in analysis mode; no strict budget, but the
-    ratio lands in the benchmark artifact so a pathological regression
-    (e.g. accidental O(queue²) work per grant) is visible.
+    ratio lands in the benchmark artifact and, as the
+    ``obs_attached[tcm]`` record, in the benchmark history, so a
+    pathological regression (e.g. accidental O(queue²) work per grant)
+    is visible.
     """
     def timed(factory):
-        best = float("inf")
+        timings = []
         for _ in range(3):
             system = factory()
             t0 = time.perf_counter()
             system.run()
-            best = min(best, time.perf_counter() - t0)
-        return best
+            timings.append(time.perf_counter() - t0)
+        return timings
 
-    off = timed(_system)
-    on = timed(lambda: _system(Telemetry(spans=SpanCollector())))
-    benchmark.extra_info["spans_full_vs_off"] = on / off
+    off = min(timed(_system))
+    on_timings = timed(lambda: _system(Telemetry(spans=SpanCollector())))
+    ratio = min(on_timings) / off
+    benchmark.extra_info["spans_full_vs_off"] = ratio
+    record_history(
+        "obs_attached[tcm]", "obs_overhead", on_timings,
+        spans_full_vs_off=ratio,
+    )
     benchmark.pedantic(
         lambda: _system(Telemetry(spans=SpanCollector())).run(),
         rounds=1, iterations=1,

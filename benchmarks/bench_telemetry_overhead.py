@@ -142,3 +142,31 @@ def test_disabled_overhead_vs_baseline(benchmark):
             f"telemetry-disabled sim is {ratio:.3f}x the pre-PR "
             f"baseline (limit {STRICT_TOLERANCE}x)"
         )
+
+
+def test_tracing_overhead_is_recorded(benchmark):
+    """Record the cost of in-memory tracing and epoch sampling
+    (informational, no budget) as the ``telemetry_attached[tcm]``
+    history record: interleaved best of 5, attached over detached.
+    """
+    off_timings = []
+    on_timings = []
+    for _ in range(5):
+        system = _system()
+        t0 = time.perf_counter()
+        system.run()
+        off_timings.append(time.perf_counter() - t0)
+        system = _system(Telemetry.in_memory(validate=False))
+        t0 = time.perf_counter()
+        system.run()
+        on_timings.append(time.perf_counter() - t0)
+    ratio = min(on_timings) / min(off_timings)
+    benchmark.extra_info["telemetry_attached_vs_off"] = ratio
+    record_history(
+        "telemetry_attached[tcm]", "telemetry_overhead", on_timings,
+        telemetry_attached_vs_off=ratio,
+    )
+    benchmark.pedantic(
+        lambda: _system(Telemetry.in_memory(validate=False)).run(),
+        rounds=1, iterations=1,
+    )

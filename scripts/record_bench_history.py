@@ -2,9 +2,9 @@
 
 Runs every bench that calls ``record_history`` (engine speed across
 the full scheduler registry; telemetry, obs, explain and diverge
-overhead) with recording enabled and appends one
-``repro.prof.history`` v1 record per bench to the target history
-file:
+overhead, each detached and attached) with recording enabled and
+appends one ``repro.prof.history`` v1 record per bench to the target
+history file:
 
     PYTHONPATH=src python scripts/record_bench_history.py              # repo root BENCH_history.json
     PYTHONPATH=src python scripts/record_bench_history.py --out p.json # elsewhere (CI artifact)

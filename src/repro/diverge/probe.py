@@ -38,8 +38,10 @@ ints, floats, strings, None), so they hash canonically, diff with
 :func:`repro.validate.fingerprint.compare_fingerprints`, and survive a
 JSON round trip unchanged.
 
-The probe is a run observer (:mod:`repro.sim.observer`); like any
-observer it routes the run through ``System``'s dispatch loop.
+The probe is a run observer (:mod:`repro.sim.observer`) and runs on
+either of ``System``'s event loops.  Its rings keep plain tuples per
+event and grant; :meth:`StateProbe.rings` turns them into the JSON
+lists and dicts of the forensic report.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from hashlib import blake2b
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -85,23 +88,31 @@ def _jsonify(value):
     return value
 
 
+#: A request's identity and lifecycle state, minus ``request_id`` (a
+#: process-global counter, meaningless across separate runs).
+_request_state = attrgetter(
+    "thread_id", "channel_id", "bank_id", "row", "arrival", "episode_id",
+    "is_write", "is_prefetch", "marked", "start_service", "completion",
+    "interference",
+)
+
+
+def _state_digest(state: tuple) -> list:
+    """The JSON digest of one :data:`_request_state` tuple."""
+    (tid, channel, bank, row, arrival, episode, is_write, is_prefetch,
+     marked, start_service, completion, interference) = state
+    return [tid, channel, bank, row, arrival, episode, int(is_write),
+            int(is_prefetch), int(marked), start_service, completion,
+            interference]
+
+
 def _request_digest(request: MemoryRequest) -> list:
-    """A request's identity and lifecycle state, minus ``request_id``
-    (a process-global counter, meaningless across separate runs)."""
-    return [
-        request.thread_id,
-        request.channel_id,
-        request.bank_id,
-        request.row,
-        request.arrival,
-        request.episode_id,
-        int(request.is_write),
-        int(request.is_prefetch),
-        int(request.marked),
-        request.start_service,
-        request.completion,
-        request.interference,
-    ]
+    """A request's identity and lifecycle state as a JSON list."""
+    return _state_digest(_request_state(request))
+
+
+def _kind_name(kind: int) -> str:
+    return _EVENT_KINDS[kind] if kind < len(_EVENT_KINDS) else str(kind)
 
 
 def _event_entry(time: int, kind: int, payload, aux: int) -> list:
@@ -109,8 +120,7 @@ def _event_entry(time: int, kind: int, payload, aux: int) -> list:
     immediately (they mutate as the run proceeds)."""
     if isinstance(payload, MemoryRequest):
         payload = _request_digest(payload)
-    name = _EVENT_KINDS[kind] if kind < len(_EVENT_KINDS) else str(kind)
-    return [time, name, payload, aux]
+    return [time, _kind_name(kind), payload, aux]
 
 
 # ----------------------------------------------------------------------
@@ -364,10 +374,11 @@ class StateProbe(Observer):
 
     Once attached, the event loops feed the probe every dispatched event
     (:meth:`on_event`) and every grant (:meth:`on_grant`), which it
-    keeps in bounded ring buffers for the forensic report.  Fingerprints
-    and snapshots are computed only when asked (between
-    :meth:`~repro.sim.system.System.advance` windows), so probe overhead
-    scales with checkpoint cadence, not event rate.
+    keeps in bounded ring buffers of plain tuples for the forensic
+    report (:meth:`rings`).  Fingerprints and snapshots are computed
+    only when asked (between :meth:`~repro.sim.system.System.advance`
+    windows), so probe overhead scales with checkpoint cadence, not
+    event rate.
     """
 
     name = "probe"
@@ -406,23 +417,22 @@ class StateProbe(Observer):
     # -- observer hooks --------------------------------------------------
 
     def on_event(self, time: int, kind: int, payload, aux: int) -> None:
-        self.events.append(_event_entry(time, kind, payload, aux))
+        # a request payload is captured now: the request mutates later
+        if isinstance(payload, MemoryRequest):
+            self.events.append(
+                (time, kind, None, aux, _request_state(payload))
+            )
+        else:
+            self.events.append((time, kind, payload, aux, None))
 
     def on_grant(self, request, waiting, access, completion: int,
                  now: int) -> None:
-        self.decisions.append({
-            "cycle": now,
-            "ch": request.channel_id,
-            "bank": request.bank_id,
-            "tid": request.thread_id,
-            "row": request.row,
-            "arrival": request.arrival,
-            # the queue length select chose from, winner included
-            "queued": len(waiting) + 1,
-            "kind": access.kind,
-            "row_hit": bool(access.is_row_hit),
-            "data_end": access.data_end,
-        })
+        # the queue length select chose from, winner included
+        self.decisions.append((
+            now, request.channel_id, request.bank_id, request.thread_id,
+            request.row, request.arrival, len(waiting) + 1, access.kind,
+            access.data_end,
+        ))
 
     # -- checkpoints -----------------------------------------------------
 
@@ -433,7 +443,21 @@ class StateProbe(Observer):
         return fingerprint_state(self.system, self.components)
 
     def rings(self) -> dict:
+        """The latest events and grants, oldest first, as JSON."""
         return {
-            "events": list(self.events),
-            "decisions": list(self.decisions),
+            "events": [
+                [time, _kind_name(kind),
+                 payload if state is None else _state_digest(state), aux]
+                for time, kind, payload, aux, state in self.events
+            ],
+            "decisions": [
+                {
+                    "cycle": now, "ch": channel, "bank": bank,
+                    "tid": tid, "row": row, "arrival": arrival,
+                    "queued": queued, "kind": kind,
+                    "row_hit": kind == "hit", "data_end": data_end,
+                }
+                for (now, channel, bank, tid, row, arrival, queued, kind,
+                     data_end) in self.decisions
+            ],
         }

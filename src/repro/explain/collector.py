@@ -7,8 +7,11 @@ collector:
 
 * captures a :class:`~repro.explain.records.DecisionRecord` for every
   grant (candidate set, per-candidate priority decomposition, winner
-  margin, tie-break provenance) — at the ``on_decision`` hook inside
-  ``System._try_schedule``;
+  margin, tie-break provenance) — at the ``on_decision`` hook, which
+  both event loops fire after ``select`` while the queue is intact.
+  The ring keeps each grant as a raw tuple (the candidate requests and
+  their priority tuples); :attr:`~ExplainCollector.records` and
+  :attr:`~ExplainCollector.last_record` build the records on read;
 * drives any number of :class:`~repro.explain.shadow.ShadowPolicy`
   instances through the same arrivals / grants / completions / quantum
   snapshots / timer ticks, asking each at every grant which request it
@@ -22,8 +25,8 @@ collector:
 
 from __future__ import annotations
 
-import math
 from collections import Counter, deque
+from math import floor, log2
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.explain.records import (
@@ -36,6 +39,7 @@ from repro.explain.records import (
     margin_of,
 )
 from repro.explain.shadow import ShadowPolicy, make_shadow
+from repro.schedulers.base import Scheduler
 from repro.sim.observer import Observer, find_observer
 
 #: Default pending-age (cycles) beyond which a thread counts as starving.
@@ -59,12 +63,21 @@ def _component_names(scheduler, width: int) -> Tuple[str, ...]:
     return tuple(f"slot{i}" for i in range(width))
 
 
+def _relays(shadows, hook: str) -> List:
+    """The shadows' bound ``hook`` methods, where a shadow's policy
+    overrides the base scheduler's no-op."""
+    return [
+        getattr(shadow.scheduler, hook) for shadow in shadows
+        if getattr(type(shadow.scheduler), hook) is not getattr(Scheduler, hook)
+    ]
+
+
 def _bucket(delta: float) -> int:
-    """Power-of-two histogram bucket for a positive margin delta."""
-    if delta <= 0:
-        return -1
-    return max(0, int(math.floor(math.log2(delta))) + 1) if delta < 1 \
-        else int(math.floor(math.log2(delta))) + 1
+    """Power-of-two histogram bucket for a positive margin delta:
+    ``floor(log2(delta)) + 1`` from 1 up, 0 below 1, -1 for none."""
+    if delta >= 1:
+        return floor(log2(delta)) + 1
+    return 0 if delta > 0 else -1
 
 
 class ExplainCollector(Observer):
@@ -88,9 +101,13 @@ class ExplainCollector(Observer):
         self._shadow_complete: List = []
         self.labels: List[str] = []
         self.decisions_total = 0
-        self.last_record: Optional[DecisionRecord] = None
-        self.records = deque(maxlen=keep_records) \
+        # the kept grants, oldest first: raw tuples (see on_decision)
+        # until a read turns them into DecisionRecords in place
+        self._ring = deque(maxlen=keep_records) \
             if keep_records is not None else []
+        self._last = None
+        self._scheduler = None
+        self._tracer = None
         # aggregates (sized at attach)
         self.disagree: List[List[int]] = []
         self.actual_granted: List[int] = []
@@ -101,15 +118,16 @@ class ExplainCollector(Observer):
         # starvation watch
         self.starvation_events: List[dict] = []
         self.max_pending_age: List[int] = []
+        # per thread, the requests in arrival order; granted ones leave
+        # from the front at each scan
         self._pending: List[deque] = []
-        self._granted_ids: set = set()
         self._starving: List[bool] = []
-        self._starvation_checked_at = -1
         # the scan runs at most once per stride of cycles: crossings are
         # detected within ~0.4% of the threshold, not per grant
         self._starvation_stride = max(1, starvation_threshold // 256)
+        self._starvation_due = self._starvation_stride - 1
         # candidate component names, cached per priority-tuple length
-        self._prio_names: Optional[Tuple[str, ...]] = None
+        self._prio_names: Dict[int, Tuple[str, ...]] = {}
         # cluster-flip timeline
         self.cluster_source: Optional[str] = None
         self.cluster_timeline: List[dict] = []
@@ -130,18 +148,19 @@ class ExplainCollector(Observer):
             make_shadow(system, spec, index)
             for index, spec in enumerate(self._shadow_specs)
         ]
-        # bound lifecycle hooks, hoisted once: the relay loops below run
-        # per arrival / grant / completion
-        self._shadow_arrival = [
-            s.scheduler.on_request_arrival for s in self.shadows
-        ]
-        self._shadow_scheduled = [
-            s.scheduler.on_request_scheduled for s in self.shadows
-        ]
-        self._shadow_complete = [
-            s.scheduler.on_request_complete for s in self.shadows
-        ]
-        self.labels = [system.scheduler.name] + [
+        # the shadows' lifecycle hooks, bound once and only where a
+        # policy overrides the base no-op
+        self._shadow_arrival = _relays(self.shadows, "on_request_arrival")
+        self._shadow_scheduled = _relays(self.shadows,
+                                         "on_request_scheduled")
+        self._shadow_complete = _relays(self.shadows, "on_request_complete")
+        scheduler = self._scheduler = system.scheduler
+        self._tracer = system._tracer
+        # on_complete only relays, so with nothing to relay it is
+        # switched off
+        if not self._shadow_complete:
+            self.on_complete = None
+        self.labels = [scheduler.name] + [
             s.label for s in self.shadows
         ]
         k = len(self.labels)
@@ -165,71 +184,64 @@ class ExplainCollector(Observer):
     def on_arrival(self, request, now: int) -> None:
         for hook in self._shadow_arrival:
             hook(request, now)
-        self._pending[request.thread_id].append(
-            (request.request_id, request.arrival)
-        )
+        self._pending[request.thread_id].append(request)
 
     def on_decision(self, channel, bank_id: int, winner, now: int) -> None:
-        """Capture the decision; queue still holds the winner."""
+        """Score the candidates, relay to the shadows, ring a raw tuple.
+
+        The queue still holds the winner.  The ring keeps the candidate
+        requests themselves — their ids, thread, arrival, row and class
+        never change — with their keys (the demand class bit + the
+        priority tuple, as ``select`` compares them) and the open row of
+        this instant, which is everything a record is built from:
+        ``(now, winner, open_row, key)`` for an only candidate, else
+        ``(now, winner, open_row, candidates, keys, component, delta,
+        runner_up, picks, tied)``.  Richer per-policy detail (ATLAS
+        attained service, STFM slowdown, TCM cluster) stays available
+        through ``scheduler.explain_components`` — ``priority`` is
+        pure, so re-deriving is exact.
+        """
         queue = channel.queues[bank_id]
         open_row = channel.banks[bank_id].open_row
-        scheduler = self.system.scheduler
-        priority = scheduler.priority
-        names = self._prio_names
-        candidates = []
-        append = candidates.append
-        winner_key = None
-        best_key = None     # runner-up: maximal key among non-winners
-        best_req = None
-        # Per-candidate cost is the hot part of the attached budget:
-        # records carry the key plus the slot-name vocabulary (the
-        # components dict is a lazy property).  Richer per-policy
-        # detail (ATLAS attained service, STFM slowdown, TCM cluster)
-        # stays available through ``scheduler.explain_components`` —
-        # ``priority`` is pure, so re-deriving is exact.
-        for request in queue:
-            row_hit = request.row == open_row
-            prio = priority(request, row_hit, now)
-            key = (not request.is_prefetch,) + prio
-            if names is None or len(names) != len(prio):
-                names = self._prio_names = _component_names(
-                    scheduler, len(prio)
-                )
-            append(CandidateRecord(
-                request.request_id,
-                request.thread_id,
-                request.arrival,
-                request.row,
-                row_hit,
-                request.is_prefetch,
-                key,
-                names,
-            ))
-            if request is winner:
-                winner_key = key
-            elif best_key is None or key > best_key:
-                best_key = key
-                best_req = request
-
-        index = self.decisions_total
+        scheduler = self._scheduler
         self.decisions_total += 1
-        self.actual_granted[winner.thread_id] += 1
+        winner_tid = winner.thread_id
+        self.actual_granted[winner_tid] += 1
+        shadows = self.shadows
+        priority = scheduler.priority
 
-        if best_key is None:
-            tie_break, tied, margin = TIE_ONLY, 1, None
+        if len(queue) == 1:
+            key = (not winner.is_prefetch,) + priority(
+                winner, winner.row == open_row, now
+            )
             self.only_candidate += 1
+            # every policy's select grants the only candidate (select is
+            # a pure decision function), so the shadows need no asking
+            for shadow in shadows:
+                shadow.granted[winner_tid] += 1
+                shadow.agreed += 1
+            raw = (now, winner, open_row, key)
         else:
-            component, delta = margin_of(
-                winner_key, best_key, scheduler.PRIORITY_COMPONENTS
-            )
-            margin = Margin(
-                component, delta, best_req.request_id, best_req.thread_id
-            )
+            candidates = tuple(queue)
+            keys = []
+            append = keys.append
+            best_key = None
+            for request in candidates:
+                key = (not request.is_prefetch,) + priority(
+                    request, request.row == open_row, now
+                )
+                append(key)
+                if request is winner:
+                    winner_key = key
+                # the runner-up is the first maximal key among the others
+                elif best_key is None or key > best_key:
+                    best_key = key
+                    runner_up = request
+            component, delta = margin_of(winner_key, best_key,
+                                         scheduler.PRIORITY_COMPONENTS)
             if component is None:
-                tie_break = TIE_QUEUE_ORDER
                 self.ties += 1
             else:
-                tie_break = TIE_PRIORITY
                 self.decided_by[component] += 1
                 hist = self.margin_hist.get(component)
                 if hist is None:
@@ -238,76 +250,71 @@ class ExplainCollector(Observer):
             # a winner strictly above the runner-up (the maximal other
             # key) is uniquely maximal, so the count is only scanned on
             # exact ties and on non-priority-maximal select overrides
-            tied = 1 if delta > 0 else \
-                sum(1 for c in candidates if c.key == winner_key)
+            tied = 1 if delta > 0 else keys.count(winner_key)
 
-        # shadow counterfactuals: which request would each policy grant?
-        choices = [winner]
-        shadow_choices: Dict[str, Tuple[int, int]] = {}
-        disagreed: List[str] = []
-        for shadow in self.shadows:
-            picked = shadow.scheduler.select(channel, bank_id, now)
-            choices.append(picked)
-            shadow_choices[shadow.label] = (
-                picked.request_id, picked.thread_id
-            )
-            shadow.granted[picked.thread_id] += 1
-            if picked is winner:
-                shadow.agreed += 1
+            # shadow counterfactuals: which request would each grant?
+            picks = [shadow.scheduler.select(channel, bank_id, now)
+                     for shadow in shadows]
+            disagreed = False
+            for shadow, picked in zip(shadows, picks):
+                shadow.granted[picked.thread_id] += 1
+                if picked is winner:
+                    shadow.agreed += 1
+                else:
+                    shadow.redirected_to[winner_tid] += 1
+                    shadow.redirected_from[picked.thread_id] += 1
+                    disagreed = True
+            if disagreed:
+                # a pair can only differ when at least one shadow left
+                # the winner, so the k x k scan is skipped on agreement
+                choices = [winner] + picks
+                k = len(choices)
+                disagree = self.disagree
+                for i in range(k):
+                    for j in range(i + 1, k):
+                        if choices[i] is not choices[j]:
+                            disagree[i][j] += 1
+                            disagree[j][i] += 1
             else:
-                shadow.redirected_to[winner.thread_id] += 1
-                shadow.redirected_from[picked.thread_id] += 1
-                disagreed.append(shadow.label)
-        if disagreed:
-            # a pair can only differ when at least one shadow left the
-            # winner, so the k x k scan is skipped on full agreement
-            k = len(choices)
-            disagree = self.disagree
-            for i in range(k):
-                for j in range(i + 1, k):
-                    if choices[i] is not choices[j]:
-                        disagree[i][j] += 1
-                        disagree[j][i] += 1
+                picks = None  # every shadow picked the winner
+            raw = (now, winner, open_row, candidates, keys, component,
+                   delta, runner_up, picks, tied)
 
-        record = DecisionRecord(
-            index,
-            now,
-            channel.channel_id,
-            bank_id,
-            winner.request_id,
-            winner.thread_id,
-            tie_break,
-            tied,
-            margin,
-            tuple(candidates),
-            shadow_choices,
-        )
-        self.last_record = record
-        self.records.append(record)
+        self._last = raw
+        self._ring.append(raw)
+        if self._tracer is not None:
+            self._trace(raw)
 
-        tracer = self.system._tracer
-        if tracer is not None:
-            margin_component = (
-                margin.component if margin is not None
-                and margin.component is not None else ""
-            )
-            tracer.emit(
-                "explain", now,
-                ch=channel.channel_id, bank=bank_id,
-                tid=winner.thread_id, queued=len(candidates),
-                tie=tie_break, tied=tied,
-                component=margin_component,
-                delta=margin.delta if margin is not None else 0.0,
-                disagree=disagreed,
-            )
+    def _trace(self, raw) -> None:
+        """Emit one grant's ``explain`` event from its raw ring entry."""
+        now, winner = raw[0], raw[1]
+        if len(raw) == 4:
+            queued, tie_break, tied, component, delta = \
+                1, TIE_ONLY, 1, None, 0.0
+            disagreed = []
+        else:
+            component, delta, picks, tied = raw[5], raw[6], raw[8], raw[9]
+            queued = len(raw[3])
+            tie_break = TIE_QUEUE_ORDER if component is None \
+                else TIE_PRIORITY
+            disagreed = [] if picks is None else [
+                shadow.label for shadow, picked in zip(self.shadows, picks)
+                if picked is not winner
+            ]
+        self._tracer.write({
+            "ev": "explain", "ts": now, "ch": winner.channel_id,
+            "bank": winner.bank_id, "tid": winner.thread_id,
+            "queued": queued, "tie": tie_break, "tied": tied,
+            "component": "" if component is None else component,
+            "delta": delta, "disagree": disagreed,
+        })
 
     def on_grant(self, request, waiting, access, completion: int,
                  now: int) -> None:
         busy_cycles = access.data_end - now
         for hook in self._shadow_scheduled:
             hook(request, waiting, busy_cycles, now)
-        self._granted_ids.add(request.request_id)
-        if now - self._starvation_checked_at >= self._starvation_stride:
+        if now >= self._starvation_due:
             self._check_starvation(now)
 
     def on_complete(self, request, now: int) -> None:
@@ -329,39 +336,44 @@ class ExplainCollector(Observer):
     # ------------------------------------------------------------------
 
     def _check_starvation(self, now: int) -> None:
-        # stride-throttled: crossings are detected within ~0.1% of the
-        # threshold, and the stride counts simulated cycles, so the
-        # events stay deterministic
-        if now - self._starvation_checked_at < self._starvation_stride:
-            return
-        self._starvation_checked_at = now
+        """Scan each thread's oldest ungranted request at a grant.
+
+        Stride-throttled: crossings are detected within ~0.4% of the
+        threshold, and the stride counts simulated cycles, so the events
+        stay deterministic.
+        """
+        self._starvation_due = now + self._starvation_stride
         threshold = self.starvation_threshold
-        granted = self._granted_ids
-        tracer = self.system._tracer
+        starving = self._starving
+        max_age = self.max_pending_age
         for tid, pending in enumerate(self._pending):
-            while pending and pending[0][0] in granted:
-                granted.discard(pending.popleft()[0])
-            if not pending:
-                self._starving[tid] = False
-                continue
-            age = now - pending[0][1]
-            if age > self.max_pending_age[tid]:
-                self.max_pending_age[tid] = age
-            if age > threshold:
-                if not self._starving[tid]:
-                    self._starving[tid] = True
-                    event = {
-                        "now": now, "tid": tid, "age": age,
-                        "pending": len(pending),
-                    }
-                    self.starvation_events.append(event)
-                    if tracer is not None:
-                        tracer.emit(
-                            "starvation", now,
-                            tid=tid, age=age, pending=len(pending),
-                        )
+            while pending:
+                oldest = pending[0]
+                if oldest.start_service is None:
+                    break
+                pending.popleft()  # granted
             else:
-                self._starving[tid] = False
+                if starving[tid]:
+                    starving[tid] = False
+                continue
+            age = now - oldest.arrival
+            if age > max_age[tid]:
+                max_age[tid] = age
+            if age <= threshold:
+                if starving[tid]:
+                    starving[tid] = False
+            elif not starving[tid]:
+                starving[tid] = True
+                event = {
+                    "now": now, "tid": tid, "age": age,
+                    "pending": len(pending),
+                }
+                self.starvation_events.append(event)
+                if self._tracer is not None:
+                    self._tracer.write({
+                        "ev": "starvation", "ts": now,
+                        "tid": tid, "age": age, "pending": len(pending),
+                    })
 
     # ------------------------------------------------------------------
     # cluster-flip timeline
@@ -393,6 +405,94 @@ class ExplainCollector(Observer):
             if clustering is not None:
                 return shadow.label, clustering
         return None, None
+
+    # ------------------------------------------------------------------
+    # decision records, built on read
+    # ------------------------------------------------------------------
+
+    @property
+    def records(self) -> List[DecisionRecord]:
+        """The kept decision records, oldest first.
+
+        At most ``keep_records`` (all when ``None``).  Each grant's
+        record is built on the first read and kept, so repeated reads
+        return the same objects (``last_record is records[-1]``).
+        """
+        ring = self._ring
+        first = self.decisions_total - len(ring)
+        for position in range(len(ring)):
+            raw = ring[position]
+            if type(raw) is tuple:
+                ring[position] = record = self._record(first + position,
+                                                       raw)
+                if raw is self._last:
+                    self._last = record
+        return list(ring)
+
+    @property
+    def last_record(self) -> Optional[DecisionRecord]:
+        """The latest grant's record (None before the first grant)."""
+        raw = self._last
+        if type(raw) is not tuple:
+            return raw
+        record = self._last = self._record(self.decisions_total - 1, raw)
+        ring = self._ring
+        if ring and ring[-1] is raw:
+            ring[-1] = record
+        return record
+
+    def _record(self, index: int, raw) -> DecisionRecord:
+        """The :class:`DecisionRecord` of grant ``index``'s ring entry."""
+        now, winner, open_row = raw[0], raw[1], raw[2]
+        if len(raw) == 4:
+            candidates, keys, picks = (winner,), (raw[3],), None
+            component = delta = runner_up = None
+            tie_break, tied = TIE_ONLY, 1
+        else:
+            (candidates, keys, component, delta, runner_up, picks,
+             tied) = raw[3:]
+            tie_break = TIE_QUEUE_ORDER if component is None \
+                else TIE_PRIORITY
+        names = self._prio_names
+        records = []
+        for request, key in zip(candidates, keys):
+            width = len(key) - 1
+            slots = names.get(width)
+            if slots is None:
+                slots = names[width] = _component_names(
+                    self._scheduler, width
+                )
+            records.append(CandidateRecord(
+                request.request_id,
+                request.thread_id,
+                request.arrival,
+                request.row,
+                request.row == open_row,
+                request.is_prefetch,
+                key,
+                slots,
+            ))
+        if picks is None:
+            picks = [winner] * len(self.shadows)
+        return DecisionRecord(
+            index,
+            now,
+            winner.channel_id,
+            winner.bank_id,
+            winner.request_id,
+            winner.thread_id,
+            tie_break,
+            tied,
+            None if runner_up is None else Margin(
+                component, delta, runner_up.request_id,
+                runner_up.thread_id,
+            ),
+            tuple(records),
+            {
+                shadow.label: (picked.request_id, picked.thread_id)
+                for shadow, picked in zip(self.shadows, picks)
+            },
+        )
 
     # ------------------------------------------------------------------
     # aggregates
@@ -443,7 +543,7 @@ class ExplainCollector(Observer):
                     len(e["flips"]) for e in self.cluster_timeline
                 ),
             },
-            "records_kept": len(self.records),
+            "records_kept": len(self._ring),
         }
 
 

@@ -1,17 +1,17 @@
 """Decision records: what a grant's candidate set looked like and why
 the winner won.
 
-A :class:`DecisionRecord` is captured by :class:`repro.explain.\
-ExplainCollector` for every scheduler grant, *before* the bank starts
-service, while the candidate queue is still intact.  Each candidate
-carries the full priority key the primary policy assigned it (the
-demand-over-prefetch class bit followed by the policy's ``priority``
-tuple) plus the named decomposition of that tuple against the policy's
-``PRIORITY_COMPONENTS`` vocabulary.  Richer per-policy detail (ATLAS
-attained service, STFM slowdown estimates, TCM cluster membership) is
-available on demand via :meth:`repro.schedulers.base.Scheduler.\
-explain_components`.  Grants reach the collector through
-``System._try_schedule``, the one seam that captures them.
+:class:`repro.explain.ExplainCollector` captures every scheduler grant
+at the observer protocol's ``on_decision`` hook, *before* the bank
+starts service, while the candidate queue is still intact, and builds
+its :class:`DecisionRecord` when the record is first read.  Each
+candidate carries the full priority key the primary policy assigned it
+(the demand-over-prefetch class bit followed by the policy's
+``priority`` tuple) plus the named decomposition of that tuple against
+the policy's ``PRIORITY_COMPONENTS`` vocabulary.  Richer per-policy
+detail (ATLAS attained service, STFM slowdown estimates, TCM cluster
+membership) is available on demand via
+:meth:`repro.schedulers.base.Scheduler.explain_components`.
 """
 
 from __future__ import annotations
@@ -31,11 +31,9 @@ TIE_ONLY = "only-candidate"      # queue held a single request
 class CandidateRecord(NamedTuple):
     """One queued request as the primary policy scored it.
 
-    A ``NamedTuple`` rather than a dataclass: one is built for every
-    queued request at every grant, so construction cost is the hot
-    part of the attached overhead budget.  For the same reason the
-    named decomposition is a lazy property over the stored key rather
-    than an eagerly built dict.
+    A ``NamedTuple``, and the named decomposition a lazy property over
+    the stored key: a read of the collector's records builds one for
+    every candidate of every kept grant.
     """
 
     request_id: int
@@ -72,9 +70,9 @@ class Margin(NamedTuple):
 class DecisionRecord(NamedTuple):
     """One grant: candidates, winner, margin, tie-break provenance.
 
-    One per grant makes construction cost part of the attached budget,
-    hence a ``NamedTuple`` (frozen-dataclass construction pays a
-    guarded ``__setattr__`` per field).
+    A ``NamedTuple`` (frozen-dataclass construction pays a guarded
+    ``__setattr__`` per field), built when the collector's records are
+    read.
     """
 
     index: int          # 0-based grant counter (== sched_decisions - 1)

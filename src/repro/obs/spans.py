@@ -77,12 +77,18 @@ class WaitInterval(NamedTuple):
 
 
 class RequestSpan:
-    """The decomposed lifecycle of one memory request."""
+    """The decomposed lifecycle of one memory request.
+
+    The collector appends each wait interval as a plain
+    ``(start, end, culprit, cause, partial)`` tuple; :attr:`intervals`
+    turns them into :class:`WaitInterval` objects in place when read,
+    so the list it returns is the span's own and edits to it stick.
+    """
 
     __slots__ = (
         "request_id", "thread_id", "channel_id", "bank_id", "row",
         "arrival", "start_service", "completion", "kind", "is_prefetch",
-        "intervals",
+        "_intervals",
     )
 
     def __init__(self, request: MemoryRequest):
@@ -96,7 +102,16 @@ class RequestSpan:
         self.completion: Optional[int] = None
         self.kind: Optional[str] = None
         self.is_prefetch = request.is_prefetch
-        self.intervals: List[WaitInterval] = []
+        self._intervals: List[tuple] = []
+
+    @property
+    def intervals(self) -> List[WaitInterval]:
+        """The wait intervals, in the order the collector recorded them."""
+        intervals = self._intervals
+        for index, interval in enumerate(intervals):
+            if type(interval) is tuple:
+                intervals[index] = WaitInterval._make(interval)
+        return intervals
 
     @property
     def latency(self) -> Optional[int]:
@@ -203,9 +218,9 @@ class SpanCollector(Observer):
         if occupied is not None and occupied[0] > now:
             # the bank is mid-service: the victim waits out the tail of
             # a grant it never witnessed (partial => not in the matrix)
-            span.intervals.append(WaitInterval(
-                now, occupied[0], occupied[1], CAUSE_QUEUE, partial=True,
-            ))
+            span._intervals.append(
+                (now, occupied[0], occupied[1], CAUSE_QUEUE, True)
+            )
 
     def on_grant(self, request: MemoryRequest, waiting, access,
                  completion: int, now: int) -> None:
@@ -222,6 +237,8 @@ class SpanCollector(Observer):
         record = self.record_intervals
         t_interference = self.t_interference
         matrix = self.matrix
+        open_spans = self._open
+        queue_wait = (now, end, tid, CAUSE_QUEUE, False)
         for other in waiting:
             other_tid = other.thread_id
             if other_tid != tid:
@@ -229,20 +246,12 @@ class SpanCollector(Observer):
                 t_interference[other_tid] += busy
                 matrix[other_tid][tid] += busy
                 self.total_attributed += busy
-                if record:
-                    span = self._open.get(other.request_id)
-                    if span is not None:
-                        span.intervals.append(WaitInterval(
-                            now, end, tid, CAUSE_QUEUE,
-                        ))
-            elif record:
-                # self-interference: needed for the latency tiling,
-                # never part of the (zero-diagonal) matrix
-                span = self._open.get(other.request_id)
+            # self-interference tiles the latency too, but never enters
+            # the (zero-diagonal) matrix
+            if record:
+                span = open_spans.get(other.request_id)
                 if span is not None:
-                    span.intervals.append(WaitInterval(
-                        now, end, tid, CAUSE_QUEUE,
-                    ))
+                    span._intervals.append(queue_wait)
         if record:
             self._bank_busy[(request.channel_id, request.bank_id)] = (
                 end, tid,
@@ -300,45 +309,33 @@ class SpanCollector(Observer):
         reorder them).
         """
         tid = span.thread_id
-        intervals = span.intervals
+        append = span._intervals.append
         activate = access.activate_time
         prep_done = access.prep_done
+        data_start = access.data_start
+        data_end = access.data_end
         if activate is not None:
             if activate > now:
                 if access.kind == "conflict":
                     culprit = (access.row_blocker
                                if access.row_blocker is not None else tid)
-                    intervals.append(WaitInterval(
-                        now, activate, culprit, CAUSE_ROW,
-                    ))
+                    append((now, activate, culprit, CAUSE_ROW, False))
                 else:
                     # a "closed" activate delayed by channel-level
                     # bounds (tRRD/tFAW/refresh): self-charged service
-                    intervals.append(WaitInterval(
-                        now, activate, tid, CAUSE_SERVICE,
-                    ))
+                    append((now, activate, tid, CAUSE_SERVICE, False))
             if prep_done > activate:
-                intervals.append(WaitInterval(
-                    activate, prep_done, tid, CAUSE_SERVICE,
-                ))
+                append((activate, prep_done, tid, CAUSE_SERVICE, False))
         elif prep_done > now:
             # row hit shifted by a refresh window (detailed timings)
-            intervals.append(WaitInterval(
-                now, prep_done, tid, CAUSE_SERVICE,
-            ))
-        if access.data_start > prep_done:
+            append((now, prep_done, tid, CAUSE_SERVICE, False))
+        if data_start > prep_done:
             culprit = (access.bus_blocker
                        if access.bus_blocker is not None else tid)
-            intervals.append(WaitInterval(
-                prep_done, access.data_start, culprit, CAUSE_BUS,
-            ))
-        intervals.append(WaitInterval(
-            access.data_start, access.data_end, tid, CAUSE_SERVICE,
-        ))
-        if completion > access.data_end:
-            intervals.append(WaitInterval(
-                access.data_end, completion, tid, CAUSE_SERVICE,
-            ))
+            append((prep_done, data_start, culprit, CAUSE_BUS, False))
+        append((data_start, data_end, tid, CAUSE_SERVICE, False))
+        if completion > data_end:
+            append((data_end, completion, tid, CAUSE_SERVICE, False))
 
 
 def attach_spans(system, collector: Optional[SpanCollector] = None

@@ -299,7 +299,7 @@ class Profiler(Observer):
             self._wrap(thread, "finalize", "cpu.finalize")
         # observability layers, when this run carries them
         if system._tracer is not None:
-            self._wrap(system._tracer, "emit", "telemetry.emit")
+            self._wrap(system._tracer, "write", "telemetry.write")
         if system._sampler is not None:
             self._wrap(system._sampler, "sample", "telemetry.sample")
         for observer in system.observers:

@@ -1,4 +1,4 @@
-"""The fused event loop: :meth:`System.advance` for unobserved runs.
+"""The fused event loop: :meth:`System.advance` for plain and watched runs.
 
 :meth:`~repro.sim.system.System.advance` has two loops over the same
 state — the same ``heapq`` of ``(time, seq, kind, payload, aux)``
@@ -9,22 +9,25 @@ and :class:`~repro.core.monitor.BehaviorMonitor` objects:
 
 * the **dispatch loop** sends every event through the ``System``
   methods (``_issue_miss``, ``_try_schedule``, ...), which call the
-  component methods.  Tracer, sampler and observer sites live there,
-  and so does every seam a wrapper can intercept;
+  component methods, so every seam a wrapper can intercept is there;
 * the **fused loop** (:func:`advance_fused`) performs the same
   statements with the call frames between them removed: the miss
   issue, the address stream, the non-detailed bank access, the
   monitor's bookkeeping and in-order retirement are inlined over
   cached locals.
 
-The fused loop runs only when nothing can observe the difference
-(:func:`fusable`).  Scheduler policy code stays in charge: ``select``
-and every lifecycle hook a policy overrides are called exactly where
-the dispatch loop calls them (base-class no-op hooks are skipped).
-Quantum boundaries and timers go through the ``System`` methods.
-Both loops execute the same operations in the same order — same
-event order, same RNG draws, same float arithmetic — which the parity
-suite (``tests/engine/test_backend_parity.py``) pins bit-identical.
+The fused loop runs unless a feature it does not implement is on or a
+per-instance wrapper could miss a call (:func:`fusable`).  Scheduler
+policy code stays in charge: ``select`` and every lifecycle hook a
+policy overrides are called exactly where the dispatch loop calls them
+(base-class no-op hooks are skipped).  Observer hooks
+(:mod:`repro.sim.observer`), the tracer's grant events and epoch
+samples fire at the dispatch loop's sites too, and quantum boundaries
+go through the ``System`` method.  Both loops execute the same
+operations in the same order — same event order, same RNG draws, same
+float arithmetic, same hook calls — which the parity suites
+(``tests/engine/test_backend_parity.py``,
+``tests/engine/test_instrument_parity.py``) pin bit-identical.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from heapq import heappop, heappush
 from repro.core.monitor import BehaviorMonitor
 from repro.cpu.stats import ThreadStats
 from repro.cpu.thread import JITTER, ThreadModel
-from repro.dram.bank import Bank
+from repro.dram.bank import Bank, BankAccess
 from repro.dram.channel import Channel
 from repro.dram.request import MemoryRequest
 from repro.schedulers.base import Scheduler
@@ -55,17 +58,14 @@ def fusable(system) -> bool:
     """True when the fused loop cannot be told apart from the dispatch
     loop.
 
-    Requires no tracer, observer or sampler; no prefetchers, write
-    modelling or detailed timings; every component exactly its base
-    class and built on the system's config; and no per-instance
-    method override on the system, scheduler or any component.
+    Requires no prefetchers, write modelling or detailed timings; every
+    component exactly its base class and built on the system's config;
+    and no per-instance method override on the system, scheduler or any
+    component.  Tracers, samplers and observers run on either loop.
     """
     config = system.config
     if (
-        system._tracer is not None
-        or system.observers
-        or system._sampler is not None
-        or system.prefetchers is not None
+        system.prefetchers is not None
         or config.model_writes
         or config.timings.detailed
     ):
@@ -102,6 +102,24 @@ def fusable(system) -> bool:
     return True
 
 
+def _chain(policy_hook, observer_hooks):
+    """One callable for a hook site: ``policy_hook`` (None when the
+    policy keeps the base no-op), then each observer hook, with the same
+    arguments; the one hook itself when the site has only one."""
+    if not observer_hooks:
+        return policy_hook
+    if policy_hook is None and len(observer_hooks) == 1:
+        return observer_hooks[0]
+
+    def site(*args):
+        if policy_hook is not None:
+            policy_hook(*args)
+        for hook in observer_hooks:
+            hook(*args)
+
+    return site
+
+
 def advance_fused(system, limit: int) -> None:
     """Dispatch every pending event with ``time <= limit``, inlined.
 
@@ -113,9 +131,14 @@ def advance_fused(system, limit: int) -> None:
     ``BehaviorMonitor`` hooks, statement for statement.  The event
     counter lives on the system (``system._seq``), so timers a policy
     pushes from its hooks interleave with the inlined pushes.
+
+    The observer hook tuples and the tracer are read once per call; a
+    grant builds its :class:`~repro.dram.bank.BankAccess` only for
+    ``on_grant`` hooks.
     """
     from repro.sim.system import (
-        _EV_BANK_FREE, _EV_DONE, _EV_ISSUE, _EV_QUANTUM, _EV_TIMER,
+        _EV_BANK_FREE, _EV_DONE, _EV_ISSUE, _EV_QUANTUM, _EV_SAMPLE,
+        _EV_TIMER,
     )
 
     events = system._events
@@ -141,23 +164,33 @@ def advance_fused(system, limit: int) -> None:
     latency_count = system._latency_count
 
     scheduler = system.scheduler
-    select = scheduler.select
     cls = type(scheduler)
-    on_arrival = (
+    # the policy's hooks, then the observers' at the same site
+    # (System._bind_hooks builds the tuples): a site nobody hooks costs
+    # one is-None branch
+    on_arrival = _chain(
         scheduler.on_request_arrival
         if cls.on_request_arrival is not Scheduler.on_request_arrival
-        else None
+        else None,
+        system._on_arrival,
     )
     on_scheduled = (
         scheduler.on_request_scheduled
         if cls.on_request_scheduled is not Scheduler.on_request_scheduled
         else None
     )
-    on_complete = (
+    on_complete = _chain(
         scheduler.on_request_complete
         if cls.on_request_complete is not Scheduler.on_request_complete
-        else None
+        else None,
+        system._on_complete,
     )
+    select = scheduler.select
+    decision_hooks = system._on_decision
+    event_hooks = system._on_event
+    grant_hooks = system._on_grant
+    timer_hooks = system._on_timer
+    tracer = system._tracer
 
     # monitor structures that are never rebound; reset_quantum swaps
     # the inner per-channel lists and the per-quantum BLP lists, which
@@ -188,6 +221,10 @@ def advance_fused(system, limit: int) -> None:
             return  # no write path without write modelling
         channel = channels[channel_id]
         request = select(channel, bank_id, time)
+        if decision_hooks:
+            # before start_service: the candidate queue is still intact
+            for hook in decision_hooks:
+                hook(channel, bank_id, request, time)
         index = 0
         while queue[index] is not request:  # request ids are unique
             index += 1
@@ -209,6 +246,22 @@ def advance_fused(system, limit: int) -> None:
             bank.row_conflicts += 1
         bus_free = channel.bus_free_until
         data_end = (prep_done if prep_done >= bus_free else bus_free) + burst
+        if grant_hooks:
+            # Bank.begin_access + Channel._begin_access's BankAccess,
+            # from the row and bus owners this grant replaces
+            data_start = data_end - burst
+            if open_row is None:
+                access = BankAccess("closed", data_start, data_end,
+                                    time, prep_done)
+            elif open_row == row:
+                access = BankAccess("hit", data_start, data_end,
+                                    None, prep_done)
+            else:
+                access = BankAccess("conflict", data_start, data_end,
+                                    bank.last_activate, prep_done,
+                                    bank.open_row_owner)
+            if data_start > prep_done:
+                access.bus_blocker = channel.bus_owner
         if page_closed:
             bank.open_row = None
             bank.open_row_owner = None
@@ -225,10 +278,26 @@ def advance_fused(system, limit: int) -> None:
         request.completion = completion
         channel.serviced_requests += 1
         system.sched_decisions += 1
+        if tracer is not None:
+            kind = ("closed" if open_row is None
+                    else "hit" if open_row == row else "conflict")
+            tracer.write({
+                "ev": "sched_decision", "ts": time, "ch": channel_id,
+                "bank": bank_id, "tid": tid, "queued": len(queue) + 1,
+                "row_hit": kind == "hit",
+            })
+            tracer.write({
+                "ev": "dram_cmd", "ts": time, "ch": channel_id,
+                "bank": bank_id, "row": row, "tid": tid, "kind": kind,
+                "start": time, "end": data_end,
+            })
         service_cycles[channel_id][tid] += busy_cycles
         l_service[tid] += busy_cycles
         if on_scheduled is not None:
             on_scheduled(request, queue, busy_cycles, time)
+        if grant_hooks:
+            for hook in grant_hooks:
+                hook(request, queue, access, completion, time)
         seq = system._seq
         system._seq = seq + 2
         heappush(events,
@@ -394,8 +463,19 @@ def advance_fused(system, limit: int) -> None:
             thread.window_blocked = False
             issue_miss(tid, time)
 
+    pop = heappop
+    if event_hooks:
+        def pop(events):
+            # on_event fires once the clock has moved, before dispatch
+            event = heappop(events)
+            time, _seq, kind, payload, aux = event
+            system.now = time
+            for hook in event_hooks:
+                hook(time, kind, payload, aux)
+            return event
+
     while events and events[0][0] <= limit:
-        time, _seq, kind, payload, aux = heappop(events)
+        time, _seq, kind, payload, aux = pop(events)
         system.now = time
         if kind == _EV_ISSUE:
             issue_miss(payload, time)
@@ -409,7 +489,11 @@ def advance_fused(system, limit: int) -> None:
             # tuple keys are observer-owned (explain's shadows)
             if type(payload) is not tuple:
                 scheduler.on_timer(time, payload)
-        else:  # pragma: no cover - PHIT/SAMPLE need prefetch/sampler
+            for hook in timer_hooks:
+                hook(time, payload)
+        elif kind == _EV_SAMPLE:
+            system._take_sample()
+        else:  # pragma: no cover - prefetch hits need prefetchers
             raise RuntimeError(
                 f"event kind {kind} cannot occur on the fused loop"
             )

@@ -6,6 +6,10 @@ and is attached with :meth:`repro.sim.system.System.attach` (or
 ``start_run()`` the system builds one tuple per hook from the attached
 observers whose class overrides it, reading each hook off the
 *instance*, so per-instance wrappers installed before the run intercept.
+An instance that needs an overridden hook only in some runs switches
+it off for the run by setting the attribute to ``None``.  The hooks
+are fixed for the length of a ``System.advance`` call: a detach takes
+effect at the next call, and one from inside a call raises.
 
 Every hook fires after the simulator's own bookkeeping and after the
 policy's hook at its site, except ``on_event`` (before its event is
@@ -66,11 +70,13 @@ HOOKS = (
 
 
 def overridden_hooks(observer):
-    """The protocol hooks ``observer``'s class overrides."""
+    """The protocol hooks ``observer``'s class overrides and the
+    instance has not set to ``None``."""
     cls = type(observer)
     return [
         hook for hook in HOOKS
         if getattr(cls, hook, None) not in (None, getattr(Observer, hook))
+        and getattr(observer, hook) is not None
     ]
 
 

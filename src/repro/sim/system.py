@@ -7,10 +7,13 @@ cores compute and banks service requests; nothing else can change
 scheduling state, so the event granularity loses no accuracy relative
 to a per-cycle loop while running orders of magnitude faster.
 
-:meth:`System.advance` dispatches each event through the ``System``
-methods below, where tracers, observers and wrappers hook in — or,
-when nothing can observe the run, drains the same events through the
-bit-identical fused loop of :mod:`repro.sim.fused`.
+:meth:`System.advance` drains the events through the fused loop of
+:mod:`repro.sim.fused`, which also serves traced, sampled and observed
+runs.  The dispatch loop below sends each event through the ``System``
+methods instead; it runs the features the fused loop does not
+implement (writes, prefetching, detailed timings, component
+subclasses) and every run a per-instance wrapper watches.  The two
+loops are bit-identical and fire the same hooks at the same sites.
 """
 
 from __future__ import annotations
@@ -117,6 +120,8 @@ class System:
         #: per-hook tuples the event loop calls are built at start_run
         self.observers: List[Observer] = []
         self._started = False
+        #: True while an advance() call runs (detach is refused then)
+        self._advancing = False
         self._bind_hooks()
         # telemetry: the registry always exists (providers are polled,
         # so registration is init-only and per-event cost is zero);
@@ -168,7 +173,16 @@ class System:
         return observer
 
     def detach(self, observer: Observer) -> None:
-        """Remove ``observer``; its hooks stop firing at once."""
+        """Remove ``observer`` between :meth:`advance` calls.
+
+        Its hooks stop firing from the next ``advance`` call on, on
+        either loop (the fused loop reads the hook tuples once per
+        call).  A detach while ``advance`` runs (from a hook) raises.
+        """
+        if self._advancing:
+            raise RuntimeError(
+                "detach observers between advance() calls, not from a hook"
+            )
         self.observers.remove(observer)
         if self._started:
             self._bind_hooks()
@@ -343,17 +357,18 @@ class System:
         busy_cycles = access.data_end - self.now
         self.sched_decisions += 1
         if self._tracer is not None:
-            self._tracer.emit(
-                "sched_decision", self.now,
-                ch=channel_id, bank=bank_id, tid=request.thread_id,
-                queued=queued, row_hit=access.is_row_hit,
-            )
-            self._tracer.emit(
-                "dram_cmd", self.now,
-                ch=channel_id, bank=bank_id, row=request.row,
-                tid=request.thread_id, kind=access.kind,
-                start=self.now, end=access.data_end,
-            )
+            now = self.now
+            self._tracer.write({
+                "ev": "sched_decision", "ts": now, "ch": channel_id,
+                "bank": bank_id, "tid": request.thread_id,
+                "queued": queued, "row_hit": access.is_row_hit,
+            })
+            self._tracer.write({
+                "ev": "dram_cmd", "ts": now, "ch": channel_id,
+                "bank": bank_id, "row": request.row,
+                "tid": request.thread_id, "kind": access.kind,
+                "start": now, "end": access.data_end,
+            })
         self.monitor.on_request_service(request, busy_cycles)
         waiting = channel.queues[bank_id]
         self.scheduler.on_request_scheduled(
@@ -460,15 +475,23 @@ class System:
         ``advance(a); advance(b)`` is bit-identical to ``advance(b)``
         (the loop condition is a pure time bound).
 
-        When nothing can observe the difference (see
-        :func:`repro.sim.fused.fusable`) the events drain through the
-        fused loop; otherwise through the dispatch loop below, which
-        sends each event through the methods every tracer, observer
-        and wrapper hooks into.  The two are bit-identical.
+        The events drain through the fused loop unless
+        :func:`repro.sim.fused.fusable` refuses it; then through the
+        dispatch loop below, which sends each event through the methods
+        a per-instance wrapper intercepts.  The two are bit-identical
+        and fire the same observer hooks and tracer events.
         """
-        if fusable(self):
-            advance_fused(self, limit)
-            return
+        self._advancing = True
+        try:
+            if fusable(self):
+                advance_fused(self, limit)
+            else:
+                self._dispatch(limit)
+        finally:
+            self._advancing = False
+
+    def _dispatch(self, limit: int) -> None:
+        """The dispatch loop: each event through the ``System`` methods."""
         events = self._events
         on_event = self._on_event
         while events and events[0][0] <= limit:

@@ -3,9 +3,11 @@
 The tracer is designed so a *disabled* tracer costs exactly one branch
 at each emit site: the system binds ``self._tracer`` to ``None`` when
 tracing is off and the hot path does ``if tr is not None: tr.emit(...)``.
-An *enabled* tracer builds one dict per event and hands it to every
-sink; events are validated against the schema only when ``validate=True``
-(tests and CI), not on the production path.
+An *enabled* tracer hands one dict per event to every sink: ``emit``
+builds it from keyword fields, while the per-grant sites (the event
+loops, explain) build it themselves and call ``write``.  Events are
+validated against the schema only when ``validate=True`` (tests and
+CI), not on the production path.
 """
 
 from __future__ import annotations
@@ -37,6 +39,13 @@ class Tracer:
         """Record one event at simulation cycle ``ts``."""
         event = {"ev": ev, "ts": ts}
         event.update(fields)
+        self.write(event)
+
+    def write(self, event: dict) -> None:
+        """Record one pre-built event: ``{"ev": ..., "ts": ..., **fields}``.
+
+        The sinks keep the dict itself, so the caller must not reuse it.
+        """
         if self.validate:
             validate_event(event)
         self.events_emitted += 1

@@ -15,10 +15,13 @@ entries can never alias, and sharing it keeps the suite fast.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+import repro.sim.system
 from repro.config import DramTimings, SimConfig
 from repro.experiments import runner
 from repro.schedulers import registry
@@ -77,6 +80,24 @@ def sim_configs(max_run_cycles: int = 8_000) -> st.SearchStrategy:
         timings=_dram_timings,
         seed=st.integers(min_value=0, max_value=2**16),
     )
+
+
+# ----------------------------------------------------------------------
+# the parity suites' reference loop
+# ----------------------------------------------------------------------
+
+@contextmanager
+def dispatch_loop():
+    """Run every ``System.advance`` inside the block on the dispatch
+    loop, whatever is attached: ``fusable`` is patched to refuse the
+    fused loop.  Observers, tracers and samplers run on either loop, so
+    this is how a parity test gets its reference side."""
+    fusable = repro.sim.system.fusable
+    repro.sim.system.fusable = lambda system: False
+    try:
+        yield
+    finally:
+        repro.sim.system.fusable = fusable
 
 
 @pytest.fixture(autouse=True)

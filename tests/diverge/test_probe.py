@@ -2,11 +2,11 @@
 
 The probe's core promise is that state fingerprints depend on the
 simulated state alone, not on the loop that produced it: the dispatch
-loop (``"reference"`` below, forced by a no-op observer) and the fused
-loop (``"fast"``, nothing attached) must produce identical
-fingerprints for every component at every checkpoint.  An attached
-probe is itself an observer, so the fused side is fingerprinted with
-:func:`fingerprint_state` between ``advance`` windows instead.
+loop (``"reference"`` below, forced by ``tests.conftest.dispatch_loop``)
+and the fused loop (``"fast"``) must produce identical fingerprints for
+every component at every checkpoint.  The reference side carries an
+attached probe; the fused side stays unobserved and is fingerprinted
+with :func:`fingerprint_state` between ``advance`` windows.
 """
 
 import json
@@ -17,22 +17,31 @@ from repro.config import SimConfig
 from repro.diverge import COMPONENTS, StateProbe, snapshot_state
 from repro.diverge.probe import fingerprint_state
 from repro.sim.fused import fusable
-from repro.sim.observer import Observer
 from repro.workloads import make_intensity_workload
+from tests.conftest import dispatch_loop
 
 CYCLES = 6_000
 
 
 def _system(loop="reference", seed=11, scheduler="tcm"):
-    """A system bound for the dispatch loop (``"reference"``) or the
-    fused loop (``"fast"``)."""
+    """A system bound for the dispatch loop (``"reference"``: its
+    ``advance`` and ``run`` run inside ``dispatch_loop()``) or the fused
+    loop (``"fast"``)."""
     from repro import System, make_scheduler
 
     workload = make_intensity_workload(0.5, num_threads=4, seed=7)
     config = SimConfig(run_cycles=CYCLES)
-    observers = [Observer()] if loop == "reference" else ()
-    return System(workload, make_scheduler(scheduler), config, seed=seed,
-                  observers=observers)
+    system = System(workload, make_scheduler(scheduler), config, seed=seed)
+    if loop == "reference":
+        advance = system.advance
+
+        def advance_on_dispatch_loop(limit):
+            with dispatch_loop():
+                advance(limit)
+
+        # a per-instance wrapper on advance itself; run() calls it too
+        system.advance = advance_on_dispatch_loop
+    return system
 
 
 def _probed(loop="reference", seed=11, scheduler="tcm"):

@@ -2,21 +2,24 @@
 
 ``System.advance`` drains events through one of two loops over the
 same state (docs/PERFORMANCE.md, "One engine, two loops"): the fused
-loop when nothing can observe the run, the method-dispatch loop
-otherwise.  Their contract is *bit-identity*: equal
-:class:`~repro.sim.results.RunResult` objects — every instruction
-count, latency sum, float IPC and per-quantum timeline entry, not
-statistical agreement.  Attaching a no-op
-:class:`~repro.sim.observer.Observer` forces the dispatch loop, so
-each check runs one configuration both ways:
+loop unless a feature it does not implement or a per-instance wrapper
+rules it out, the method-dispatch loop otherwise.  Their contract is
+*bit-identity*: equal :class:`~repro.sim.results.RunResult` objects —
+every instruction count, latency sum, float IPC and per-quantum
+timeline entry, not statistical agreement.  Each check runs one
+configuration both ways, the reference side inside
+``tests.conftest.dispatch_loop`` (``fusable`` patched off):
 
 * a **smoke tier** (always on) differencing six scheduler/intensity
   points plus telemetry counters and sampled runs, and holding the
   span tiling and explain decision records of an instrumented run
-  (dispatch loop) against the fused loop's books;
+  (dispatch loop) against the plain fused run's books;
 * a **full tier** (``-m slow``) differencing all eight registered
   schedulers across the three golden intensity classes (24 points) and
   checking the committed golden matrix on the dispatch loop.
+
+``test_instrument_parity.py`` holds every instrument's output to the
+same standard.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import pytest
 from repro.config import SimConfig
 from repro.schedulers.registry import SCHEDULERS, make_scheduler
 from repro.sim.fused import fusable
-from repro.sim.observer import Observer
 from repro.sim.system import System
 from repro.telemetry import Telemetry
 from repro.telemetry.registry import MetricsRegistry
@@ -39,6 +41,7 @@ from repro.validate.goldens import (
     GOLDEN_THREADS,
 )
 from repro.workloads.mixes import make_intensity_workload
+from tests.conftest import dispatch_loop
 
 RUN_SEED = GOLDEN_SEEDS[0]
 
@@ -62,28 +65,35 @@ FULL_POINTS = [
 ]
 
 
-def _build(scheduler, intensity, run_cycles, dispatch, telemetry=None):
-    """A system on the fused loop, or with a no-op observer attached
-    (``dispatch``) so that it takes the dispatch loop."""
+def _build(scheduler, intensity, run_cycles, telemetry=None):
+    """A golden-axes system; it takes the fused loop unless run inside
+    ``dispatch_loop()``."""
     config = SimConfig(run_cycles=run_cycles, num_threads=GOLDEN_THREADS)
     workload = make_intensity_workload(
         intensity, num_threads=GOLDEN_THREADS, seed=GOLDEN_MIX_SEED
     )
-    return System(
+    system = System(
         workload,
         make_scheduler(scheduler),
         config,
         seed=RUN_SEED,
         telemetry=telemetry,
-        observers=[Observer()] if dispatch else (),
     )
+    assert fusable(system)
+    return system
+
+
+def _on_dispatch_loop(system):
+    """``system.run()`` with every advance on the dispatch loop."""
+    with dispatch_loop():
+        return system.run()
 
 
 def _pair(scheduler, intensity, run_cycles=12_000):
-    dispatch_sys = _build(scheduler, intensity, run_cycles, dispatch=True)
-    fused_sys = _build(scheduler, intensity, run_cycles, dispatch=False)
-    assert not fusable(dispatch_sys) and fusable(fused_sys)
-    return dispatch_sys, dispatch_sys.run(), fused_sys, fused_sys.run()
+    dispatch_sys = _build(scheduler, intensity, run_cycles)
+    fused_sys = _build(scheduler, intensity, run_cycles)
+    dispatch = _on_dispatch_loop(dispatch_sys)
+    return dispatch_sys, dispatch, fused_sys, fused_sys.run()
 
 
 @pytest.mark.parametrize("scheduler,intensity", SMOKE_POINTS)
@@ -140,28 +150,27 @@ def test_golden_matrix_on_dispatch_loop(monkeypatch):
 
 
 def test_telemetry_counter_parity():
-    """Metric registries (polled counters) agree across the loops; a
-    registry alone leaves the run on the fused loop."""
+    """Metric registries (polled counters) agree across the loops."""
     registries = {}
     for dispatch in (True, False):
         telemetry = Telemetry(registry=MetricsRegistry())
-        system = _build("tcm", 0.75, 12_000, dispatch, telemetry=telemetry)
-        assert fusable(system) is not dispatch
-        system.run()
+        system = _build("tcm", 0.75, 12_000, telemetry=telemetry)
+        if dispatch:
+            _on_dispatch_loop(system)
+        else:
+            system.run()
         registries[dispatch] = system.metrics.snapshot()
     assert registries[True] == registries[False]
 
 
 def test_observed_run_parity():
-    """A sampled and traced run takes the dispatch loop; its result and
-    final counters equal the unobserved run's on the fused loop."""
+    """A sampled and traced run on the dispatch loop equals the
+    unobserved run on the fused loop: result and final counters."""
     telemetry = Telemetry.in_memory(epoch_cycles=4_000)
-    observed = _build("atlas", 0.5, 12_000, dispatch=False,
-                      telemetry=telemetry)
-    assert not fusable(observed)
-    observed_result = observed.run()
+    observed = _build("atlas", 0.5, 12_000, telemetry=telemetry)
+    observed_result = _on_dispatch_loop(observed)
     assert telemetry.samples
-    plain = _build("atlas", 0.5, 12_000, dispatch=False,
+    plain = _build("atlas", 0.5, 12_000,
                    telemetry=Telemetry(registry=MetricsRegistry()))
     assert plain.run() == observed_result
     assert plain.metrics.snapshot() == observed.metrics.snapshot()
@@ -180,18 +189,16 @@ def _bank_books(system):
 def test_span_tiling_parity():
     """Span lifecycles account exactly for the fused loop's books.
 
-    Spans force the dispatch loop (the collector hooks the scheduling
-    seams), so a span-collecting run is held against the same point on
-    the fused loop: equal results, per-thread latency totals equal to
-    the fused loop's latency books, and per-bank grants of each access
-    kind equal to the fused loop's bank counters.
+    A span-collecting run on the dispatch loop is held against the
+    same point run plain on the fused loop: equal results, per-thread
+    latency totals equal to the fused loop's latency books, and
+    per-bank grants of each access kind equal to the fused loop's bank
+    counters.
     """
     telemetry = Telemetry.observing()
-    spanned = _build("stfm", 0.75, 12_000, dispatch=False,
-                     telemetry=telemetry)
-    fused = _build("stfm", 0.75, 12_000, dispatch=False)
-    assert not fusable(spanned) and fusable(fused)
-    assert spanned.run() == fused.run()
+    spanned = _build("stfm", 0.75, 12_000, telemetry=telemetry)
+    fused = _build("stfm", 0.75, 12_000)
+    assert _on_dispatch_loop(spanned) == fused.run()
 
     spans = telemetry.spans.all_spans()
     assert len(spans) > 100
@@ -214,8 +221,8 @@ def test_span_tiling_parity():
 def test_decision_record_parity():
     """Explain decision records tally with the fused loop's grants.
 
-    Attaching explain forces the dispatch loop, which records every
-    grant; the same point on the fused loop records none but keeps the
+    An explained run on the dispatch loop records every grant; the
+    same point run plain on the fused loop records none but keeps the
     counts.  At every smoke point: one record per grant, and per bank
     the records' grants and row-hit winners equal the fused loop's bank
     counters.
@@ -223,11 +230,10 @@ def test_decision_record_parity():
     from repro.explain import attach_explain
 
     for scheduler, intensity in SMOKE_POINTS:
-        explained = _build(scheduler, intensity, 8_000, dispatch=False)
+        explained = _build(scheduler, intensity, 8_000)
         collector = attach_explain(explained, keep_records=None)
-        fused = _build(scheduler, intensity, 8_000, dispatch=False)
-        assert not fusable(explained) and fusable(fused)
-        assert explained.run() == fused.run(), scheduler
+        fused = _build(scheduler, intensity, 8_000)
+        assert _on_dispatch_loop(explained) == fused.run(), scheduler
 
         records = list(collector.records)
         assert records, f"{scheduler}: no decisions recorded"

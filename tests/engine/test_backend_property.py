@@ -5,8 +5,8 @@ axes; this module turns hypothesis loose on the configuration space —
 geometry, window size, page policy, detailed timings, writes,
 prefetchers, phases, seeds — and requires a run left to
 ``System.advance``'s choice of loop to equal the same run forced onto
-the dispatch loop (a no-op observer attached), bit for bit, on every
-drawn point.  Points with detailed timings, writes or prefetchers take
+the dispatch loop (``tests.conftest.dispatch_loop``), bit for bit, on
+every drawn point.  Points with detailed timings, writes or prefetchers take
 the dispatch loop either way; the rest pit the fused loop against it.
 The test names call the two loops backends: ``fast`` is the fused
 loop, ``reference`` the dispatch loop.
@@ -27,10 +27,9 @@ from hypothesis import strategies as st
 
 from repro.schedulers.registry import SCHEDULERS, make_scheduler
 from repro.sim.fused import fusable
-from repro.sim.observer import Observer
 from repro.sim.system import System
 from repro.workloads.mixes import make_intensity_workload
-from tests.conftest import sim_configs
+from tests.conftest import dispatch_loop, sim_configs
 
 pytestmark = pytest.mark.property
 
@@ -44,8 +43,10 @@ def _run(config, scheduler, intensity, mix_seed, dispatch):
         make_scheduler(scheduler),
         config,
         seed=config.seed,
-        observers=[Observer()] if dispatch else (),
     )
+    if dispatch:
+        with dispatch_loop():
+            return system, system.run()
     return system, system.run()
 
 

@@ -8,23 +8,19 @@ from repro.config import SimConfig
 from repro.explain import ExplainCollector, attach_explain, explain_run
 from repro.schedulers.registry import make_scheduler
 from repro.sim.fused import fusable
-from repro.sim.observer import Observer
 from repro.sim.system import System
 from repro.workloads import make_intensity_workload
+from tests.conftest import dispatch_loop
 
 CYCLES = 6_000
 
 
-def _system(loop="fast", num_threads=4, seed=1, **cfg):
-    """A system left to the fused loop (``"fast"``) or forced onto the
-    dispatch loop by a no-op observer (``"reference"``)."""
+def _system(num_threads=4, seed=1, **cfg):
     config = SimConfig(run_cycles=CYCLES, num_threads=num_threads,
                        quantum_cycles=2_000, **cfg)
     workload = make_intensity_workload(0.75, num_threads=num_threads,
                                        seed=3)
-    observers = [Observer()] if loop == "reference" else ()
-    return System(workload, make_scheduler("tcm"), config, seed=seed,
-                  observers=observers)
+    return System(workload, make_scheduler("tcm"), config, seed=seed)
 
 
 def _fingerprint(result):
@@ -68,21 +64,25 @@ class TestAttach:
 class TestObserverNeutrality:
     @pytest.mark.parametrize("loop", ["reference", "fast"])
     def test_results_bit_identical(self, loop):
-        """Attached (with a shadow) vs detached on either loop: same
-        results."""
-        plain = _system(loop).run()
-        observed_system = _system("fast")
+        """Attached (with a shadow) on either loop — the dispatch loop
+        (``"reference"``) or the fused loop (``"fast"``) — vs detached:
+        same results."""
+        plain = _system().run()
+        observed_system = _system()
         attach_explain(observed_system, shadows=("frfcfs",))
-        observed = observed_system.run()
+        if loop == "reference":
+            with dispatch_loop():
+                observed = observed_system.run()
+        else:
+            observed = observed_system.run()
         assert _fingerprint(observed) == _fingerprint(plain)
 
-    def test_explain_forces_the_dispatch_loop(self):
-        system = _system("fast")
+    def test_explain_runs_on_the_fused_loop(self):
+        system = _system()
         collector = attach_explain(system)
-        assert not fusable(system)
+        assert fusable(system)
         system.run()
-        # the fused loop never dispatches grants through the explain
-        # seam; a populated collector proves the dispatch loop ran
+        # the fused loop fires on_decision at every grant
         assert collector.decisions_total == system.sched_decisions
         assert collector.decisions_total > 0
 

@@ -113,6 +113,23 @@ class TestTieProvenance:
                 assert record.margin.runner_up_request_id != \
                     record.winner_request_id
 
+    @pytest.mark.parametrize("prefetch_degree", [0, 2])
+    def test_margin_is_margin_of_winner_and_runner_up(self,
+                                                      prefetch_degree):
+        system, collector = _explained(prefetch_degree=prefetch_degree)
+        names = system.scheduler.PRIORITY_COMPONENTS
+        margins = 0
+        for record in collector.records:
+            if record.margin is None:
+                continue
+            by_id = {c.request_id: c for c in record.candidates}
+            winner = by_id[record.winner_request_id]
+            runner_up = by_id[record.margin.runner_up_request_id]
+            assert (record.margin.component, record.margin.delta) == \
+                margin_of(winner.key, runner_up.key, names)
+            margins += 1
+        assert margins > 0
+
     def test_aggregates_match_records(self):
         _, collector = _explained()
         assert collector.only_candidate == sum(

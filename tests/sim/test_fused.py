@@ -1,10 +1,11 @@
 """When ``System.advance`` may take the fused loop (``fusable``).
 
 The fused loop inlines the CPU model, address stream, DRAM timing and
-monitor, so anything that could observe or replace one of those calls
-must route the run through the dispatch loop instead: a tracer,
-sampler or observer, the optional subsystems the fused loop does not
-implement, a component subclass, or a per-instance method wrapper.
+monitor, so anything that could replace one of those calls must route
+the run through the dispatch loop instead: the optional subsystems the
+fused loop does not implement, a component subclass, or a per-instance
+method wrapper.  Tracers, samplers and observers fire at the same sites
+on both loops, so they leave the run on the fused loop.
 """
 
 import pytest
@@ -44,8 +45,13 @@ def test_optional_subsystems_need_the_dispatch_loop(cfg):
     lambda: Telemetry(sampler=EpochSampler(2_000)),
     lambda: Telemetry(tracer=Tracer([MemorySink()])),
 ], ids=["sampler", "tracer"])
-def test_telemetry_streams_need_the_dispatch_loop(telemetry):
-    assert not fusable(_system(telemetry=telemetry()))
+def test_telemetry_streams_run_on_the_fused_loop(telemetry):
+    bundle = telemetry()
+    system = _system(telemetry=bundle)
+    assert fusable(system)
+    assert system.run() == _system().run()
+    # the fused loop emits the grant events and takes the samples
+    assert bundle.events or bundle.samples
 
 
 #: (label, component of a system, one of its methods the fused loop

@@ -6,25 +6,30 @@ state probe stepped through checkpoints, and a trace recorder — reduced
 to one digest per instrument output.  ``tests/goldens/
 observer_digests.json`` holds the digests, recorded before the
 instruments moved onto :mod:`repro.sim.observer`; the test reproduces
-them (observed runs take ``System``'s dispatch loop), so any change to
-when or with what an observer hook fires shows up as drift in the
-instrument whose output it changed.  Request ids are a process-global
+them (the recorded runs model writes and prefetching, so they take
+``System``'s dispatch loop), so any change to when or with what an
+observer hook fires shows up as drift in the instrument whose output it
+changed.  ``tests/engine/test_instrument_parity.py`` holds the fused
+loop to the same outputs.  Request ids are a process-global
 counter, so every digest is taken over id-free structures.  Re-record
 (only when an output change is intended) with::
 
     PYTHONPATH=src python -m tests.sim.test_observers
 
 **Hook order.**  A recording observer and a recording policy share one
-log, pinning the documented position of every hook; without the
-observer, the fused loop must call the policy's hooks in the same
-order.
+log, pinning the documented position of every hook on both loops; the
+two loops must write the same log, and without the observer the fused
+loop must call the policy's hooks in the same order.
 
 **Attach rules.**  Every instrument refuses to attach to a started run.
+A detach takes effect at the next ``advance`` call on both loops, and a
+detach from a hook, inside a running ``advance``, raises.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 from hashlib import blake2b
 from pathlib import Path
 
@@ -40,12 +45,13 @@ from repro.prof import attach_profiler
 from repro.schedulers.frfcfs import FRFCFSScheduler
 from repro.schedulers.registry import SCHEDULERS, make_scheduler
 from repro.sim.fused import fusable
-from repro.sim.observer import Observer
+from repro.sim.observer import HOOKS, Observer
 from repro.sim.system import _EV_DONE, System
 from repro.telemetry import Telemetry
 from repro.trace import TraceRecorder
 from repro.validate.fingerprint import fingerprint_run
 from repro.workloads import make_intensity_workload
+from tests.conftest import dispatch_loop
 
 FIXTURE = Path(__file__).resolve().parents[1] / "goldens" / \
     "observer_digests.json"
@@ -76,12 +82,17 @@ def _span_structure(collector) -> dict:
     }
 
 
-def observed_digests(scheduler: str) -> dict:
-    """Digests of every instrument's output on one observed run."""
-    config = SimConfig(
-        run_cycles=CYCLES, num_threads=4, quantum_cycles=5_000,
-        model_writes=True, prefetch_degree=2,
-    )
+#: the recorded runs model writes and prefetching, so they take the
+#: dispatch loop; tests/engine/test_instrument_parity.py holds the fused
+#: loop to the same outputs on a configuration it runs
+RECORDED_CONFIG = SimConfig(
+    run_cycles=CYCLES, num_threads=4, quantum_cycles=5_000,
+    model_writes=True, prefetch_degree=2,
+)
+
+
+def observed_outputs(scheduler: str, config: SimConfig = RECORDED_CONFIG):
+    """Every instrument's output on one observed run, and their counts."""
     workload = make_intensity_workload(0.75, num_threads=4, seed=3)
     telemetry = Telemetry.observing(epoch_cycles=5_000)
     recorder = TraceRecorder()
@@ -111,13 +122,20 @@ def observed_digests(scheduler: str) -> dict:
             for tid in sorted(recorder.events)
         ],
     }
-    digests = {name: _digest(value) for name, value in outputs.items()}
-    digests["counts"] = {
+    counts = {
         "events": len(telemetry.events),
         "spans": len(telemetry.spans.all_spans()),
         "decisions": explain.decisions_total,
         "misses_recorded": sum(len(v) for v in recorder.events.values()),
     }
+    return outputs, counts
+
+
+def observed_digests(scheduler: str) -> dict:
+    """Digests of every instrument's output on one observed run."""
+    outputs, counts = observed_outputs(scheduler)
+    digests = {name: _digest(value) for name, value in outputs.items()}
+    digests["counts"] = counts
     return digests
 
 
@@ -219,35 +237,51 @@ def _logged_run(observed: bool):
     return system, observer, log
 
 
-_TIMED_HOOKS = ("quantum", "timer")
+#: log entries whose last field is a request id (None for an event
+#: without a request)
+_KEYED_HOOKS = ("select", "arrival", "decision", "grant", "complete",
+                "event")
 
 
-def _policy_entries(log):
-    """The policy's log entries with request ids made run-relative
-    (ids come from a process-global counter)."""
-    entries = [entry for entry in log if entry[0] == "policy"]
-    ids = [entry[2] for entry in entries if entry[1] not in _TIMED_HOOKS]
-    base = min(ids, default=0)
+def _run_relative(entries):
+    """Log entries with request ids made run-relative (ids come from a
+    process-global counter)."""
+    def keyed(entry):
+        return entry[1] in _KEYED_HOOKS and entry[-1] is not None
+
+    base = min((entry[-1] for entry in entries if keyed(entry)), default=0)
     return [
-        entry if entry[1] in _TIMED_HOOKS
-        else (entry[0], entry[1], entry[2] - base)
+        entry[:-1] + (entry[-1] - base,) if keyed(entry) else entry
         for entry in entries
     ]
 
 
+def _policy_entries(log):
+    """The policy's log entries, run-relative."""
+    return _run_relative([entry for entry in log if entry[0] == "policy"])
+
+
 @pytest.mark.parametrize("loop", ["reference", "fast"])
 def test_hooks_fire_at_their_documented_positions(loop):
-    """Observer hooks on the dispatch loop (``"reference"``) sit at
-    their documented positions; the fused loop (``"fast"``, no
-    observer) calls the policy's hooks in the same order."""
+    """Observer hooks on the dispatch loop (``"reference"``) and on the
+    fused loop (``"fast"``) sit at their documented positions, and the
+    two loops log the same calls; the fused loop with no observer calls
+    the policy's hooks in the same order."""
     system, observer, log = _logged_run(observed=True)
-    system.run()
-    if loop == "fast":
+    if loop == "reference":
+        with dispatch_loop():
+            system.run()
+    else:
+        assert fusable(system)
+        system.run()
+        reference, _, reference_log = _logged_run(observed=True)
+        with dispatch_loop():
+            reference.run()
+        assert _run_relative(log) == _run_relative(reference_log)
         plain, _, plain_log = _logged_run(observed=False)
         assert fusable(plain)
         plain.run()
         assert _policy_entries(plain_log) == _policy_entries(log)
-        return
     assert observer.violations == []
     assert log[0][:2] == ("obs", "begin") and log[-1] == ("obs", "end",
                                                           20_000)
@@ -273,25 +307,34 @@ def test_hooks_fire_at_their_documented_positions(loop):
 def test_only_overridden_hooks_are_called_and_wrappers_intercept():
     calls = []
 
-    class ArrivalsOnly(Observer):
+    class ArrivalsAndGrants(Observer):
         def on_arrival(self, request, now):
             calls.append("class")
 
-    observer = ArrivalsOnly()
+        def on_grant(self, request, waiting, access, completion, now):
+            calls.append("grant")
+
+    observer = ArrivalsAndGrants()
     system = System(make_intensity_workload(0.75, num_threads=4, seed=3),
                     make_scheduler("frfcfs"),
                     SimConfig(run_cycles=5_000, num_threads=4), seed=5,
                     observers=[observer])
-    # a per-instance wrapper installed before the run takes the calls
+    # a per-instance wrapper installed before the run takes the calls,
+    # and an overridden hook set to None on the instance is switched off
     observer.on_arrival = lambda request, now: calls.append("wrapper")
+    observer.on_grant = None
     system.start_run()
     assert system._on_arrival and not system._on_grant
+    # hooks the class does not override are never bound
+    assert not any(getattr(system, "_" + hook) for hook in HOOKS
+                   if hook not in ("on_arrival", "on_grant"))
     system.advance(5_000)
     assert calls and set(calls) == {"wrapper"}
 
 
 def test_bare_loop_needs_no_observer_and_admits_stfm():
-    """The bare run takes the fused loop; an observer forces dispatch."""
+    """STFM keeps its own interference books, so its bare run takes the
+    fused loop, and so does the same run with an observer attached."""
     def build(**kwargs):
         return System(make_intensity_workload(0.75, num_threads=4, seed=3),
                       make_scheduler("stfm"),
@@ -299,7 +342,9 @@ def test_bare_loop_needs_no_observer_and_admits_stfm():
                       **kwargs)
 
     assert fusable(build())
-    assert not fusable(build(observers=[Observer()]))
+    observed = build(observers=[Observer()])
+    assert fusable(observed)
+    assert observed.run() == build().run()
 
 
 # ----------------------------------------------------------------------
@@ -325,6 +370,69 @@ def test_attach_after_start_run_is_rejected(instrument):
         INSTRUMENTS[instrument](system)
     assert system.observers == []
     assert "run" not in vars(system)  # the profiler wrapped nothing
+
+
+
+class EventCounter(Observer):
+    """Counts events; optionally detaches itself from its first grant."""
+
+    def __init__(self, detach_on_grant=False):
+        self.events = 0
+        self.detach_on_grant = detach_on_grant
+        self.system = None
+
+    def begin(self, system):
+        self.system = system
+
+    def on_event(self, time, kind, payload, aux):
+        self.events += 1
+
+    def on_grant(self, request, waiting, access, completion, now):
+        if self.detach_on_grant:
+            self.system.detach(self)
+
+
+def _on_loop(loop, system):
+    """The context an ``advance`` of ``system`` takes ``loop`` in."""
+    if loop == "reference":
+        return dispatch_loop()
+    assert fusable(system)
+    return nullcontext()
+
+
+@pytest.mark.parametrize("loop", ["reference", "fast"])
+def test_detach_takes_effect_at_the_next_advance(loop):
+    observer = EventCounter()
+    system = System(make_intensity_workload(0.75, num_threads=4, seed=3),
+                    make_scheduler("tcm"),
+                    SimConfig(run_cycles=6_000, num_threads=4), seed=5,
+                    observers=[observer])
+    system.start_run()
+    with _on_loop(loop, system):
+        system.advance(3_000)
+        seen = observer.events
+        assert seen > 0
+        system.detach(observer)
+        system.advance(6_000)
+    assert observer.events == seen
+    assert not system._on_event and not system._on_grant
+
+
+@pytest.mark.parametrize("loop", ["reference", "fast"])
+def test_detach_from_a_hook_raises(loop):
+    observer = EventCounter(detach_on_grant=True)
+    system = System(make_intensity_workload(0.75, num_threads=4, seed=3),
+                    make_scheduler("tcm"),
+                    SimConfig(run_cycles=6_000, num_threads=4), seed=5,
+                    observers=[observer])
+    system.start_run()
+    with _on_loop(loop, system):
+        with pytest.raises(RuntimeError, match="between advance"):
+            system.advance(6_000)
+    assert observer in system.observers
+    # the refusal is scoped to the running advance
+    system.detach(observer)
+    assert observer not in system.observers
 
 
 if __name__ == "__main__":
