@@ -5,7 +5,9 @@ Not a paper experiment — tracks the event-driven engine's own speed
 be approached).  Three layers:
 
 * **Per-scheduler speed** — every policy in the registry
-  (``engine_speed[tcm]`` ...; see docs/PERFORMANCE.md).  Each bench
+  (``engine_speed[tcm]`` ...; see docs/PERFORMANCE.md), plus FR-FCFS
+  and TCM with writes and prefetching on (``engine_speed[tcm-rw]`` ...,
+  the e2e benchmark's ``sim_rw`` configuration).  Each bench
   attaches ``repro.prof`` component shares as ``extra_info`` so the
   artifact says *where* the cycles went, and appends a
   ``repro.prof.history`` record when ``REPRO_BENCH_RECORD=1``.
@@ -14,7 +16,7 @@ be approached).  Three layers:
   simulation).  This doubles as the fused-vs-dispatch loop identity
   check: the profiler's wrappers force the dispatch loop, the plain
   run takes the fused loop, and the results must still be equal bit
-  for bit.
+  for bit, with and without writes and prefetching.
 * **Off-path overhead guard** — best-of-5 plain-run wall clock against
   the committed ``BENCH_history.json`` record for ``engine_speed[tcm]``
   via :func:`repro.prof.history.compare` at ``STRICT_TOLERANCE``.
@@ -40,30 +42,42 @@ CYCLES = 60_000
 THREADS = 24
 ROUNDS = 3
 STRICT = os.environ.get("REPRO_BENCH_STRICT") == "1"
+#: writes and prefetching on, as in the e2e benchmark's sim_rw workload
+RW = {"model_writes": True, "prefetch_degree": 2}
+#: (bench id, scheduler, config features): every registered policy,
+#: then sim_rw's two policies with writes and prefetching
+POINTS = [(name, name, {}) for name in sorted(SCHEDULERS)] + [
+    (f"{name}-rw", name, RW) for name in ("frfcfs", "tcm")
+]
 
 
 def _workload():
     return make_intensity_workload(0.75, num_threads=THREADS, seed=0)
 
 
-def _system(scheduler_name):
-    cfg = SimConfig(run_cycles=CYCLES)
-    return System(_workload(), make_scheduler(scheduler_name), cfg, seed=0)
+def _config(features):
+    return SimConfig(run_cycles=CYCLES, **features)
 
 
-def _timed_run(scheduler_name):
-    system = _system(scheduler_name)
+def _system(scheduler_name, features=None):
+    return System(_workload(), make_scheduler(scheduler_name),
+                  _config(features or {}), seed=0)
+
+
+def _timed_run(scheduler_name, features=None):
+    system = _system(scheduler_name, features)
     t0 = time.perf_counter()
     result = system.run()
     return time.perf_counter() - t0, result, system
 
 
-@pytest.mark.parametrize("name", sorted(SCHEDULERS))
-def test_engine_speed(benchmark, name):
+@pytest.mark.parametrize("point, name, features", POINTS,
+                         ids=[point for point, _, _ in POINTS])
+def test_engine_speed(benchmark, point, name, features):
     """Engine speed and component shares for one registered policy."""
     rounds, result, events = [], None, 0
     for _ in range(ROUNDS):
-        dt, result, system = _timed_run(name)
+        dt, result, system = _timed_run(name, features)
         rounds.append(dt)
         events = system._seq
     assert result.total_requests > 500
@@ -74,7 +88,7 @@ def test_engine_speed(benchmark, name):
     # profiler forces the dispatch loop while the timed rounds took the
     # fused loop, so this equality pins the two loops to each other.
     prof_result, report = profile_run(
-        _workload(), name, SimConfig(run_cycles=CYCLES), seed=0,
+        _workload(), name, _config(features), seed=0,
     )
     assert prof_result == result, "profiler changed the simulated outcome"
     shares = {k: round(v, 4) for k, v in report.component_shares().items()}
@@ -87,7 +101,7 @@ def test_engine_speed(benchmark, name):
     )
     benchmark.extra_info["component_shares"] = shares
     record_history(
-        f"engine_speed[{name}]", "engine_speed", rounds,
+        f"engine_speed[{point}]", "engine_speed", rounds,
         requests=result.total_requests,
         cycles=CYCLES,
         events=events,
@@ -95,7 +109,7 @@ def test_engine_speed(benchmark, name):
         requests_per_sec=round(result.total_requests / median),
         extra={"component_shares": shares},
     )
-    benchmark.pedantic(lambda: _system(name).run(),
+    benchmark.pedantic(lambda: _system(name, features).run(),
                        rounds=1, iterations=1)
 
 

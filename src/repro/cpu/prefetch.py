@@ -175,7 +175,10 @@ class StreamPrefetcher:
                 del self._inflight[location]
         waiters = self._waiters.get(location)
         if waiters:
-            return [waiters.pop(0)]
+            woken = waiters.pop(0)
+            if not waiters:
+                del self._waiters[location]
+            return [woken]
         if self._credit_total >= _BUFFER_BLOCKS:
             self.stats.evicted += 1
             return []

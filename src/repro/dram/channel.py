@@ -181,12 +181,13 @@ class Channel:
     # write path
     # ------------------------------------------------------------------
 
-    def enqueue_write(self, request: MemoryRequest) -> bool:
-        """Buffer a writeback; returns False if the buffer is full.
+    def enqueue_write(self, request: MemoryRequest) -> None:
+        """Buffer a writeback.
 
-        A full buffer stalls nothing in this model (the oldest write is
-        dropped and counted) — real systems would back-pressure the
-        cache, which none of the studied schedulers react to.
+        A full buffer stalls nothing in this model: the oldest write is
+        dropped and counted in ``dropped_writes`` (real systems would
+        back-pressure the cache, which none of the studied schedulers
+        react to).
         """
         if not request.is_write:
             raise ValueError("enqueue_write needs a write request")
@@ -194,7 +195,6 @@ class Channel:
             self.write_buffer.pop(0)
             self.dropped_writes += 1
         self.write_buffer.append(request)
-        return True
 
     def next_write_for(self, bank_id: int) -> Optional[MemoryRequest]:
         """Oldest buffered write addressed to ``bank_id``, if any."""

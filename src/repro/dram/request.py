@@ -11,12 +11,15 @@ _request_ids = itertools.count()
 
 @dataclass(slots=True)
 class MemoryRequest:
-    """A single read request from a thread to a DRAM bank.
+    """A single request from a thread to a DRAM bank.
 
-    The paper's controllers prioritise reads over writes and buffer
-    writes separately; following common practice in scheduler studies,
-    we model the read stream (writes are off the critical path and do
-    not influence any of the algorithms under study).
+    Most requests are demand reads.  A stream prefetcher
+    (``SimConfig.prefetch_degree``) adds prefetch reads, tagged
+    ``is_prefetch``.  With ``SimConfig.model_writes``, dirty-line
+    writebacks are modelled too, tagged ``is_write``.  As in the
+    paper's controllers, writebacks wait in a separate write buffer
+    and drain only when a bank has no reads queued, so none of the
+    algorithms under study schedules them.
 
     Attributes:
         thread_id: issuing hardware context.

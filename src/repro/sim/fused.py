@@ -12,20 +12,21 @@ and :class:`~repro.core.monitor.BehaviorMonitor` objects:
   component methods, so every seam a wrapper can intercept is there;
 * the **fused loop** (:func:`advance_fused`) performs the same
   statements with the call frames between them removed: the miss
-  issue, the address stream, the non-detailed bank access, the
-  monitor's bookkeeping and in-order retirement are inlined over
-  cached locals.
+  issue, the address stream, the stream prefetcher, the non-detailed
+  bank access, the monitor's bookkeeping and in-order retirement are
+  inlined over cached locals.
 
-The fused loop runs unless a feature it does not implement is on or a
-per-instance wrapper could miss a call (:func:`fusable`).  Scheduler
-policy code stays in charge: ``select`` and every lifecycle hook a
-policy overrides are called exactly where the dispatch loop calls them
-(base-class no-op hooks are skipped).  Observer hooks
-(:mod:`repro.sim.observer`), the tracer's grant events and epoch
-samples fire at the dispatch loop's sites too, and quantum boundaries
-go through the ``System`` method.  Both loops execute the same
-operations in the same order — same event order, same RNG draws, same
-float arithmetic, same hook calls — which the parity suites
+The fused loop runs unless detailed DRAM timings (the one feature it
+does not implement) are on, or a component subclass or per-instance
+wrapper could miss a call (:func:`fusable`).  Scheduler policy code
+stays in charge: ``select`` and every lifecycle hook a policy overrides
+are called exactly where the dispatch loop calls them (base-class no-op
+hooks are skipped).  Observer hooks (:mod:`repro.sim.observer`), the
+tracer's grant and write-drain events and epoch samples fire at the
+dispatch loop's sites too, and quantum boundaries go through the
+``System`` method.  Both loops execute the same operations in the same
+order — same event order, same RNG draws, same float arithmetic, same
+hook calls — which the parity suites
 (``tests/engine/test_backend_parity.py``,
 ``tests/engine/test_instrument_parity.py``) pin bit-identical.
 """
@@ -35,6 +36,10 @@ from __future__ import annotations
 from heapq import heappop, heappush
 
 from repro.core.monitor import BehaviorMonitor
+from repro.cpu.prefetch import (
+    _BUFFER_BLOCKS, _THROTTLE_ACCURACY, _THROTTLE_WARMUP, _TRIGGER_STREAK,
+    PREFETCH_HIT_LATENCY, PrefetchStats, StreamPrefetcher,
+)
 from repro.cpu.stats import ThreadStats
 from repro.cpu.thread import JITTER, ThreadModel
 from repro.dram.bank import Bank, BankAccess
@@ -58,17 +63,13 @@ def fusable(system) -> bool:
     """True when the fused loop cannot be told apart from the dispatch
     loop.
 
-    Requires no prefetchers, write modelling or detailed timings; every
-    component exactly its base class and built on the system's config;
-    and no per-instance method override on the system, scheduler or any
-    component.  Tracers, samplers and observers run on either loop.
+    Requires non-detailed timings; every component exactly its base
+    class and built on the system's config; and no per-instance method
+    override on the system, scheduler or any component (prefetchers
+    included).  Tracers, samplers and observers run on either loop.
     """
     config = system.config
-    if (
-        system.prefetchers is not None
-        or config.model_writes
-        or config.timings.detailed
-    ):
+    if config.timings.detailed:
         return False
     monitor = system.monitor
     if (
@@ -78,6 +79,13 @@ def fusable(system) -> bool:
         or _shadowed(monitor)
     ):
         return False
+    for prefetcher in system.prefetchers or ():
+        if (
+            type(prefetcher) is not StreamPrefetcher
+            or type(prefetcher.stats) is not PrefetchStats
+            or _shadowed(prefetcher)
+        ):
+            return False
     for thread in system.threads:
         if (
             type(thread) is not ThreadModel
@@ -126,19 +134,21 @@ def advance_fused(system, limit: int) -> None:
     Mirrors ``System._issue_miss`` / ``_try_schedule`` /
     ``_complete_request`` with ``ThreadModel.try_issue`` /
     ``issue_gap`` / ``on_request_completed``,
-    ``AddressStream.next_location``, the non-detailed
+    ``AddressStream.next_location``, ``StreamPrefetcher.observe`` /
+    ``consume`` / ``try_merge`` / ``fill``, the non-detailed
     ``Channel.start_service`` / ``Bank.begin_access`` and the
-    ``BehaviorMonitor`` hooks, statement for statement.  The event
-    counter lives on the system (``system._seq``), so timers a policy
-    pushes from its hooks interleave with the inlined pushes.
+    ``BehaviorMonitor`` hooks, statement for statement.  Writes are
+    rarer than reads, so the write buffer keeps its ``Channel`` methods.
+    The event counter lives on the system (``system._seq``), so timers
+    a policy pushes from its hooks interleave with the inlined pushes.
 
     The observer hook tuples and the tracer are read once per call; a
     grant builds its :class:`~repro.dram.bank.BankAccess` only for
     ``on_grant`` hooks.
     """
     from repro.sim.system import (
-        _EV_BANK_FREE, _EV_DONE, _EV_ISSUE, _EV_QUANTUM, _EV_SAMPLE,
-        _EV_TIMER,
+        _EV_BANK_FREE, _EV_DONE, _EV_ISSUE, _EV_PHIT, _EV_QUANTUM,
+        _EV_SAMPLE, _EV_TIMER,
     )
 
     events = system._events
@@ -154,9 +164,13 @@ def advance_fused(system, limit: int) -> None:
     num_rows = config.num_rows
     ipc_peak = config.ipc_peak
     phased = config.phase_mean_cycles > 0
+    model_writes = config.model_writes
+    writeback_ratio = config.writeback_ratio
+    wb_rng = system._wb_rng
     jitter_low, jitter_high = JITTER
     jitter_span = jitter_high - jitter_low
     threads = system.threads
+    prefetchers = system.prefetchers
     channels = system.channels
     queues_by_ch = [channel.queues for channel in channels]
     banks_by_ch = [channel.banks for channel in channels]
@@ -189,6 +203,7 @@ def advance_fused(system, limit: int) -> None:
     decision_hooks = system._on_decision
     event_hooks = system._on_event
     grant_hooks = system._on_grant
+    write_hooks = system._on_write
     timer_hooks = system._on_timer
     tracer = system._tracer
 
@@ -218,7 +233,28 @@ def advance_fused(system, limit: int) -> None:
             return
         queue = queues_by_ch[channel_id][bank_id]
         if not queue:
-            return  # no write path without write modelling
+            # reads first (paper Table 3); drain a write when the bank
+            # would otherwise idle
+            if model_writes:
+                channel = channels[channel_id]
+                write = channel.next_write_for(bank_id)
+                if write is not None:
+                    access = channel.start_write_service(write, time)
+                    data_end = access.data_end
+                    if tracer is not None:
+                        tracer.emit(
+                            "dram_cmd", time, ch=channel_id, bank=bank_id,
+                            row=write.row, tid=write.thread_id,
+                            kind=access.kind, start=time, end=data_end,
+                            write=True,
+                        )
+                    for hook in write_hooks:
+                        hook(write, access, time)
+                    seq = system._seq + 1
+                    system._seq = seq
+                    heappush(events, (data_end, seq, _EV_BANK_FREE,
+                                      channel_id, bank_id))
+            return
         channel = channels[channel_id]
         request = select(channel, bank_id, time)
         if decision_hooks:
@@ -306,7 +342,8 @@ def advance_fused(system, limit: int) -> None:
 
     def issue_miss(tid, time):
         # System._issue_miss + ThreadModel.try_issue / issue_gap +
-        # AddressStream.next_location + monitor arrival
+        # AddressStream.next_location + StreamPrefetcher.observe /
+        # consume / try_merge + monitor arrival
         thread = threads[tid]
         if phased and time >= thread._phase_end:
             thread._maybe_change_phase(time)
@@ -357,34 +394,116 @@ def advance_fused(system, limit: int) -> None:
                 addr.drifts += 1
         channel_id = gbank // banks_per_channel
         bank_id = gbank % banks_per_channel
-        # -- enqueue + BehaviorMonitor.on_request_arrival
-        request = MemoryRequest(tid, channel_id, bank_id, row, time, issue_id)
-        queues_by_ch[channel_id][bank_id].append(request)
-        shadow = shadow_rows[channel_id][tid]
-        shadow_accesses[channel_id][tid] += 1
-        l_accesses[tid] += 1
-        if shadow.get(bank_id) == row:
-            shadow_hits[channel_id][tid] += 1
-            l_hits[tid] += 1
-        shadow[bank_id] = row
-        dt = time - last_update[tid]
-        if dt > 0 and outstanding[tid] > 0:
-            weighted = active_banks[tid] * dt
-            monitor._blp_integral[tid] += weighted
-            monitor._busy_time[tid] += dt
-            l_blp[tid] += weighted
-            l_busy[tid] += dt
-        last_update[tid] = time
-        gbank = channel_id * banks_per_channel + bank_id
-        counts = bank_outstanding[tid]
-        count = counts.get(gbank, 0) + 1
-        counts[gbank] = count
-        if count == 1:
-            active_banks[tid] += 1
-        outstanding[tid] += 1
-        if on_arrival is not None:
-            on_arrival(request, time)
-        try_schedule(channel_id, bank_id, time)
+        to_dram = True
+        if prefetchers is not None:
+            # -- StreamPrefetcher.observe: keep the prefetcher topped up
+            # whichever path the miss takes
+            prefetcher = prefetchers[tid]
+            pf_stats = prefetcher.stats
+            inflight = prefetcher._inflight
+            waiters = prefetcher._waiters
+            credits = prefetcher._credits
+            location = (channel_id, bank_id, row)
+            key = (channel_id, bank_id)
+            streams = prefetcher._streams
+            streak_row, streak = streams.get(key, (None, 0))
+            if streak_row == row:
+                streak += 1
+            else:
+                streak = 1
+                if credits:  # the stream moved on: evict stale blocks
+                    prefetcher._evict_bank(channel_id, bank_id, row)
+            streams[key] = (row, streak)
+            if streak >= _TRIGGER_STREAK:
+                issued = pf_stats.issued
+                if (
+                    issued >= _THROTTLE_WARMUP
+                    and pf_stats.useful / issued < _THROTTLE_ACCURACY
+                ):
+                    prefetcher.throttled = True
+                if not prefetcher.throttled:
+                    top_up = prefetcher.degree - (
+                        inflight.get(location, 0)
+                        - len(waiters.get(location, ()))
+                        + credits.get(location, 0)
+                    )
+                    if (
+                        top_up > 0
+                        and prefetcher._credit_total < _BUFFER_BLOCKS
+                    ):
+                        inflight[location] = (inflight.get(location, 0)
+                                              + top_up)
+                        pf_stats.issued += top_up
+                        # -- System._inject_prefetches
+                        queue = queues_by_ch[channel_id][bank_id]
+                        for _ in range(top_up):
+                            prefetch = MemoryRequest(
+                                tid, channel_id, bank_id, row, time,
+                                is_prefetch=True,
+                            )
+                            queue.append(prefetch)
+                            if on_arrival is not None:
+                                on_arrival(prefetch, time)
+                            try_schedule(channel_id, bank_id, time)
+            # -- StreamPrefetcher.consume / try_merge
+            count = credits.get(location, 0)
+            if count > 0:
+                if count > 1:
+                    credits[location] = count - 1
+                else:
+                    del credits[location]
+                prefetcher._credit_total -= 1
+                pf_stats.useful += 1
+                # the block was prefetched: completes at on-chip latency
+                seq = system._seq + 1
+                system._seq = seq
+                heappush(events, (time + PREFETCH_HIT_LATENCY, seq, _EV_PHIT,
+                                  tid, issue_id))
+                to_dram = False
+            elif inflight.get(location, 0) > len(waiters.get(location, ())):
+                # merged into an in-flight prefetch (MSHR merge): no new
+                # DRAM request; completes when the prefetch fills
+                waiters.setdefault(location, []).append(issue_id)
+                pf_stats.useful += 1
+                to_dram = False
+        if to_dram:
+            # -- enqueue + BehaviorMonitor.on_request_arrival
+            request = MemoryRequest(tid, channel_id, bank_id, row, time,
+                                    issue_id)
+            queues_by_ch[channel_id][bank_id].append(request)
+            shadow = shadow_rows[channel_id][tid]
+            shadow_accesses[channel_id][tid] += 1
+            l_accesses[tid] += 1
+            if shadow.get(bank_id) == row:
+                shadow_hits[channel_id][tid] += 1
+                l_hits[tid] += 1
+            shadow[bank_id] = row
+            dt = time - last_update[tid]
+            if dt > 0 and outstanding[tid] > 0:
+                weighted = active_banks[tid] * dt
+                monitor._blp_integral[tid] += weighted
+                monitor._busy_time[tid] += dt
+                l_blp[tid] += weighted
+                l_busy[tid] += dt
+            last_update[tid] = time
+            gbank = channel_id * banks_per_channel + bank_id
+            counts = bank_outstanding[tid]
+            count = counts.get(gbank, 0) + 1
+            counts[gbank] = count
+            if count == 1:
+                active_banks[tid] += 1
+            outstanding[tid] += 1
+            if on_arrival is not None:
+                on_arrival(request, time)
+            if model_writes and wb_rng.random() < writeback_ratio:
+                # the miss evicts a dirty line: buffer its writeback
+                # (same bank as the fill; the evicted line's row is
+                # unrelated)
+                channels[channel_id].enqueue_write(MemoryRequest(
+                    tid, channel_id, bank_id, int(wb_rng.integers(num_rows)),
+                    time, is_write=True,
+                ))
+            try_schedule(channel_id, bank_id, time)
         # -- ThreadModel.issue_gap
         gap = thread._current_ipm / ipc_peak
         rng = thread._rng
@@ -408,8 +527,36 @@ def advance_fused(system, limit: int) -> None:
 
     def complete(request, time):
         # System._complete_request + BehaviorMonitor.on_request_complete
-        # + ThreadModel.on_request_completed + ThreadStats.retire
+        # + StreamPrefetcher.fill + ThreadModel.on_request_completed +
+        # ThreadStats.retire
         tid = request.thread_id
+        if request.is_prefetch:
+            if on_complete is not None:
+                on_complete(request, time)
+            # -- StreamPrefetcher.fill: the block goes to the prefetch
+            # buffer, or wakes a demand miss merged with this prefetch
+            prefetcher = prefetchers[tid]
+            location = (request.channel_id, request.bank_id, request.row)
+            inflight = prefetcher._inflight
+            count = inflight.get(location, 0)
+            if count > 1:
+                inflight[location] = count - 1
+            elif count == 1:
+                del inflight[location]
+            waiters = prefetcher._waiters
+            waiting = waiters.get(location)
+            if waiting:
+                issue_id = waiting.pop(0)
+                if not waiting:
+                    del waiters[location]
+                retire(tid, issue_id, time)
+            elif prefetcher._credit_total >= _BUFFER_BLOCKS:
+                prefetcher.stats.evicted += 1
+            else:
+                credits = prefetcher._credits
+                credits[location] = credits.get(location, 0) + 1
+                prefetcher._credit_total += 1
+            return
         dt = time - last_update[tid]
         if dt > 0 and outstanding[tid] > 0:
             weighted = active_banks[tid] * dt
@@ -463,6 +610,41 @@ def advance_fused(system, limit: int) -> None:
             thread.window_blocked = False
             issue_miss(tid, time)
 
+    def retire(tid, issue_id, time):
+        # ThreadModel.on_request_completed + ThreadStats.retire for a
+        # prefetch-buffer hit or a merged miss, as complete() retires
+        thread = threads[tid]
+        rob = thread._rob
+        if not rob:
+            raise RuntimeError(
+                f"thread {tid} completion with no outstanding misses"
+            )
+        if rob[0][0] != issue_id:
+            # an older miss is still out: retire later, in order
+            thread._completed.add(issue_id)
+            return
+        completed = thread._completed
+        stats = thread.stats
+        credit = thread._instr_credit
+        while True:
+            credit += rob.popleft()[1]
+            instrs = int(credit)
+            credit -= instrs
+            stats.instructions += instrs
+            stats.misses += 1
+            stats.quantum_instructions += instrs
+            stats.quantum_misses += 1
+            stats.episodes += 1
+            if not rob or rob[0][0] not in completed:
+                break
+            completed.discard(rob[0][0])
+        thread._instr_credit = credit
+        if thread.window_blocked:
+            # the window was stalled on this completion; the next
+            # miss's compute is already done, so it issues now
+            thread.window_blocked = False
+            issue_miss(tid, time)
+
     pop = heappop
     if event_hooks:
         def pop(events):
@@ -483,6 +665,9 @@ def advance_fused(system, limit: int) -> None:
             complete(payload, time)
         elif kind == _EV_BANK_FREE:
             try_schedule(payload, aux, time)
+        elif kind == _EV_PHIT:
+            # a demand miss hit the prefetch buffer
+            retire(payload, aux, time)
         elif kind == _EV_QUANTUM:
             system._quantum_boundary()
         elif kind == _EV_TIMER:
@@ -493,7 +678,3 @@ def advance_fused(system, limit: int) -> None:
                 hook(time, payload)
         elif kind == _EV_SAMPLE:
             system._take_sample()
-        else:  # pragma: no cover - prefetch hits need prefetchers
-            raise RuntimeError(
-                f"event kind {kind} cannot occur on the fused loop"
-            )

@@ -8,11 +8,12 @@ scheduling state, so the event granularity loses no accuracy relative
 to a per-cycle loop while running orders of magnitude faster.
 
 :meth:`System.advance` drains the events through the fused loop of
-:mod:`repro.sim.fused`, which also serves traced, sampled and observed
-runs.  The dispatch loop below sends each event through the ``System``
-methods instead; it runs the features the fused loop does not
-implement (writes, prefetching, detailed timings, component
-subclasses) and every run a per-instance wrapper watches.  The two
+:mod:`repro.sim.fused`, which serves plain, traced, sampled and observed
+runs, with or without writes and prefetching.  The dispatch loop below
+sends each event through the ``System`` methods instead.  It is the
+parity reference, and it runs what the fused loop does not: detailed
+DRAM timings, component subclasses, and every run a per-instance
+wrapper watches (the oracle, the profiler, fault injection).  The two
 loops are bit-identical and fire the same hooks at the same sites.
 """
 

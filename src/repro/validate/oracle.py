@@ -310,9 +310,9 @@ class InvariantOracle:
         return enqueue
 
     def _make_enqueue_write(self, original):
-        def enqueue_write(request: MemoryRequest) -> bool:
+        def enqueue_write(request: MemoryRequest) -> None:
             self._write_arrivals += 1
-            return original(request)
+            original(request)
         return enqueue_write
 
     def _service_checks(self, channel, request, now: int,

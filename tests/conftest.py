@@ -100,6 +100,21 @@ def dispatch_loop():
         repro.sim.system.fusable = fusable
 
 
+@pytest.fixture
+def fused_advances(monkeypatch):
+    """The limit of every ``System.advance`` call in the test that took
+    the fused loop, in call order."""
+    limits = []
+    advance_fused = repro.sim.system.advance_fused
+
+    def counted(system, limit):
+        limits.append(limit)
+        advance_fused(system, limit)
+
+    monkeypatch.setattr(repro.sim.system, "advance_fused", counted)
+    return limits
+
+
 @pytest.fixture(autouse=True)
 def _registry_guard():
     """Snapshot and restore the scheduler registry around every test."""

@@ -146,3 +146,53 @@ class TestPrefetchingSystem:
         channel.enqueue(demand)
         channel.banks[0].open_row = 1   # prefetch would be the row hit
         assert scheduler.select(channel, 0, now=100) is demand
+
+    def test_long_run_keeps_no_empty_waiter_lists(self, monkeypatch):
+        """A fill that wakes a location's last merged miss drops the
+        location from the waiter map, so the map does not grow with run
+        length.  The result is unchanged against a fill that keeps the
+        emptied list: only a list's length and truthiness are read."""
+        from repro.workloads.mixes import make_intensity_workload
+        from tests.conftest import dispatch_loop
+
+        cfg = SimConfig(run_cycles=200_000, num_threads=8,
+                        model_writes=True, prefetch_degree=2)
+
+        def run():
+            workload = make_intensity_workload(1.0, num_threads=8, seed=0)
+            system = System(workload, make_scheduler("tcm"), cfg, seed=0)
+            return system, system.run()
+
+        def waiter_lists(system):
+            return [waiting for prefetcher in system.prefetchers
+                    for waiting in prefetcher._waiters.values()]
+
+        fused_sys, fused = run()
+        with dispatch_loop():
+            dispatch_sys, dispatch = run()
+        assert fused == dispatch
+        for system in (fused_sys, dispatch_sys):
+            assert all(waiter_lists(system))
+
+        def fill_keeping_empty_lists(self, location):
+            if self._inflight.get(location, 0) > 0:
+                self._inflight[location] -= 1
+                if self._inflight[location] == 0:
+                    del self._inflight[location]
+            waiters = self._waiters.get(location)
+            if waiters:
+                return [waiters.pop(0)]
+            if self._credit_total >= 32:
+                self.stats.evicted += 1
+                return []
+            self._credits[location] = self._credits.get(location, 0) + 1
+            self._credit_total += 1
+            return []
+
+        monkeypatch.setattr(StreamPrefetcher, "fill",
+                            fill_keeping_empty_lists)
+        with dispatch_loop():
+            leaky_sys, leaky = run()
+        assert leaky == fused
+        emptied = [w for w in waiter_lists(leaky_sys) if not w]
+        assert len(emptied) > 100

@@ -14,9 +14,19 @@ configuration both ways, the reference side inside
   points plus telemetry counters and sampled runs, and holding the
   span tiling and explain decision records of an instrumented run
   (dispatch loop) against the plain fused run's books;
+* a **write/prefetch smoke tier** (always on) differencing the e2e
+  benchmark's ``sim_rw`` shape — FR-FCFS and TCM at 100% intensity
+  with writes and prefetching on — plus one point whose write buffer
+  is small enough to drop writes;
 * a **full tier** (``-m slow``) differencing all eight registered
-  schedulers across the three golden intensity classes (24 points) and
-  checking the committed golden matrix on the dispatch loop.
+  schedulers across the three golden intensity classes (24 points),
+  once plain and once with writes and prefetching, and checking the
+  committed golden matrix on the dispatch loop.
+
+Every pair also compares the state a ``RunResult`` does not carry:
+each channel's write counters and write buffer, and each thread's
+prefetcher (stats, throttle, in-flight blocks, buffered credits and
+merged waiters).
 
 ``test_instrument_parity.py`` holds every instrument's output to the
 same standard.
@@ -64,11 +74,24 @@ FULL_POINTS = [
     for intensity in GOLDEN_MIX_INTENSITIES
 ]
 
+#: writes and prefetching on, as in the e2e benchmark's sim_rw workload
+RW = {"model_writes": True, "prefetch_degree": 2}
 
-def _build(scheduler, intensity, run_cycles, telemetry=None):
-    """A golden-axes system; it takes the fused loop unless run inside
-    ``dispatch_loop()``."""
-    config = SimConfig(run_cycles=run_cycles, num_threads=GOLDEN_THREADS)
+#: Write/prefetch smoke tier: sim_rw's two policies at 100% intensity,
+#: and a write buffer small enough that writes are dropped.
+RW_SMOKE_POINTS = [
+    ("frfcfs", 1.0, RW),
+    ("tcm", 1.0, RW),
+    ("tcm", 1.0, {**RW, "write_buffer_size": 2}),
+]
+RW_SMOKE_IDS = ["frfcfs-1.0", "tcm-1.0", "tcm-1.0-drops"]
+
+
+def _build(scheduler, intensity, run_cycles, telemetry=None, **features):
+    """A golden-axes system, with ``features`` set on its config; it
+    takes the fused loop unless run inside ``dispatch_loop()``."""
+    config = SimConfig(run_cycles=run_cycles, num_threads=GOLDEN_THREADS,
+                       **features)
     workload = make_intensity_workload(
         intensity, num_threads=GOLDEN_THREADS, seed=GOLDEN_MIX_SEED
     )
@@ -89,11 +112,40 @@ def _on_dispatch_loop(system):
         return system.run()
 
 
-def _pair(scheduler, intensity, run_cycles=12_000):
-    dispatch_sys = _build(scheduler, intensity, run_cycles)
-    fused_sys = _build(scheduler, intensity, run_cycles)
+def _write_and_prefetch_state(system):
+    """What a run leaves in the write buffers and prefetchers."""
+    channels = [
+        (channel.serviced_writes, channel.dropped_writes,
+         [(w.thread_id, w.bank_id, w.row, w.arrival)
+          for w in channel.write_buffer])
+        for channel in system.channels
+    ]
+    prefetchers = [
+        (p.stats, p.throttled, p._inflight, p._credits, p._waiters)
+        for p in system.prefetchers or ()
+    ]
+    return channels, prefetchers
+
+
+def _pair(scheduler, intensity, run_cycles=12_000, **features):
+    """One point on both loops; also checks the state ``RunResult``
+    does not carry."""
+    dispatch_sys = _build(scheduler, intensity, run_cycles, **features)
+    fused_sys = _build(scheduler, intensity, run_cycles, **features)
     dispatch = _on_dispatch_loop(dispatch_sys)
-    return dispatch_sys, dispatch, fused_sys, fused_sys.run()
+    fused = fused_sys.run()
+    assert _write_and_prefetch_state(dispatch_sys) == \
+        _write_and_prefetch_state(fused_sys)
+    return dispatch_sys, dispatch, fused_sys, fused
+
+
+def _assert_same_work(dispatch_sys, fused_sys):
+    """The loops agree on how much work they did."""
+    assert dispatch_sys._seq == fused_sys._seq
+    assert dispatch_sys.now == fused_sys.now
+    assert dispatch_sys.sched_decisions == fused_sys.sched_decisions
+    assert dispatch_sys._latency_sum == fused_sys._latency_sum
+    assert dispatch_sys._latency_count == fused_sys._latency_count
 
 
 @pytest.mark.parametrize("scheduler,intensity", SMOKE_POINTS)
@@ -102,12 +154,26 @@ def test_smoke_parity(scheduler, intensity):
     dispatch_sys, dispatch, fused_sys, fused = _pair(scheduler, intensity)
     assert dispatch == fused
     assert fingerprint_run(dispatch) == fingerprint_run(fused)
-    # the loops also agree on how much work they did
-    assert dispatch_sys._seq == fused_sys._seq
-    assert dispatch_sys.now == fused_sys.now
-    assert dispatch_sys.sched_decisions == fused_sys.sched_decisions
-    assert dispatch_sys._latency_sum == fused_sys._latency_sum
-    assert dispatch_sys._latency_count == fused_sys._latency_count
+    _assert_same_work(dispatch_sys, fused_sys)
+
+
+@pytest.mark.parametrize("scheduler,intensity,features", RW_SMOKE_POINTS,
+                         ids=RW_SMOKE_IDS)
+def test_write_prefetch_smoke_parity(scheduler, intensity, features):
+    """With writes and prefetching on, the loops agree bit-for-bit,
+    write buffers and prefetchers included."""
+    dispatch_sys, dispatch, fused_sys, fused = _pair(
+        scheduler, intensity, **features
+    )
+    assert dispatch == fused
+    assert fingerprint_run(dispatch) == fingerprint_run(fused)
+    _assert_same_work(dispatch_sys, fused_sys)
+    # the point drains writes and serves demand misses from prefetches
+    channels, prefetchers = _write_and_prefetch_state(fused_sys)
+    assert sum(serviced for serviced, _, _ in channels) > 0
+    assert sum(stats.useful for stats, *_ in prefetchers) > 0
+    if "write_buffer_size" in features:
+        assert sum(dropped for _, dropped, _ in channels) > 0
 
 
 def test_registry_covered_by_matrix():
@@ -122,6 +188,17 @@ def test_registry_covered_by_matrix():
 def test_full_matrix_parity(scheduler, intensity):
     """All 24 scheduler x intensity points are bit-identical."""
     _, dispatch, _, fused = _pair(scheduler, intensity, run_cycles=60_000)
+    assert dispatch == fused
+    assert fingerprint_run(dispatch) == fingerprint_run(fused)
+
+
+@pytest.mark.slow
+@pytest.mark.validate
+@pytest.mark.parametrize("scheduler,intensity", FULL_POINTS)
+def test_write_prefetch_full_matrix_parity(scheduler, intensity):
+    """All 24 points are bit-identical with writes and prefetching on."""
+    _, dispatch, _, fused = _pair(scheduler, intensity, run_cycles=60_000,
+                                  **RW)
     assert dispatch == fused
     assert fingerprint_run(dispatch) == fingerprint_run(fused)
 

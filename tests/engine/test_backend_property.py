@@ -6,8 +6,9 @@ geometry, window size, page policy, detailed timings, writes,
 prefetchers, phases, seeds — and requires a run left to
 ``System.advance``'s choice of loop to equal the same run forced onto
 the dispatch loop (``tests.conftest.dispatch_loop``), bit for bit, on
-every drawn point.  Points with detailed timings, writes or prefetchers take
-the dispatch loop either way; the rest pit the fused loop against it.
+every drawn point.  Points with detailed timings take the dispatch loop
+either way; the rest, writes and prefetchers included, pit the fused
+loop against it.
 The test names call the two loops backends: ``fast`` is the fused
 loop, ``reference`` the dispatch loop.
 The shared ``sim_configs`` strategy
@@ -67,9 +68,7 @@ def test_backends_bit_identical(config, scheduler, intensity, mix_seed):
     assert dispatch == fused
     assert dispatch_sys._seq == fused_sys._seq
     assert dispatch_sys.sched_decisions == fused_sys.sched_decisions
-    optional = (config.model_writes or config.prefetch_degree > 0
-                or config.timings.detailed)
-    assert fusable(fused_sys) is not optional
+    assert fusable(fused_sys) is not config.timings.detailed
 
 
 @given(config=sim_configs(max_run_cycles=4_000))

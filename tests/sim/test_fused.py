@@ -1,24 +1,29 @@
 """When ``System.advance`` may take the fused loop (``fusable``).
 
-The fused loop inlines the CPU model, address stream, DRAM timing and
-monitor, so anything that could replace one of those calls must route
-the run through the dispatch loop instead: the optional subsystems the
-fused loop does not implement, a component subclass, or a per-instance
-method wrapper.  Tracers, samplers and observers fire at the same sites
-on both loops, so they leave the run on the fused loop.
+The fused loop inlines the CPU model, address stream, stream
+prefetcher, DRAM timing and monitor, so anything that could replace one
+of those calls must route the run through the dispatch loop instead:
+detailed DRAM timings (the one feature the fused loop does not
+implement), a component subclass, or a per-instance method wrapper.
+Write modelling, prefetching, tracers, samplers and observers run on
+the fused loop.
 """
 
 import pytest
 
 from repro.config import DramTimings, SimConfig
+from repro.cpu.prefetch import StreamPrefetcher
 from repro.dram.bank import Bank
 from repro.schedulers.registry import make_scheduler
 from repro.sim.fused import fusable
 from repro.sim.system import System
 from repro.telemetry import EpochSampler, MemorySink, Telemetry, Tracer
 from repro.workloads import make_intensity_workload
+from tests.conftest import dispatch_loop
 
 CYCLES = 8_000
+#: writes and prefetching on, as in the e2e benchmark's sim_rw workload
+RW = {"model_writes": True, "prefetch_degree": 2}
 
 
 def _system(telemetry=None, **cfg):
@@ -32,13 +37,22 @@ def test_a_plain_run_is_fusable():
     assert fusable(_system())
 
 
+def test_detailed_timings_need_the_dispatch_loop():
+    assert not fusable(_system(timings=DramTimings(detailed=True)))
+
+
 @pytest.mark.parametrize("cfg", [
     {"model_writes": True},
     {"prefetch_degree": 2},
-    {"timings": DramTimings(detailed=True)},
-], ids=["writes", "prefetch", "detailed"])
-def test_optional_subsystems_need_the_dispatch_loop(cfg):
-    assert not fusable(_system(**cfg))
+    RW,
+], ids=["writes", "prefetch", "both"])
+def test_writes_and_prefetching_run_on_the_fused_loop(cfg):
+    system = _system(**cfg)
+    assert fusable(system)
+    reference = _system(**cfg)
+    with dispatch_loop():
+        expected = reference.run()
+    assert system.run() == expected
 
 
 @pytest.mark.parametrize("telemetry", [
@@ -63,7 +77,9 @@ SEAMS = [
     ("thread", lambda s: s.threads[0], "issue_gap"),
     ("address stream", lambda s: s.threads[1]._addr, "next_location"),
     ("thread stats", lambda s: s.threads[2].stats, "retire"),
+    ("prefetcher", lambda s: s.prefetchers[3], "observe"),
     ("channel", lambda s: s.channels[0], "start_service"),
+    ("write drain", lambda s: s.channels[1], "start_write_service"),
     ("bank", lambda s: s.channels[1].banks[2], "begin_access"),
 ]
 
@@ -72,8 +88,9 @@ SEAMS = [
                          ids=[seam[0] for seam in SEAMS])
 def test_a_per_instance_wrapper_intercepts(label, component, method):
     """A wrapper on any seam keeps the run on the dispatch loop, so it
-    sees its calls, and the run still equals the plain one."""
-    system = _system()
+    sees its calls, and the run still equals the plain one (writes and
+    prefetching on, so that every seam is reached)."""
+    system = _system(**RW)
     target = component(system)
     original = getattr(target, method)
     calls = []
@@ -84,7 +101,7 @@ def test_a_per_instance_wrapper_intercepts(label, component, method):
 
     setattr(target, method, wrapper)
     assert not fusable(system)
-    assert system.run() == _system().run()
+    assert system.run() == _system(**RW).run()
     assert calls, f"{label}.{method} was never called"
 
 
@@ -104,3 +121,18 @@ def test_a_component_subclass_needs_the_dispatch_loop():
     assert not fusable(system)
     assert system.run() == _system().run()
     assert CountingBank.accesses > 0
+
+
+def test_a_prefetcher_subclass_needs_the_dispatch_loop():
+    class CountingPrefetcher(StreamPrefetcher):
+        observed = 0
+
+        def observe(self, location):
+            CountingPrefetcher.observed += 1
+            return super().observe(location)
+
+    system = _system(**RW)
+    system.prefetchers[0] = CountingPrefetcher(system.config.prefetch_degree)
+    assert not fusable(system)
+    assert system.run() == _system(**RW).run()
+    assert CountingPrefetcher.observed > 0

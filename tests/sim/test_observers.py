@@ -5,12 +5,13 @@ scheduler — tracer and sampler, request spans, explain with shadows, a
 state probe stepped through checkpoints, and a trace recorder — reduced
 to one digest per instrument output.  ``tests/goldens/
 observer_digests.json`` holds the digests, recorded before the
-instruments moved onto :mod:`repro.sim.observer`; the test reproduces
-them (the recorded runs model writes and prefetching, so they take
-``System``'s dispatch loop), so any change to when or with what an
-observer hook fires shows up as drift in the instrument whose output it
-changed.  ``tests/engine/test_instrument_parity.py`` holds the fused
-loop to the same outputs.  Request ids are a process-global
+instruments moved onto :mod:`repro.sim.observer`, when the recorded
+runs (which model writes and prefetching) took ``System``'s dispatch
+loop.  The test reproduces them on the fused loop, which such runs take
+now, so any change to when or with what an observer hook fires shows up
+as drift in the instrument whose output it changed.
+``tests/engine/test_instrument_parity.py`` holds the dispatch loop to
+the same outputs.  Request ids are a process-global
 counter, so every digest is taken over id-free structures.  Re-record
 (only when an output change is intended) with::
 
@@ -82,9 +83,9 @@ def _span_structure(collector) -> dict:
     }
 
 
-#: the recorded runs model writes and prefetching, so they take the
-#: dispatch loop; tests/engine/test_instrument_parity.py holds the fused
-#: loop to the same outputs on a configuration it runs
+#: the recorded runs model writes and prefetching; they take the fused
+#: loop, and tests/engine/test_instrument_parity.py holds the dispatch
+#: loop to the same outputs
 RECORDED_CONFIG = SimConfig(
     run_cycles=CYCLES, num_threads=4, quantum_cycles=5_000,
     model_writes=True, prefetch_degree=2,
@@ -140,9 +141,11 @@ def observed_digests(scheduler: str) -> dict:
 
 
 @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
-def test_observer_outputs_match_the_recording(scheduler):
+def test_observer_outputs_match_the_recording(scheduler, fused_advances):
     expected = json.loads(FIXTURE.read_text())[scheduler]
     assert observed_digests(scheduler) == expected
+    # every checkpointed advance of the recorded run took the fused loop
+    assert len(fused_advances) == CYCLES // CHECKPOINT
 
 
 # ----------------------------------------------------------------------
