@@ -78,14 +78,6 @@ class DramTimings:
         """Bank-busy cycles when another row must first be precharged."""
         return self.t_rp + self.t_rcd + self.burst
 
-    def occupancy(self, *, row_hit: bool, row_open: bool) -> int:
-        """Bank occupancy for an access given current row-buffer state."""
-        if row_hit:
-            return self.hit_occupancy
-        if row_open:
-            return self.conflict_occupancy
-        return self.closed_occupancy
-
 
 @dataclass(frozen=True)
 class SimConfig:

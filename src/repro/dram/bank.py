@@ -48,13 +48,6 @@ class Bank:
             return "hit"
         return "conflict"
 
-    def occupancy_for(self, row: int) -> int:
-        """Bank-busy cycles an access to ``row`` would take right now."""
-        kind = self.classify(row)
-        return self.timings.occupancy(
-            row_hit=(kind == "hit"), row_open=(self.open_row is not None)
-        )
-
     def begin_access(
         self,
         row: int,
@@ -130,13 +123,6 @@ class Bank:
             prep_done=prep_done,
             row_blocker=row_blocker,
         )
-
-    def reset_stats(self) -> None:
-        """Clear accumulated access statistics (row state is kept)."""
-        self.row_hits = 0
-        self.row_conflicts = 0
-        self.row_closed = 0
-        self.busy_cycles = 0
 
     def register_metrics(self, registry) -> None:
         """Expose the bank's counters as polled telemetry providers.

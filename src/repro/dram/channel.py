@@ -56,6 +56,8 @@ class Channel:
         # prioritised over writes) — populated only when the system
         # models write traffic
         self.write_buffer: List[MemoryRequest] = []
+        #: writes ever buffered (= serviced + still buffered + dropped)
+        self.enqueued_writes = 0
         self.serviced_writes = 0
         self.dropped_writes = 0
         # detailed-timing state: recent activates (tRRD/tFAW) and the
@@ -96,17 +98,9 @@ class Channel:
             )
         self.queues[request.bank_id].append(request)
 
-    def queue_for(self, bank_id: int) -> List[MemoryRequest]:
-        """The pending-request queue of one bank."""
-        return self.queues[bank_id]
-
     def pending_requests(self) -> int:
         """Total requests waiting in this channel."""
         return sum(len(q) for q in self.queues)
-
-    def has_request_from(self, thread_id: int, bank_id: int) -> bool:
-        """True if ``thread_id`` has a pending request at ``bank_id``."""
-        return any(r.thread_id == thread_id for r in self.queues[bank_id])
 
     def _apply_refresh(self, now: int) -> int:
         """Advance past any pending all-bank refresh windows.
@@ -191,6 +185,7 @@ class Channel:
         """
         if not request.is_write:
             raise ValueError("enqueue_write needs a write request")
+        self.enqueued_writes += 1
         if len(self.write_buffer) >= self.config.write_buffer_size:
             self.write_buffer.pop(0)
             self.dropped_writes += 1
@@ -218,15 +213,3 @@ class Channel:
         request.completion = access.data_end
         self.serviced_writes += 1
         return access
-
-    def idle_banks_with_work(self, now: int) -> List[int]:
-        """Bank ids that are free now and have queued requests."""
-        return [
-            b
-            for b in range(len(self.banks))
-            if self.banks[b].is_idle(now) and self.queues[b]
-        ]
-
-    def row_hit_possible(self, request: MemoryRequest) -> bool:
-        """Would this request be a row-buffer hit if serviced now?"""
-        return self.banks[request.bank_id].classify(request.row) == "hit"

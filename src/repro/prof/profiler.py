@@ -3,10 +3,10 @@
 ``repro.telemetry`` and ``repro.obs`` instrument the *simulated*
 machine; this module instruments the simulator itself.  A
 :class:`Profiler` attaches to a built :class:`~repro.sim.system.System`
-by per-instance bound-method wrapping — the same mechanism the
-invariant oracle uses — so a system that was never profiled executes
-byte-identical code.  The profiler is also a run observer
-(:mod:`repro.sim.observer`): its ``begin``/``end`` hooks time the run.
+by per-instance bound-method wrapping, restored at detach, so a system
+that was never profiled executes byte-identical code.  The profiler is
+also a run observer (:mod:`repro.sim.observer`): its ``begin``/``end``
+hooks time the run.
 
 Every wrapped call pushes a frame label onto a shared stack and
 accumulates *inclusive* wall time and call counts per stack path, which
@@ -26,10 +26,8 @@ is exactly the shape a collapsed-stack flame graph wants
 * ``telemetry.*`` / ``obs.*`` — tracer emit and epoch sampling, and
   every protocol hook of each observer attached before the profiler
   (``obs.<observer name>.<hook>``: ``obs.spans.grant``,
-  ``obs.explain.decision``, ``obs.probe.event`` ...).  (An invariant
-  oracle attached *before* the profiler is folded into the component
-  that invokes its checks; attach the profiler first to see oracle
-  cost separated under the wrapped component's frame.)
+  ``obs.explain.decision``, ``obs.probe.event``, the invariant
+  oracle's ``obs.oracle.grant`` ...).
 
 Deep mode (``Profiler(deep=True)``) additionally runs :mod:`cProfile`
 over the wrapped ``run`` for function-level detail below the explicit

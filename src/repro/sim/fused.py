@@ -52,7 +52,8 @@ from repro.workloads.synthetic import AddressStream
 
 def _shadowed(obj) -> bool:
     """True when an instance attribute hides a method of its class: a
-    per-instance wrapper (oracle, profiler, tracer, fault injection)."""
+    per-instance wrapper (the profiler, the end-to-end benchmark's
+    traced run, fault injection)."""
     cls = type(obj)
     return any(
         callable(getattr(cls, name, None)) for name in vars(obj)

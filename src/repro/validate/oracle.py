@@ -41,10 +41,18 @@ guarantees the rest of the repo silently assumes:
   request waits at the same bank; ATLAS must service starving requests
   first.
 
-Attachment is entirely per-instance (bound-method wrapping plus a
-telemetry sink); a system without an oracle runs byte-identically to
-one that never imported this module — the disabled path costs nothing,
-not even a branch.
+The oracle is a run observer (:mod:`repro.sim.observer`) named
+``oracle``, attached with :meth:`~repro.sim.system.System.attach`, plus
+a tracer sink for the stream checks.  Each check runs at the hook that
+fires where it looks: the arrival ledger at ``on_arrival``; queue
+membership, the policy and starvation checks and the explain candidate
+snapshot at ``on_decision``, while the queue still holds the winner;
+service timing, the row-state shadow and the decision-record checks at
+``on_grant``; the write path at ``on_write``; completion at
+``on_complete``.  Nothing is wrapped, so a checked run takes the same
+loop as an unchecked one (the fused loop, unless detailed timings force
+the dispatch loop).  A system without an oracle pays only the
+``Channel.enqueued_writes`` count the write ledger reads.
 
 Usage::
 
@@ -57,10 +65,10 @@ Usage::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.dram.request import MemoryRequest
-from repro.sim.observer import find_observer
+from repro.sim.observer import Observer, find_observer
 from repro.telemetry.sinks import Sink
 from repro.telemetry.tracer import Tracer
 
@@ -71,24 +79,16 @@ class InvariantViolation(AssertionError):
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """What the oracle checks and how it reacts.
+    """How the oracle reacts; every check is always on.
 
     ``starvation_cap`` bounds the queueing delay of any request; the
     default (None) disables the check because strict-priority policies
     (``static``) legitimately starve deprioritised threads for as long
-    as high-priority traffic lasts.
+    as high-priority traffic lasts.  The span and decision-record
+    checks run when the run carries a full span collector or an explain
+    collector.
     """
 
-    check_conservation: bool = True
-    check_timing: bool = True
-    check_row_state: bool = True
-    check_policy: bool = True
-    #: validate request-lifecycle spans against the oracle's own
-    #: service log (no-op unless the run has a full span collector)
-    check_spans: bool = True
-    #: validate explain decision records against the actual grant
-    #: stream (no-op unless the run has an explain collector)
-    check_decisions: bool = True
     starvation_cap: Optional[int] = None
     #: raise at the first violation (default) or collect them all into
     #: the report for post-mortem inspection.
@@ -131,7 +131,7 @@ class _OracleSink(Sink):
         self._oracle = oracle
 
     def write(self, event: dict) -> None:
-        self._oracle.on_event(event)
+        self._oracle.check_event(event)
 
     def close(self) -> None:  # pragma: no cover - nothing to flush
         pass
@@ -147,12 +147,14 @@ class _BankState:
         self.open_row: Optional[int] = None
 
 
-class InvariantOracle:
+class InvariantOracle(Observer):
     """Checks one system's run against the invariants above.
 
     Build via :func:`attach_oracle`; do not construct directly unless
     you call :meth:`attach` yourself before the run starts.
     """
+
+    name = "oracle"
 
     #: request lifecycle states
     _QUEUED, _SERVICED, _COMPLETED = "queued", "serviced", "completed"
@@ -175,7 +177,6 @@ class InvariantOracle:
         self._bus_free: List[int] = [0] * simcfg.num_channels
         # request ledger: id -> (state, request)
         self._ledger: Dict[int, Tuple[str, MemoryRequest]] = {}
-        self._write_arrivals = 0
         self._write_services = 0
         self._serviced_reads = 0
         # span-legality evidence: what was *actually* in service.
@@ -193,10 +194,14 @@ class InvariantOracle:
         self._kind_counts = {"hit": 0, "closed": 0, "conflict": 0}
         self._last_event_ts = 0
         self._last_quantum_index: Optional[int] = None
-        self._originals: List[Tuple[object, str, object, bool]] = []
         self._sink: Optional[_OracleSink] = None
         self._created_tracer = False
-        self._attached = False
+        # the run's explain collector (found at begin), the records it
+        # had produced by the previous grant, and the queue occupancy
+        # at this grant's select
+        self._explain = None
+        self._records_seen = 0
+        self._candidates: Set[int] = set()
         # fcfs/frfcfs override select() for speed but keep the
         # priority-maximal contract (SELECT_IS_PRIORITY_MAXIMAL), so
         # their grants are audited like everyone else's.
@@ -227,44 +232,12 @@ class InvariantOracle:
     # attachment
     # ------------------------------------------------------------------
 
-    def _wrap(self, obj, name: str, wrapper) -> None:
-        original = getattr(obj, name)
-        self._originals.append((obj, name, original, name in vars(obj)))
-        setattr(obj, name, wrapper)
-
     def attach(self) -> "InvariantOracle":
-        """Install per-instance hooks; must run before ``system.run()``."""
-        if self._attached:
-            return self
+        """Attach to the system and its event stream (creating a tracer
+        if the run is otherwise untraced); must run before
+        ``system.run()``."""
         system = self.system
-        for channel in system.channels:
-            self._wrap(channel, "enqueue",
-                       self._make_enqueue(channel, channel.enqueue))
-            self._wrap(channel, "enqueue_write",
-                       self._make_enqueue_write(channel.enqueue_write))
-            self._wrap(channel, "start_service",
-                       self._make_start_service(channel,
-                                                channel.start_service))
-            self._wrap(
-                channel, "start_write_service",
-                self._make_start_write_service(channel,
-                                               channel.start_write_service),
-            )
-        scheduler = system.scheduler
-        self._wrap(scheduler, "select",
-                   self._make_select(scheduler, scheduler.select))
-        self._wrap(scheduler, "on_request_complete",
-                   self._make_complete(scheduler.on_request_complete))
-        from repro.explain.collector import ExplainCollector
-
-        explain = find_observer(system, ExplainCollector)
-        if explain is not None and self.config.check_decisions:
-            self._wrap(
-                explain, "on_decision",
-                self._make_explain_decision(explain, explain.on_decision),
-            )
-        # subscribe to the telemetry event stream (creating a tracer if
-        # the run is otherwise untraced) for stream-level checks
+        system.attach(self)
         self._sink = _OracleSink(self)
         tracer = system._tracer
         if tracer is None:
@@ -273,213 +246,190 @@ class InvariantOracle:
         else:
             self._created_tracer = False
             tracer.add_sink(self._sink)
-        self._attached = True
         return self
 
     def detach(self) -> None:
-        """Restore every wrapped method and remove the telemetry sink."""
-        for obj, name, original, was_instance in reversed(self._originals):
-            if was_instance:
-                setattr(obj, name, original)
-            else:
-                # the original was the class method: drop the wrapper so
-                # the instance is indistinguishable from a fresh one
-                delattr(obj, name)
-        self._originals.clear()
-        tracer = self.system._tracer
+        """Remove the observer and the telemetry sink."""
+        system = self.system
+        if self in system.observers:
+            system.detach(self)
+        tracer = system._tracer
         if tracer is not None and self._sink in tracer.sinks:
             tracer.sinks.remove(self._sink)
             if self._created_tracer and not tracer.sinks:
-                self.system._tracer = None
-        self._attached = False
+                system._tracer = None
+        self._sink = None
 
     # ------------------------------------------------------------------
-    # direct hooks
+    # observer hooks
     # ------------------------------------------------------------------
 
-    def _make_enqueue(self, channel, original):
-        def enqueue(request: MemoryRequest) -> None:
-            if self.config.check_conservation:
-                self._expect(
-                    request.request_id not in self._ledger,
-                    "conservation",
-                    f"{request!r} enqueued twice",
-                )
-                self._ledger[request.request_id] = (self._QUEUED, request)
-            original(request)
-        return enqueue
+    def begin(self, system) -> None:
+        from repro.explain.collector import ExplainCollector
 
-    def _make_enqueue_write(self, original):
-        def enqueue_write(request: MemoryRequest) -> None:
-            self._write_arrivals += 1
-            original(request)
-        return enqueue_write
+        self._explain = find_observer(system, ExplainCollector)
 
-    def _service_checks(self, channel, request, now: int,
-                        kind: str, data_start: int, data_end: int) -> None:
-        """Timing/row-state checks shared by the read and write paths."""
-        t = self._timings
-        state = self._banks[(channel.channel_id, request.bank_id)]
-        if self.config.check_timing:
-            # one request in service per bank: intervals may not overlap
-            self._expect(
-                now >= state.busy_until,
-                "timing",
-                f"bank ch{channel.channel_id}/b{request.bank_id} double-"
-                f"booked: service at {now} overlaps busy-until "
-                f"{state.busy_until}",
-            )
-            # one burst on the channel data bus at a time
-            bus_free = self._bus_free[channel.channel_id]
-            self._expect(
-                data_start >= bus_free,
-                "timing",
-                f"channel {channel.channel_id} bus double-booked: burst "
-                f"at {data_start} before bus free {bus_free}",
-            )
-            self._expect(
-                data_end == data_start + t.burst,
-                "timing",
-                f"burst length {data_end - data_start} != {t.burst}",
-            )
-            if not t.detailed:
-                # Table-3 service-time model, exactly: the burst starts
-                # the moment the row is ready and the bus is free.
-                prep = {
-                    "hit": 0,
-                    "closed": t.t_rcd,
-                    "conflict": t.t_rp + t.t_rcd,
-                }[kind]
-                expected_start = max(now + prep, bus_free)
-                self._expect(
-                    data_start == expected_start,
-                    "timing",
-                    f"{kind} access at {now}: burst starts {data_start}, "
-                    f"expected {expected_start} "
-                    f"(prep {prep}, bus free {bus_free})",
-                )
-            else:
-                # detailed timings add tRAS/tRC/tRRD/tFAW/refresh waits
-                # that can only push the burst later, never earlier
-                self._expect(
-                    data_start >= now,
-                    "timing",
-                    f"burst at {data_start} before service start {now}",
-                )
-        if self.config.check_row_state:
-            expected = (
-                "closed" if state.open_row is None
-                else ("hit" if state.open_row == request.row else "conflict")
-            )
-            self._expect(
-                kind == expected,
-                "row_state",
-                f"access to ch{channel.channel_id}/b{request.bank_id} "
-                f"row {request.row} classified {kind!r}, shadow state "
-                f"says {expected!r} (open row {state.open_row})",
-            )
-        if self.config.starvation_cap is not None:
+    def on_arrival(self, request: MemoryRequest, now: int) -> None:
+        self._expect(
+            request.request_id not in self._ledger,
+            "conservation",
+            f"{request!r} enqueued twice",
+        )
+        self._ledger[request.request_id] = (self._QUEUED, request)
+
+    def on_decision(self, channel, bank_id: int, request: MemoryRequest,
+                    now: int) -> None:
+        self._check_policy(self.system.scheduler, channel, bank_id, now,
+                           request)
+        entry = self._ledger.get(request.request_id)
+        self._expect(
+            entry is not None and entry[0] == self._QUEUED,
+            "conservation",
+            f"{request!r} serviced but "
+            f"{'never arrived' if entry is None else entry[0]}",
+        )
+        self._expect(
+            request in channel.queues[request.bank_id],
+            "conservation",
+            f"{request!r} serviced while absent from its queue",
+        )
+        self._ledger[request.request_id] = (self._SERVICED, request)
+        self._check_starvation(request, now)
+        if self._explain is not None:
+            # the record's candidate set must be exactly this occupancy
+            self._candidates = {r.request_id for r in channel.queues[bank_id]}
+
+    def on_grant(self, request: MemoryRequest, waiting, access,
+                 completion: int, now: int) -> None:
+        self._serviced_reads += 1
+        self._service_checks(request, now, access)
+        self._expect(
+            completion == access.data_end + self._timings.fixed_overhead,
+            "timing",
+            f"completion {completion} != data end {access.data_end}"
+            f" + fixed overhead {self._timings.fixed_overhead}",
+        )
+        if self._explain is not None:
+            self._check_record(request, now)
+
+    def on_write(self, request: MemoryRequest, access, now: int) -> None:
+        self._write_services += 1
+        self._check_starvation(request, now)
+        self._service_checks(request, now, access)
+
+    def on_complete(self, request: MemoryRequest, now: int) -> None:
+        entry = self._ledger.get(request.request_id)
+        self._expect(
+            entry is not None and entry[0] == self._SERVICED,
+            "conservation",
+            f"{request!r} completed but "
+            f"{'never arrived' if entry is None else entry[0]}",
+        )
+        self._expect(
+            request.completion == now,
+            "conservation",
+            f"{request!r} completed at {now}, stamped "
+            f"{request.completion}",
+        )
+        self._ledger[request.request_id] = (self._COMPLETED, request)
+
+    # ------------------------------------------------------------------
+    # service checks (read and write paths)
+    # ------------------------------------------------------------------
+
+    def _check_starvation(self, request: MemoryRequest, now: int) -> None:
+        cap = self.config.starvation_cap
+        if cap is not None:
             waited = now - request.arrival
             self._expect(
-                waited <= self.config.starvation_cap,
+                waited <= cap,
                 "starvation",
                 f"{request!r} waited {waited} cycles for service "
-                f"(cap {self.config.starvation_cap})",
+                f"(cap {cap})",
             )
+
+    def _service_checks(self, request: MemoryRequest, now: int,
+                        access) -> None:
+        """Timing/row-state checks shared by the read and write paths."""
+        t = self._timings
+        kind = access.kind
+        data_start = access.data_start
+        data_end = access.data_end
+        channel_id = request.channel_id
+        self._kind_counts[kind] += 1
+        state = self._banks[(channel_id, request.bank_id)]
+        # one request in service per bank: intervals may not overlap
+        self._expect(
+            now >= state.busy_until,
+            "timing",
+            f"bank ch{channel_id}/b{request.bank_id} double-booked: "
+            f"service at {now} overlaps busy-until {state.busy_until}",
+        )
+        # one burst on the channel data bus at a time
+        bus_free = self._bus_free[channel_id]
+        self._expect(
+            data_start >= bus_free,
+            "timing",
+            f"channel {channel_id} bus double-booked: burst at "
+            f"{data_start} before bus free {bus_free}",
+        )
+        self._expect(
+            data_end == data_start + t.burst,
+            "timing",
+            f"burst length {data_end - data_start} != {t.burst}",
+        )
+        if not t.detailed:
+            # Table-3 service-time model, exactly: the burst starts
+            # the moment the row is ready and the bus is free.
+            prep = {
+                "hit": 0,
+                "closed": t.t_rcd,
+                "conflict": t.t_rp + t.t_rcd,
+            }[kind]
+            expected_start = max(now + prep, bus_free)
+            self._expect(
+                data_start == expected_start,
+                "timing",
+                f"{kind} access at {now}: burst starts {data_start}, "
+                f"expected {expected_start} "
+                f"(prep {prep}, bus free {bus_free})",
+            )
+        else:
+            # detailed timings add tRAS/tRC/tRRD/tFAW/refresh waits
+            # that can only push the burst later, never earlier
+            self._expect(
+                data_start >= now,
+                "timing",
+                f"burst at {data_start} before service start {now}",
+            )
+        expected = (
+            "closed" if state.open_row is None
+            else ("hit" if state.open_row == request.row else "conflict")
+        )
+        self._expect(
+            kind == expected,
+            "row_state",
+            f"access to ch{channel_id}/b{request.bank_id} row "
+            f"{request.row} classified {kind!r}, shadow state says "
+            f"{expected!r} (open row {state.open_row})",
+        )
         # advance the shadow model
         state.busy_until = data_end
         state.open_row = (
             None if t.page_policy == "closed" else request.row
         )
-        self._bus_free[channel.channel_id] = data_end
-        if self.config.check_spans:
-            key = (channel.channel_id, request.bank_id)
-            tid = request.thread_id
-            self._services.setdefault(key, {})[data_end] = (now, tid)
-            earliest = self._earliest_service.setdefault(key, {})
-            if tid not in earliest:
-                earliest[tid] = data_end
-            self._bus_bursts.setdefault(
-                channel.channel_id, {}
-            )[data_end] = tid
-
-    def _make_start_service(self, channel, original):
-        def start_service(request: MemoryRequest, now: int):
-            if self.config.check_conservation:
-                entry = self._ledger.get(request.request_id)
-                self._expect(
-                    entry is not None and entry[0] == self._QUEUED,
-                    "conservation",
-                    f"{request!r} serviced but "
-                    f"{'never arrived' if entry is None else entry[0]}",
-                )
-                self._expect(
-                    request in channel.queues[request.bank_id],
-                    "conservation",
-                    f"{request!r} serviced while absent from its queue",
-                )
-                self._ledger[request.request_id] = (self._SERVICED, request)
-            access, completion = original(request, now)
-            self._serviced_reads += 1
-            self._kind_counts[access.kind] += 1
-            self._service_checks(
-                channel, request, now,
-                access.kind, access.data_start, access.data_end,
-            )
-            if self.config.check_timing:
-                self._expect(
-                    completion == access.data_end
-                    + self._timings.fixed_overhead,
-                    "timing",
-                    f"completion {completion} != data end {access.data_end}"
-                    f" + fixed overhead {self._timings.fixed_overhead}",
-                )
-            return access, completion
-        return start_service
-
-    def _make_start_write_service(self, channel, original):
-        def start_write_service(request: MemoryRequest, now: int):
-            access = original(request, now)
-            self._write_services += 1
-            self._kind_counts[access.kind] += 1
-            self._service_checks(
-                channel, request, now,
-                access.kind, access.data_start, access.data_end,
-            )
-            return access
-        return start_write_service
-
-    def _make_complete(self, original):
-        def on_request_complete(request: MemoryRequest, now: int) -> None:
-            if self.config.check_conservation:
-                entry = self._ledger.get(request.request_id)
-                self._expect(
-                    entry is not None and entry[0] == self._SERVICED,
-                    "conservation",
-                    f"{request!r} completed but "
-                    f"{'never arrived' if entry is None else entry[0]}",
-                )
-                self._expect(
-                    request.completion == now,
-                    "conservation",
-                    f"{request!r} completed at {now}, stamped "
-                    f"{request.completion}",
-                )
-                self._ledger[request.request_id] = (self._COMPLETED, request)
-            original(request, now)
-        return on_request_complete
+        self._bus_free[channel_id] = data_end
+        key = (channel_id, request.bank_id)
+        tid = request.thread_id
+        self._services.setdefault(key, {})[data_end] = (now, tid)
+        earliest = self._earliest_service.setdefault(key, {})
+        if tid not in earliest:
+            earliest[tid] = data_end
+        self._bus_bursts.setdefault(channel_id, {})[data_end] = tid
 
     # ------------------------------------------------------------------
     # policy invariants (select-time)
     # ------------------------------------------------------------------
-
-    def _make_select(self, scheduler, original):
-        def select(channel, bank_id: int, now: int) -> MemoryRequest:
-            chosen = original(channel, bank_id, now)
-            if self.config.check_policy:
-                self._check_policy(scheduler, channel, bank_id, now, chosen)
-            return chosen
-        return select
 
     def _check_policy(self, scheduler, channel, bank_id: int, now: int,
                       chosen: MemoryRequest) -> None:
@@ -552,48 +502,41 @@ class InvariantOracle:
     # explain decision records (grant-time + end-of-run)
     # ------------------------------------------------------------------
 
-    def _make_explain_decision(self, collector, original):
-        def on_decision(channel, bank_id: int, winner, now: int) -> None:
-            # snapshot the queue before the collector runs: the record's
-            # candidate set must be exactly this occupancy
-            queued_ids = {
-                r.request_id for r in channel.queues[bank_id]
-            }
-            before = collector.decisions_total
-            original(channel, bank_id, winner, now)
-            self._expect(
-                collector.decisions_total == before + 1,
-                "decisions",
-                f"grant at {now} produced "
-                f"{collector.decisions_total - before} decision records, "
-                f"expected exactly 1",
-            )
-            record = collector.last_record
-            self._expect(
-                record is not None
-                and record.winner_request_id == winner.request_id,
-                "decisions",
-                f"decision record winner "
-                f"{record.winner_request_id if record else None} != "
-                f"granted request {winner.request_id}",
-            )
-            recorded = (
-                {c.request_id for c in record.candidates}
-                if record is not None else set()
-            )
-            self._expect(
-                recorded == queued_ids,
-                "decisions",
-                f"decision record candidates {sorted(recorded)} != bank "
-                f"ch{channel.channel_id}/b{bank_id} occupancy "
-                f"{sorted(queued_ids)}",
-            )
-        return on_decision
+    def _check_record(self, request: MemoryRequest, now: int) -> None:
+        """This grant's decision record, against the grant itself and
+        the queue snapshot ``on_decision`` took."""
+        collector = self._explain
+        produced = collector.decisions_total - self._records_seen
+        self._records_seen = collector.decisions_total
+        self._expect(
+            produced == 1,
+            "decisions",
+            f"grant at {now} produced {produced} decision records, "
+            f"expected exactly 1",
+        )
+        record = collector.last_record
+        self._expect(
+            record is not None
+            and record.winner_request_id == request.request_id,
+            "decisions",
+            f"decision record winner "
+            f"{record.winner_request_id if record else None} != "
+            f"granted request {request.request_id}",
+        )
+        recorded = (
+            {c.request_id for c in record.candidates}
+            if record is not None else set()
+        )
+        self._expect(
+            recorded == self._candidates,
+            "decisions",
+            f"decision record candidates {sorted(recorded)} != bank "
+            f"ch{request.channel_id}/b{request.bank_id} occupancy "
+            f"{sorted(self._candidates)}",
+        )
 
     def _finish_decisions(self) -> None:
-        from repro.explain.collector import ExplainCollector
-
-        collector = find_observer(self.system, ExplainCollector)
+        collector = self._explain
         if collector is None:
             return
         self._expect(
@@ -703,8 +646,9 @@ class InvariantOracle:
     # telemetry event stream
     # ------------------------------------------------------------------
 
-    def on_event(self, event: dict) -> None:
-        """Stream-level checks over the telemetry events of the run."""
+    def check_event(self, event: dict) -> None:
+        """Stream-level checks over the telemetry events of the run
+        (fed by the oracle's tracer sink)."""
         ts = event.get("ts", 0)
         self._expect(
             ts >= self._last_event_ts,
@@ -750,60 +694,59 @@ class InvariantOracle:
         """
         system = self.system
         horizon = system.now
-        if self.config.check_conservation:
-            states = {self._QUEUED: 0, self._SERVICED: 0, self._COMPLETED: 0}
-            for state, request in self._ledger.values():
-                states[state] += 1
-                if state == self._QUEUED:
-                    self._expect(
-                        any(
-                            request in ch.queues[request.bank_id]
-                            for ch in system.channels
-                            if ch.channel_id == request.channel_id
-                        ),
-                        "conservation",
-                        f"{request!r} neither serviced nor still queued "
-                        "at run end (leaked)",
-                    )
-                elif state == self._SERVICED:
-                    # in flight at the horizon: its data must be due
-                    # strictly after the run ended, else the completion
-                    # event was lost
-                    self._expect(
-                        request.completion is not None
-                        and request.completion > horizon,
-                        "conservation",
-                        f"{request!r} serviced (completion "
-                        f"{request.completion}) but never completed "
-                        f"by horizon {horizon}",
-                    )
-            queued_now = sum(ch.pending_requests() for ch in system.channels)
-            self._expect(
-                states[self._QUEUED] == queued_now,
-                "conservation",
-                f"ledger says {states[self._QUEUED]} queued, channels "
-                f"hold {queued_now}",
-            )
-            serviced = sum(ch.serviced_requests for ch in system.channels)
-            self._expect(
-                serviced == self._serviced_reads,
-                "conservation",
-                f"channels serviced {serviced}, oracle saw "
-                f"{self._serviced_reads}",
-            )
-            # write-path conservation (counts; ids are not tracked
-            # because a full buffer legally drops the oldest write)
-            buffered = sum(len(ch.write_buffer) for ch in system.channels)
-            dropped = sum(ch.dropped_writes for ch in system.channels)
-            self._expect(
-                self._write_arrivals
-                == self._write_services + buffered + dropped,
-                "conservation",
-                f"write ledger: {self._write_arrivals} buffered != "
-                f"{self._write_services} serviced + {buffered} pending "
-                f"+ {dropped} dropped",
-            )
-        if result is not None and self.config.check_conservation:
+        states = {self._QUEUED: 0, self._SERVICED: 0, self._COMPLETED: 0}
+        for state, request in self._ledger.values():
+            states[state] += 1
+            if state == self._QUEUED:
+                self._expect(
+                    any(
+                        request in ch.queues[request.bank_id]
+                        for ch in system.channels
+                        if ch.channel_id == request.channel_id
+                    ),
+                    "conservation",
+                    f"{request!r} neither serviced nor still queued "
+                    "at run end (leaked)",
+                )
+            elif state == self._SERVICED:
+                # in flight at the horizon: its data must be due
+                # strictly after the run ended, else the completion
+                # event was lost
+                self._expect(
+                    request.completion is not None
+                    and request.completion > horizon,
+                    "conservation",
+                    f"{request!r} serviced (completion "
+                    f"{request.completion}) but never completed "
+                    f"by horizon {horizon}",
+                )
+        queued_now = sum(ch.pending_requests() for ch in system.channels)
+        self._expect(
+            states[self._QUEUED] == queued_now,
+            "conservation",
+            f"ledger says {states[self._QUEUED]} queued, channels "
+            f"hold {queued_now}",
+        )
+        serviced = sum(ch.serviced_requests for ch in system.channels)
+        self._expect(
+            serviced == self._serviced_reads,
+            "conservation",
+            f"channels serviced {serviced}, oracle saw "
+            f"{self._serviced_reads}",
+        )
+        # write-path conservation (counts; ids are not tracked because
+        # a full buffer legally drops the oldest write)
+        arrivals = sum(ch.enqueued_writes for ch in system.channels)
+        buffered = sum(len(ch.write_buffer) for ch in system.channels)
+        dropped = sum(ch.dropped_writes for ch in system.channels)
+        self._expect(
+            arrivals == self._write_services + buffered + dropped,
+            "conservation",
+            f"write ledger: {arrivals} buffered != "
+            f"{self._write_services} serviced + {buffered} pending "
+            f"+ {dropped} dropped",
+        )
+        if result is not None:
             self._expect(
                 result.total_requests == self._serviced_reads,
                 "conservation",
@@ -823,10 +766,8 @@ class InvariantOracle:
                     f"result.{attr} {getattr(result, attr)} != oracle "
                     f"{kind} count {self._kind_counts[kind]}",
                 )
-        if self.config.check_spans:
-            self._finish_spans()
-        if self.config.check_decisions:
-            self._finish_decisions()
+        self._finish_spans()
+        self._finish_decisions()
         if self.config.starvation_cap is not None:
             for ch in system.channels:
                 for queue in ch.queues:

@@ -82,15 +82,3 @@ class TestStats:
     def test_busy_cycles_accumulate(self, bank):
         bank.begin_access(5, now=0, bus_free_until=0)
         assert bank.busy_cycles == bank.timings.closed_occupancy
-
-    def test_reset_stats_keeps_row_state(self, bank):
-        bank.begin_access(5, now=0, bus_free_until=0)
-        bank.reset_stats()
-        assert bank.row_closed == 0
-        assert bank.busy_cycles == 0
-        assert bank.open_row == 5
-
-    def test_occupancy_for_preview_matches_begin_access(self, bank):
-        preview = bank.occupancy_for(5)
-        access = bank.begin_access(5, now=0, bus_free_until=0)
-        assert access.data_end == preview

@@ -30,12 +30,6 @@ class TestEnqueue:
         with pytest.raises(ValueError):
             channel.enqueue(make_request(channel=1))
 
-    def test_has_request_from(self, channel):
-        channel.enqueue(make_request(thread=3, bank=1))
-        assert channel.has_request_from(3, 1)
-        assert not channel.has_request_from(3, 0)
-        assert not channel.has_request_from(2, 1)
-
 
 class TestService:
     def test_start_service_removes_from_queue(self, channel):
@@ -62,33 +56,6 @@ class TestService:
         a1, _ = channel.start_service(r1, now=0)
         # second burst cannot overlap the first on the shared data bus
         assert a1.data_start >= a0.data_end
-
-    def test_row_hit_possible(self, channel):
-        r0 = make_request(row=7)
-        channel.enqueue(r0)
-        channel.start_service(r0, now=0)
-        r1 = make_request(row=7, arrival=1)
-        assert channel.row_hit_possible(r1)
-        r2 = make_request(row=8, arrival=1)
-        assert not channel.row_hit_possible(r2)
-
-
-class TestIdleBanks:
-    def test_idle_banks_with_work(self, channel):
-        channel.enqueue(make_request(bank=1))
-        channel.enqueue(make_request(bank=3))
-        assert channel.idle_banks_with_work(0) == [1, 3]
-
-    def test_busy_bank_excluded(self, channel):
-        request = make_request(bank=1)
-        channel.enqueue(request)
-        channel.enqueue(make_request(bank=1, arrival=1))
-        channel.start_service(request, now=0)
-        assert channel.idle_banks_with_work(1) == []
-        assert channel.idle_banks_with_work(channel.banks[1].busy_until) == [1]
-
-    def test_empty_queue_excluded(self, channel):
-        assert channel.idle_banks_with_work(0) == []
 
 
 class TestRequest:

@@ -1,4 +1,4 @@
-"""Additional coverage: CLI leakage, figure7 driver, debug with writes."""
+"""Additional coverage: CLI leakage, figure7 driver, FQM scoring, Table 5."""
 
 import pytest
 
@@ -33,22 +33,6 @@ class TestFigure7Driver:
         assert set(results) == {0.25, 1.0}
         for points in results.values():
             assert len(points) == 5
-
-
-class TestDebugWithWrites:
-    def test_write_counters_in_report(self):
-        from repro.schedulers import make_scheduler
-        from repro.sim import System
-        from repro.sim.debug import format_report, system_report
-        from repro.workloads.mixes import Workload
-
-        cfg = SimConfig(run_cycles=60_000, model_writes=True)
-        workload = Workload(name="w", benchmark_names=("mcf", "lbm"))
-        system = System(workload, make_scheduler("frfcfs"), cfg, seed=0)
-        system.run()
-        report = system_report(system)
-        assert report.writes_serviced > 0
-        assert "writes serviced/dropped" in format_report(report)
 
 
 class TestScoreWithFQM:

@@ -9,7 +9,7 @@ from repro.explain import attach_explain
 from repro.schedulers.registry import make_scheduler
 from repro.sim.system import System
 from repro.telemetry import Telemetry, events_to_perfetto
-from repro.validate import InvariantViolation, OracleConfig, checked_run
+from repro.validate import InvariantViolation, checked_run
 from repro.validate.oracle import attach_oracle
 from repro.workloads import make_intensity_workload
 
@@ -103,29 +103,16 @@ class TestOracle:
         assert report.checks["decisions"] > 0
 
     def test_oracle_catches_a_lost_record(self):
-        """Bypassing the wrapped decision hook starves the record
-        stream; the oracle's finish check must notice the mismatch
-        between grants and records."""
+        """Bypassing the collector's decision hook starves the record
+        stream; the oracle's per-grant check must notice the grant that
+        produced no record."""
         workload = make_intensity_workload(0.75, num_threads=4, seed=3)
         config = SimConfig(run_cycles=CYCLES, num_threads=4)
         system = System(workload, make_scheduler("tcm"), config, seed=1)
         collector = attach_explain(system)
-        oracle = attach_oracle(system, OracleConfig())
-        # the oracle wrapped collector.on_decision; replacing it again
-        # silently drops every record while grants keep flowing
+        attach_oracle(system)
+        # the run binds the instance's hook: this one silently drops
+        # every record while grants keep flowing
         collector.on_decision = lambda *args, **kwargs: None
-        system.run()
         with pytest.raises(InvariantViolation, match="decision"):
-            oracle.finish()
-
-    def test_check_decisions_can_be_disabled(self):
-        workload = make_intensity_workload(0.75, num_threads=4, seed=3)
-        config = SimConfig(run_cycles=CYCLES, num_threads=4)
-        system = System(workload, make_scheduler("tcm"), config, seed=1)
-        collector = attach_explain(system)
-        oracle = attach_oracle(
-            system, OracleConfig(check_decisions=False)
-        )
-        collector.on_decision = lambda *args, **kwargs: None
-        system.run()
-        oracle.finish()  # no decision cross-check, no violation
+            system.run()

@@ -10,6 +10,7 @@ from repro.prof import (
     profile_run,
 )
 from repro.telemetry import Telemetry
+from repro.validate import attach_oracle
 from repro.workloads import make_intensity_workload
 
 CYCLES = 30_000
@@ -135,6 +136,19 @@ class TestAttachedLayers:
         system.run()
         report = profiler.detach()
         assert "telemetry" in report.component_shares()
+
+    def test_oracle_hooks_are_attributed(self):
+        """The oracle is an observer: a profiler attached after it
+        times its checks under ``obs.oracle.<hook>``."""
+        system = _system()
+        oracle = attach_oracle(system)
+        profiler = attach_profiler(system)
+        result = system.run()
+        report = profiler.detach()
+        assert oracle.finish(result).ok
+        labels = {path[-1] for path in report.nodes}
+        assert "obs.oracle.grant" in labels
+        assert "obs.oracle.decision" in labels
 
     def test_profile_run_accepts_telemetry(self):
         result, report = profile_run(

@@ -50,6 +50,7 @@ from repro.sim.observer import HOOKS, Observer
 from repro.sim.system import _EV_DONE, System
 from repro.telemetry import Telemetry
 from repro.trace import TraceRecorder
+from repro.validate import attach_oracle
 from repro.validate.fingerprint import fingerprint_run
 from repro.workloads import make_intensity_workload
 from tests.conftest import dispatch_loop
@@ -355,6 +356,7 @@ def test_bare_loop_needs_no_observer_and_admits_stfm():
 # ----------------------------------------------------------------------
 
 INSTRUMENTS = {
+    "oracle": attach_oracle,
     "profiler": attach_profiler,
     "probe": lambda system: StateProbe().attach(system),
     "spans": attach_spans,
@@ -373,6 +375,7 @@ def test_attach_after_start_run_is_rejected(instrument):
         INSTRUMENTS[instrument](system)
     assert system.observers == []
     assert "run" not in vars(system)  # the profiler wrapped nothing
+    assert system._tracer is None     # nor did the oracle add a sink
 
 
 

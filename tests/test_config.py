@@ -39,18 +39,6 @@ class TestDramTimings:
         t = DramTimings()
         assert t.hit_occupancy < t.closed_occupancy < t.conflict_occupancy
 
-    def test_occupancy_dispatch_hit(self):
-        t = DramTimings()
-        assert t.occupancy(row_hit=True, row_open=True) == t.hit_occupancy
-
-    def test_occupancy_dispatch_conflict(self):
-        t = DramTimings()
-        assert t.occupancy(row_hit=False, row_open=True) == t.conflict_occupancy
-
-    def test_occupancy_dispatch_closed(self):
-        t = DramTimings()
-        assert t.occupancy(row_hit=False, row_open=False) == t.closed_occupancy
-
     def test_paper_round_trip_latencies(self):
         """Table 3: ~200/300/400-cycle uncontended round trips."""
         t = DramTimings()

@@ -1,8 +1,10 @@
 """Tests for repro.validate.oracle — the runtime invariant oracle.
 
 Two halves: the oracle stays green over the whole scheduler registry
-under every simulator mode (the simulator is correct), and deliberately
-injected bugs are *caught* (the oracle actually checks something).
+under every simulator mode (the simulator is correct), with the same
+checks on the fused and the dispatch loop, and deliberately injected
+bugs are *caught* (the oracle actually checks something) on the loop
+each bug can reach.
 """
 
 import pytest
@@ -11,7 +13,10 @@ from repro.config import DramTimings, SimConfig
 from repro.dram.bank import Bank, BankAccess
 from repro.dram.request import MemoryRequest
 from repro.schedulers import SCHEDULERS, make_scheduler
+from repro.schedulers.frfcfs import FRFCFSScheduler
 from repro.sim import System
+from repro.sim.fused import fusable
+from repro.sim.observer import Observer
 from repro.validate import (
     InvariantOracle,
     InvariantViolation,
@@ -20,6 +25,7 @@ from repro.validate import (
     checked_run,
 )
 from repro.workloads import make_intensity_workload
+from tests.conftest import dispatch_loop
 
 pytestmark = pytest.mark.validate
 
@@ -38,17 +44,29 @@ def small_system(scheduler="frfcfs", cfg=CFG, mix=1):
     return System(MIXES[mix], make_scheduler(scheduler), cfg, seed=11)
 
 
+def dispatched_run(*args, **kwargs):
+    """``checked_run`` on the dispatch loop: the parity reference."""
+    with dispatch_loop():
+        return checked_run(*args, **kwargs)
+
+
 class TestOracleGreen:
     @pytest.mark.parametrize("name", sorted(SCHEDULERS))
-    def test_full_registry_on_three_mixes(self, name):
-        """Every registered scheduler passes every check on every mix."""
+    def test_full_registry_on_three_mixes(self, name, fused_advances):
+        """Every registered scheduler passes every check on every mix,
+        on the fused loop, with exactly the dispatch loop's checks."""
         for mix in MIXES:
             result, report = checked_run(mix, name, CFG, seed=11)
             assert report.ok, report.violations[:3]
             assert result.total_requests > 0
-            # every enabled check category actually fired
+            # every check category that needs no collector fired
             for category in ("conservation", "timing", "row_state"):
                 assert report.checks.get(category, 0) > 0
+            reference, dispatched = dispatched_run(mix, name, CFG, seed=11)
+            assert dispatched.ok
+            assert result == reference
+            assert report.checks == dispatched.checks
+        assert len(fused_advances) == len(MIXES)
 
     @pytest.mark.parametrize("name", ["frfcfs", "tcm"])
     @pytest.mark.parametrize(
@@ -60,12 +78,22 @@ class TestOracleGreen:
             SimConfig(run_cycles=40_000, num_threads=8,
                       timings=DramTimings(page_policy="closed")),
             SimConfig(run_cycles=40_000, num_threads=8, prefetch_degree=2),
+            SimConfig(run_cycles=40_000, num_threads=8, model_writes=True,
+                      prefetch_degree=2),
         ],
-        ids=["writes", "detailed", "closed_page", "prefetch"],
+        ids=["writes", "detailed", "closed_page", "prefetch",
+             "writes_prefetch"],
     )
-    def test_simulator_modes(self, name, cfg):
-        _, report = checked_run(MIXES[2], name, cfg, seed=3)
+    def test_simulator_modes(self, name, cfg, fused_advances):
+        """Every mode passes on both loops with the same checks; only
+        detailed timings keep a checked run off the fused loop."""
+        result, report = checked_run(MIXES[2], name, cfg, seed=3)
         assert report.ok, report.violations[:3]
+        assert bool(fused_advances) == (not cfg.timings.detailed)
+        reference, dispatched = dispatched_run(MIXES[2], name, cfg, seed=3)
+        assert dispatched.ok
+        assert result == reference
+        assert report.checks == dispatched.checks
 
     def test_policy_checks_fire_for_tcm_and_atlas(self):
         _, tcm = checked_run(MIXES[1], "tcm", CFG, seed=11)
@@ -80,8 +108,48 @@ class TestOracleGreen:
         assert report.scheduler == "FR-FCFS"
 
 
+class _ReleaseBankEarly(Observer):
+    """Planted bug: frees each granted bank at once (``busy_until``)."""
+
+    def __init__(self, system):
+        self.banks = [channel.banks for channel in system.channels]
+
+    def on_grant(self, request, waiting, access, completion, now):
+        self.banks[request.channel_id][request.bank_id].busy_until = now
+
+
+class _ForgetOpenRow(Observer):
+    """Planted bug: closes each granted bank's row behind its back."""
+
+    def __init__(self, system):
+        self.banks = [channel.banks for channel in system.channels]
+
+    def on_grant(self, request, waiting, access, completion, now):
+        self.banks[request.channel_id][request.bank_id].open_row = None
+
+
+class _WorstFRFCFS(FRFCFSScheduler):
+    """Planted bug: a policy whose select grants the least-priority
+    request.  A subclass, not an instance override, so the run stays
+    on the fused loop."""
+
+    def select(self, channel, bank_id, now):
+        open_row = channel.banks[bank_id].open_row
+        return min(
+            channel.queues[bank_id],
+            key=lambda r: (not r.is_prefetch,) + tuple(
+                self.priority(r, r.row == open_row, now)
+            ),
+        )
+
+
 class TestInjectedBugs:
-    """Each test plants one bug and requires the oracle to catch it."""
+    """Each test plants one bug and requires the oracle to catch it.
+
+    The ``Bank.begin_access`` patches act at class level, which the
+    fused loop (it inlines that method) cannot see, so those run on the
+    dispatch loop; the observer and subclass bugs are caught on the
+    fused loop."""
 
     def test_timing_bug_early_burst(self, monkeypatch):
         """A bank that returns data 10 cycles early violates Table 3."""
@@ -97,12 +165,14 @@ class TestInjectedBugs:
         monkeypatch.setattr(Bank, "begin_access", hasty)
         system = small_system()
         attach_oracle(system)
-        with pytest.raises(InvariantViolation, match=r"\[timing\]"):
-            system.run()
+        with dispatch_loop():
+            with pytest.raises(InvariantViolation, match=r"\[timing\]"):
+                system.run()
 
     def test_row_state_bug_misclassified_access(self, monkeypatch):
         """A bank lying about hit/closed/conflict breaks the shadow
-        row-buffer replay (timing checks off so the lie is isolated)."""
+        row-buffer replay (violations are collected: the lie breaks the
+        Table-3 timing check too)."""
         original = Bank.begin_access
 
         def liar(self, row, now, bus_free_until, activate_not_before=0,
@@ -114,9 +184,12 @@ class TestInjectedBugs:
 
         monkeypatch.setattr(Bank, "begin_access", liar)
         system = small_system()
-        attach_oracle(system, OracleConfig(check_timing=False))
-        with pytest.raises(InvariantViolation, match=r"\[row_state\]"):
+        oracle = attach_oracle(system, COLLECT)
+        with dispatch_loop():
             system.run()
+        assert any(
+            v.startswith("[row_state]") for v in oracle.report.violations
+        )
 
     def test_conservation_bug_double_enqueue(self):
         system = small_system()
@@ -124,9 +197,9 @@ class TestInjectedBugs:
         request = MemoryRequest(
             thread_id=0, channel_id=0, bank_id=0, row=1, arrival=0
         )
-        system.channels[0].enqueue(request)
+        oracle.on_arrival(request, 0)
         with pytest.raises(InvariantViolation, match="enqueued twice"):
-            system.channels[0].enqueue(request)
+            oracle.on_arrival(request, 0)
         assert not oracle.report.ok
 
     def test_conservation_bug_forged_service_count(self):
@@ -156,6 +229,33 @@ class TestInjectedBugs:
         attach_oracle(system)
         with pytest.raises(InvariantViolation, match=r"\[policy\]"):
             system.run()
+
+    def test_policy_bug_on_fused_loop(self, fused_advances):
+        system = System(MIXES[1], _WorstFRFCFS(), CFG, seed=11)
+        attach_oracle(system)
+        with pytest.raises(InvariantViolation, match=r"\[policy\]"):
+            system.run()
+        assert fused_advances
+
+    def test_timing_bug_on_fused_loop(self, fused_advances):
+        """A bank freed at its grant takes a second request while the
+        first one's burst is still under way."""
+        system = small_system()
+        system.attach(_ReleaseBankEarly(system))
+        attach_oracle(system)
+        with pytest.raises(InvariantViolation, match=r"\[timing\]"):
+            system.run()
+        assert fused_advances
+
+    def test_row_state_bug_on_fused_loop(self, fused_advances):
+        """A row closed behind the oracle's back turns its next hit or
+        conflict into a closed access."""
+        system = small_system()
+        system.attach(_ForgetOpenRow(system))
+        attach_oracle(system)
+        with pytest.raises(InvariantViolation, match=r"\[row_state\]"):
+            system.run()
+        assert fused_advances
 
     def test_tcm_cluster_inversion_flagged(self):
         """Unit check: servicing a bandwidth-cluster request while a
@@ -220,16 +320,17 @@ class TestStarvationCap:
 
 class TestAttachment:
     def test_detach_restores_everything(self):
+        """Attach registers the observer and its tracer sink, and
+        leaves the run on the fused loop; detach removes both."""
         system = small_system("tcm")
-        channel = system.channels[0]
         oracle = attach_oracle(system)
-        assert "select" in vars(system.scheduler)
-        assert "start_service" in vars(channel)
-        assert system._tracer is not None
+        assert system.observers == [oracle]
+        assert system._tracer.sinks == [oracle._sink]
+        assert fusable(system)
         oracle.detach()
-        assert "select" not in vars(system.scheduler)
-        assert "start_service" not in vars(channel)
+        assert system.observers == []
         assert system._tracer is None
+        assert fusable(system)
 
     def test_detach_leaves_foreign_tracer_sinks(self):
         from repro.telemetry import Telemetry
@@ -246,11 +347,9 @@ class TestAttachment:
     def test_untouched_system_carries_no_hooks(self):
         system = small_system()
         assert system._tracer is None
-        assert "select" not in vars(system.scheduler)
-        for channel in system.channels:
-            assert "start_service" not in vars(channel)
+        assert system.observers == []
 
-    def test_attached_run_matches_plain_run(self):
+    def test_attached_run_matches_plain_run(self, fused_advances):
         from repro.validate import run_outcome
 
         plain = small_system("parbs").run()
@@ -258,6 +357,7 @@ class TestAttachment:
         attach_oracle(system)
         checked = system.run()
         assert run_outcome(plain) == run_outcome(checked)
+        assert len(fused_advances) == 2   # both runs took the fused loop
 
     def test_collect_mode_gathers_instead_of_raising(self, monkeypatch):
         original = Bank.begin_access
@@ -272,6 +372,7 @@ class TestAttachment:
         monkeypatch.setattr(Bank, "begin_access", hasty)
         system = small_system()
         oracle = attach_oracle(system, COLLECT)
-        system.run()
+        with dispatch_loop():
+            system.run()
         assert not oracle.report.ok
         assert len(oracle.report.violations) > 1

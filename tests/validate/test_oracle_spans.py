@@ -12,12 +12,7 @@ from repro.config import DramTimings, SimConfig
 from repro.obs.spans import CAUSE_QUEUE, WaitInterval, attach_spans
 from repro.schedulers import make_scheduler
 from repro.sim import System
-from repro.validate import (
-    InvariantViolation,
-    OracleConfig,
-    attach_oracle,
-    checked_run,
-)
+from repro.validate import InvariantViolation, attach_oracle, checked_run
 from repro.workloads import make_intensity_workload
 
 pytestmark = pytest.mark.validate
@@ -48,8 +43,11 @@ class TestGreen:
             SimConfig(run_cycles=30_000, num_threads=8,
                       timings=DramTimings(page_policy="closed")),
             SimConfig(run_cycles=30_000, num_threads=8, prefetch_degree=2),
+            SimConfig(run_cycles=30_000, num_threads=8, model_writes=True,
+                      prefetch_degree=2),
         ],
-        ids=["writes", "detailed", "closed_page", "prefetch"],
+        ids=["writes", "detailed", "closed_page", "prefetch",
+             "writes_prefetch"],
     )
     def test_simulator_modes(self, cfg):
         _, report = checked_run(MIX, "tcm", cfg, seed=3, spans=True)
@@ -59,14 +57,6 @@ class TestGreen:
     def test_spanless_run_skips_quietly(self):
         """Without a collector the span category never fires."""
         _, report = checked_run(MIX, "frfcfs", CFG, seed=11)
-        assert report.ok
-        assert report.checks.get("spans", 0) == 0
-
-    def test_disabled_check_skips_with_collector(self):
-        _, report = checked_run(
-            MIX, "frfcfs", CFG, seed=11, spans=True,
-            oracle_config=OracleConfig(check_spans=False),
-        )
         assert report.ok
         assert report.checks.get("spans", 0) == 0
 
