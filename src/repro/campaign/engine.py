@@ -896,20 +896,22 @@ def _run_pool(pending, task_payload, handle_success, handle_failure,
 
 
 def run_points(
-    points: Sequence[CampaignPoint],
+    points: Union[CampaignPlan, Sequence[CampaignPoint]],
     workers: Optional[int] = None,
     store: Union[CampaignStore, str, None] = None,
     name: str = "adhoc",
     **engine_kwargs,
 ) -> List[PointResult]:
-    """Execute ad-hoc points through the engine; raise on any failure.
+    """Execute a plan (or ad-hoc points, named ``name``) through the
+    engine; raise on any failure.
 
     This is the API the figure and sweep drivers use: ``workers=None``
     (or 1) is the exact serial reference path, larger values shard the
     points across processes; results come back in input order either
     way.
     """
-    plan = CampaignPlan(name=name, points=tuple(points))
+    plan = (points if isinstance(points, CampaignPlan)
+            else CampaignPlan(name=name, points=tuple(points)))
     report = execute_plan(
         plan, store=store, workers=workers or 1, **engine_kwargs
     )

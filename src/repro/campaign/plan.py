@@ -13,15 +13,18 @@ Builders cover the common shapes:
 * :func:`suite_plan` — the evaluation idiom used throughout the
   figures: workload *i* runs with seed ``base_seed + i`` under every
   scheduler.
-* :func:`preset_plan` — named presets (``fig4``, ``fig7``, ``table6``,
-  ``smoke``...) matching the paper's evaluation campaigns, derived
-  from :mod:`repro.experiments.presets` scales.
+* :func:`preset_plan` — named presets: each suite figure's own plan
+  (``fig1``, ``fig4``-``fig8``, ``table6``-``table8``), built by the
+  figure's ``*_plan`` function in :mod:`repro.experiments`, plus the
+  4-point CI ``smoke`` campaign.  ``campaign run --preset
+  fig6`` and ``paper fig6`` therefore run, and store, the same points.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from importlib import import_module
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -229,63 +232,11 @@ def suite_plan(
 # ----------------------------------------------------------------------
 
 
-def _fig4_plan(per_category: int, config: SimConfig,
-               base_seed: int) -> CampaignPlan:
-    from repro.experiments.figures import ALL_SCHEDULERS
-
-    suite = make_workload_suite(
-        (0.5, 0.75, 1.0), per_category, num_threads=config.num_threads,
-        base_seed=base_seed,
-    )
-    return suite_plan(
-        "fig4", suite, ALL_SCHEDULERS, config, base_seed, tag="fig4",
-        description="Figure 4 main result: all schedulers over the "
-                    "50/75/100% intensity suite",
-    )
-
-
-def _fig7_plan(per_category: int, config: SimConfig,
-               base_seed: int) -> CampaignPlan:
-    from repro.experiments.figures import ALL_SCHEDULERS
-
-    points: List[CampaignPoint] = []
-    for intensity in (0.25, 0.5, 0.75, 1.0):
-        suite = make_workload_suite(
-            (intensity,), per_category, num_threads=config.num_threads,
-            base_seed=base_seed,
-        )
-        sub = suite_plan(
-            "fig7", suite, ALL_SCHEDULERS, config, base_seed,
-            tag=f"intensity={intensity}",
-        )
-        points.extend(sub.points)
-    return CampaignPlan(
-        name="fig7", points=tuple(points),
-        description="Figure 7: WS/MS per scheduler per intensity category",
-    )
-
-
-def _table6_plan(per_category: int, config: SimConfig,
-                 base_seed: int) -> CampaignPlan:
-    from repro.experiments.tables import SHUFFLE_ALGORITHMS
-
-    suite = make_workload_suite(
-        (0.5,), per_category, num_threads=config.num_threads,
-        base_seed=base_seed,
-    )
-    points = tuple(
-        CampaignPoint(
-            workload=w, scheduler="tcm", config=config,
-            seed=base_seed + i, params=TCMParams(shuffle_mode=algorithm),
-            tag=f"shuffle={algorithm}",
-        )
-        for algorithm in SHUFFLE_ALGORITHMS
-        for i, w in enumerate(suite)
-    )
-    return CampaignPlan(
-        name="table6", points=points,
-        description="Table 6: shuffling-algorithm MS statistics",
-    )
+def _figure_plan(module: str, function: str) -> Callable:
+    """A figure's ``*_plan`` function in ``repro.experiments.<module>``,
+    looked up on first use: those modules import this one."""
+    return lambda *args: getattr(
+        import_module(f"repro.experiments.{module}"), function)(*args)
 
 
 def _smoke_plan(per_category: int, config: SimConfig,
@@ -302,10 +253,17 @@ def _smoke_plan(per_category: int, config: SimConfig,
 
 
 #: Named preset campaigns: name -> builder(per_category, config, base_seed).
+#: Each suite figure's preset is the plan its ``figureN``/``tableN`` runs.
 PRESET_PLANS: Dict[str, Callable[[int, SimConfig, int], CampaignPlan]] = {
-    "fig4": _fig4_plan,
-    "fig7": _fig7_plan,
-    "table6": _table6_plan,
+    "fig1": _figure_plan("figures", "figure1_plan"),
+    "fig4": _figure_plan("figures", "figure4_plan"),
+    "fig5": _figure_plan("figures", "figure5_plan"),
+    "fig6": _figure_plan("sweeps", "figure6_plan"),
+    "fig7": _figure_plan("figures", "figure7_plan"),
+    "fig8": _figure_plan("figures", "figure8_plan"),
+    "table6": _figure_plan("tables", "table6_plan"),
+    "table7": _figure_plan("sweeps", "table7_plan"),
+    "table8": _figure_plan("sweeps", "table8_plan"),
     "smoke": _smoke_plan,
 }
 

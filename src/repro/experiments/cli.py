@@ -2,15 +2,16 @@
 
 Usage::
 
-    python -m repro.experiments.cli fig4 --per-category 4
-    python -m repro.experiments.cli fig2
-    python -m repro.experiments.cli table6 --per-category 8
+    python -m repro.experiments.cli paper fig4 --per-category 4
+    python -m repro.experiments.cli paper fig2
+    python -m repro.experiments.cli paper table6 --per-category 8
     python -m repro.experiments.cli run --intensity 0.75 --seed 3
 
-Every sub-command prints the regenerated table/series as aligned text;
-``--cycles`` scales the run length (default 400k).  Figure/table suite
-commands accept ``--workers N`` (parallel campaign execution) and
-``--store DIR`` (persistent result cache).
+``paper NAME`` prints one of the paper's figures or tables as aligned
+text; ``--cycles`` scales the run length (default 400k).  A suite
+figure runs its campaign preset, so it accepts ``--workers N``
+(parallel campaign execution) and ``--store DIR`` (persistent result
+cache), and ``campaign status --preset NAME`` reads what it stored.
 
 Campaign subcommands drive the engine directly::
 
@@ -110,6 +111,7 @@ import os
 import sys
 from typing import List, Optional
 
+from repro.campaign import PRESET_PLANS
 from repro.config import SimConfig
 from repro.experiments import (
     evaluate_workload,
@@ -117,11 +119,13 @@ from repro.experiments import (
     figure2,
     figure3,
     figure4,
+    figure5,
     figure6,
     figure7,
     figure8,
     format_scatter,
     format_table,
+    measure_leakage,
     table1,
     table2,
     table4,
@@ -134,25 +138,29 @@ from repro.telemetry.log import add_log_level_argument, configure_logging
 from repro.workloads import make_intensity_workload
 
 
-def _scatter(points, title):
-    print(
-        format_scatter(
-            [(p.scheduler, p.weighted_speedup, p.maximum_slowdown)
-             for p in points],
-            title=title,
+def _action(args, verb: str, actions, default: Optional[str] = None) -> str:
+    """The verb's action (``default`` if none given); exit if unknown."""
+    action = args.action or default
+    if action not in actions:
+        raise SystemExit(
+            f"{verb}: unknown action {action!r} ({'|'.join(actions)})"
         )
+    return action
+
+
+def _workload(args, config):
+    """``--workload-file``, else an ``--intensity`` mix seeded ``--seed``."""
+    if args.workload_file:
+        from repro.workloads import load_workload
+
+        return load_workload(args.workload_file)
+    return make_intensity_workload(
+        args.intensity, num_threads=config.num_threads, seed=args.seed
     )
 
 
 def _cmd_run(args, config):
-    if args.workload_file:
-        from repro.workloads import load_workload
-
-        workload = load_workload(args.workload_file)
-    else:
-        workload = make_intensity_workload(
-            args.intensity, num_threads=config.num_threads, seed=args.seed
-        )
+    workload = _workload(args, config)
     names = (
         tuple(args.schedulers.split(","))
         if args.schedulers
@@ -171,29 +179,61 @@ def _cmd_run(args, config):
     )
 
 
-def _cmd_fig1(args, config):
-    _scatter(
+# ----------------------------------------------------------------------
+# paper: each figure or table, rendered as the text ``paper`` prints
+# ----------------------------------------------------------------------
+
+
+def _scatter(points, title):
+    return format_scatter(
+        [(p.scheduler, p.weighted_speedup, p.maximum_slowdown)
+         for p in points],
+        title=title,
+    )
+
+
+def _ws_ms_table(title, label, rows):
+    """One 'WS/MS' column per Figure 4 scheduler; rows are (name,
+    {scheduler: score})."""
+    return format_table(
+        [label] + [f"{s} WS/MS" for s in ALL_SCHEDULERS],
+        [[name] + [f"{by[s].weighted_speedup:.2f}/"
+                   f"{by[s].maximum_slowdown:.2f}" for s in ALL_SCHEDULERS]
+         for name, by in rows],
+        title=title,
+    )
+
+
+def _characteristics(rows, title):
+    return format_table(
+        ["benchmark", "MPKI tgt", "MPKI", "RBL tgt", "RBL",
+         "BLP tgt", "BLP", "IPC"],
+        [[r.benchmark, r.target_mpki, r.measured_mpki, r.target_rbl,
+          r.measured_rbl, r.target_blp, r.measured_blp, r.alone_ipc]
+         for r in rows],
+        title=title,
+    )
+
+
+def _paper_fig1(args, config):
+    return _scatter(
         figure1(args.per_category, config, args.seed,
                 workers=args.workers, store=args.store),
         "Figure 1",
     )
 
 
-def _cmd_fig2(args, config):
+def _paper_fig2(args, config):
     result = figure2(config, seed=args.seed)
-    print(
-        format_table(
-            ["policy", "random-access slowdown", "streaming slowdown"],
-            [
-                ["prioritize random-access", *result.prioritize_random],
-                ["prioritize streaming", *result.prioritize_streaming],
-            ],
-            title="Figure 2",
-        )
+    return format_table(
+        ["policy", "random-access slowdown", "streaming slowdown"],
+        [["prioritize random-access", *result.prioritize_random],
+         ["prioritize streaming", *result.prioritize_streaming]],
+        title="Figure 2",
     )
 
 
-def _cmd_fig3(args, config):
+def _paper_fig3(args, config):
     sequences = figure3(num_threads=4)
     rows = [
         [i, str(rr), str(ins)]
@@ -201,41 +241,120 @@ def _cmd_fig3(args, config):
             zip(sequences["round_robin"], sequences["insertion"])
         )
     ]
-    print(format_table(["interval", "round-robin", "insertion"], rows,
-                       title="Figure 3"))
+    return format_table(["interval", "round-robin", "insertion"], rows,
+                        title="Figure 3")
 
 
-def _cmd_fig4(args, config):
-    _scatter(
+def _paper_fig4(args, config):
+    return _scatter(
         figure4(args.per_category, config, base_seed=args.seed,
                 workers=args.workers, store=args.store),
         "Figure 4",
     )
 
 
-def _cmd_fig5(args, config):
-    from repro.experiments import figure5
-    from repro.experiments.figures import ALL_SCHEDULERS
-
+def _paper_fig5(args, config):
     results = figure5(config, avg_workloads=args.per_category,
                       base_seed=args.seed, workers=args.workers,
                       store=args.store)
-    rows = []
-    for workload in ("A", "B", "C", "D", "AVG"):
-        rows.append(
-            [workload]
-            + [f"{results[workload][s].weighted_speedup:.2f}/"
-               f"{results[workload][s].maximum_slowdown:.2f}"
-               for s in ALL_SCHEDULERS]
-        )
-    print(format_table(["workload"] + [f"{s} WS/MS" for s in ALL_SCHEDULERS],
-                       rows, title="Figure 5"))
+    return _ws_ms_table(
+        "Figure 5", "workload",
+        [(w, results[w]) for w in ("A", "B", "C", "D", "AVG")],
+    )
 
 
-def _cmd_leakage(args, config):
-    from repro.experiments.leakage import measure_leakage
-    from repro.workloads import make_intensity_workload
+def _paper_fig6(args, config):
+    curves = figure6(args.per_category, config, base_seed=args.seed,
+                     workers=args.workers, store=args.store)
+    rows = [
+        [name, f"{p.parameter}={p.value}", p.weighted_speedup,
+         p.maximum_slowdown]
+        for name, points in curves.items()
+        for p in points
+    ]
+    return format_table(["scheduler", "point", "WS", "MS"], rows,
+                        title="Figure 6")
 
+
+def _paper_fig7(args, config):
+    results = figure7(args.per_category, config=config, base_seed=args.seed,
+                      workers=args.workers, store=args.store)
+    return _ws_ms_table("Figure 7", "intensity", [
+        (f"{intensity:.0%}", {p.scheduler: p for p in points})
+        for intensity, points in sorted(results.items())
+    ])
+
+
+def _paper_fig8(args, config):
+    result = figure8(config, seed=args.seed, workers=args.workers,
+                     store=args.store)
+    rows = [
+        [f"{name} (w={w})", result.speedups["atlas"][name],
+         result.speedups["tcm"][name]]
+        for name, w in FIGURE8_BENCHMARKS
+    ]
+    return format_table(["benchmark", "ATLAS", "TCM"], rows,
+                        title="Figure 8")
+
+
+def _paper_table1(args, config):
+    return _characteristics(
+        table1(config.with_(phase_mean_cycles=0), seed=args.seed), "Table 1"
+    )
+
+
+def _paper_table2(args, config):
+    cost = table2()
+    return format_table(
+        ["monitor", "bits"],
+        [["MPKI", cost.mpki_counter], ["load", cost.load_counter],
+         ["BLP", cost.blp_counter + cost.blp_average],
+         ["shadow index", cost.shadow_row_index],
+         ["shadow hits", cost.shadow_row_hits],
+         ["TOTAL", cost.total_bits]],
+        title="Table 2",
+    )
+
+
+def _paper_table4(args, config):
+    return _characteristics(
+        table4(config.with_(phase_mean_cycles=0), seed=args.seed), "Table 4"
+    )
+
+
+def _paper_table6(args, config):
+    rows = table6(args.per_category, config, base_seed=args.seed,
+                  workers=args.workers, store=args.store)
+    return format_table(
+        ["algorithm", "MS avg", "MS var"],
+        [[r.algorithm, r.ms_average, r.ms_variance] for r in rows],
+        title="Table 6",
+    )
+
+
+def _paper_table7(args, config):
+    points = table7(args.per_category, config, base_seed=args.seed,
+                    workers=args.workers, store=args.store)
+    return format_table(
+        ["parameter", "value", "WS", "MS"],
+        [[p.parameter, p.value, p.weighted_speedup, p.maximum_slowdown]
+         for p in points],
+        title="Table 7",
+    )
+
+
+def _paper_table8(args, config):
+    rows = table8(args.per_category, config, base_seed=args.seed,
+                  workers=args.workers, store=args.store)
+    return format_table(
+        ["dimension", "value", "TCM WS", "ATLAS WS", "TCM MS", "ATLAS MS"],
+        [[r.dimension, r.value, r.tcm_ws, r.atlas_ws, r.tcm_ms, r.atlas_ms]
+         for r in rows],
+        title="Table 8",
+    )
+
+
+def _paper_leakage(args, config):
     workload = make_intensity_workload(
         1.0, num_threads=config.num_threads, seed=args.seed
     )
@@ -245,125 +364,23 @@ def _cmd_leakage(args, config):
         for pos, share in enumerate(result.shares, start=1)
         if share >= 0.005
     ]
-    print(format_table(["rank position", "service share"], rows,
-                       title="Memory service leakage (paper 3.3)"))
+    return format_table(["rank position", "service share"], rows,
+                        title="Memory service leakage (paper 3.3)")
 
 
-def _cmd_fig6(args, config):
-    curves = figure6(args.per_category, config, base_seed=args.seed,
-                     workers=args.workers, store=args.store)
-    rows = [
-        [name, f"{p.parameter}={p.value}", p.weighted_speedup,
-         p.maximum_slowdown]
-        for name, points in curves.items()
-        for p in points
-    ]
-    print(format_table(["scheduler", "point", "WS", "MS"], rows,
-                       title="Figure 6"))
+#: ``paper`` actions, in paper order: name -> its ``_paper_<name>``.
+_PAPER = {
+    render.__name__[len("_paper_"):]: render
+    for render in (_paper_fig1, _paper_fig2, _paper_fig3, _paper_fig4,
+                   _paper_fig5, _paper_fig6, _paper_fig7, _paper_fig8,
+                   _paper_table1, _paper_table2, _paper_table4,
+                   _paper_table6, _paper_table7, _paper_table8,
+                   _paper_leakage)
+}
 
 
-def _cmd_fig7(args, config):
-    results = figure7(args.per_category, config=config, base_seed=args.seed,
-                      workers=args.workers, store=args.store)
-    rows = []
-    for intensity, points in sorted(results.items()):
-        by_name = {p.scheduler: p for p in points}
-        rows.append(
-            [f"{intensity:.0%}"]
-            + [f"{by_name[s].weighted_speedup:.2f}/"
-               f"{by_name[s].maximum_slowdown:.2f}" for s in ALL_SCHEDULERS]
-        )
-    print(format_table(["intensity"] + [f"{s} WS/MS" for s in ALL_SCHEDULERS],
-                       rows, title="Figure 7"))
-
-
-def _cmd_fig8(args, config):
-    result = figure8(config, seed=args.seed, workers=args.workers,
-                     store=args.store)
-    rows = [
-        [f"{name} (w={w})", result.speedups["atlas"][name],
-         result.speedups["tcm"][name]]
-        for name, w in FIGURE8_BENCHMARKS
-    ]
-    print(format_table(["benchmark", "ATLAS", "TCM"], rows, title="Figure 8"))
-
-
-def _cmd_table1(args, config):
-    rows = table1(config.with_(phase_mean_cycles=0), seed=args.seed)
-    _print_characteristics(rows, "Table 1")
-
-
-def _cmd_table2(args, config):
-    cost = table2()
-    print(
-        format_table(
-            ["monitor", "bits"],
-            [["MPKI", cost.mpki_counter], ["load", cost.load_counter],
-             ["BLP", cost.blp_counter + cost.blp_average],
-             ["shadow index", cost.shadow_row_index],
-             ["shadow hits", cost.shadow_row_hits],
-             ["TOTAL", cost.total_bits]],
-            title="Table 2",
-        )
-    )
-
-
-def _cmd_table4(args, config):
-    rows = table4(config.with_(phase_mean_cycles=0), seed=args.seed)
-    _print_characteristics(rows, "Table 4")
-
-
-def _print_characteristics(rows, title):
-    print(
-        format_table(
-            ["benchmark", "MPKI tgt", "MPKI", "RBL tgt", "RBL",
-             "BLP tgt", "BLP", "IPC"],
-            [
-                [r.benchmark, r.target_mpki, r.measured_mpki, r.target_rbl,
-                 r.measured_rbl, r.target_blp, r.measured_blp, r.alone_ipc]
-                for r in rows
-            ],
-            title=title,
-        )
-    )
-
-
-def _cmd_table6(args, config):
-    rows = table6(args.per_category, config, base_seed=args.seed,
-                  workers=args.workers, store=args.store)
-    print(
-        format_table(
-            ["algorithm", "MS avg", "MS var"],
-            [[r.algorithm, r.ms_average, r.ms_variance] for r in rows],
-            title="Table 6",
-        )
-    )
-
-
-def _cmd_table7(args, config):
-    points = table7(args.per_category, config, base_seed=args.seed,
-                    workers=args.workers, store=args.store)
-    print(
-        format_table(
-            ["parameter", "value", "WS", "MS"],
-            [[p.parameter, p.value, p.weighted_speedup, p.maximum_slowdown]
-             for p in points],
-            title="Table 7",
-        )
-    )
-
-
-def _cmd_table8(args, config):
-    rows = table8(per_category=1, config=config, base_seed=args.seed,
-                  workers=args.workers, store=args.store)
-    print(
-        format_table(
-            ["dimension", "value", "TCM WS", "ATLAS WS", "TCM MS", "ATLAS MS"],
-            [[r.dimension, r.value, r.tcm_ws, r.atlas_ws, r.tcm_ms, r.atlas_ms]
-             for r in rows],
-            title="Table 8",
-        )
-    )
+def _cmd_paper(args, config):
+    print(_PAPER[_action(args, "paper", _PAPER)](args, config))
 
 
 # ----------------------------------------------------------------------
@@ -371,25 +388,11 @@ def _cmd_table8(args, config):
 # ----------------------------------------------------------------------
 
 
-def _telemetry_workload(args, config):
-    if args.workload_file:
-        from repro.workloads import load_workload
-
-        return load_workload(args.workload_file)
-    return make_intensity_workload(
-        args.intensity, num_threads=config.num_threads, seed=args.seed
-    )
-
-
 def _cmd_telemetry(args, config):
     from repro.telemetry import Telemetry, jsonl_to_perfetto
     from repro.telemetry.report import render_report
 
-    action = args.action or "report"
-    if action not in ("report", "trace"):
-        raise SystemExit(
-            f"telemetry: unknown action {action!r} (report|trace)"
-        )
+    action = _action(args, "telemetry", ("report", "trace"), "report")
 
     if action == "trace" and args.trace_in:
         # Pure conversion: JSONL event log -> Perfetto trace_event JSON.
@@ -400,7 +403,7 @@ def _cmd_telemetry(args, config):
 
     from repro.experiments.runner import run_shared
 
-    workload = _telemetry_workload(args, config)
+    workload = _workload(args, config)
     scheduler = args.scheduler or "tcm"
     if action == "trace":
         if not args.trace_out:
@@ -476,11 +479,7 @@ def _cmd_explain(args, config):
         write_dashboard,
     )
 
-    action = args.action or "run"
-    if action not in ("run", "report", "dashboard"):
-        raise SystemExit(
-            f"explain: unknown action {action!r} (run|report|dashboard)"
-        )
+    action = _action(args, "explain", ("run", "report", "dashboard"), "run")
 
     if action in ("report", "dashboard") and args.json_in:
         # render a saved snapshot: no simulation
@@ -493,7 +492,7 @@ def _cmd_explain(args, config):
             print(render_explain_report(snapshot))
         return
 
-    workload = _telemetry_workload(args, config)
+    workload = _workload(args, config)
     scheduler = args.scheduler or "tcm"
     shadows = _explain_shadow_specs(args, scheduler)
     telemetry = None
@@ -548,11 +547,8 @@ def _cmd_obs(args, config):
         write_dashboard,
     )
 
-    action = args.action or "report"
-    if action not in ("report", "attribution", "dashboard"):
-        raise SystemExit(
-            f"obs: unknown action {action!r} (report|attribution|dashboard)"
-        )
+    action = _action(args, "obs", ("report", "attribution", "dashboard"),
+                     "report")
 
     if action == "dashboard" and args.store:
         # campaign page straight from a result store: no simulation
@@ -562,7 +558,7 @@ def _cmd_obs(args, config):
         print(f"wrote {write_dashboard(html, out)}")
         return
 
-    workload = _telemetry_workload(args, config)
+    workload = _workload(args, config)
     scheduler = args.scheduler or "tcm"
     obs = observe_run(workload, scheduler, config, seed=args.seed,
                       epoch_cycles=args.epoch_cycles)
@@ -672,11 +668,7 @@ def _cmd_validate(args, config):
         save_goldens,
     )
 
-    action = args.action or "run"
-    if action not in ("run", "goldens"):
-        raise SystemExit(
-            f"validate: unknown action {action!r} (run|goldens)"
-        )
+    action = _action(args, "validate", ("run", "goldens"), "run")
 
     if action == "goldens":
         path = args.goldens_path or None
@@ -718,7 +710,7 @@ def _cmd_validate(args, config):
 
     from repro.schedulers import SCHEDULERS
 
-    workload = _telemetry_workload(args, config)
+    workload = _workload(args, config)
     names = (
         tuple(args.schedulers.split(","))
         if args.schedulers
@@ -770,11 +762,7 @@ def _cmd_diverge(args, config):
         write_report_html,
     )
 
-    action = args.action or "bisect"
-    if action not in ("run", "bisect", "report"):
-        raise SystemExit(
-            f"diverge: unknown action {action!r} (run|bisect|report)"
-        )
+    action = _action(args, "diverge", ("run", "bisect", "report"), "bisect")
 
     if action == "report":
         if not args.json_in:
@@ -878,12 +866,9 @@ def _cmd_prof(args, config):
         write_flame_svg,
     )
 
-    action = args.action or "run"
-    if action not in ("run", "flame", "history", "compare", "dashboard"):
-        raise SystemExit(
-            f"prof: unknown action {action!r} "
-            "(run|flame|history|compare|dashboard)"
-        )
+    action = _action(
+        args, "prof", ("run", "flame", "history", "compare", "dashboard"),
+        "run")
     history_path = args.history or "BENCH_history.json"
 
     if action == "history":
@@ -924,7 +909,7 @@ def _cmd_prof(args, config):
         return
 
     # run | flame | dashboard all profile one run
-    workload = _telemetry_workload(args, config)
+    workload = _workload(args, config)
     scheduler = args.scheduler or "tcm"
     result, report = profile_run(
         workload, scheduler, config, seed=args.seed, deep=args.deep
@@ -993,12 +978,8 @@ def _cmd_campaign(args, config):
         execute_plan,
     )
 
-    action = args.action or "run"
-    if action not in ("run", "resume", "status", "compact"):
-        raise SystemExit(
-            f"campaign: unknown action {action!r} "
-            "(run|resume|status|compact)"
-        )
+    action = _action(args, "campaign",
+                     ("run", "resume", "status", "compact"), "run")
 
     if action == "compact":
         # needs no plan: compaction is a property of the store alone
@@ -1066,25 +1047,11 @@ _COMMANDS = {
     "diverge": _cmd_diverge,
     "explain": _cmd_explain,
     "obs": _cmd_obs,
+    "paper": _cmd_paper,
     "prof": _cmd_prof,
     "telemetry": _cmd_telemetry,
     "validate": _cmd_validate,
     "run": _cmd_run,
-    "fig1": _cmd_fig1,
-    "fig2": _cmd_fig2,
-    "fig3": _cmd_fig3,
-    "fig4": _cmd_fig4,
-    "fig5": _cmd_fig5,
-    "fig6": _cmd_fig6,
-    "leakage": _cmd_leakage,
-    "fig7": _cmd_fig7,
-    "fig8": _cmd_fig8,
-    "table1": _cmd_table1,
-    "table2": _cmd_table2,
-    "table4": _cmd_table4,
-    "table6": _cmd_table6,
-    "table7": _cmd_table7,
-    "table8": _cmd_table8,
 }
 
 
@@ -1095,7 +1062,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("action", nargs="?", default=None,
-                        help="campaign action: run | resume | status | "
+                        help="paper action: a figure or table name ("
+                             + " | ".join(_PAPER) + "); "
+                             "campaign action: run | resume | status | "
                              "compact; "
                              "telemetry action: report | trace; "
                              "validate action: run | goldens; "
@@ -1124,8 +1093,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--plan", default=None,
                         help="campaign plan JSON file (campaign command)")
     parser.add_argument("--preset", default=None,
-                        help="named preset campaign, e.g. fig4, fig7, "
-                             "table6, smoke (campaign command)")
+                        help="named preset campaign: "
+                             + ", ".join(PRESET_PLANS)
+                             + " (campaign command)")
     parser.add_argument("--timeout", type=float, default=None,
                         help="per-point timeout in seconds (campaign "
                              "command, workers > 1)")

@@ -2,8 +2,10 @@
 
 Each ``figureN`` function regenerates the data behind the paper's
 figure N, at a configurable scale (number of workloads per intensity
-category, run length).  Figures 1 and 4 share the scatter machinery;
-Figure 3 is purely algorithmic (shuffle permutation patterns).
+category, run length).  A suite figure runs its campaign preset,
+``figureN_plan``, in one engine call and reduces the results in point
+order.  Figure 3 is purely algorithmic (shuffle permutation
+patterns).
 """
 
 from __future__ import annotations
@@ -11,12 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.campaign.engine import run_points
-from repro.campaign.plan import CampaignPoint
-from repro.config import SimConfig, TCMParams
+from repro.campaign.engine import PointResult, run_points
+from repro.campaign.plan import CampaignPlan, CampaignPoint, suite_plan
+from repro.config import SimConfig
 from repro.core.shuffle import InsertionShuffler, RoundRobinShuffler
 from repro.experiments.runner import SchedulerScore, alone_ipcs
-from repro.metrics import maximum_slowdown, weighted_speedup
 from repro.schedulers.static import StaticPriorityScheduler
 from repro.sim import System
 from repro.workloads.microbench import RANDOM_ACCESS, STREAMING
@@ -31,6 +32,8 @@ from repro.workloads.mixes import (
 BASELINES = ("frfcfs", "stfm", "parbs", "atlas")
 #: Schedulers in the paper's main result figure (Figure 4).
 ALL_SCHEDULERS = BASELINES + ("tcm",)
+#: The intensity categories of the Figure 1 and 4 suite.
+SUITE_INTENSITIES = (0.5, 0.75, 1.0)
 
 
 @dataclass(frozen=True)
@@ -43,10 +46,50 @@ class ScatterPoint:
     harmonic_speedup: float
 
 
+def scatter_means(results: Sequence[PointResult]) -> List[ScatterPoint]:
+    """Average WS/MS/HS of each scheduler (in order of first appearance)
+    over a group holding the same number of points per scheduler."""
+    sums: Dict[str, List[float]] = {}
+    for result in results:
+        s = sums.setdefault(result.point.scheduler, [0.0, 0.0, 0.0])
+        s[0] += result.weighted_speedup
+        s[1] += result.maximum_slowdown
+        s[2] += result.harmonic_speedup
+    n = len(results) // max(len(sums), 1)
+    return [
+        ScatterPoint(name, s[0] / n, s[1] / n, s[2] / n)
+        for name, s in sums.items()
+    ]
+
+
+def group_means(results: Sequence[PointResult],
+                size: int) -> List[List[ScatterPoint]]:
+    """:func:`scatter_means` of each consecutive group of ``size``."""
+    return [scatter_means(results[i:i + size])
+            for i in range(0, len(results), size)]
+
+
+def groups_plan(name: str, groups: Sequence[tuple], per_category: int,
+                config: Optional[SimConfig], base_seed: int,
+                description: str = "") -> CampaignPlan:
+    """One group of points after another, each group a (tag, schedulers,
+    params, intensities) suite: see :func:`repro.campaign.suite_plan`."""
+    config = config or SimConfig()
+    points: Tuple[CampaignPoint, ...] = ()
+    for tag, schedulers, params, intensities in groups:
+        suite = make_workload_suite(
+            intensities, per_category, num_threads=config.num_threads,
+            base_seed=base_seed,
+        )
+        points += suite_plan(name, suite, schedulers, config, base_seed,
+                             params, tag=tag).points
+    return CampaignPlan(name, points, description)
+
+
 def scheduler_scatter(
     scheduler_names: Sequence[str],
     per_category: int = 4,
-    intensities: Sequence[float] = (0.5, 0.75, 1.0),
+    intensities: Sequence[float] = SUITE_INTENSITIES,
     config: Optional[SimConfig] = None,
     params: Optional[Dict[str, object]] = None,
     base_seed: int = 0,
@@ -57,40 +100,22 @@ def scheduler_scatter(
 
     The paper's full suite is 32 workloads per category over the 50%,
     75% and 100% intensity categories (96 total); ``per_category``
-    scales that down for quick runs.
-
-    All (workload, scheduler) points go through the campaign engine:
-    ``workers`` shards them across processes and ``store`` (a
-    :class:`repro.campaign.CampaignStore` or path) makes the run
-    resumable and cached; both default to the serial in-process path.
+    scales that down for quick runs.  As for every suite figure,
+    ``workers`` shards the points across processes and ``store`` (a
+    :class:`repro.campaign.CampaignStore` or path) caches them.
     """
-    config = config or SimConfig()
-    params = params or {}
-    suite = make_workload_suite(
-        intensities, per_category, num_threads=config.num_threads,
-        base_seed=base_seed,
+    plan = groups_plan("scatter", [("", scheduler_names, params, intensities)],
+                       per_category, config, base_seed)
+    return scatter_means(run_points(plan, workers=workers, store=store))
+
+
+def figure1_plan(per_category: int = 4, config: Optional[SimConfig] = None,
+                 base_seed: int = 0) -> CampaignPlan:
+    """Figure 1's points: the four prior schedulers over the suite."""
+    return groups_plan(
+        "fig1", [("fig1", BASELINES, None, SUITE_INTENSITIES)], per_category,
+        config, base_seed, "Figure 1: the prior schedulers over the suite",
     )
-    points = [
-        CampaignPoint(
-            workload=workload, scheduler=name, config=config,
-            seed=base_seed + i, params=params.get(name),
-        )
-        for i, workload in enumerate(suite)
-        for name in scheduler_names
-    ]
-    results = run_points(points, workers=workers, store=store,
-                         name="scatter")
-    sums = {name: [0.0, 0.0, 0.0] for name in scheduler_names}
-    for result in results:
-        s = sums[result.point.scheduler]
-        s[0] += result.weighted_speedup
-        s[1] += result.maximum_slowdown
-        s[2] += result.harmonic_speedup
-    n = len(suite)
-    return [
-        ScatterPoint(name, s[0] / n, s[1] / n, s[2] / n)
-        for name, s in sums.items()
-    ]
 
 
 def figure1(
@@ -101,9 +126,19 @@ def figure1(
     store=None,
 ) -> List[ScatterPoint]:
     """Figure 1: fairness/throughput of the four prior schedulers."""
-    return scheduler_scatter(BASELINES, per_category, config=config,
-                             base_seed=base_seed, workers=workers,
-                             store=store)
+    plan = figure1_plan(per_category, config, base_seed)
+    return scatter_means(run_points(plan, workers=workers, store=store))
+
+
+def figure4_plan(per_category: int = 4, config: Optional[SimConfig] = None,
+                 base_seed: int = 0,
+                 params: Optional[Dict[str, object]] = None) -> CampaignPlan:
+    """Figure 4's points: every scheduler over the suite."""
+    return groups_plan(
+        "fig4", [("fig4", ALL_SCHEDULERS, params, SUITE_INTENSITIES)],
+        per_category, config, base_seed, "Figure 4 main result: all "
+        "schedulers over the 50/75/100% intensity suite",
+    )
 
 
 def figure4(
@@ -115,9 +150,8 @@ def figure4(
     store=None,
 ) -> List[ScatterPoint]:
     """Figure 4: the main result — TCM vs all four baselines."""
-    return scheduler_scatter(ALL_SCHEDULERS, per_category, config=config,
-                             params=params, base_seed=base_seed,
-                             workers=workers, store=store)
+    plan = figure4_plan(per_category, config, base_seed, params)
+    return scatter_means(run_points(plan, workers=workers, store=store))
 
 
 # ----------------------------------------------------------------------
@@ -202,6 +236,25 @@ def figure3(num_threads: int = 4, steps: Optional[int] = None) -> Dict[str, List
 # ----------------------------------------------------------------------
 
 
+def figure5_plan(per_category: int = 4, config: Optional[SimConfig] = None,
+                 base_seed: int = 0,
+                 scheduler_names: Sequence[str] = ALL_SCHEDULERS,
+                 ) -> CampaignPlan:
+    """Figure 5's points: workloads A-D, then ``per_category``
+    50%-intensity mixes for the average."""
+    config = config or SimConfig()
+    table5 = tuple(
+        CampaignPoint(workload=w, scheduler=s, config=config,
+                      seed=base_seed, tag=f"fig5-{name}")
+        for name, w in TABLE5_WORKLOADS.items()
+        for s in scheduler_names
+    )
+    avg = groups_plan("fig5", [("fig5-AVG", scheduler_names, None, (0.5,))],
+                      per_category, config, base_seed)
+    return CampaignPlan("fig5", table5 + avg.points,
+                        "Figure 5: workloads A-D and a 50% average")
+
+
 def figure5(
     config: Optional[SimConfig] = None,
     scheduler_names: Sequence[str] = ALL_SCHEDULERS,
@@ -217,53 +270,42 @@ def figure5(
     uses 32).  The per-workload scores carry ``result=None`` (raw
     :class:`RunResult` objects stay inside the campaign engine).
     """
-    config = config or SimConfig()
-    table5 = list(TABLE5_WORKLOADS.items())
-    results = run_points(
-        [
-            CampaignPoint(workload=w, scheduler=s, config=config,
-                          seed=base_seed, tag=f"fig5-{name}")
-            for name, w in table5
-            for s in scheduler_names
-        ],
-        workers=workers, store=store, name="fig5",
-    )
-    out: Dict[str, Dict[str, SchedulerScore]] = {}
-    it = iter(results)
-    for name, workload in table5:
-        out[name] = {
-            s: SchedulerScore(
-                scheduler=s,
-                workload=workload.name,
-                weighted_speedup=r.weighted_speedup,
-                maximum_slowdown=r.maximum_slowdown,
-                harmonic_speedup=r.harmonic_speedup,
-                result=None,
-            )
-            for s, r in zip(scheduler_names, it)
-        }
+    plan = figure5_plan(avg_workloads, config, base_seed, scheduler_names)
+    results = run_points(plan, workers=workers, store=store)
+    k = len(scheduler_names) * len(TABLE5_WORKLOADS)
+    means = group_means(results[:k], len(scheduler_names))
+    names = [(name, w.name) for name, w in TABLE5_WORKLOADS.items()]
     if avg_workloads > 0:
-        points = scheduler_scatter(
-            scheduler_names, avg_workloads, (0.5,), config,
-            base_seed=base_seed, workers=workers, store=store,
-        )
-        out["AVG"] = {
+        means.append(scatter_means(results[k:]))
+        names.append(("AVG", "AVG"))
+    return {
+        name: {
             p.scheduler: SchedulerScore(
-                scheduler=p.scheduler,
-                workload="AVG",
-                weighted_speedup=p.weighted_speedup,
-                maximum_slowdown=p.maximum_slowdown,
-                harmonic_speedup=p.harmonic_speedup,
-                result=None,
+                p.scheduler, workload, p.weighted_speedup,
+                p.maximum_slowdown, p.harmonic_speedup, result=None,
             )
-            for p in points
+            for p in group
         }
-    return out
+        for (name, workload), group in zip(names, means)
+    }
 
 
 # ----------------------------------------------------------------------
 # Figure 7: effect of workload memory intensity
 # ----------------------------------------------------------------------
+
+
+def figure7_plan(per_category: int = 4, config: Optional[SimConfig] = None,
+                 base_seed: int = 0,
+                 intensities: Sequence[float] = (0.25, 0.5, 0.75, 1.0),
+                 ) -> CampaignPlan:
+    """Figure 7's points: every scheduler over a suite per intensity."""
+    return groups_plan(
+        "fig7", [(f"intensity={intensity}", ALL_SCHEDULERS, None, (intensity,))
+                 for intensity in intensities],
+        per_category, config, base_seed,
+        "Figure 7: WS/MS per scheduler per intensity category",
+    )
 
 
 def figure7(
@@ -275,13 +317,10 @@ def figure7(
     store=None,
 ) -> Dict[float, List[ScatterPoint]]:
     """Figure 7: WS and MS per scheduler at each intensity category."""
-    return {
-        intensity: scheduler_scatter(
-            ALL_SCHEDULERS, per_category, (intensity,), config,
-            base_seed=base_seed, workers=workers, store=store,
-        )
-        for intensity in intensities
-    }
+    plan = figure7_plan(per_category, config, base_seed, intensities)
+    results = run_points(plan, workers=workers, store=store)
+    return dict(zip(intensities, group_means(
+        results, per_category * len(ALL_SCHEDULERS))))
 
 
 # ----------------------------------------------------------------------
@@ -323,6 +362,15 @@ class Figure8Result:
     maximum_slowdown: Dict[str, float]
 
 
+def figure8_plan(per_category: int = 0, config: Optional[SimConfig] = None,
+                 base_seed: int = 0, instances: int = 4) -> CampaignPlan:
+    """Figure 8's points: the weighted workload under ATLAS and TCM
+    (``per_category`` is unused: the figure has one workload)."""
+    return suite_plan("fig8", [figure8_workload(instances)], ("atlas", "tcm"),
+                      config, base_seed, tag="fig8",
+                      description="Figure 8: thread weights, ATLAS vs TCM")
+
+
 def figure8(
     config: Optional[SimConfig] = None,
     instances: int = 4,
@@ -336,33 +384,22 @@ def figure8(
     the light threads; TCM honours them within clusters, keeping the
     latency-sensitive threads fast.
     """
-    config = config or SimConfig()
-    workload = figure8_workload(instances)
-    schedulers = ("atlas", "tcm")
-    results = run_points(
-        [
-            CampaignPoint(workload=workload, scheduler=s, config=config,
-                          seed=seed, tag="fig8")
-            for s in schedulers
-        ],
-        workers=workers, store=store, name="fig8",
-    )
+    plan = figure8_plan(config=config, base_seed=seed, instances=instances)
+    results = run_points(plan, workers=workers, store=store)
     speedups: Dict[str, Dict[str, float]] = {}
-    for sched, result in zip(schedulers, results):
+    for result in results:
         per_bench: Dict[str, List[float]] = {}
         for thread in result.threads:
             per_bench.setdefault(thread["benchmark"], []).append(
                 thread["ipc"] / thread["alone_ipc"]
             )
-        speedups[sched] = {
+        speedups[result.point.scheduler] = {
             bench: sum(vals) / len(vals) for bench, vals in per_bench.items()
         }
     return Figure8Result(
         speedups=speedups,
-        weighted_speedup={
-            s: r.weighted_speedup for s, r in zip(schedulers, results)
-        },
-        maximum_slowdown={
-            s: r.maximum_slowdown for s, r in zip(schedulers, results)
-        },
+        weighted_speedup={r.point.scheduler: r.weighted_speedup
+                          for r in results},
+        maximum_slowdown={r.point.scheduler: r.maximum_slowdown
+                          for r in results},
     )

@@ -8,13 +8,14 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.campaign.engine import run_points
-from repro.campaign.plan import CampaignPoint
+from repro.campaign.plan import CampaignPlan
 from repro.config import SimConfig, TCMParams
 from repro.core.hardware_cost import StorageCost, storage_cost
+from repro.experiments.figures import groups_plan
 from repro.schedulers import make_scheduler
 from repro.sim import System
 from repro.workloads.microbench import RANDOM_ACCESS, STREAMING
-from repro.workloads.mixes import make_workload_suite, workload_from_specs
+from repro.workloads.mixes import workload_from_specs
 from repro.workloads.spec import BENCHMARKS, BenchmarkSpec
 
 
@@ -100,6 +101,19 @@ class ShufflingRow:
 SHUFFLE_ALGORITHMS = ("round_robin", "random", "insertion", "dynamic")
 
 
+def table6_plan(per_category: int = 8, config: Optional[SimConfig] = None,
+                base_seed: int = 0,
+                algorithms: Sequence[str] = SHUFFLE_ALGORITHMS,
+                ) -> CampaignPlan:
+    """Table 6's points: TCM with each shuffling algorithm."""
+    return groups_plan("table6", [
+        (f"shuffle={algorithm}", ("tcm",),
+         {"tcm": TCMParams(shuffle_mode=algorithm)}, (0.5,))
+        for algorithm in algorithms
+    ], per_category, config, base_seed,
+        "Table 6: shuffling-algorithm MS statistics")
+
+
 def table6(
     per_category: int = 8,
     config: Optional[SimConfig] = None,
@@ -112,28 +126,11 @@ def table6(
 
     Evaluated across 50%-intensity workloads (the paper uses 32).
     """
-    config = config or SimConfig()
-    suite = make_workload_suite(
-        (0.5,), per_category, num_threads=config.num_threads,
-        base_seed=base_seed,
-    )
-    results = run_points(
-        [
-            CampaignPoint(
-                workload=workload, scheduler="tcm", config=config,
-                seed=base_seed + i,
-                params=TCMParams(shuffle_mode=algorithm),
-                tag=f"shuffle={algorithm}",
-            )
-            for algorithm in algorithms
-            for i, workload in enumerate(suite)
-        ],
-        workers=workers, store=store, name="table6",
-    )
-    it = iter(results)
+    plan = table6_plan(per_category, config, base_seed, algorithms)
+    it = iter(run_points(plan, workers=workers, store=store))
     rows = []
     for algorithm in algorithms:
-        slowdowns = [next(it).maximum_slowdown for _ in suite]
+        slowdowns = [next(it).maximum_slowdown for _ in range(per_category)]
         rows.append(
             ShufflingRow(
                 algorithm=algorithm,

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.campaign.engine as engine
 from repro.campaign.plan import (
     PRESET_PLANS,
     CampaignPlan,
@@ -16,9 +17,36 @@ from repro.campaign.plan import (
 )
 from repro.config import SimConfig
 from repro.config import TCMParams
+from repro.experiments import (
+    figure1,
+    figure4,
+    figure5,
+    figure6,
+    figure7,
+    figure8,
+    table6,
+    table7,
+    table8,
+)
 from repro.workloads import make_intensity_workload
 
 CFG = SimConfig(run_cycles=25_000)
+#: Short, narrow runs: enough to drive each figure end to end.
+SHORT = SimConfig(run_cycles=10_000, num_threads=4)
+
+#: Each suite figure at one workload per category, called the way
+#: ``paper NAME`` calls it.
+SUITE_FIGURES = {
+    "fig1": lambda cfg: figure1(1, cfg),
+    "fig4": lambda cfg: figure4(1, cfg),
+    "fig5": lambda cfg: figure5(cfg, avg_workloads=1),
+    "fig6": lambda cfg: figure6(1, cfg),
+    "fig7": lambda cfg: figure7(1, config=cfg),
+    "fig8": lambda cfg: figure8(cfg),
+    "table6": lambda cfg: table6(1, cfg),
+    "table7": lambda cfg: table7(1, cfg),
+    "table8": lambda cfg: table8(1, cfg),
+}
 
 
 def workloads(n=2):
@@ -51,7 +79,23 @@ class TestBuilders:
         for name in PRESET_PLANS:
             plan = preset_plan(name, per_category=1, config=CFG)
             assert len(plan) > 0
-            assert len(set(plan.keys)) == len(set(plan.keys))
+            assert plan.name == name
+
+    def test_every_suite_figure_is_a_preset(self):
+        assert set(PRESET_PLANS) == set(SUITE_FIGURES) | {"smoke"}
+
+    @pytest.mark.parametrize("name", sorted(SUITE_FIGURES))
+    def test_figure_runs_its_preset_in_one_call(self, name, monkeypatch):
+        calls = []
+        execute_plan = engine.execute_plan
+
+        def spy(plan, *args, **kwargs):
+            calls.append(plan.keys)
+            return execute_plan(plan, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "execute_plan", spy)
+        SUITE_FIGURES[name](SHORT)
+        assert calls == [preset_plan(name, per_category=1, config=SHORT).keys]
 
     def test_unknown_preset(self):
         with pytest.raises(KeyError):

@@ -12,10 +12,15 @@ class TestParser:
 
     def test_rejects_unknown_command(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["fig99"])
+            main(["paper", "fig99"])
+
+    def test_figures_are_not_verbs(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["fig4"])
 
     def test_defaults(self):
-        args = build_parser().parse_args(["fig4"])
+        args = build_parser().parse_args(["paper", "fig4"])
+        assert args.action == "fig4"
         assert args.cycles == 400_000
         assert args.per_category == 2
         assert args.seed == 0
@@ -23,13 +28,13 @@ class TestParser:
 
 class TestCommands:
     def test_fig3_is_instant(self, capsys):
-        assert main(["fig3"]) == 0
+        assert main(["paper", "fig3"]) == 0
         out = capsys.readouterr().out
         assert "Figure 3" in out
         assert "insertion" in out
 
     def test_table2_prints_totals(self, capsys):
-        assert main(["table2"]) == 0
+        assert main(["paper", "table2"]) == 0
         assert "3792" in capsys.readouterr().out
 
     def test_run_quick(self, capsys):
@@ -39,7 +44,7 @@ class TestCommands:
         assert "WS" in out
 
     def test_fig2_quick(self, capsys):
-        assert main(["fig2", "--cycles", "80000"]) == 0
+        assert main(["paper", "fig2", "--cycles", "80000"]) == 0
         assert "streaming" in capsys.readouterr().out
 
     def test_run_with_workload_file(self, capsys, tmp_path):
@@ -56,3 +61,25 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "filed" in out
         assert "tcm" in out and "parbs" not in out
+
+
+class TestPaper:
+    def test_unknown_figure_lists_the_valid_names(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["paper", "fig4-quick"])
+        message = str(exc.value)
+        assert "'fig4-quick'" in message
+        for name in ("fig1", "fig8", "table1", "table8", "leakage"):
+            assert name in message
+
+    def test_preset_status_reads_what_paper_stored(self, capsys, tmp_path):
+        store = str(tmp_path / "fig8")
+        flags = ["--cycles", "40000", "--store", store]
+        assert main(["paper", "fig8", *flags]) == 0
+        assert "Figure 8" in capsys.readouterr().out
+        assert main(["campaign", "status", "--preset", "fig8", *flags]) == 0
+        rows = dict(
+            line.split() for line in capsys.readouterr().out.splitlines()
+            if line.split()[:1] in (["done"], ["failed"], ["pending"])
+        )
+        assert rows == {"done": "2", "failed": "0", "pending": "0"}

@@ -9,7 +9,7 @@ class TestCliMore:
     def test_leakage_command(self, capsys):
         from repro.experiments.cli import main
 
-        assert main(["leakage", "--cycles", "60000"]) == 0
+        assert main(["paper", "leakage", "--cycles", "60000"]) == 0
         out = capsys.readouterr().out
         assert "rank position" in out
 
@@ -17,7 +17,7 @@ class TestCliMore:
         from repro.experiments.cli import main
 
         assert main(
-            ["fig1", "--cycles", "40000", "--per-category", "1"]
+            ["paper", "fig1", "--cycles", "40000", "--per-category", "1"]
         ) == 0
         assert "Figure 1" in capsys.readouterr().out
 

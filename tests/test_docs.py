@@ -1,0 +1,39 @@
+"""Docs drift: every CLI command the docs show must still exist.
+
+Scans the user-facing Markdown for ``python -m repro.experiments.cli
+VERB`` (VERB must be a CLI verb), ``--preset NAME`` (a campaign preset)
+and ``paper NAME`` written as a command (a figure the ``paper`` verb
+regenerates).
+"""
+
+import re
+from pathlib import Path
+
+from repro.campaign import PRESET_PLANS
+from repro.experiments.cli import _COMMANDS, _PAPER
+
+ROOT = Path(__file__).resolve().parents[1]
+DOCS = [ROOT / name for name in ("README.md", "EXPERIMENTS.md", "DESIGN.md")]
+DOCS += sorted((ROOT / "docs").glob("*.md"))
+
+CHECKS = (
+    (re.compile(r"python -m repro\.experiments\.cli\s+([a-z][\w-]*)"),
+     _COMMANDS, "verb"),
+    (re.compile(r"--preset[ =]([a-z][\w-]*)"), PRESET_PLANS, "preset"),
+    # ``cli paper NAME`` or `paper NAME` in backticks, not prose
+    (re.compile(r"(?:cli\s+|`)paper\s+([a-z][\w-]*)"), _PAPER, "figure"),
+)
+
+
+def test_docs_name_real_verbs_presets_and_figures():
+    assert len(DOCS) > 3 and all(doc.is_file() for doc in DOCS)
+    unknown = []
+    for doc in DOCS:
+        text = doc.read_text(encoding="utf-8")
+        for pattern, known, kind in CHECKS:
+            for match in pattern.finditer(text):
+                if match.group(1) not in known:
+                    line = text.count("\n", 0, match.start()) + 1
+                    unknown.append(f"{doc.name}:{line}: unknown {kind} "
+                                   f"{match.group(1)!r}")
+    assert unknown == []
