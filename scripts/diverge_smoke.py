@@ -10,7 +10,8 @@ Two proofs, end to end, in a few seconds:
    at a known cycle is localised by ``bisect_divergence`` to *exactly*
    the cycle it fired, flagging only the ``dram`` component, with the
    state diff naming the corrupted field.  The forensic report JSON,
-   HTML panel and Perfetto trace are written to ``--out`` for upload.
+   its run page (the divergence section) and Perfetto trace are written
+   to ``--out`` for upload.
 
 Run from the repo root (the fault shim lives in the test tree):
 
@@ -30,8 +31,8 @@ from repro.diverge import (
     export_perfetto,
     record_checkpoints,
     write_report,
-    write_report_html,
 )
+from repro.obs.dashboard import render_run_page, write_page
 from tests.diverge.faults import FaultSpec, faulty_factory
 
 HORIZON = 20_000
@@ -57,7 +58,8 @@ def main() -> int:
         report = build_report(clean, "recording", spec.label(),
                               context={"reason": "clean lockstep FAILED"})
         write_report(report, out / "clean_divergence.json")
-        write_report_html(report, out / "clean_divergence.html")
+        write_page(render_run_page(divergence=report),
+                   out / "clean_divergence.html")
         return 1
 
     fault = FaultSpec(cycle=FAULT_CYCLE, kind="bank_row")
@@ -72,7 +74,7 @@ def main() -> int:
                            "fired_cycles": fault.fired_cycles}},
     )
     write_report(report, out / "report.json")
-    write_report_html(report, out / "report.html")
+    write_page(render_run_page(divergence=report), out / "report.html")
     trace = export_perfetto(report, out / "trace.json")
     print(f"artifacts in {out}/")
     markers = [e for e in json.loads(trace.read_text())["traceEvents"]

@@ -13,8 +13,10 @@ the last events on each side":
   differential execution of two runs, with geometric re-execution
   bisection down to the exact first divergent cycle, plus recorded
   fingerprint baselines.
-* :mod:`repro.diverge.report` — forensic JSON reports, Perfetto
-  export with the divergence marked, and the no-JS HTML panel.
+* :mod:`repro.diverge.report` — forensic JSON reports and Perfetto
+  export with the divergence marked; the run page
+  (:func:`repro.obs.dashboard.render_run_page`) draws a report as its
+  divergence section.
 
 CLI: ``python -m repro.experiments.cli diverge run|bisect|report``.
 """
@@ -40,9 +42,7 @@ from repro.diverge.report import (
     build_report,
     export_perfetto,
     load_report,
-    render_report_html,
     write_report,
-    write_report_html,
 )
 
 __all__ = [
@@ -59,10 +59,8 @@ __all__ = [
     "load_report",
     "lockstep_compare",
     "record_checkpoints",
-    "render_report_html",
     "resolve_cadence",
     "snapshot_state",
     "spec_for_golden_key",
     "write_report",
-    "write_report_html",
 ]

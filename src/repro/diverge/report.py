@@ -11,8 +11,8 @@ Turns a :class:`~repro.diverge.lockstep.LockstepResult` into:
   in the same document shape as every other trace, laying both sides'
   last events and grants on parallel tracks with a global "FIRST
   DIVERGENCE" marker at the localised cycle;
-* a no-JS HTML panel rendered by
-  :func:`repro.obs.dashboard.render_diverge_dashboard`.
+* the divergence section of the no-JS run page
+  (``render_run_page(divergence=report)`` in :mod:`repro.obs.dashboard`).
 """
 
 from __future__ import annotations
@@ -140,17 +140,3 @@ def export_perfetto(report: dict, path) -> Path:
     with _open_creating_dirs(path) as f:
         json.dump({"traceEvents": trace, "displayTimeUnit": "ms"}, f)
     return Path(path)
-
-
-def render_report_html(report: dict) -> str:
-    """The no-JS HTML panel (see :mod:`repro.obs.dashboard`)."""
-    from repro.obs.dashboard import render_diverge_dashboard
-
-    return render_diverge_dashboard(report)
-
-
-def write_report_html(report: dict, path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(render_report_html(report))
-    return path

@@ -43,15 +43,18 @@ Observability subcommands (see docs/OBSERVABILITY.md)::
     python -m repro.experiments.cli obs report --intensity 0.75
     python -m repro.experiments.cli obs attribution --scheduler stfm
     python -m repro.experiments.cli obs dashboard --out run.html
+    python -m repro.experiments.cli obs dashboard --json-in snap.json
     python -m repro.experiments.cli obs dashboard --store fig4-store \\
         --out campaign.html
 
 ``obs report`` runs one workload with request-lifecycle spans enabled
 and prints the interference-attribution matrix (who delayed whom, in
 cycles), per-thread cause breakdowns, and slowdown estimates;
-``attribution`` prints just the matrix; ``dashboard`` renders a
-self-contained HTML page for the run — or, with ``--store``, for a
-whole campaign.
+``attribution`` prints just the matrix; ``dashboard`` observes one run
+with spans, the epoch sampler and explain (``--shadows``) together and
+renders its self-contained HTML run page — or re-renders a saved
+explain snapshot (``--json-in``), or, with ``--store``, renders a
+whole campaign's page.
 
 Validation subcommands (see docs/VALIDATION.md)::
 
@@ -101,7 +104,8 @@ SVG flame graph (and optionally Brendan Gregg collapsed stacks);
 ``history`` lists the BENCH_history.json records; ``compare`` checks
 the latest records against a baseline history and exits non-zero on a
 same-machine regression under ``REPRO_BENCH_STRICT=1`` or
-``--strict``; ``dashboard`` renders the perf trajectory page.
+``--strict``; ``dashboard`` profiles a plain run and renders its run
+page with the perf trajectories and the embedded flame graph.
 """
 
 from __future__ import annotations
@@ -138,9 +142,11 @@ from repro.telemetry.log import add_log_level_argument, configure_logging
 from repro.workloads import make_intensity_workload
 
 
-def _action(args, verb: str, actions, default: Optional[str] = None) -> str:
-    """The verb's action (``default`` if none given); exit if unknown."""
-    action = args.action or default
+def _action(args, verb: str) -> str:
+    """The verb's action from :data:`_ACTIONS` (its first if none is
+    given; ``paper`` has no default); exit if unknown."""
+    actions = _ACTIONS[verb]
+    action = args.action or (None if verb == "paper" else actions[0])
     if action not in actions:
         raise SystemExit(
             f"{verb}: unknown action {action!r} ({'|'.join(actions)})"
@@ -379,8 +385,21 @@ _PAPER = {
 }
 
 
+#: every verb's actions; the first is the default (``paper`` has none)
+_ACTIONS = {
+    "paper": tuple(_PAPER),
+    "campaign": ("run", "resume", "status", "compact"),
+    "telemetry": ("report", "trace"),
+    "validate": ("run", "goldens"),
+    "diverge": ("bisect", "run", "report"),
+    "explain": ("run", "report"),
+    "obs": ("report", "attribution", "dashboard"),
+    "prof": ("run", "flame", "history", "compare", "dashboard"),
+}
+
+
 def _cmd_paper(args, config):
-    print(_PAPER[_action(args, "paper", _PAPER)](args, config))
+    print(_PAPER[_action(args, "paper")](args, config))
 
 
 # ----------------------------------------------------------------------
@@ -392,7 +411,7 @@ def _cmd_telemetry(args, config):
     from repro.telemetry import Telemetry, jsonl_to_perfetto
     from repro.telemetry.report import render_report
 
-    action = _action(args, "telemetry", ("report", "trace"), "report")
+    action = _action(args, "telemetry")
 
     if action == "trace" and args.trace_in:
         # Pure conversion: JSONL event log -> Perfetto trace_event JSON.
@@ -469,27 +488,28 @@ def _explain_shadow_specs(args, primary: str):
     )
 
 
+def _write_snapshot(snapshot: dict, path) -> None:
+    import json as json_mod
+    from pathlib import Path
+
+    out = Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json_mod.dumps(snapshot, indent=1))
+    print(f"wrote {out}")
+
+
 def _cmd_explain(args, config):
     import json as json_mod
     from pathlib import Path
 
     from repro.explain import explain_run, render_explain_report
-    from repro.obs.dashboard import (
-        render_explain_dashboard,
-        write_dashboard,
-    )
 
-    action = _action(args, "explain", ("run", "report", "dashboard"), "run")
+    action = _action(args, "explain")
 
-    if action in ("report", "dashboard") and args.json_in:
+    if action == "report" and args.json_in:
         # render a saved snapshot: no simulation
-        snapshot = json_mod.loads(Path(args.json_in).read_text())
-        if action == "dashboard":
-            html = render_explain_dashboard(snapshot)
-            out = args.out or "explain.html"
-            print(f"wrote {write_dashboard(html, out)}")
-        else:
-            print(render_explain_report(snapshot))
+        print(render_explain_report(
+            json_mod.loads(Path(args.json_in).read_text())))
         return
 
     workload = _workload(args, config)
@@ -515,17 +535,7 @@ def _cmd_explain(args, config):
               f"({telemetry.tracer.events_emitted} events)")
     snapshot = collector.snapshot()
     if args.json_out:
-        out = Path(args.json_out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json_mod.dumps(snapshot, indent=1))
-        print(f"wrote {out}")
-    if action == "dashboard":
-        html = render_explain_dashboard(
-            snapshot, title=f"{workload.name} under {scheduler}"
-        )
-        out = args.out or "explain.html"
-        print(f"wrote {write_dashboard(html, out)}")
-        return
+        _write_snapshot(snapshot, args.json_out)
     print(f"workload {workload.name} under {scheduler} "
           f"(seed {args.seed}, {result.cycles} cycles, "
           f"{result.total_requests} requests)")
@@ -538,35 +548,54 @@ def _cmd_explain(args, config):
 # ----------------------------------------------------------------------
 
 
-def _cmd_obs(args, config):
+def _obs_dashboard(args, config):
+    """``obs dashboard``: a campaign store's page (``--store``), a saved
+    explain snapshot's run page (``--json-in``), or one run observed
+    with spans, the epoch sampler and explain together, on one page."""
+    import json as json_mod
+    from pathlib import Path
+
     from repro.obs.aggregate import observe_campaign, observe_run
-    from repro.obs.attribution import render_matrix_text
     from repro.obs.dashboard import (
-        render_campaign_dashboard,
-        render_run_dashboard,
-        write_dashboard,
+        render_campaign_page,
+        render_run_page,
+        write_page,
     )
 
-    action = _action(args, "obs", ("report", "attribution", "dashboard"),
-                     "report")
-
-    if action == "dashboard" and args.store:
+    if args.store:
         # campaign page straight from a result store: no simulation
-        obs = observe_campaign(args.store)
-        html = render_campaign_dashboard(obs, title=str(args.store))
-        out = args.out or "obs_campaign.html"
-        print(f"wrote {write_dashboard(html, out)}")
+        page = render_campaign_page(observe_campaign(args.store),
+                                    title=str(args.store))
+        print(f"wrote {write_page(page, args.out or 'obs_campaign.html')}")
+        return
+    if args.json_in:
+        snapshot = json_mod.loads(Path(args.json_in).read_text())
+        page = render_run_page(explain=snapshot, title=args.json_in)
+    else:
+        workload = _workload(args, config)
+        scheduler = args.scheduler or "tcm"
+        obs = observe_run(workload, scheduler, config, seed=args.seed,
+                          epoch_cycles=args.epoch_cycles,
+                          shadows=_explain_shadow_specs(args, scheduler))
+        if args.json_out:
+            _write_snapshot(obs.explain, args.json_out)
+        page = render_run_page(obs, explain=obs.explain)
+    print(f"wrote {write_page(page, args.out or 'obs_run.html')}")
+
+
+def _cmd_obs(args, config):
+    from repro.obs.aggregate import observe_run
+    from repro.obs.attribution import render_matrix_text
+
+    action = _action(args, "obs")
+    if action == "dashboard":
+        _obs_dashboard(args, config)
         return
 
     workload = _workload(args, config)
     scheduler = args.scheduler or "tcm"
     obs = observe_run(workload, scheduler, config, seed=args.seed,
                       epoch_cycles=args.epoch_cycles)
-    if action == "dashboard":
-        html = render_run_dashboard(obs)
-        out = args.out or "obs_run.html"
-        print(f"wrote {write_dashboard(html, out)}")
-        return
 
     print(f"workload {obs.workload} under {obs.scheduler} "
           f"(seed {obs.seed}, {obs.cycles} cycles)")
@@ -613,7 +642,6 @@ def _goldens_forensics(drifts, directory) -> None:
         compare_to_recording,
         spec_for_golden_key,
         write_report,
-        write_report_html,
     )
     from repro.validate import drift_point_rows, load_golden_checkpoints
     from repro.validate.goldens import is_structural
@@ -650,7 +678,7 @@ def _goldens_forensics(drifts, directory) -> None:
         context={"golden_key": key, "reason": "goldens drift"},
     )
     write_report(report, directory / "diverge_report.json")
-    write_report_html(report, directory / "diverge_report.html")
+    _divergence_page(report, directory / "diverge_report.html")
     print(f"forensics: artifacts in {directory}")
 
 
@@ -668,7 +696,7 @@ def _cmd_validate(args, config):
         save_goldens,
     )
 
-    action = _action(args, "validate", ("run", "goldens"), "run")
+    action = _action(args, "validate")
 
     if action == "goldens":
         path = args.goldens_path or None
@@ -744,6 +772,16 @@ def _cmd_validate(args, config):
 # ----------------------------------------------------------------------
 
 
+def _divergence_page(report: dict, path) -> None:
+    from repro.obs.dashboard import render_run_page, write_page
+
+    page = render_run_page(
+        divergence=report,
+        title=f"{report.get('label_a', 'a')} vs {report.get('label_b', 'b')}",
+    )
+    print(f"wrote {write_page(page, path)}")
+
+
 def _cmd_diverge(args, config):
     import json as json_mod
     from pathlib import Path
@@ -759,10 +797,9 @@ def _cmd_diverge(args, config):
         record_checkpoints,
         resolve_cadence,
         write_report,
-        write_report_html,
     )
 
-    action = _action(args, "diverge", ("run", "bisect", "report"), "bisect")
+    action = _action(args, "diverge")
 
     if action == "report":
         if not args.json_in:
@@ -771,8 +808,7 @@ def _cmd_diverge(args, config):
         report = load_report(args.json_in)
         print(report["summary"])
         if args.out:
-            where = write_report_html(report, args.out)
-            print(f"wrote {where}")
+            _divergence_page(report, args.out)
         if args.perfetto:
             where = export_perfetto(report, args.perfetto)
             print(f"wrote {where} (load at https://ui.perfetto.dev)")
@@ -842,8 +878,7 @@ def _cmd_diverge(args, config):
         where = write_report(report, args.json_out)
         print(f"wrote {where}")
     if args.out:
-        where = write_report_html(report, args.out)
-        print(f"wrote {where}")
+        _divergence_page(report, args.out)
     if args.perfetto:
         where = export_perfetto(report, args.perfetto)
         print(f"wrote {where} (load at https://ui.perfetto.dev)")
@@ -863,12 +898,9 @@ def _cmd_prof(args, config):
         profile_run,
         render_flame_svg,
         strict_mode,
-        write_flame_svg,
     )
 
-    action = _action(
-        args, "prof", ("run", "flame", "history", "compare", "dashboard"),
-        "run")
+    action = _action(args, "prof")
     history_path = args.history or "BENCH_history.json"
 
     if action == "history":
@@ -919,11 +951,12 @@ def _cmd_prof(args, config):
         print(report.format_text())
         return
 
-    title = (f"repro.prof — {workload.name} under {scheduler} "
-             f"({result.cycles} cycles)")
+    from repro.obs.dashboard import render_run_page, write_page
+
+    title = f"{workload.name} under {scheduler} ({result.cycles} cycles)"
     if action == "flame":
-        out = args.out or "flame.svg"
-        print(f"wrote {write_flame_svg(report, out, title=title)}")
+        svg = render_flame_svg(report, title=f"repro.prof — {title}")
+        print(f"wrote {write_page(svg, args.out or 'flame.svg')}")
         if args.collapsed:
             from pathlib import Path
 
@@ -934,19 +967,13 @@ def _cmd_prof(args, config):
             print(f"wrote {args.collapsed}")
         return
 
-    from repro.obs.dashboard import write_dashboard
-    from repro.prof.dashboard import render_perf_dashboard
-
+    # a plain run: a profile of an observed run measures the observers
     try:
         records = load(history_path)
     except (ValueError, OSError):
         records = []
-    html = render_perf_dashboard(
-        records, report=report,
-        flame_svg=render_flame_svg(report, title=title),
-    )
-    out = args.out or "perf.html"
-    print(f"wrote {write_dashboard(html, out)}")
+    page = render_run_page(profile=report, history=records, title=title)
+    print(f"wrote {write_page(page, args.out or 'perf.html')}")
 
 
 # ----------------------------------------------------------------------
@@ -978,8 +1005,7 @@ def _cmd_campaign(args, config):
         execute_plan,
     )
 
-    action = _action(args, "campaign",
-                     ("run", "resume", "status", "compact"), "run")
+    action = _action(args, "campaign")
 
     if action == "compact":
         # needs no plan: compaction is a property of the store alone
@@ -1062,29 +1088,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("action", nargs="?", default=None,
-                        help="paper action: a figure or table name ("
-                             + " | ".join(_PAPER) + "); "
-                             "campaign action: run | resume | status | "
-                             "compact; "
-                             "telemetry action: report | trace; "
-                             "validate action: run | goldens; "
-                             "diverge action: run | bisect | report; "
-                             "explain action: run | report | dashboard; "
-                             "obs action: report | attribution | dashboard; "
-                             "prof action: run | flame | history | "
-                             "compare | dashboard")
+                        help="; ".join(
+                            f"{verb} action: {' | '.join(actions)}"
+                            for verb, actions in _ACTIONS.items()
+                        ) + " (the first is the default; paper has none)")
     parser.add_argument("--cycles", type=int, default=400_000,
                         help="simulated cycles per run")
     parser.add_argument("--per-category", type=int, default=2,
                         help="workloads per intensity category")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--intensity", type=float, default=0.5,
-                        help="memory-intensive fraction (run command)")
+                        help="memory-intensive fraction of the workload "
+                             "(run, telemetry, explain, obs, validate run, "
+                             "prof, diverge)")
     parser.add_argument("--workload-file", default=None,
-                        help="JSON workload definition (run command; see "
+                        help="JSON workload definition instead of "
+                             "--intensity (run, telemetry, explain, obs, "
+                             "validate run, prof; see "
                              "repro.workloads.save_workload)")
     parser.add_argument("--schedulers", default=None,
-                        help="comma-separated scheduler list (run command)")
+                        help="comma-separated scheduler list (run, "
+                             "validate run)")
     parser.add_argument("--workers", type=int, default=None,
                         help="campaign worker processes (default: serial)")
     parser.add_argument("--store", default=None,
@@ -1104,7 +1128,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--force", action="store_true",
                         help="re-run campaign points even if stored")
     parser.add_argument("--scheduler", default=None,
-                        help="scheduler for telemetry runs (default tcm)")
+                        help="scheduler of the one observed run: "
+                             "telemetry, obs, explain, prof, diverge "
+                             "(side A) (default tcm)")
     parser.add_argument("--epoch-cycles", type=int, default=None,
                         help="epoch-sampler period in cycles (default: "
                              "quantum length)")
@@ -1118,8 +1144,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write per-point JSONL traces here "
                              "(campaign run)")
     parser.add_argument("--out", default=None,
-                        help="output path (obs/explain/prof dashboard "
-                             "HTML, diverge report HTML, prof flame SVG)")
+                        help="output path (obs/prof dashboard and diverge "
+                             "HTML pages, prof flame SVG)")
     parser.add_argument("--deep", action="store_true",
                         help="prof run/flame: add cProfile deep mode")
     parser.add_argument("--collapsed", default=None,
@@ -1174,8 +1200,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "baseline instead of a second live run")
     parser.add_argument("--json-in", default=None,
                         help="diverge report: forensic report JSON to "
-                             "render; explain report|dashboard: saved "
-                             "snapshot JSON to render")
+                             "render; explain report, obs dashboard: saved "
+                             "explain snapshot JSON to render")
     parser.add_argument("--perfetto", default=None,
                         help="diverge: also export a Chrome trace_event "
                              "JSON with the divergence marked")
@@ -1183,7 +1209,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="golden matrix JSON path (validate goldens; "
                              "default tests/goldens/golden_matrix.json)")
     parser.add_argument("--shadows", default=None,
-                        help="explain: comma-separated shadow policies "
+                        help="explain, obs dashboard, telemetry "
+                             "--explain: comma-separated shadow policies "
                              "(default: every evaluated policy except "
                              "the primary)")
     parser.add_argument("--explain", action="store_true",
@@ -1192,8 +1219,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "margin tables")
     parser.add_argument("--json-out", default=None,
                         help="diverge: write the forensic report JSON "
-                             "here; explain: write the collector snapshot "
-                             "JSON here")
+                             "here; explain, obs dashboard: write the "
+                             "explain snapshot JSON here")
     add_log_level_argument(parser)
     return parser
 

@@ -19,9 +19,10 @@ says *why each grant won* and *what a different policy would have done*:
   it — plus a starvation watch and the TCM cluster-flip timeline.
 * **Surfaces**: ``explain`` / ``starvation`` telemetry events, Perfetto
   counters and markers (:mod:`repro.telemetry.sinks`), text tables
-  (:mod:`repro.explain.report`), the no-JS HTML dashboard
-  (:func:`repro.obs.dashboard.render_explain_dashboard`) and the CLI
-  ``explain run|report|dashboard``.
+  (:mod:`repro.explain.report`), the explain section of the no-JS run
+  page (:func:`repro.obs.dashboard.render_run_page`, drawn by ``obs
+  dashboard`` beside the same run's attribution) and the CLI
+  ``explain run|report``.
 
 See docs/EXPLAIN.md for the record schema and the shadow fidelity
 contract (a self-shadow agrees with 100% of grants).

@@ -1,4 +1,4 @@
-"""repro.obs — request-lifecycle spans, interference attribution, dashboards.
+"""repro.obs — request-lifecycle spans, interference attribution, pages.
 
 The observability layer over :mod:`repro.telemetry`'s raw events:
 
@@ -8,10 +8,13 @@ The observability layer over :mod:`repro.telemetry`'s raw events:
 * :mod:`repro.obs.attribution` — fold spans into a T×T
   ``delay[victim][culprit]`` matrix with per-thread cause breakdowns
   and attribution-derived slowdown estimates;
-* :mod:`repro.obs.aggregate` — collect dashboard-ready data from a
-  single run or a whole campaign store;
-* :mod:`repro.obs.dashboard` — render self-contained HTML (inline SVG,
-  no JS dependencies) for either.
+* :mod:`repro.obs.aggregate` — collect page-ready data from a single
+  run (spans, epoch samples and explain observing one simulation) or a
+  whole campaign store;
+* :mod:`repro.obs.dashboard` — the only module that draws pages: one
+  self-contained HTML run page (inline SVG, no JS) with a section per
+  kind of observer data — spans, explain, prof, diverge — and one
+  campaign page, on one chart kit and one palette.
 
 Typical use::
 

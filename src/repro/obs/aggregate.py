@@ -1,12 +1,13 @@
-"""Collect dashboard-ready observations from runs and campaign stores.
+"""Collect page-ready observations from runs and campaign stores.
 
-Two entry points, mirroring the dashboard's two pages:
+Two entry points, mirroring :mod:`repro.obs.dashboard`'s two pages:
 
 * :func:`observe_run` — execute one workload under one scheduler with
-  full observability (spans + epoch sampler) and fold the result into a
-  :class:`RunObservation`: reconciled attribution report, true
-  alone-run slowdowns, paper metrics, epoch samples for the cluster
-  timeline.
+  full observability (spans + epoch sampler, and explain when given
+  shadow policies) and fold the result into a :class:`RunObservation`:
+  reconciled attribution report, true alone-run slowdowns, paper
+  metrics, epoch samples for the cluster timeline, the explain
+  snapshot.
 * :func:`observe_campaign` — read a :class:`repro.campaign` store and
   gather every point's metrics per scheduler plus the failure list into
   a :class:`CampaignObservation`.
@@ -15,7 +16,7 @@ Two entry points, mirroring the dashboard's two pages:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.config import SimConfig
 from repro.obs.attribution import AttributionReport, attribution_report
@@ -23,7 +24,7 @@ from repro.obs.attribution import AttributionReport, attribution_report
 
 @dataclass
 class RunObservation:
-    """Everything the single-run dashboard renders."""
+    """Everything one run's page renders."""
 
     workload: str
     scheduler: str
@@ -37,11 +38,13 @@ class RunObservation:
     metrics: Optional[Dict[str, float]] = None
     total_requests: int = 0
     row_hit_rate: float = 0.0
+    #: explain-collector snapshot when shadows were given, else None
+    explain: Optional[dict] = None
 
 
 @dataclass
 class CampaignObservation:
-    """Everything the campaign dashboard renders."""
+    """Everything the campaign page renders."""
 
     #: scheduler name -> list of point dicts
     #: ({workload, seed, tag, ws, ms, hs}), sorted by (workload, seed)
@@ -60,12 +63,15 @@ def observe_run(
     params=None,
     with_alone: bool = True,
     epoch_cycles: Optional[int] = None,
+    shadows: Optional[Sequence[str]] = None,
 ) -> RunObservation:
     """Run ``workload`` under full observability and fold the results.
 
     ``with_alone`` additionally computes (memoised) alone-run IPCs so
     the observation carries true slowdowns and the paper's metrics;
     disable it for quick structural looks at big workloads.
+    ``shadows`` attaches explain to the same run with those shadow
+    policies (``()`` for none) and keeps its snapshot.
     """
     from repro.metrics import (
         harmonic_speedup,
@@ -81,6 +87,11 @@ def observe_run(
     scheduler = make_scheduler(scheduler_name, params)
     system = System(workload, scheduler, config, seed=seed,
                     telemetry=telemetry)
+    collector = None
+    if shadows is not None:
+        from repro.explain import attach_explain
+
+        collector = attach_explain(system, shadows=shadows)
     result = system.run()
 
     true_slowdowns = None
@@ -120,6 +131,7 @@ def observe_run(
         metrics=metrics,
         total_requests=result.total_requests,
         row_hit_rate=(result.row_hits / total) if total else 0.0,
+        explain=collector.snapshot() if collector else None,
     )
 
 

@@ -1,30 +1,27 @@
-"""Self-contained HTML dashboards for runs and campaigns.
+"""One page per run and one per campaign: self-contained HTML.
 
 Everything is inline — one HTML file with embedded CSS and SVG, no
-JavaScript and no external assets — so a dashboard can be attached to a
-CI run or mailed around and still render identically.
+JavaScript and no external assets — so a page can be attached to a CI
+run or mailed around and still render identically.
+:func:`render_run_page` draws one run, with a section for each kind of
+observer data it is given; :func:`render_campaign_page` draws a
+campaign store; :func:`write_page` writes either.
 
-Two pages:
-
-* :func:`render_run_dashboard` — one run: paper-metric stat tiles,
-  per-thread latency histograms, the interference-attribution heatmap,
-  per-thread cause breakdowns, estimated-vs-true slowdowns, and the
-  Fig. 7-style cluster timeline from the epoch sampler.
-* :func:`render_campaign_dashboard` — one campaign store: per-scheduler
-  weighted-speedup and maximum-slowdown trajectories across points,
-  per-scheduler means, and the point-failure table.
-
-Rendering follows the repo's chart conventions: a validated
-categorical palette applied in fixed slot order, one sequential blue
-ramp for magnitude, light and dark themes via CSS custom properties,
-a legend plus table view for every multi-series chart, and native SVG
-``<title>`` tooltips so hover works without scripts.
+Every section draws with one chart kit — heatmap, thread × time strip,
+horizontal bars, small-multiple histograms, line chart, and table with
+its ``<details>`` view — in the repo's chart conventions: one
+categorical palette (:data:`SERIES`) in fixed slot order, one
+sequential blue ramp for magnitude, light and dark themes via CSS
+custom properties, a legend plus table view for every multi-series
+chart, and native SVG ``<title>`` tooltips so hover needs no scripts.
 """
 
 from __future__ import annotations
 
+import math
 from html import escape
-from typing import Dict, List, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.obs.aggregate import (
     CampaignObservation,
@@ -34,7 +31,7 @@ from repro.obs.aggregate import (
 
 #: categorical palette, fixed slot order (light, dark) — identity only,
 #: never cycled; a ninth series folds instead
-_SERIES = [
+SERIES = [
     ("#2a78d6", "#3987e5"),  # blue
     ("#eb6834", "#d95926"),  # orange
     ("#1baf7a", "#199e70"),  # aqua
@@ -45,6 +42,13 @@ _SERIES = [
     ("#e34948", "#e66767"),  # red
 ]
 
+#: the neutral (light, dark) for "other" and "unclustered"
+MUTED = ("#898781", "#898781")
+
+#: profiler component -> palette slot; any other component is muted
+COMPONENT_SLOTS = {"engine": 0, "scheduler": 1, "dram": 2, "cpu": 3,
+                   "telemetry": 4, "obs": 6}
+
 #: sequential blue ramp (mode-shared), light -> dark = low -> high
 _RAMP = [
     "#cde2fb", "#b7d3f6", "#9ec5f4", "#86b6ef", "#6da7ec", "#5598e7",
@@ -52,56 +56,56 @@ _RAMP = [
     "#0d366b",
 ]
 
-_CSS = """
-:root { color-scheme: light; }
+
+def component_fill(component: str) -> Tuple[str, str]:
+    """A profiler component's (light, dark) fill — the one map the
+    flame graph and the page's share bars both use."""
+    slot = COMPONENT_SLOTS.get(component)
+    return MUTED if slot is None else SERIES[slot]
+
+
+def _theme(dark: int) -> str:
+    """One theme's custom properties: neutrals, then the palette."""
+    neutrals = (
+        "--page: #0d0d0d; --surface-1: #1a1a19; --ink: #ffffff; "
+        "--ink-2: #c3c2b7; --grid: #2c2c2a; --baseline: #383835; "
+        "--border: rgba(255,255,255,0.10);" if dark else
+        "--page: #f9f9f7; --surface-1: #fcfcfb; --ink: #0b0b0b; "
+        "--ink-2: #52514e; --grid: #e1e0d9; --baseline: #c3c2b7; "
+        "--border: rgba(11,11,11,0.10);"
+    )
+    series = " ".join(f"--s{slot + 1}: {pair[dark]};"
+                      for slot, pair in enumerate(SERIES))
+    return (f"{neutrals} --muted: {MUTED[dark]}; --critical: #d03b3b; "
+            f"{series}")
+
+
+_DARK = f"color-scheme: dark; {_theme(1)}"
+
+_CSS = (
+    ":root { color-scheme: light; }\n"
+    f".viz-root {{ {_theme(0)} }}\n"
+    "@media (prefers-color-scheme: dark) {\n"
+    f'  :root:where(:not([data-theme="light"])) .viz-root {{ {_DARK} }}\n'
+    "}\n"
+    f':root[data-theme="dark"] .viz-root {{ {_DARK} }}\n'
+    """
 body {
   margin: 0; padding: 24px;
   background: var(--page); color: var(--ink);
   font: 14px/1.45 system-ui, -apple-system, "Segoe UI", sans-serif;
 }
-.viz-root {
-  --page: #f9f9f7; --surface-1: #fcfcfb;
-  --ink: #0b0b0b; --ink-2: #52514e; --muted: #898781;
-  --grid: #e1e0d9; --baseline: #c3c2b7;
-  --border: rgba(11,11,11,0.10);
-  --critical: #d03b3b;
-  --s1: #2a78d6; --s2: #eb6834; --s3: #1baf7a; --s4: #eda100;
-  --s5: #e87ba4; --s6: #008300; --s7: #4a3aa7; --s8: #e34948;
-}
-@media (prefers-color-scheme: dark) {
-  :root:where(:not([data-theme="light"])) .viz-root {
-    color-scheme: dark;
-    --page: #0d0d0d; --surface-1: #1a1a19;
-    --ink: #ffffff; --ink-2: #c3c2b7; --muted: #898781;
-    --grid: #2c2c2a; --baseline: #383835;
-    --border: rgba(255,255,255,0.10);
-    --critical: #d03b3b;
-    --s1: #3987e5; --s2: #d95926; --s3: #199e70; --s4: #c98500;
-    --s5: #d55181; --s6: #008300; --s7: #9085e9; --s8: #e66767;
-  }
-}
-:root[data-theme="dark"] .viz-root {
-  color-scheme: dark;
-  --page: #0d0d0d; --surface-1: #1a1a19;
-  --ink: #ffffff; --ink-2: #c3c2b7; --muted: #898781;
-  --grid: #2c2c2a; --baseline: #383835;
-  --border: rgba(255,255,255,0.10);
-  --critical: #d03b3b;
-  --s1: #3987e5; --s2: #d95926; --s3: #199e70; --s4: #c98500;
-  --s5: #d55181; --s6: #008300; --s7: #9085e9; --s8: #e66767;
-}
 h1 { font-size: 20px; margin: 0 0 4px; }
-h2 { font-size: 15px; margin: 0 0 10px; }
+h2 { font-size: 17px; margin: 28px 0 10px; }
+h3 { font-size: 15px; margin: 0 0 10px; }
 .sub { color: var(--ink-2); margin: 0 0 20px; }
-.card {
+.card, .tile {
   background: var(--surface-1); border: 1px solid var(--border);
-  border-radius: 8px; padding: 16px 18px; margin: 0 0 18px;
+  border-radius: 8px;
 }
+.card { padding: 16px 18px; margin: 0 0 18px; }
 .tiles { display: flex; flex-wrap: wrap; gap: 18px; margin: 0 0 18px; }
-.tile {
-  background: var(--surface-1); border: 1px solid var(--border);
-  border-radius: 8px; padding: 12px 18px; min-width: 120px;
-}
+.tile { padding: 12px 18px; min-width: 120px; }
 .tile .v { font-size: 26px; }
 .tile .k { color: var(--ink-2); font-size: 12px; }
 .legend { display: flex; flex-wrap: wrap; gap: 14px; margin: 8px 0 0;
@@ -118,9 +122,9 @@ th, td { padding: 3px 10px; text-align: right;
          font-variant-numeric: tabular-nums; }
 th { color: var(--ink-2); font-weight: 600; }
 td.l, th.l { text-align: left; }
-.fail { color: var(--critical); }
 svg text { font: 11px system-ui, -apple-system, "Segoe UI", sans-serif; }
 """
+)
 
 
 def _fmt(value, digits: int = 3) -> str:
@@ -139,8 +143,12 @@ def _fmt(value, digits: int = 3) -> str:
 
 
 def _series_color(slot: int) -> str:
-    return f"var(--s{(slot % len(_SERIES)) + 1})"
+    return f"var(--s{(slot % len(SERIES)) + 1})"
 
+
+# ----------------------------------------------------------------------
+# page shell
+# ----------------------------------------------------------------------
 
 def _tiles(items: Sequence[Tuple[str, str]]) -> str:
     tiles = "".join(
@@ -160,345 +168,18 @@ def _legend(entries: Sequence[Tuple[str, str]]) -> str:
     return f'<div class="legend">{spans}</div>'
 
 
-def _details_table(headers: Sequence[str], rows: Sequence[Sequence],
-                   left_cols: int = 1,
-                   summary: str = "Table view") -> str:
-    head = "".join(
-        f'<th class="{"l" if i < left_cols else ""}">{escape(h)}</th>'
-        for i, h in enumerate(headers)
-    )
-    body = "".join(
-        "<tr>" + "".join(
-            f'<td class="{"l" if i < left_cols else ""}">'
-            f"{escape(_fmt(c) if not isinstance(c, str) else c)}</td>"
-            for i, c in enumerate(row)
-        ) + "</tr>"
-        for row in rows
-    )
-    return (f"<details><summary>{escape(summary)}</summary>"
-            f"<table><tr>{head}</tr>{body}</table></details>")
+def _card(title: str, *parts: str) -> str:
+    return f'<div class="card"><h3>{escape(title)}</h3>{"".join(parts)}</div>'
 
 
-# ----------------------------------------------------------------------
-# single-run charts
-# ----------------------------------------------------------------------
-
-def _heatmap(matrix: List[List[int]], labels: List[str]) -> str:
-    """Victim×culprit attribution heatmap on the sequential blue ramp."""
-    n = len(matrix)
-    peak = max((matrix[v][c] for v in range(n) for c in range(n)
-                if v != c), default=0)
-    cell, gap, left, top = 58, 2, 120, 26
-    width = left + n * cell + 8
-    height = top + n * cell + 8
-    parts = [f'<svg width="{width}" height="{height}" role="img" '
-             f'aria-label="interference attribution heatmap">']
-    for c in range(n):
-        x = left + c * cell + cell // 2
-        parts.append(f'<text x="{x}" y="{top - 8}" text-anchor="middle" '
-                     f'fill="var(--muted)">{escape(labels[c])}</text>')
-    for v in range(n):
-        y = top + v * cell
-        parts.append(f'<text x="{left - 8}" y="{y + cell // 2 + 4}" '
-                     f'text-anchor="end" fill="var(--muted)">'
-                     f"{escape(labels[v])}</text>")
-        for c in range(n):
-            x = left + c * cell
-            value = matrix[v][c]
-            if v == c or peak == 0 or value == 0:
-                fill = "var(--surface-1)"
-                ink = "var(--muted)"
-            else:
-                step = min(len(_RAMP) - 1,
-                           int((value / peak) * (len(_RAMP) - 1) + 0.5))
-                fill = _RAMP[step]
-                ink = "#ffffff" if step >= 6 else "#0b0b0b"
-            parts.append(
-                f'<rect x="{x}" y="{y}" width="{cell - gap}" '
-                f'height="{cell - gap}" rx="3" fill="{fill}" '
-                f'stroke="var(--grid)" stroke-width="1">'
-                f"<title>victim {escape(labels[v])} ← culprit "
-                f"{escape(labels[c])}: {value} cycles</title></rect>"
-            )
-            parts.append(
-                f'<text x="{x + (cell - gap) // 2}" '
-                f'y="{y + cell // 2 + 3}" text-anchor="middle" '
-                f'fill="{ink}">{_fmt(value)}</text>'
-            )
-    parts.append("</svg>")
-    table = _details_table(
-        ["victim \\ culprit"] + labels,
-        [[labels[v]] + [matrix[v][c] for c in range(n)]
-         for v in range(n)],
-    )
-    return ("<h2>Interference attribution — delay[victim][culprit] "
-            "(queueing cycles)</h2>" + "".join(parts) + table)
+def _note(text: str) -> str:
+    return f'<p class="sub">{escape(text)}</p>'
 
 
-def _histograms(latencies: List[List[int]], labels: List[str]) -> str:
-    """Per-thread latency histograms as small multiples (one hue)."""
-    flat = [x for lat in latencies for x in lat]
-    if not flat:
-        return ("<h2>Request latency per thread</h2>"
-                '<p class="sub">(no completed requests)</p>')
-    peak_latency = max(flat)
-    bins = 24
-    edge = max(1, (peak_latency + bins) // bins)
-    w, h, bar = 260, 90, 260 // bins
-    facets, rows = [], []
-    for tid, lat in enumerate(latencies):
-        counts = [0] * bins
-        for x in lat:
-            counts[min(bins - 1, x // edge)] += 1
-        peak = max(counts) or 1
-        bars = []
-        for b, count in enumerate(counts):
-            bh = int((count / peak) * (h - 4))
-            if count:
-                bars.append(
-                    f'<rect x="{b * bar}" y="{h - bh}" '
-                    f'width="{bar - 2}" height="{bh}" rx="2" '
-                    f'fill="var(--s1)"><title>'
-                    f"{b * edge}–{(b + 1) * edge} cycles: {count} "
-                    f"requests</title></rect>"
-                )
-            rows.append([labels[tid], f"{b * edge}–{(b + 1) * edge}",
-                         count])
-        mean = sum(lat) / len(lat) if lat else 0.0
-        facets.append(
-            f'<div class="facet"><div class="fl">{escape(labels[tid])} '
-            f"· mean {mean:.0f} cy</div>"
-            f'<svg width="{w}" height="{h + 16}">'
-            f'{"".join(bars)}'
-            f'<line x1="0" y1="{h}" x2="{w}" y2="{h}" '
-            f'stroke="var(--baseline)"/>'
-            f'<text x="0" y="{h + 13}" fill="var(--muted)">0</text>'
-            f'<text x="{w}" y="{h + 13}" text-anchor="end" '
-            f'fill="var(--muted)">{bins * edge} cy</text>'
-            f"</svg></div>"
-        )
-    table = _details_table(["thread", "latency bin", "requests"], rows,
-                           left_cols=2)
-    return ("<h2>Request latency per thread</h2>"
-            f'<div class="facets">{"".join(facets)}</div>' + table)
+def _section(title: str, note: str, tiles, cards: Sequence[str]) -> str:
+    return (f"<section><h2>{escape(title)}</h2>{_tiles(tiles)}"
+            f'{_note(note)}{"".join(cards)}</section>')
 
-
-_CAUSE_SLOTS = [("queue", 0, "bank queueing"),
-                ("row", 1, "row-conflict precharge"),
-                ("bus", 2, "data-bus wait"),
-                ("queue_partial", 3, "arrival-time partial")]
-
-
-def _cause_bars(causes: List[dict], labels: List[str]) -> str:
-    """Per-victim other-inflicted cycles as stacked horizontal bars."""
-    totals = [sum(row[key] for key, _, _ in _CAUSE_SLOTS)
-              for row in causes]
-    peak = max(totals) or 1
-    w, bh, gap, left = 560, 22, 10, 120
-    height = len(causes) * (bh + gap) + 6
-    parts = [f'<svg width="{w + left + 70}" height="{height}" role="img" '
-             f'aria-label="interference cause breakdown">']
-    rows = []
-    for tid, row in enumerate(causes):
-        y = tid * (bh + gap)
-        parts.append(f'<text x="{left - 8}" y="{y + bh - 6}" '
-                     f'text-anchor="end" fill="var(--muted)">'
-                     f"{escape(labels[tid])}</text>")
-        x = left
-        for key, slot, desc in _CAUSE_SLOTS:
-            seg = int((row[key] / peak) * w)
-            if seg > 2:
-                parts.append(
-                    f'<rect x="{x}" y="{y}" width="{seg - 2}" '
-                    f'height="{bh}" rx="3" '
-                    f'fill="{_series_color(slot)}">'
-                    f"<title>{escape(labels[tid])} — {desc}: "
-                    f"{row[key]} cycles</title></rect>"
-                )
-            x += seg
-        parts.append(f'<text x="{x + 6}" y="{y + bh - 6}" '
-                     f'fill="var(--ink-2)">{_fmt(totals[tid])}</text>')
-        rows.append([labels[tid]] + [row[key] for key, _, _ in
-                                     _CAUSE_SLOTS] + [totals[tid]])
-    parts.append("</svg>")
-    legend = _legend([(desc, _series_color(slot))
-                      for _, slot, desc in _CAUSE_SLOTS])
-    table = _details_table(
-        ["thread", "queueing", "row-conflict", "bus",
-         "arrival partial", "total"], rows)
-    return ("<h2>Other-inflicted delay by cause</h2>"
-            + "".join(parts) + legend + table)
-
-
-def _slowdown_bars(estimated: List[float],
-                   true_slowdowns: Optional[List[float]],
-                   labels: List[str]) -> str:
-    """Attribution-estimated vs true alone-run slowdowns, per thread."""
-    pairs = [(est, (true_slowdowns[t] if true_slowdowns else None))
-             for t, est in enumerate(estimated)]
-    peak = max([e for e, _ in pairs]
-               + [t for _, t in pairs if t is not None] + [1.0])
-    w, bh, gap, left = 440, 14, 16, 120
-    per = bh * (2 if true_slowdowns else 1) + 4
-    height = len(pairs) * (per + gap) + 4
-    parts = [f'<svg width="{w + left + 60}" height="{height}" role="img" '
-             f'aria-label="estimated versus true slowdown">']
-    rows = []
-    for tid, (est, true_s) in enumerate(pairs):
-        y = tid * (per + gap)
-        parts.append(f'<text x="{left - 8}" y="{y + per // 2 + 4}" '
-                     f'text-anchor="end" fill="var(--muted)">'
-                     f"{escape(labels[tid])}</text>")
-        ew = int((est / peak) * w)
-        parts.append(
-            f'<rect x="{left}" y="{y}" width="{max(2, ew)}" '
-            f'height="{bh}" rx="3" fill="var(--s1)">'
-            f"<title>{escape(labels[tid])} estimated slowdown: "
-            f"{est:.3f}</title></rect>"
-        )
-        if true_s is not None:
-            tw = int((min(true_s, peak) / peak) * w)
-            parts.append(
-                f'<rect x="{left}" y="{y + bh + 2}" width="{max(2, tw)}" '
-                f'height="{bh}" rx="3" fill="var(--s2)">'
-                f"<title>{escape(labels[tid])} true slowdown: "
-                f"{true_s:.3f}</title></rect>"
-            )
-        rows.append([labels[tid], round(est, 3),
-                     round(true_s, 3) if true_s is not None else "-"])
-    parts.append("</svg>")
-    legend = _legend([("estimated (attribution)", "var(--s1)")]
-                     + ([("true (alone run)", "var(--s2)")]
-                        if true_slowdowns else []))
-    table = _details_table(["thread", "estimated", "true"], rows)
-    return ("<h2>Slowdown — attribution estimate vs alone-run truth</h2>"
-            + "".join(parts) + legend + table)
-
-
-def _cluster_strip(samples, labels: List[str]) -> str:
-    """Fig. 7-style cluster timeline from the epoch sampler."""
-    if not samples:
-        return ""
-    n = len(samples[0].threads)
-    stride = max(1, len(samples) // 160)
-    picked = samples[::stride]
-    cw, ch, gap, left = max(3, 680 // max(1, len(picked))), 14, 3, 120
-    width = left + len(picked) * cw + 10
-    height = n * (ch + gap) + 22
-    fill_of = {"latency": "var(--s1)", "bandwidth": "var(--s2)",
-               None: "var(--grid)"}
-    name_of = {"latency": "latency-sensitive",
-               "bandwidth": "bandwidth-sensitive", None: "unclustered"}
-    parts = [f'<svg width="{width}" height="{height}" role="img" '
-             f'aria-label="cluster timeline">']
-    counts: Dict[str, int] = {}
-    for tid in range(n):
-        y = tid * (ch + gap)
-        parts.append(f'<text x="{left - 8}" y="{y + ch - 2}" '
-                     f'text-anchor="end" fill="var(--muted)">'
-                     f"{escape(labels[tid])}</text>")
-        for i, sample in enumerate(picked):
-            cluster = sample.threads[tid].get("cluster")
-            counts[name_of.get(cluster, "?")] = (
-                counts.get(name_of.get(cluster, "?"), 0) + 1)
-            parts.append(
-                f'<rect x="{left + i * cw}" y="{y}" width="{cw - 1}" '
-                f'height="{ch}" fill="{fill_of.get(cluster, "var(--s8)")}">'
-                f"<title>{escape(labels[tid])} @ cycle {sample.cycle}: "
-                f"{name_of.get(cluster, cluster)}</title></rect>"
-            )
-    last = picked[-1].cycle
-    parts.append(f'<text x="{left}" y="{height - 6}" '
-                 f'fill="var(--muted)">epoch 0</text>')
-    parts.append(f'<text x="{width - 10}" y="{height - 6}" '
-                 f'text-anchor="end" fill="var(--muted)">'
-                 f"cycle {last}</text>")
-    parts.append("</svg>")
-    legend = _legend([("latency-sensitive", "var(--s1)"),
-                      ("bandwidth-sensitive", "var(--s2)"),
-                      ("unclustered", "var(--grid)")])
-    return ("<h2>Cluster timeline (per epoch)</h2>"
-            + "".join(parts) + legend)
-
-
-# ----------------------------------------------------------------------
-# campaign charts
-# ----------------------------------------------------------------------
-
-def _trajectory(obs: CampaignObservation, metric: str, title: str) -> str:
-    """Per-scheduler metric across the campaign's points, as lines."""
-    schedulers = sorted(obs.schedulers)
-    point_keys: List[Tuple] = sorted({
-        (p["workload"], p["seed"])
-        for points in obs.schedulers.values() for p in points
-    })
-    if not point_keys:
-        return ""
-    index = {key: i for i, key in enumerate(point_keys)}
-    w, h, left, bottom = 640, 180, 46, 22
-    values = [p[metric] for points in obs.schedulers.values()
-              for p in points if p[metric] is not None]
-    if not values:
-        return ""
-    lo, hi = min(values), max(values)
-    if hi == lo:
-        hi = lo + 1.0
-    span = hi - lo
-
-    def sx(i):
-        return left + (i / max(1, len(point_keys) - 1)) * (w - left - 90)
-
-    def sy(v):
-        return 8 + (1 - (v - lo) / span) * (h - bottom - 8)
-
-    parts = [f'<svg width="{w}" height="{h}" role="img" '
-             f'aria-label="{escape(title)}">']
-    for frac in (0.0, 0.5, 1.0):
-        y = sy(lo + frac * span)
-        parts.append(f'<line x1="{left}" y1="{y:.1f}" x2="{w - 80}" '
-                     f'y2="{y:.1f}" stroke="var(--grid)"/>')
-        parts.append(f'<text x="{left - 6}" y="{y + 4:.1f}" '
-                     f'text-anchor="end" fill="var(--muted)">'
-                     f"{lo + frac * span:.2f}</text>")
-    rows = []
-    for slot, scheduler in enumerate(schedulers):
-        pts = [(index[(p["workload"], p["seed"])], p[metric])
-               for p in obs.schedulers[scheduler]
-               if p[metric] is not None]
-        if not pts:
-            continue
-        pts.sort()
-        path = " ".join(f"{sx(i):.1f},{sy(v):.1f}" for i, v in pts)
-        color = _series_color(slot)
-        parts.append(f'<polyline points="{path}" fill="none" '
-                     f'stroke="{color}" stroke-width="2"/>')
-        for i, v in pts:
-            key = point_keys[i]
-            parts.append(
-                f'<circle cx="{sx(i):.1f}" cy="{sy(v):.1f}" r="4" '
-                f'fill="{color}" stroke="var(--surface-1)" '
-                f'stroke-width="2"><title>{escape(scheduler)} — '
-                f"{escape(str(key[0]))} seed {key[1]}: {v:.3f}"
-                f"</title></circle>"
-            )
-            rows.append([scheduler, str(key[0]), key[1], round(v, 4)])
-        if len(schedulers) <= 4:
-            i, v = pts[-1]
-            parts.append(f'<text x="{sx(i) + 8:.1f}" y="{sy(v) + 4:.1f}" '
-                         f'fill="var(--ink-2)">{escape(scheduler)}</text>')
-    parts.append(f'<line x1="{left}" y1="{h - bottom}" x2="{w - 80}" '
-                 f'y2="{h - bottom}" stroke="var(--baseline)"/>')
-    parts.append("</svg>")
-    legend = _legend([(s, _series_color(i))
-                      for i, s in enumerate(schedulers)])
-    table = _details_table(["scheduler", "workload", "seed", metric],
-                           rows, left_cols=2)
-    return f"<h2>{escape(title)}</h2>" + "".join(parts) + legend + table
-
-
-# ----------------------------------------------------------------------
-# pages
-# ----------------------------------------------------------------------
 
 def _page(title: str, subtitle: str, body: str) -> str:
     return (
@@ -509,115 +190,549 @@ def _page(title: str, subtitle: str, body: str) -> str:
         f"<title>{escape(title)}</title>"
         f"<style>{_CSS}</style></head>"
         f'<body class="viz-root"><h1>{escape(title)}</h1>'
-        f'<p class="sub">{escape(subtitle)}</p>{body}</body></html>'
+        f"{_note(subtitle)}{body}</body></html>"
     )
 
 
-def render_run_dashboard(obs: RunObservation) -> str:
-    """One run's observability page as a self-contained HTML string."""
-    labels = [f"t{t}:{b}" for t, b in enumerate(obs.benchmarks)]
-    report = obs.report
-    tiles = [("scheduler", obs.scheduler),
-             ("cycles", _fmt(obs.cycles)),
-             ("requests", _fmt(obs.total_requests)),
-             ("row-hit rate", f"{obs.row_hit_rate:.1%}"),
-             ("attributed cycles", _fmt(report.total_attributed))]
-    if obs.metrics:
-        tiles += [("weighted speedup", f"{obs.metrics['ws']:.3f}"),
-                  ("max slowdown", f"{obs.metrics['ms']:.3f}"),
-                  ("harmonic speedup", f"{obs.metrics['hs']:.3f}")]
-    checks = ", ".join(f"{k}: {v}" for k, v in report.checks.items())
-    body = [_tiles(tiles)]
-    if report.latencies is not None:
-        body.append(f'<div class="card">'
-                    f"{_histograms(report.latencies, labels)}</div>")
-    body.append(f'<div class="card">{_heatmap(report.matrix, labels)}'
-                "</div>")
-    if report.causes is not None:
-        body.append(f'<div class="card">'
-                    f"{_cause_bars(report.causes, labels)}</div>")
-    slowdowns = _slowdown_bars(report.estimated_slowdowns,
-                               report.true_slowdowns, labels)
-    body.append(f'<div class="card">{slowdowns}</div>')
-    strip = _cluster_strip(obs.samples, labels)
-    if strip:
-        body.append(f'<div class="card">{strip}</div>')
-    body.append(f'<p class="sub">reconciliation — {escape(checks)}</p>')
-    return _page(
-        f"repro.obs — {obs.workload} under {obs.scheduler}",
-        f"seed {obs.seed} · {len(obs.benchmarks)} threads · "
-        f"span-derived attribution, reconciled",
-        "".join(body),
+def write_page(page: str, path) -> Path:
+    """Write a rendered page (or SVG) to ``path`` as UTF-8; returns it."""
+    out = Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(page, encoding="utf-8")
+    return out
+
+
+# ----------------------------------------------------------------------
+# chart kit
+# ----------------------------------------------------------------------
+
+def _svg(name: str, width, height, parts: Sequence[str]) -> str:
+    return (f'<svg width="{width}" height="{height}" role="img" '
+            f'aria-label="{escape(name)}">{"".join(parts)}</svg>')
+
+
+def _text(x, y, text, anchor: str = "start",
+          fill: str = "var(--muted)") -> str:
+    return (f'<text x="{x}" y="{y}" text-anchor="{anchor}" '
+            f'fill="{fill}">{escape(str(text))}</text>')
+
+
+def _gutter(labels: Sequence[str]) -> int:
+    """Left margin wide enough for the longest row label."""
+    return 16 + 7 * max((len(str(label)) for label in labels), default=2)
+
+
+def _table(headers: Sequence[str], rows: Sequence[Sequence],
+           align: str = "l", summary: Optional[str] = "Table view") -> str:
+    """A table, folded into a no-JS ``<details>`` view unless
+    ``summary`` is None.  ``align`` holds one ``l`` or ``r`` per leading
+    column; later columns are right-aligned."""
+    def cls(i: int) -> str:
+        return "l" if align[i:i + 1] == "l" else ""
+
+    head = "".join(f'<th class="{cls(i)}">{escape(h)}</th>'
+                   for i, h in enumerate(headers))
+    body = "".join(
+        "<tr>" + "".join(f'<td class="{cls(i)}">{escape(_fmt(c))}</td>'
+                         for i, c in enumerate(row)) + "</tr>"
+        for row in rows
     )
+    table = f"<table><tr>{head}</tr>{body}</table>"
+    if summary is None:
+        return table
+    return f"<details><summary>{escape(summary)}</summary>{table}</details>"
 
 
-def render_campaign_dashboard(obs: CampaignObservation,
-                              title: str = "campaign") -> str:
-    """One campaign store's page as a self-contained HTML string."""
-    points = sum(len(p) for p in obs.schedulers.values())
-    tiles = [("points", _fmt(points)),
-             ("schedulers", _fmt(len(obs.schedulers))),
-             ("workloads", _fmt(len({
-                 p["workload"] for pts in obs.schedulers.values()
-                 for p in pts}))),
-             ("failures", _fmt(len(obs.failures)))]
-    body = [_tiles(tiles)]
-    for metric, name in (("ws", "Weighted speedup across points"),
-                         ("ms", "Maximum slowdown across points")):
-        chart = _trajectory(obs, metric, name)
-        if chart:
-            body.append(f'<div class="card">{chart}</div>')
-    means = scheduler_means(obs)
-    if means:
-        rows = [[m["scheduler"], m["points"], round(m["ws"], 3),
-                 round(m["ms"], 3), round(m["hs"], 3)] for m in means]
-        head = "".join(
-            f'<th class="{"l" if i == 0 else ""}">{h}</th>'
-            for i, h in enumerate(
-                ["scheduler", "points", "mean WS", "mean MS", "mean HS"])
-        )
-        cells = "".join(
-            "<tr>" + "".join(
-                f'<td class="{"l" if i == 0 else ""}">{_fmt(c)}</td>'
-                for i, c in enumerate(row)) + "</tr>"
-            for row in rows
-        )
-        body.append(f'<div class="card"><h2>Per-scheduler means</h2>'
-                    f"<table><tr>{head}</tr>{cells}</table></div>")
-    if obs.failures:
-        rows = "".join(
-            f'<tr><td class="l">{escape(str(f["workload"]))}</td>'
-            f'<td class="l">{escape(str(f["scheduler"]))}</td>'
-            f'<td>{f["seed"]}</td><td>{f["attempts"]}</td>'
-            f'<td class="l fail">{escape(str(f["error"])[:120])}</td></tr>'
-            for f in obs.failures
-        )
-        body.append(
-            '<div class="card"><h2>Point failures</h2><table>'
-            '<tr><th class="l">workload</th><th class="l">scheduler</th>'
-            "<th>seed</th><th>attempts</th>"
-            '<th class="l">error</th></tr>' + rows + "</table></div>"
-        )
-    else:
-        body.append('<div class="card"><h2>Point failures</h2>'
-                    '<p class="sub">none — every point completed.</p>'
-                    "</div>")
-    return _page(f"repro.obs — campaign: {title}",
-                 f"{points} points · {len(obs.schedulers)} schedulers",
-                 "".join(body))
+def _heatmap(name: str, matrix: Sequence[Sequence[int]],
+             labels: List[str], corner: str,
+             tip: Callable[[int, int, int], str]) -> str:
+    """A square matrix on the blue ramp (diagonal blank) and its table.
 
-
-# ----------------------------------------------------------------------
-# divergence forensics panel (repro.diverge)
-# ----------------------------------------------------------------------
-
-def render_diverge_dashboard(report: Dict) -> str:
-    """A divergence forensic report as a self-contained no-JS page.
-
-    ``report`` is the JSON document built by
-    :func:`repro.diverge.report.build_report`.
+    ``tip(row, col, value)`` is a cell's tooltip.
     """
-    body: List[str] = []
+    n = len(matrix)
+    peak = max((matrix[r][c] for r in range(n) for c in range(n)
+                if r != c), default=0)
+    cell, left, top = 64, _gutter(labels), 26
+    parts = [_text(left + c * cell + cell // 2, top - 8, label, "middle")
+             for c, label in enumerate(labels)]
+    for r in range(n):
+        y = top + r * cell
+        parts.append(_text(left - 8, y + cell // 2 + 4, labels[r], "end"))
+        for c in range(n):
+            x, value = left + c * cell, matrix[r][c]
+            fill, ink = "var(--surface-1)", "var(--muted)"
+            if r != c and peak and value:
+                step = min(len(_RAMP) - 1,
+                           int((value / peak) * (len(_RAMP) - 1) + 0.5))
+                fill = _RAMP[step]
+                ink = "#ffffff" if step >= 6 else "#0b0b0b"
+            parts.append(
+                f'<rect x="{x}" y="{y}" width="{cell - 2}" '
+                f'height="{cell - 2}" rx="3" fill="{fill}" '
+                f'stroke="var(--grid)" stroke-width="1">'
+                f"<title>{escape(tip(r, c, value))}</title></rect>"
+            )
+            parts.append(_text(x + cell // 2 - 1, y + cell // 2 + 3,
+                               _fmt(value), "middle", ink))
+    svg = _svg(name, left + n * cell + 8, top + n * cell + 8, parts)
+    return svg + _table([corner] + labels,
+                        [[labels[r]] + list(matrix[r]) for r in range(n)])
+
+
+def _strip(name: str, labels: List[str], columns: Sequence) -> str:
+    """A thread × time strip: a row per label, a cell per column.
+
+    ``columns`` is ``[(when, cells)]`` with ``cells[row]`` a ``(fill,
+    state, flagged)`` triple; a flagged cell is outlined.  Past 160
+    columns every k-th is drawn; the axis names the first and last.
+    """
+    picked = columns[::max(1, len(columns) // 160)]
+    cw, ch, left = max(4, 680 // len(picked)), 14, _gutter(labels)
+    width, height = left + len(picked) * cw + 10, len(labels) * 17 + 22
+    parts = []
+    for row, label in enumerate(labels):
+        y = row * 17
+        parts.append(_text(left - 8, y + ch - 2, label, "end"))
+        for i, (when, cells) in enumerate(picked):
+            fill, state, flagged = cells[row]
+            stroke = (' stroke="var(--critical)" stroke-width="2"'
+                      if flagged else "")
+            parts.append(
+                f'<rect x="{left + i * cw}" y="{y}" width="{cw - 1}" '
+                f'height="{ch}" fill="{fill}"{stroke}>'
+                f"<title>{escape(f'{label} @ {when}: {state}')}</title>"
+                "</rect>"
+            )
+    parts.append(_text(left, height - 6, picked[0][0]))
+    parts.append(_text(width - 10, height - 6, picked[-1][0], "end"))
+    return _svg(name, width, height, parts)
+
+
+def _bars(name: str, labels: Sequence[str], series: Sequence,
+          stacked: bool = False, fmt: Callable = _fmt) -> str:
+    """Horizontal bars, a row per label, and their legend.
+
+    ``series`` is ``[(name, color, values)]``: one bar under another in
+    each row, or end to end with the row total when ``stacked``.
+    ``fmt`` formats a value for tooltips and totals.
+    """
+    rows = list(zip(*[values for _, _, values in series]))
+    if stacked:
+        bh = per = 22
+        peak = max((sum(values) for values in rows), default=0)
+    else:
+        bh, per = 12, 14 * len(series) - 2
+        peak = max((v for values in rows for v in values
+                    if math.isfinite(v)), default=0)
+    peak = peak or 1
+    left, w = _gutter(labels), 520
+    parts = []
+    for i, (label, values) in enumerate(zip(labels, rows)):
+        y = i * (per + 12)
+        parts.append(_text(left - 8, y + per // 2 + 4, label, "end"))
+        x = left
+        for k, ((part, color, _), value) in enumerate(zip(series, values)):
+            seg = int(min(value, peak) / peak * w)
+            if seg > 2 or not stacked:
+                parts.append(
+                    f'<rect x="{x}" y="{y if stacked else y + 14 * k}" '
+                    f'width="{max(2, seg - 2)}" height="{bh}" rx="3" '
+                    f'fill="{color}"><title>'
+                    f"{escape(f'{label} — {part}: {fmt(value)}')}"
+                    "</title></rect>"
+                )
+            if stacked:
+                x += seg
+        if stacked:
+            parts.append(_text(x + 6, y + bh - 6, fmt(sum(values)),
+                               fill="var(--ink-2)"))
+    svg = _svg(name, left + w + 70, len(rows) * (per + 12), parts)
+    return svg + _legend([(part, color) for part, color, _ in series])
+
+
+def _facets(items: Sequence[Tuple[str, str]]) -> str:
+    cells = "".join(f'<div class="facet"><div class="fl">{escape(caption)}'
+                    f"</div>{svg}</div>" for caption, svg in items)
+    return f'<div class="facets">{cells}</div>'
+
+
+def _histograms(name: str, facets: Sequence, unit: str) -> str:
+    """Small-multiple histograms, one hue per facet.
+
+    ``facets`` is ``[(title, note, color, bins)]`` with ``bins`` a list
+    of ``(label, count)``; each axis names its first and last bin.
+    """
+    h, items = 90, []
+    for title, note, color, bins in facets:
+        bar = max(10, min(34, 260 // len(bins)))
+        w = max(60, len(bins) * bar)
+        peak = max(count for _, count in bins) or 1
+        parts = []
+        for i, (label, count) in enumerate(bins):
+            bh = max(2, int(count / peak * (h - 4)))
+            if count:
+                parts.append(
+                    f'<rect x="{i * bar}" y="{h - bh}" width="{bar - 2}" '
+                    f'height="{bh}" rx="2" fill="{color}"><title>'
+                    f"{escape(f'{title} {label}: {count} {unit}')}"
+                    "</title></rect>"
+                )
+        parts.append(f'<line x1="0" y1="{h}" x2="{w}" y2="{h}" '
+                     f'stroke="var(--baseline)"/>')
+        parts.append(_text(0, h + 13, bins[0][0]))
+        parts.append(_text(w, h + 13, bins[-1][0], "end"))
+        items.append((f"{title} · {note}",
+                      _svg(f"{name}: {title}", w, h + 16, parts)))
+    return _facets(items)
+
+
+def _lines(name: str, series: Sequence, width: int = 640,
+           height: int = 180) -> str:
+    """A line chart on shared axes, with a legend for several series.
+
+    ``series`` is ``[(name, color, points)]`` with ``points`` a list of
+    ``(x, y, tip)`` at integer ``x`` positions.
+    """
+    ys = [y for _, _, points in series for _, y, _ in points]
+    lo, hi = min(ys), max(ys)
+    span = (hi - lo) or 1.0
+    last = max(x for _, _, points in series for x, _, _ in points)
+    left, bottom, right = 46, 22, 12
+
+    def sx(x):
+        return left + (x / max(1, last)) * (width - left - right)
+
+    def sy(y):
+        return 8 + (1 - (y - lo) / span) * (height - bottom - 8)
+
+    parts = []
+    for frac in (0.0, 0.5, 1.0):
+        y = sy(lo + frac * span)
+        parts.append(f'<line x1="{left}" y1="{y:.1f}" x2="{width - right}"'
+                     f' y2="{y:.1f}" stroke="var(--'
+                     f'{"grid" if frac else "baseline"})"/>')
+        parts.append(_text(left - 6, f"{y + 4:.1f}",
+                           f"{lo + frac * span:.3g}", "end"))
+    for label, color, points in series:
+        path = " ".join(f"{sx(x):.1f},{sy(y):.1f}" for x, y, _ in points)
+        parts.append(f'<polyline points="{path}" fill="none" '
+                     f'stroke="{color}" stroke-width="2"/>')
+        parts += [
+            f'<circle cx="{sx(x):.1f}" cy="{sy(y):.1f}" r="4" '
+            f'fill="{color}" stroke="var(--surface-1)" stroke-width="2">'
+            f"<title>{escape(tip)}</title></circle>"
+            for x, y, tip in points
+        ]
+    svg = _svg(name, width, height, parts)
+    if len(series) < 2:
+        return svg
+    return svg + _legend([(label, color) for label, color, _ in series])
+
+
+# ----------------------------------------------------------------------
+# run page sections
+# ----------------------------------------------------------------------
+
+#: attribution cause -> (legend description, table header)
+_CAUSES = [("queue", "bank queueing", "queueing"),
+           ("row", "row-conflict precharge", "row-conflict"),
+           ("bus", "data-bus wait", "bus"),
+           ("queue_partial", "arrival-time partial", "arrival partial")]
+
+
+def _latency_card(latencies: List[List[int]], labels: List[str]) -> str:
+    title = "Request latency per thread"
+    flat = [x for lat in latencies for x in lat]
+    if not flat:
+        return _card(title, _note("(no completed requests)"))
+    edge = max(1, (max(flat) + 24) // 24)
+    facets, rows = [], []
+    for label, lat in zip(labels, latencies):
+        counts = [0] * 24
+        for x in lat:
+            counts[min(23, x // edge)] += 1
+        bins = [(f"{b * edge}–{(b + 1) * edge}", count)
+                for b, count in enumerate(counts)]
+        rows += [[label, span, count] for span, count in bins]
+        mean = sum(lat) / len(lat) if lat else 0.0
+        facets.append((label, f"mean {mean:.0f} cy", "var(--s1)", bins))
+    return _card(title, _histograms("request latency", facets, "requests"),
+                 _table(["thread", "latency bin", "requests"], rows, "ll"))
+
+
+def _spans_section(run: RunObservation, clusters: str) -> str:
+    labels = [f"t{t}:{b}" for t, b in enumerate(run.benchmarks)]
+    report = run.report
+    tiles = [("scheduler", run.scheduler),
+             ("cycles", _fmt(run.cycles)),
+             ("requests", _fmt(run.total_requests)),
+             ("row-hit rate", f"{run.row_hit_rate:.1%}"),
+             ("attributed cycles", _fmt(report.total_attributed))]
+    if run.metrics:
+        tiles += [("weighted speedup", f"{run.metrics['ws']:.3f}"),
+                  ("max slowdown", f"{run.metrics['ms']:.3f}"),
+                  ("harmonic speedup", f"{run.metrics['hs']:.3f}")]
+    cards = []
+    if report.latencies is not None:
+        cards.append(_latency_card(report.latencies, labels))
+    cards.append(_card(
+        "Interference attribution — delay[victim][culprit] "
+        "(queueing cycles)",
+        _heatmap("interference attribution heatmap", report.matrix,
+                 labels, "victim \\ culprit",
+                 lambda v, c, value: f"victim {labels[v]} ← culprit "
+                                     f"{labels[c]}: {value} cycles"),
+    ))
+    if report.causes is not None:
+        series = [(desc, _series_color(slot),
+                   [row[key] for row in report.causes])
+                  for slot, (key, desc, _) in enumerate(_CAUSES)]
+        rows = [[label] + [row[key] for key, _, _ in _CAUSES]
+                + [sum(row[key] for key, _, _ in _CAUSES)]
+                for label, row in zip(labels, report.causes)]
+        cards.append(_card(
+            "Other-inflicted delay by cause",
+            _bars("interference cause breakdown", labels, series,
+                  stacked=True),
+            _table(["thread"] + [h for _, _, h in _CAUSES] + ["total"],
+                   rows),
+        ))
+    estimated, true = report.estimated_slowdowns, report.true_slowdowns
+    series = [("estimated (attribution)", "var(--s1)", estimated)]
+    if true:
+        series.append(("true (alone run)", "var(--s2)", true))
+    cards.append(_card(
+        "Slowdown — attribution estimate vs alone-run truth",
+        _bars("estimated versus true slowdown", labels, series,
+              fmt=lambda v: f"{v:.3f}"),
+        _table(["thread", "estimated", "true"],
+               [[label, round(est, 3), round(true[t], 3) if true else "-"]
+                for t, (label, est) in enumerate(zip(labels, estimated))]),
+    ))
+    cards.append(clusters)
+    checks = ", ".join(f"{k}: {v}" for k, v in report.checks.items())
+    return _section(
+        "What the machine did — spans and epoch samples",
+        f"span-derived attribution, reconciled — {checks}", tiles, cards,
+    )
+
+
+def _cluster_card(run: Optional[RunObservation],
+                  snapshot: Optional[dict]) -> str:
+    """TCM's cluster timeline, once: explain's per-quantum membership
+    and flips when there is a snapshot, else the epoch sampler's."""
+    clusters = (snapshot or {}).get("clusters") or {}
+    threads = len((snapshot or {}).get("actual_granted") or [])
+    if clusters.get("timeline") and threads:
+        title = (f"Cluster flips per quantum (source: "
+                 f"{clusters.get('source')}, "
+                 f"{clusters.get('flips_total', 0)} flips)")
+        steps = [(f"quantum {e['quantum']} (cycle {e['now']})",
+                  ["latency" if t in e["latency"] else "bandwidth"
+                   for t in range(threads)], e["flips"])
+                 for e in clusters["timeline"]]
+    elif run is not None and run.samples:
+        title = "Cluster timeline (per epoch)"
+        steps = [(f"cycle {sample.cycle}",
+                  [t.get("cluster") for t in sample.threads], ())
+                 for sample in run.samples]
+    else:
+        return ""
+    fills = {"latency": "var(--s1)", "bandwidth": "var(--s2)",
+             None: "var(--grid)"}
+    columns = [(when, [(fills.get(c, "var(--s8)"),
+                        f"{c or 'unclustered'}"
+                        + (" — flipped" if t in flips else ""), t in flips)
+                       for t, c in enumerate(states)])
+               for when, states, flips in steps]
+    labels = ([f"t{t}:{b}" for t, b in enumerate(run.benchmarks)]
+              if run is not None else [f"t{t}" for t in range(threads)])
+    return _card(title, _strip("cluster timeline", labels, columns),
+                 _legend([("latency cluster", fills["latency"]),
+                          ("bandwidth cluster", fills["bandwidth"]),
+                          ("unclustered", fills[None]),
+                          ("flip", "var(--critical)")]))
+
+
+def _margin_card(margins: dict) -> str:
+    """Winner-margin histograms per deciding component; bucket ``k``
+    covers deltas in ``[2^(k-1), 2^k)`` (bucket 0 is ``(0, 1)``)."""
+    title = "Winner margin by deciding component"
+    hist = margins.get("hist") or {}
+    decided = margins.get("decided_by") or {}
+    if not hist:
+        return _card(title, _note("(every decision was a tie or a "
+                                  "single-candidate queue)"))
+    facets, rows = [], []
+    for slot, component in enumerate(
+            sorted(hist, key=lambda c: -decided.get(c, 0))):
+        buckets = {int(k): v for k, v in hist[component].items()}
+        bins = [("(0,1)" if b == 0 else f"[2^{b - 1},2^{b})",
+                 buckets.get(b, 0))
+                for b in range(min(buckets), max(buckets) + 1)]
+        rows += [[component, label, count] for label, count in bins]
+        facets.append((component,
+                       f"decided {_fmt(decided.get(component, 0))}",
+                       _series_color(slot), bins))
+    return _card(
+        title, _histograms("winner margins", facets, "decisions"),
+        _note(f"power-of-two margin buckets · queue-order ties "
+              f"{_fmt(margins.get('ties', 0))} · single-candidate "
+              f"{_fmt(margins.get('only_candidate', 0))}"),
+        _table(["component", "margin bucket", "decisions"], rows, "ll"),
+    )
+
+
+def _explain_section(snapshot: dict, clusters: str) -> str:
+    decisions = snapshot.get("decisions", 0)
+    shadows = snapshot.get("shadows") or []
+    margins = snapshot.get("margins") or {}
+    starvation = snapshot.get("starvation") or {}
+    disagreement = snapshot.get("disagreement") or {}
+    events = starvation.get("events") or []
+    tiles = [
+        ("primary", str(snapshot.get("primary", "-"))),
+        ("decisions", _fmt(decisions)),
+        ("shadows", _fmt(len(shadows))),
+        ("shadow disagreements", _fmt(sum(s["disagreed"] for s in shadows))),
+        ("queue-order ties", _fmt(margins.get("ties", 0))),
+        ("starvation events", _fmt(len(events))),
+    ]
+    cards = []
+    matrix = disagreement.get("matrix") or []
+    policies = disagreement.get("labels") or []
+    if len(matrix) > 1:
+        def tip(a, b, value):
+            share = f" ({value / decisions:.1%})" if decisions else ""
+            return (f"{policies[a]} vs {policies[b]}: {value} grants "
+                    f"chosen differently{share}")
+
+        cards.append(_card(
+            "Policy disagreement — grants chosen differently "
+            f"(of {decisions} decisions)",
+            _heatmap("policy disagreement heatmap", matrix, policies,
+                     "policy \\ policy", tip),
+        ))
+    cards.append(_margin_card(margins))
+    actual = snapshot.get("actual_granted") or []
+    if actual:
+        series = [(str(snapshot.get("primary", "actual")), actual)]
+        series += [(s["label"], s["granted"]) for s in shadows]
+        threads = [f"t{t}" for t in range(len(actual))]
+        cards.append(_card(
+            "Grants per thread — actual vs counterfactual",
+            _bars("actual versus counterfactual grants", threads,
+                  [(label, _series_color(slot), grants)
+                   for slot, (label, grants) in enumerate(series)]),
+            _table(["thread"] + [label for label, _ in series],
+                   [[thread] + [grants[t] for _, grants in series]
+                    for t, thread in enumerate(threads)]),
+        ))
+    cards.append(clusters)
+    if events:
+        cards.append(_card(
+            "Starvation watch — threshold crossings "
+            f"(age > {_fmt(starvation.get('threshold'))} cycles)",
+            _table(["thread", "cycle", "age", "pending"],
+                   [[f"t{e['tid']}", e["now"], e["age"], e["pending"]]
+                    for e in events[:50]],
+                   summary=f"{len(events)} event(s)"),
+        ))
+    return _section(
+        "Why each grant went where — explain",
+        f"{decisions} decisions · {len(shadows)} shadow policies · "
+        f"records kept {snapshot.get('records_kept', 0)}", tiles, cards,
+    )
+
+
+def _perf_section(profile, records: List[dict]) -> str:
+    from repro.prof.history import benches
+
+    names = benches(records)
+    machines = {tuple(sorted((r.get("machine") or {}).items()))
+                for r in records}
+    tiles = [
+        ("records", _fmt(len(records))),
+        ("benchmarks", _fmt(len(names))),
+        ("machines", _fmt(len(machines))),
+        ("latest sha", ((records[-1] if records else {}).get("git_sha")
+                        or "?")[:9]),
+    ]
+    if profile is not None:
+        tiles += [("events/s", f"{profile.events_per_sec():,.0f}"),
+                  ("requests/s", f"{profile.requests_per_sec():,.0f}")]
+    cards = []
+    if records:
+        facets, rows = [], []
+        for bench in names:
+            history = [r for r in records if r.get("bench") == bench]
+            points = []
+            for i, r in enumerate(history):
+                sha = (r.get("git_sha") or "?")[:9]
+                median, best = r["wall_s"]["median"], r["wall_s"]["best"]
+                points.append((i, median,
+                               f"{r.get('recorded_on', '?')} @ {sha}: "
+                               f"median {median:.4f}s (best {best:.4f}s)"))
+                rows.append([bench, r.get("recorded_on", "?"), sha,
+                             round(median, 4), round(best, 4),
+                             r.get("events_per_sec")])
+            facets.append((f"{bench} · {len(history)} record(s)",
+                           _lines(f"{bench} wall time",
+                                  [(bench, "var(--s1)", points)], 280, 90)))
+        cards.append(_card(
+            "Wall-time trajectory per benchmark "
+            "(median of rounds, newest right)",
+            _facets(facets),
+            _table(["bench", "date", "sha", "median s", "best s",
+                    "events/s"], rows, "lll"),
+        ))
+        # the latest record of each bench, if it carries shares
+        shares_of = {r.get("bench"): (r.get("extra") or {}).get(
+            "component_shares") for r in records}
+        latest = [(bench, shares_of[bench]) for bench in names
+                  if shares_of[bench]]
+        if latest:
+            components = sorted(
+                {c for _, shares in latest for c in shares},
+                key=lambda c: (COMPONENT_SLOTS.get(c, len(SERIES)), c))
+            cards.append(_card(
+                "Where the wall-time goes — component shares "
+                "(latest record per bench)",
+                _bars("component shares per benchmark",
+                      [bench for bench, _ in latest],
+                      [(c, _series_color(COMPONENT_SLOTS[c])
+                        if c in COMPONENT_SLOTS else "var(--muted)",
+                        [shares.get(c, 0.0) for _, shares in latest])
+                       for c in components],
+                      stacked=True, fmt=lambda v: f"{v:.1%}"),
+                _table(["bench"] + components,
+                       [[bench] + [f"{shares.get(c, 0.0):.1%}"
+                                   for c in components]
+                        for bench, shares in latest]),
+            ))
+    if profile is not None:
+        from repro.prof.flame import render_flame_svg
+
+        selfs = profile.self_times()
+        run = f"{profile.workload or '?'} under {profile.scheduler or '?'}"
+        cards.append(_card(
+            f"Slowest phases — {run}",
+            _table(["stack path", "self ms", "calls"],
+                   [[";".join(node.path),
+                     round(selfs.get(node.path, 0.0) * 1e3, 3), node.calls]
+                    for node in profile.slowest(12)], summary=None),
+        ))
+        cards.append(_card("Flame graph", render_flame_svg(
+            profile, title=run, standalone=False)))
+    return _section(
+        "Where the simulator's time went — prof",
+        f"{len(records)} history record(s) · append-only "
+        "BENCH_history.json · medians of rounds", tiles, cards,
+    )
+
+
+def _divergence_section(report: dict) -> str:
     divergence = report.get("divergence")
     tiles = [
         ("side A", report.get("label_a", "a")),
@@ -627,339 +742,139 @@ def render_diverge_dashboard(report: Dict) -> str:
         ("checkpoints", _fmt(report.get("checkpoints"))),
         ("rounds", _fmt(report.get("rounds"))),
     ]
+    title, summary = "Divergence — diverge", report.get("summary", "")
     if divergence is None:
         tiles.append(("first divergence", "none"))
-        body.append(_tiles(tiles))
-        body.append("<p>No fingerprint mismatch at any checkpoint — "
-                    "both sides agree over the whole horizon.</p>")
-    else:
-        where = str(divergence["cycle"])
-        if not divergence["exact"]:
-            where += f" (window from {divergence['last_match']})"
-        tiles.append(("first divergence", where))
-        tiles.append(("components", ", ".join(divergence["components"])))
-        body.append(_tiles(tiles))
-        fp_a = divergence["fingerprint_a"]
-        fp_b = divergence["fingerprint_b"]
-        body.append("<h2>Component fingerprints</h2>")
-        body.append(_details_table(
-            ["component", "side A", "side B", "match"],
-            [
-                [name, fp_a.get(name, "-"), fp_b.get(name, "-"),
-                 "ok" if fp_a.get(name) == fp_b.get(name) else "DIFF"]
-                for name in sorted(set(fp_a) | set(fp_b))
-            ],
-            summary="Fingerprints at the divergent checkpoint",
-        ))
-        diff = divergence.get("diff") or []
-        body.append("<h2>State diff</h2>")
-        if diff:
-            body.append(_details_table(
-                ["field", "side A", "side B"],
-                [[d["path"], repr(d["a"]), repr(d["b"])] for d in diff],
-                summary=f"{len(diff)} differing field(s)"
-                + (f" (+{divergence['diff_truncated']} truncated)"
-                   if divergence.get("diff_truncated") else ""),
+        return _section(title, summary, tiles, [
+            "<p>No fingerprint mismatch at any checkpoint — both sides "
+            "agree over the whole horizon.</p>"])
+    where = str(divergence["cycle"])
+    if not divergence["exact"]:
+        where += f" (window from {divergence['last_match']})"
+    tiles.append(("first divergence", where))
+    tiles.append(("components", ", ".join(divergence["components"])))
+    fp_a, fp_b = divergence["fingerprint_a"], divergence["fingerprint_b"]
+    cards = [_card("Component fingerprints", _table(
+        ["component", "side A", "side B", "match"],
+        [[name, fp_a.get(name, "-"), fp_b.get(name, "-"),
+          "ok" if fp_a.get(name) == fp_b.get(name) else "DIFF"]
+         for name in sorted(set(fp_a) | set(fp_b))],
+        summary="Fingerprints at the divergent checkpoint",
+    ))]
+    diff = divergence.get("diff") or []
+    truncated = divergence.get("diff_truncated")
+    cards.append(_card("State diff", _table(
+        ["field", "side A", "side B"],
+        [[d["path"], repr(d["a"]), repr(d["b"])] for d in diff],
+        summary=f"{len(diff)} differing field(s)"
+        + (f" (+{truncated} truncated)" if truncated else ""),
+    ) if diff else "<p>No field-level diff available (baseline "
+                   "recordings store fingerprints only).</p>"))
+    for side in ("a", "b"):
+        rings = divergence.get(f"rings_{side}") or {}
+        events = rings.get("events") or []
+        decisions = rings.get("decisions") or []
+        parts = []
+        if events:
+            parts.append(_table(
+                ["cycle", "kind", "payload", "aux"],
+                [[e[0], e[1], repr(e[2]), e[3]] for e in events],
+                summary=f"Last {len(events)} events",
             ))
-        else:
-            body.append("<p>No field-level diff available (baseline "
-                        "recordings store fingerprints only).</p>")
-        for side, label in (("a", report.get("label_a", "a")),
-                            ("b", report.get("label_b", "b"))):
-            rings = divergence.get(f"rings_{side}") or {}
-            events = rings.get("events") or []
-            decisions = rings.get("decisions") or []
-            body.append(f"<h2>Side {side.upper()} — {escape(str(label))}"
-                        "</h2>")
-            if events:
-                body.append(_details_table(
-                    ["cycle", "kind", "payload", "aux"],
-                    [[e[0], e[1], repr(e[2]), e[3]] for e in events],
-                    summary=f"Last {len(events)} events",
-                ))
-            if decisions:
-                body.append(_details_table(
-                    ["cycle", "ch", "bank", "tid", "row", "queued",
-                     "kind", "row hit", "data end"],
-                    [[d["cycle"], d["ch"], d["bank"], d["tid"], d["row"],
-                      d["queued"], d["kind"],
-                      "yes" if d["row_hit"] else "no", d["data_end"]]
-                     for d in decisions],
-                    summary=f"Last {len(decisions)} scheduler decisions",
-                ))
-    return _page(
-        "repro.diverge — divergence forensics",
-        report.get("summary", ""),
-        "".join(body),
-    )
+        if decisions:
+            parts.append(_table(
+                ["cycle", "ch", "bank", "tid", "row", "queued", "kind",
+                 "row hit", "data end"],
+                [[d["cycle"], d["ch"], d["bank"], d["tid"], d["row"],
+                  d["queued"], d["kind"], "yes" if d["row_hit"] else "no",
+                  d["data_end"]] for d in decisions],
+                summary=f"Last {len(decisions)} scheduler decisions",
+            ))
+        label = report.get(f"label_{side}", side)
+        cards.append(_card(f"Side {side.upper()} — {label}", *parts))
+    return _section(title, summary, tiles, cards)
 
 
 # ----------------------------------------------------------------------
-# explain panel (repro.explain)
+# pages
 # ----------------------------------------------------------------------
 
-def _disagree_heatmap(matrix: List[List[int]], labels: List[str],
-                      decisions: int) -> str:
-    """Policy×policy disagreement counts on the sequential blue ramp."""
-    n = len(matrix)
-    peak = max((matrix[a][b] for a in range(n) for b in range(n)
-                if a != b), default=0)
-    cell, gap, left, top = 76, 2, 130, 26
-    width = left + n * cell + 8
-    height = top + n * cell + 8
-    parts = [f'<svg width="{width}" height="{height}" role="img" '
-             f'aria-label="policy disagreement heatmap">']
-    for c in range(n):
-        x = left + c * cell + cell // 2
-        parts.append(f'<text x="{x}" y="{top - 8}" text-anchor="middle" '
-                     f'fill="var(--muted)">{escape(labels[c])}</text>')
-    for a in range(n):
-        y = top + a * cell
-        parts.append(f'<text x="{left - 8}" y="{y + cell // 2 + 4}" '
-                     f'text-anchor="end" fill="var(--muted)">'
-                     f"{escape(labels[a])}</text>")
-        for b in range(n):
-            x = left + b * cell
-            value = matrix[a][b]
-            if a == b or peak == 0 or value == 0:
-                fill = "var(--surface-1)"
-                ink = "var(--muted)"
-            else:
-                step = min(len(_RAMP) - 1,
-                           int((value / peak) * (len(_RAMP) - 1) + 0.5))
-                fill = _RAMP[step]
-                ink = "#ffffff" if step >= 6 else "#0b0b0b"
-            share = f" ({value / decisions:.1%})" if decisions else ""
-            parts.append(
-                f'<rect x="{x}" y="{y}" width="{cell - gap}" '
-                f'height="{cell - gap}" rx="3" fill="{fill}" '
-                f'stroke="var(--grid)" stroke-width="1">'
-                f"<title>{escape(labels[a])} vs {escape(labels[b])}: "
-                f"{value} grants chosen differently{share}</title></rect>"
-            )
-            parts.append(
-                f'<text x="{x + (cell - gap) // 2}" '
-                f'y="{y + cell // 2 + 3}" text-anchor="middle" '
-                f'fill="{ink}">{_fmt(value)}</text>'
-            )
-    parts.append("</svg>")
-    table = _details_table(
-        ["policy \\ policy"] + labels,
-        [[labels[a]] + [matrix[a][b] for b in range(n)]
-         for a in range(n)],
-    )
-    return ("<h2>Policy disagreement — grants chosen differently "
-            f"(of {decisions} decisions)</h2>" + "".join(parts) + table)
+def render_run_page(
+    run: Optional[RunObservation] = None,
+    *,
+    explain: Optional[dict] = None,
+    profile=None,
+    history: Sequence[dict] = (),
+    divergence: Optional[dict] = None,
+    title: Optional[str] = None,
+) -> str:
+    """One run's page, with a section for each kind of data given:
+    an :func:`~repro.obs.aggregate.observe_run` observation (spans and
+    epoch samples), an explain snapshot, a ``ProfileReport`` and its
+    ``BENCH_history`` records, a :func:`~repro.diverge.build_report`
+    document.  TCM's cluster timeline is drawn once."""
+    clusters = _cluster_card(run, explain)
+    sections, kinds = [], []
+    if run is not None:
+        sections.append(_spans_section(run, "" if explain else clusters))
+        kinds += [f"seed {run.seed}", f"{len(run.benchmarks)} threads",
+                  "spans"]
+    if explain is not None:
+        sections.append(_explain_section(explain, clusters))
+        kinds.append("explain")
+    if profile is not None or history:
+        sections.append(_perf_section(profile, list(history)))
+        kinds.append("prof")
+    if divergence is not None:
+        sections.append(_divergence_section(divergence))
+        kinds.append("diverge")
+    if title is None:
+        title = f"{run.workload} under {run.scheduler}" if run else "run"
+    return _page(f"repro — {title}", " · ".join(kinds), "".join(sections))
 
 
-def _margin_histograms(margins: Dict) -> str:
-    """Per-component winner-margin histograms as small multiples.
-
-    Buckets are power-of-two: bucket ``k`` covers deltas in
-    ``[2^(k-1), 2^k)`` (bucket 0 is ``(0, 1)``).
-    """
-    hist = margins.get("hist") or {}
-    decided = margins.get("decided_by") or {}
-    if not hist:
-        return ("<h2>Winner margin by deciding component</h2>"
-                '<p class="sub">(every decision was a tie or a '
-                "single-candidate queue)</p>")
-    facets, rows = [], []
-    h = 90
-    for slot, component in enumerate(
-            sorted(hist, key=lambda c: -decided.get(c, 0))):
-        buckets = {int(k): v for k, v in hist[component].items()}
-        lo, hi = min(buckets), max(buckets)
-        span = list(range(lo, hi + 1))
-        bar = max(10, min(34, 260 // len(span)))
-        peak = max(buckets.values()) or 1
-        bars = []
-        for i, b in enumerate(span):
-            count = buckets.get(b, 0)
-            label = "(0,1)" if b == 0 else f"[2^{b - 1},2^{b})"
-            rows.append([component, label, count])
-            if not count:
+def render_campaign_page(obs: CampaignObservation,
+                         title: str = "campaign") -> str:
+    """One campaign store's page as a self-contained HTML string."""
+    points = sum(len(p) for p in obs.schedulers.values())
+    keys = sorted({(p["workload"], p["seed"])
+                   for pts in obs.schedulers.values() for p in pts})
+    index = {key: i for i, key in enumerate(keys)}
+    tiles = [("points", _fmt(points)),
+             ("schedulers", _fmt(len(obs.schedulers))),
+             ("workloads", _fmt(len({workload for workload, _ in keys}))),
+             ("failures", _fmt(len(obs.failures)))]
+    cards = []
+    for metric, name in (("ws", "Weighted speedup across points"),
+                         ("ms", "Maximum slowdown across points")):
+        series, rows = [], []
+        for slot, scheduler in enumerate(sorted(obs.schedulers)):
+            pts = sorted((index[(p["workload"], p["seed"])], p[metric])
+                         for p in obs.schedulers[scheduler]
+                         if p[metric] is not None)
+            if not pts:
                 continue
-            bh = int((count / peak) * (h - 4))
-            bars.append(
-                f'<rect x="{i * bar}" y="{h - bh}" width="{bar - 2}" '
-                f'height="{max(2, bh)}" rx="2" '
-                f'fill="{_series_color(slot)}">'
-                f"<title>{escape(component)} margin {label}: {count} "
-                f"decisions</title></rect>"
-            )
-        w = len(span) * bar
-        facets.append(
-            f'<div class="facet"><div class="fl">{escape(component)} '
-            f"· decided {_fmt(decided.get(component, 0))}</div>"
-            f'<svg width="{max(w, 60)}" height="{h + 16}">'
-            f'{"".join(bars)}'
-            f'<line x1="0" y1="{h}" x2="{max(w, 60)}" y2="{h}" '
-            f'stroke="var(--baseline)"/>'
-            f'<text x="0" y="{h + 13}" fill="var(--muted)">'
-            f"2^{lo - 1}</text>"
-            f'<text x="{max(w, 60)}" y="{h + 13}" text-anchor="end" '
-            f'fill="var(--muted)">2^{hi}</text>'
-            f"</svg></div>"
-        )
-    table = _details_table(["component", "margin bucket", "decisions"],
-                           rows, left_cols=2)
-    extra = (f" · queue-order ties {_fmt(margins.get('ties', 0))}"
-             f" · single-candidate "
-             f"{_fmt(margins.get('only_candidate', 0))}")
-    return ("<h2>Winner margin by deciding component</h2>"
-            f'<div class="facets">{"".join(facets)}</div>'
-            f'<p class="sub">power-of-two margin buckets{extra}</p>'
-            + table)
-
-
-def _grant_share_bars(snapshot: Dict) -> str:
-    """Per-thread actual grants vs each shadow's counterfactual grants."""
-    actual = snapshot.get("actual_granted") or []
-    shadows = snapshot.get("shadows") or []
-    n = len(actual)
-    series = [(str(snapshot.get("primary", "actual")), actual)]
-    series += [(s["label"], s["granted"]) for s in shadows]
-    peak = max((v for _, g in series for v in g), default=0) or 1
-    w, bh, gap, left = 440, 12, 14, 120
-    per = bh * len(series) + 2 * (len(series) - 1)
-    height = n * (per + gap) + 4
-    parts = [f'<svg width="{w + left + 60}" height="{height}" role="img" '
-             f'aria-label="actual versus counterfactual grants">']
-    rows = []
-    for tid in range(n):
-        y0 = tid * (per + gap)
-        parts.append(f'<text x="{left - 8}" y="{y0 + per // 2 + 4}" '
-                     f'text-anchor="end" fill="var(--muted)">'
-                     f"t{tid}</text>")
-        for slot, (label, grants) in enumerate(series):
-            y = y0 + slot * (bh + 2)
-            bw = int((grants[tid] / peak) * w)
-            parts.append(
-                f'<rect x="{left}" y="{y}" width="{max(2, bw)}" '
-                f'height="{bh}" rx="3" fill="{_series_color(slot)}">'
-                f"<title>t{tid} under {escape(label)}: "
-                f"{grants[tid]} grants</title></rect>"
-            )
-        rows.append([f"t{tid}"] + [grants[tid] for _, grants in series])
-    parts.append("</svg>")
-    legend = _legend([(label, _series_color(slot))
-                      for slot, (label, _) in enumerate(series)])
-    table = _details_table(["thread"] + [label for label, _ in series],
-                           rows)
-    return ("<h2>Grants per thread — actual vs counterfactual</h2>"
-            + "".join(parts) + legend + table)
-
-
-def _flip_timeline(clusters: Dict, num_threads: int) -> str:
-    """Quantum-by-quantum cluster membership with flip highlights."""
-    timeline = clusters.get("timeline") or []
-    if not timeline or not num_threads:
-        return ""
-    stride = max(1, len(timeline) // 160)
-    picked = timeline[::stride]
-    cw = max(4, 680 // max(1, len(picked)))
-    ch, gap, left = 14, 3, 60
-    width = left + len(picked) * cw + 10
-    height = num_threads * (ch + gap) + 22
-    parts = [f'<svg width="{width}" height="{height}" role="img" '
-             f'aria-label="cluster flip timeline">']
-    for tid in range(num_threads):
-        y = tid * (ch + gap)
-        parts.append(f'<text x="{left - 8}" y="{y + ch - 2}" '
-                     f'text-anchor="end" fill="var(--muted)">'
-                     f"t{tid}</text>")
-        for i, entry in enumerate(picked):
-            latency = tid in entry["latency"]
-            flipped = tid in entry["flips"]
-            fill = "var(--s1)" if latency else "var(--s2)"
-            cluster = "latency" if latency else "bandwidth"
-            stroke = (' stroke="var(--critical)" stroke-width="2"'
-                      if flipped else "")
-            parts.append(
-                f'<rect x="{left + i * cw}" y="{y}" width="{cw - 1}" '
-                f'height="{ch}" fill="{fill}"{stroke}>'
-                f"<title>t{tid} @ quantum {entry['quantum']} "
-                f"(cycle {entry['now']}): {cluster}"
-                f"{' — flipped' if flipped else ''}</title></rect>"
-            )
-    first, last = picked[0], picked[-1]
-    parts.append(f'<text x="{left}" y="{height - 6}" '
-                 f'fill="var(--muted)">quantum {first["quantum"]}</text>')
-    parts.append(f'<text x="{width - 10}" y="{height - 6}" '
-                 f'text-anchor="end" fill="var(--muted)">'
-                 f'quantum {last["quantum"]}</text>')
-    parts.append("</svg>")
-    legend = _legend([("latency cluster", "var(--s1)"),
-                      ("bandwidth cluster", "var(--s2)"),
-                      ("flip", "var(--critical)")])
-    return (f"<h2>Cluster flips per quantum "
-            f"(source: {escape(str(clusters.get('source')))}, "
-            f"{clusters.get('flips_total', 0)} flips)</h2>"
-            + "".join(parts) + legend)
-
-
-def render_explain_dashboard(snapshot: Dict,
-                             title: str = "decision forensics") -> str:
-    """An explain-collector snapshot as a self-contained no-JS page.
-
-    ``snapshot`` is the dict built by
-    :meth:`repro.explain.ExplainCollector.snapshot`.
-    """
-    decisions = snapshot.get("decisions", 0)
-    shadows = snapshot.get("shadows") or []
-    margins = snapshot.get("margins") or {}
-    starvation = snapshot.get("starvation") or {}
-    disagreement = snapshot.get("disagreement") or {}
-    disagreed_any = sum(s["disagreed"] for s in shadows)
-    tiles = [
-        ("primary", str(snapshot.get("primary", "-"))),
-        ("decisions", _fmt(decisions)),
-        ("shadows", _fmt(len(shadows))),
-        ("shadow disagreements", _fmt(disagreed_any)),
-        ("queue-order ties", _fmt(margins.get("ties", 0))),
-        ("starvation events",
-         _fmt(len(starvation.get("events") or []))),
-    ]
-    body = [_tiles(tiles)]
-    matrix = disagreement.get("matrix") or []
-    labels = disagreement.get("labels") or []
-    if len(matrix) > 1:
-        body.append('<div class="card">'
-                    + _disagree_heatmap(matrix, labels, decisions)
-                    + "</div>")
-    body.append(f'<div class="card">{_margin_histograms(margins)}</div>')
-    if snapshot.get("actual_granted"):
-        body.append(f'<div class="card">{_grant_share_bars(snapshot)}'
-                    "</div>")
-    strip = _flip_timeline(snapshot.get("clusters") or {},
-                           len(snapshot.get("actual_granted") or []))
-    if strip:
-        body.append(f'<div class="card">{strip}</div>')
-    events = starvation.get("events") or []
-    if events:
-        rows = [[f"t{e['tid']}", e["now"], e["age"], e["pending"]]
-                for e in events[:50]]
-        body.append(
-            '<div class="card"><h2>Starvation watch — threshold '
-            f'crossings (age &gt; {_fmt(starvation.get("threshold"))} '
-            "cycles)</h2>"
-            + _details_table(["thread", "cycle", "age", "pending"], rows,
-                             summary=f"{len(events)} event(s)")
-            + "</div>")
-    return _page(
-        f"repro.explain — {title}",
-        f"{decisions} decisions · {len(shadows)} shadow policies · "
-        f"records kept {snapshot.get('records_kept', 0)}",
-        "".join(body),
-    )
-
-
-def write_dashboard(html: str, path) -> str:
-    """Write a rendered dashboard to ``path`` (UTF-8); returns the path."""
-    from pathlib import Path
-
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(html, encoding="utf-8")
-    return str(out)
+            series.append((scheduler, _series_color(slot), [
+                (i, v, f"{scheduler} — {keys[i][0]} seed {keys[i][1]}: "
+                       f"{v:.3f}") for i, v in pts]))
+            rows += [[scheduler, str(keys[i][0]), keys[i][1], round(v, 4)]
+                     for i, v in pts]
+        if series:
+            cards.append(_card(name, _lines(name, series), _table(
+                ["scheduler", "workload", "seed", metric], rows, "ll")))
+    means = scheduler_means(obs)
+    if means:
+        cards.append(_card("Per-scheduler means", _table(
+            ["scheduler", "points", "mean WS", "mean MS", "mean HS"],
+            [[m["scheduler"], m["points"], round(m["ws"], 3),
+              round(m["ms"], 3), round(m["hs"], 3)] for m in means],
+            summary=None)))
+    cards.append(_card("Point failures", _table(
+        ["workload", "scheduler", "seed", "attempts", "error"],
+        [[str(f["workload"]), str(f["scheduler"]), str(f["seed"]),
+          str(f["attempts"]), str(f["error"])[:120]]
+         for f in obs.failures], "llrrl", summary=None,
+    ) if obs.failures else _note("none — every point completed.")))
+    return _page(f"repro — campaign: {title}",
+                 f"{points} points · {len(obs.schedulers)} schedulers",
+                 _tiles(tiles) + "".join(cards))

@@ -14,21 +14,22 @@ Three cooperating pieces:
   executes byte-identical code; optional cProfile deep mode.
 * :mod:`repro.prof.flame` — collapsed-stack text (Brendan Gregg
   format, exact round-trip) and a self-contained no-JS SVG flame
-  graph.
+  graph; the run page (:func:`repro.obs.dashboard.render_run_page`)
+  embeds it beside the history trajectories.
 * :mod:`repro.prof.history` — the append-only ``BENCH_history.json``
   record format with ``load``/``append``/``compare`` and
   median-of-rounds regression verdicts (warn by default, fail under
   ``REPRO_BENCH_STRICT=1``).
 
 CLI: ``python -m repro.experiments.cli prof run|flame|history|``
-``compare|dashboard`` — see docs/PROFILING.md.
+``compare|dashboard`` — ``dashboard`` profiles a plain run and renders
+its run page's perf section; see docs/PROFILING.md.
 """
 
 from repro.prof.flame import (
     parse_collapsed,
     render_collapsed,
     render_flame_svg,
-    write_flame_svg,
 )
 from repro.prof.history import (
     DEFAULT_HISTORY,
@@ -79,5 +80,4 @@ __all__ = [
     "render_flame_svg",
     "same_machine",
     "strict_mode",
-    "write_flame_svg",
 ]

@@ -11,8 +11,9 @@ ProfileReport`'s stack costs:
 * **Inline SVG** — a self-contained icicle flame graph: embedded
   ``<style>`` with light/dark themes via ``prefers-color-scheme``,
   native ``<title>`` tooltips, no JavaScript and no external assets.
-  Frames are colored by component using the same categorical palette
-  as the ``repro.obs`` dashboards.
+  Frames are colored by component with the page palette
+  (:func:`repro.obs.dashboard.component_fill`), so a frame and its
+  component's share bar on the run page match.
 """
 
 from __future__ import annotations
@@ -21,18 +22,6 @@ from html import escape
 from typing import Dict, List, Tuple
 
 from repro.prof.profiler import Path, ProfileReport, component_of
-
-#: component -> (light, dark) fill, matching obs/dashboard slot order
-_COMPONENT_FILLS = {
-    "engine": ("#2a78d6", "#3987e5"),     # blue
-    "scheduler": ("#eb6834", "#d95926"),  # orange
-    "dram": ("#1baf7a", "#199e70"),       # aqua
-    "cpu": ("#eda100", "#c98500"),        # yellow
-    "telemetry": ("#e87ba4", "#d55181"),  # magenta
-    "obs": ("#4a3aa7", "#9085e9"),        # violet
-    "other": ("#898781", "#898781"),      # muted
-}
-
 
 # ----------------------------------------------------------------------
 # collapsed-stack text format
@@ -119,6 +108,7 @@ def render_flame_svg(
     report: ProfileReport,
     title: str = "repro.prof flame graph",
     width: int = 980,
+    standalone: bool = True,
 ) -> str:
     """Self-contained icicle flame graph as an SVG document string.
 
@@ -126,8 +116,12 @@ def render_flame_svg(
     inclusive time.  The header lists per-component shares (they sum
     to 100% up to rounding).  Dark mode comes from an embedded
     ``prefers-color-scheme`` stylesheet; hover tooltips are native
-    ``<title>`` elements — no scripts anywhere.
+    ``<title>`` elements — no scripts anywhere.  ``standalone=False``
+    drops the ``xmlns`` declaration, which SVG inlined in HTML does not
+    need.
     """
+    from repro.obs.dashboard import component_fill
+
     stacks = {path: int(round(s * 1e6))
               for path, s in report.self_times().items()}
     tree = _build_tree(stacks)
@@ -148,9 +142,7 @@ def render_flame_svg(
             return
         y = top + level * row_h
         component = component_of(name)
-        light, dark = _COMPONENT_FILLS.get(
-            component, _COMPONENT_FILLS["other"]
-        )
+        light, dark = component_fill(component)
         pct = node["total"] / total
         tip = (f"{';'.join(path)} — {node['total'] / 1e3:.2f} ms "
                f"inclusive ({pct:.1%}), {node['self'] / 1e3:.2f} ms self")
@@ -183,7 +175,7 @@ def render_flame_svg(
     legend = []
     lx = pad
     for name in shares:
-        light, dark = _COMPONENT_FILLS.get(name, _COMPONENT_FILLS["other"])
+        light, dark = component_fill(name)
         legend.append(
             f'<rect class="frame" x="{lx}" y="38" width="10" height="10" '
             f'fill="{light}" style="--dark-fill:{dark}"/>'
@@ -193,8 +185,9 @@ def render_flame_svg(
     meta = (f"{report.workload or '?'} under {report.scheduler or '?'} · "
             f"wall {report.wall_s:.3f}s · "
             f"{report.events_per_sec():,.0f} events/s")
+    xmlns = ' xmlns="http://www.w3.org/2000/svg"' if standalone else ""
     return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" class="flame" '
+        f'<svg{xmlns} class="flame" '
         f'width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}" role="img" '
         f'aria-label="{escape(title)}">'
@@ -207,14 +200,3 @@ def render_flame_svg(
         + "".join(parts)
         + "</svg>"
     )
-
-
-def write_flame_svg(report: ProfileReport, path,
-                    title: str = "repro.prof flame graph") -> str:
-    """Render and write the flame SVG; returns the path written."""
-    from pathlib import Path as _P
-
-    out = _P(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(render_flame_svg(report, title=title), encoding="utf-8")
-    return str(out)

@@ -1,4 +1,5 @@
-"""Forensic report building, persistence, HTML panel, Perfetto export."""
+"""Forensic report building, persistence, the run page's divergence
+section, Perfetto export."""
 
 import json
 
@@ -11,11 +12,10 @@ from repro.diverge import (
     export_perfetto,
     load_report,
     lockstep_compare,
-    render_report_html,
     write_report,
-    write_report_html,
 )
 from repro.diverge.report import MAX_DIFF_ENTRIES, REPORT_SCHEMA
+from repro.obs.dashboard import render_run_page, write_page
 
 CYCLES = 10_000
 CADENCE = 2_000
@@ -70,7 +70,8 @@ class TestReportDocument:
 class TestHtmlPanel:
     def test_diverged_panel_names_the_facts(self, diverged_report,
                                             tmp_path):
-        path = write_report_html(diverged_report, tmp_path / "r.html")
+        path = write_page(render_run_page(divergence=diverged_report),
+                          tmp_path / "r.html")
         html = path.read_text()
         divergence = diverged_report["divergence"]
         assert f"{divergence['cycle']}" in html
@@ -80,7 +81,7 @@ class TestHtmlPanel:
         assert "<script" not in html.lower()  # no-JS contract
 
     def test_clean_panel_renders(self, clean_report):
-        html = render_report_html(clean_report)
+        html = render_run_page(divergence=clean_report)
         assert "No fingerprint mismatch" in html
 
 

@@ -1,5 +1,5 @@
-"""CLI surface: ``explain run | report | dashboard`` and the
-``telemetry report --explain`` augmentation."""
+"""CLI surface: ``explain run | report``, the explain section of
+``obs dashboard`` and the ``telemetry report --explain`` augmentation."""
 
 import json
 
@@ -37,18 +37,23 @@ class TestExplainRun:
     def test_unknown_action_rejected(self):
         assert _exit_code(["explain", "explode"]) not in (0, None)
 
+    def test_dashboard_is_an_obs_action(self):
+        # the run page draws explain's section: one page, one run
+        assert _exit_code(["explain", "dashboard"]) not in (0, None)
+
 
 class TestExplainArtifacts:
     def test_dashboard_and_snapshot(self, capsys, tmp_path):
         html_out = tmp_path / "explain.html"
         json_out = tmp_path / "explain.json"
         code = _exit_code(
-            ["explain", "dashboard", *QUICK, "--shadows", "frfcfs",
+            ["obs", "dashboard", *QUICK, "--shadows", "frfcfs",
              "--out", str(html_out), "--json-out", str(json_out)]
         )
         assert code in (0, None)
         html = html_out.read_text()
         assert "<svg" in html and "<script" not in html
+        assert "Policy disagreement" in html and "shadow:frfcfs" in html
         snapshot = json.loads(json_out.read_text())
         assert snapshot["decisions"] > 0
         assert snapshot["shadows"][0]["label"] == "shadow:frfcfs"
@@ -71,11 +76,14 @@ class TestExplainArtifacts:
                     "--json-out", str(json_out)])
         capsys.readouterr()
         code = _exit_code(
-            ["explain", "dashboard", "--json-in", str(json_out),
+            ["obs", "dashboard", "--json-in", str(json_out),
              "--out", str(html_out)]
         )
         assert code in (0, None)
-        assert "<svg" in html_out.read_text()
+        html = html_out.read_text()
+        assert "<svg" in html and "shadow:frfcfs" in html
+        # a snapshot alone carries no spans: no attribution section
+        assert "Interference attribution" not in html
 
     def test_trace_out_writes_jsonl_and_perfetto(self, capsys, tmp_path):
         # PAR-BS primary under full intensity: batch marking diverges

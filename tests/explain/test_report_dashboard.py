@@ -1,10 +1,10 @@
-"""Text report and HTML dashboard renderings of an explain snapshot."""
+"""Text report and run-page renderings of an explain snapshot."""
 
 import json
 
 from repro.config import SimConfig
 from repro.explain import attach_explain, render_explain_report
-from repro.obs.dashboard import render_explain_dashboard, write_dashboard
+from repro.obs.dashboard import render_run_page, write_page
 from repro.schedulers.registry import make_scheduler
 from repro.sim.system import System
 from repro.workloads import make_intensity_workload
@@ -47,14 +47,16 @@ class TestTextReport:
 
 
 class TestDashboard:
+    """The run page's explain section."""
+
     def test_dashboard_is_self_contained(self):
-        html = render_explain_dashboard(_snapshot())
+        html = render_run_page(explain=_snapshot())
         assert "<script" not in html
         assert "<svg" in html
         assert "@media (prefers-color-scheme: dark)" in html
 
     def test_dashboard_shows_the_forensics(self):
-        html = render_explain_dashboard(_snapshot(), title="smoke mix")
+        html = render_run_page(explain=_snapshot(), title="smoke mix")
         assert "smoke mix" in html
         assert "shadow:frfcfs" in html
         assert "shadow:atlas" in html
@@ -64,18 +66,18 @@ class TestDashboard:
             assert needle in html.lower(), f"missing {needle!r}"
 
     def test_dashboard_without_shadows_still_renders(self):
-        html = render_explain_dashboard(_snapshot(shadows=()))
+        html = render_run_page(explain=_snapshot(shadows=()))
         assert "<svg" in html
         assert "shadow:" not in html
 
     def test_dashboard_from_round_tripped_snapshot(self):
         snapshot = json.loads(json.dumps(_snapshot()))
-        assert render_explain_dashboard(snapshot) == \
-            render_explain_dashboard(_snapshot())
+        assert render_run_page(explain=snapshot) == \
+            render_run_page(explain=_snapshot())
 
     def test_write_dashboard(self, tmp_path):
         out = tmp_path / "explain.html"
-        path = write_dashboard(render_explain_dashboard(_snapshot()), out)
+        path = write_page(render_run_page(explain=_snapshot()), out)
         text = out.read_text()
         assert str(path) == str(out)
         assert text.startswith("<!DOCTYPE html>") or \

@@ -1,21 +1,25 @@
 """Tests for repro.obs.dashboard — self-contained HTML pages.
 
-The acceptance bar: ``obs dashboard`` emits valid, fully
-self-contained HTML (inline SVG + CSS, zero JavaScript, dark-mode
-aware) for a single run *and* for a campaign store, verified here by
-parsing the output.
+The acceptance bar: every page — the campaign page, and the run page
+with each section it can carry (spans, explain, prof with history,
+divergence) — is valid, fully self-contained HTML (inline SVG + CSS,
+zero JavaScript, no URLs, dark-mode aware), verified here by parsing
+the output.
 """
 
+import subprocess
+import sys
 from html.parser import HTMLParser
+from pathlib import Path
 
 import pytest
 
 from repro.config import SimConfig
 from repro.obs.aggregate import observe_campaign, observe_run
 from repro.obs.dashboard import (
-    render_campaign_dashboard,
-    render_run_dashboard,
-    write_dashboard,
+    render_campaign_page,
+    render_run_page,
+    write_page,
 )
 from repro.workloads import (
     RANDOM_ACCESS,
@@ -23,8 +27,10 @@ from repro.workloads import (
     workload_from_specs,
 )
 
+from tests.explain.test_report_dashboard import _snapshot
 from tests.obs.test_aggregate import seeded_store
 
+ROOT = Path(__file__).resolve().parents[2]
 PAIR = workload_from_specs("pair", [RANDOM_ACCESS, STREAMING])
 CFG = SimConfig(run_cycles=40_000, num_threads=2)
 
@@ -77,9 +83,76 @@ def assert_self_contained(html, audit):
 
 
 @pytest.fixture(scope="module")
-def run_page():
-    obs = observe_run(PAIR, "frfcfs", CFG, seed=5, epoch_cycles=10_000)
-    return render_run_dashboard(obs)
+def observation():
+    return observe_run(PAIR, "frfcfs", CFG, seed=5, epoch_cycles=10_000)
+
+
+@pytest.fixture(scope="module")
+def run_page(observation):
+    return render_run_page(observation)
+
+
+@pytest.fixture(scope="module")
+def profile():
+    from repro.prof import profile_run
+
+    _, report = profile_run(PAIR, "tcm", CFG, seed=0)
+    return report
+
+
+@pytest.fixture(scope="module")
+def divergence():
+    from repro.diverge import RunSpec, bisect_divergence, build_report
+
+    a = RunSpec(seed=11, num_threads=4, run_cycles=10_000)
+    b = RunSpec(seed=12, num_threads=4, run_cycles=10_000)
+    result = bisect_divergence(a.factory(), b.factory(), 10_000, 2_000)
+    return build_report(result, label_a=a.label(), label_b=b.label())
+
+
+@pytest.fixture(scope="module")
+def history():
+    from repro.prof import load
+
+    return load(ROOT / "BENCH_history.json")
+
+
+def _page(kind, observation, profile, history, divergence):
+    sections = {
+        "spans": {"run": observation},
+        "explain": {"explain": _snapshot()},
+        "prof": {"profile": profile, "history": history},
+        "divergence": {"divergence": divergence},
+    }
+    if kind == "all":
+        return render_run_page(**{k: v for s in sections.values()
+                                  for k, v in s.items()})
+    return render_run_page(**sections[kind])
+
+
+# the spans-only and campaign pages are audited by TestRunDashboard and
+# TestCampaignDashboard below
+@pytest.mark.parametrize("kind", ["explain", "prof", "divergence", "all"])
+def test_every_page_is_valid_and_self_contained(
+        kind, observation, profile, history, divergence):
+    html = _page(kind, observation, profile, history, divergence)
+    audit = audited(html)
+    assert_self_contained(html, audit)
+    assert audit.counts["section"] == (4 if kind == "all" else 1)
+
+
+def test_page_module_is_imported_lazily():
+    # nothing the simulator, the engine or the CLI import at module
+    # level pulls the page module in; only drawing a page does
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+        "import repro, repro.campaign, repro.diverge, repro.explain\n"
+        "import repro.experiments.cli, repro.prof, repro.telemetry\n"
+        "print('repro.obs.dashboard' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestRunDashboard:
@@ -102,11 +175,29 @@ class TestRunDashboard:
     def test_reconciliation_badge(self, run_page):
         assert "reconciled" in run_page.lower()
 
+    def test_one_cluster_timeline_per_page(self):
+        # the epoch sampler's strip, unless explain's per-quantum one
+        # (with flips) is on the page
+        tcm = observe_run(PAIR, "tcm", CFG.with_(quantum_cycles=5_000),
+                          seed=5, with_alone=False, shadows=("frfcfs",))
+        both = render_run_page(tcm, explain=tcm.explain)
+        assert both.count("Cluster flips per quantum") == 1
+        assert "Cluster timeline (per epoch)" not in both
+        assert render_run_page(tcm).count("Cluster timeline (per epoch)") \
+            == 1
+
+    def test_flame_graph_embeds_without_the_namespace_url(self, profile):
+        from repro.prof import render_flame_svg
+
+        page = render_run_page(profile=profile)
+        assert '<svg class="flame"' in page
+        assert "http://www.w3.org/2000/svg" in render_flame_svg(profile)
+
 
 class TestCampaignDashboard:
     def test_valid_and_self_contained(self, tmp_path):
         obs = observe_campaign(seeded_store(tmp_path))
-        html = render_campaign_dashboard(obs, title="t")
+        html = render_campaign_page(obs, title="t")
         audit = audited(html)
         assert_self_contained(html, audit)
         # WS + MS trajectories for two schedulers
@@ -119,14 +210,32 @@ class TestCampaignDashboard:
         from repro.campaign.store import CampaignStore
 
         obs = observe_campaign(CampaignStore(tmp_path / "empty"))
-        html = render_campaign_dashboard(obs, title="empty")
+        html = render_campaign_page(obs, title="empty")
         audited(html)
+
+    def test_scheduler_names_are_escaped(self, tmp_path):
+        # one point record whose scheduler is markup: the means table
+        # must escape it like the trajectory and the failure table do
+        from repro.campaign.store import KIND_POINT, CampaignStore
+
+        name = "<script>alert(1)</script>"
+        store = CampaignStore(tmp_path / "store")
+        store.put("k", KIND_POINT,
+                  {"metrics": {"ws": 2.0, "ms": 3.0, "hs": 0.5}},
+                  meta={"workload": "mix-a", "scheduler": name, "seed": 0})
+        store.close()
+        html = render_campaign_page(observe_campaign(tmp_path / "store"))
+        audit = audited(html)
+        assert_self_contained(html, audit)
+        assert "<script" not in html
+        assert "<td class=\"l\">&lt;script&gt;alert(1)&lt;/script&gt;" \
+               "</td><td class=\"\">1</td>" in html
 
 
 class TestWriteDashboard:
     def test_writes_file(self, tmp_path, run_page):
         out = tmp_path / "sub" / "run.html"
-        path = write_dashboard(run_page, out)
+        path = write_page(run_page, out)
         text = out.read_text()
         assert str(path) == str(out)
         assert text == run_page

@@ -50,6 +50,40 @@ class TestObsCli:
         assert "<script" not in html
         assert "Interference attribution" in html
 
+    def test_one_run_one_page(self, capsys, monkeypatch, tmp_path):
+        """Spans, the epoch sampler and explain observe the same shared
+        run, once; its result equals an unobserved run's, and its page
+        carries both the attribution and the disagreement heatmaps."""
+        from repro.config import SimConfig
+        from repro.experiments.runner import run_shared
+        from repro.sim.system import System
+        from repro.workloads import make_intensity_workload
+
+        shared, run = [], System.run
+
+        def counted(system, *args, **kwargs):
+            result = run(system, *args, **kwargs)
+            if not result.workload.startswith("alone-"):
+                shared.append(result)
+            return result
+
+        monkeypatch.setattr(System, "run", counted)
+        out_file = tmp_path / "run.html"
+        assert main(["obs", "dashboard", "--intensity", "0.75",
+                     "--cycles", "20000", "--scheduler", "tcm",
+                     "--out", str(out_file)]) == 0
+        monkeypatch.undo()
+        assert len(shared) == 1
+        workload = make_intensity_workload(0.75, num_threads=24, seed=0)
+        assert shared[0] == run_shared(workload, "tcm",
+                                       SimConfig(run_cycles=20_000))
+        html = out_file.read_text()
+        assert "interference attribution heatmap" in html
+        assert "policy disagreement heatmap" in html
+        for label in ("shadow:frfcfs", "shadow:stfm", "shadow:parbs",
+                      "shadow:atlas"):
+            assert label in html
+
     def test_campaign_dashboard_from_store(self, capsys, tmp_path):
         seeded_store(tmp_path)
         out_file = tmp_path / "campaign.html"

@@ -3,12 +3,12 @@
 import pytest
 
 from repro import SimConfig
+from repro.obs.dashboard import write_page
 from repro.prof import (
     parse_collapsed,
     profile_run,
     render_collapsed,
     render_flame_svg,
-    write_flame_svg,
 )
 from repro.workloads import make_intensity_workload
 
@@ -84,6 +84,6 @@ class TestSvg:
 
     def test_write_flame_svg(self, report, tmp_path):
         out = tmp_path / "flame.svg"
-        written = write_flame_svg(report, out, title="t")
+        written = write_page(render_flame_svg(report, title="t"), out)
         assert str(written) == str(out)
         assert out.read_text(encoding="utf-8").rstrip().endswith("</svg>")

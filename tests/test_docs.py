@@ -1,16 +1,17 @@
 """Docs drift: every CLI command the docs show must still exist.
 
 Scans the user-facing Markdown for ``python -m repro.experiments.cli
-VERB`` (VERB must be a CLI verb), ``--preset NAME`` (a campaign preset)
-and ``paper NAME`` written as a command (a figure the ``paper`` verb
-regenerates).
+VERB`` (VERB must be a CLI verb), ``--preset NAME`` (a campaign preset),
+``paper NAME`` written as a command (a figure the ``paper`` verb
+regenerates) and ``cli VERB ACTION`` or `` `VERB ACTION` `` (ACTION
+must be one of the verb's actions).
 """
 
 import re
 from pathlib import Path
 
 from repro.campaign import PRESET_PLANS
-from repro.experiments.cli import _COMMANDS, _PAPER
+from repro.experiments.cli import _ACTIONS, _COMMANDS, _PAPER
 
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = [ROOT / name for name in ("README.md", "EXPERIMENTS.md", "DESIGN.md")]
@@ -22,6 +23,11 @@ CHECKS = (
     (re.compile(r"--preset[ =]([a-z][\w-]*)"), PRESET_PLANS, "preset"),
     # ``cli paper NAME`` or `paper NAME` in backticks, not prose
     (re.compile(r"(?:cli\s+|`)paper\s+([a-z][\w-]*)"), _PAPER, "figure"),
+)
+
+#: ``cli VERB ACTION`` as a command, or `VERB ACTION` in backticks
+ACTION = re.compile(
+    r"(?:repro\.experiments\.cli[ \t]+|`)([a-z][\w-]*)[ \t]+([a-z][\w-]*)"
 )
 
 
@@ -36,4 +42,21 @@ def test_docs_name_real_verbs_presets_and_figures():
                     line = text.count("\n", 0, match.start()) + 1
                     unknown.append(f"{doc.name}:{line}: unknown {kind} "
                                    f"{match.group(1)!r}")
+    assert unknown == []
+
+
+def test_docs_name_real_actions():
+    shown, unknown = 0, []
+    for doc in DOCS:
+        text = doc.read_text(encoding="utf-8")
+        for match in ACTION.finditer(text):
+            verb, action = match.groups()
+            if verb not in _ACTIONS:
+                continue
+            shown += 1
+            if action not in _ACTIONS[verb]:
+                line = text.count("\n", 0, match.start()) + 1
+                unknown.append(f"{doc.name}:{line}: {verb} has no action "
+                               f"{action!r}")
+    assert shown > 20
     assert unknown == []

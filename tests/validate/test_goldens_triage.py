@@ -121,3 +121,6 @@ class TestForensicsHook:
         report = json.loads((tmp_path / "diverge_report.json").read_text())
         assert report["divergence"]["cycle"] == 100_000
         assert report["divergence"]["components"] == ["monitor"]
+        # the HTML artifact is the run page's divergence section
+        page = (tmp_path / "diverge_report.html").read_text()
+        assert "Component fingerprints" in page and "monitor" in page
