@@ -7,8 +7,8 @@ Turns a :class:`~repro.diverge.lockstep.LockstepResult` into:
   the field-level state diff, and both sides' event/decision ring
   buffers;
 * an optional Chrome ``trace_event`` export (loadable at
-  https://ui.perfetto.dev), written through :mod:`repro.telemetry.sinks`
-  in the same document shape as every other trace, laying both sides'
+  https://ui.perfetto.dev), written by telemetry's one Perfetto writer
+  (:func:`repro.telemetry.sinks.write_perfetto`), laying both sides'
   last events and grants on parallel tracks with a global "FIRST
   DIVERGENCE" marker at the localised cycle;
 * the divergence section of the no-JS run page
@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Optional
 
 from repro.diverge.lockstep import LockstepResult
-from repro.telemetry.sinks import _meta, _open_creating_dirs
+from repro.telemetry.sinks import track_name, write_perfetto
 
 REPORT_SCHEMA = "repro.diverge.report/v1"
 
@@ -91,9 +91,8 @@ def load_report(path) -> dict:
 # ----------------------------------------------------------------------
 
 def _side_events(trace: list, pid: int, label: str, rings: dict) -> None:
-    trace.extend(_meta(pid, label))
-    trace.extend(_meta(pid, "", tid=1, thread_name="events"))
-    trace.extend(_meta(pid, "", tid=2, thread_name="decisions"))
+    trace += [track_name(pid, label), track_name(pid, "events", 1),
+              track_name(pid, "decisions", 2)]
     for time, kind, payload, aux in rings.get("events", ()):
         trace.append({
             "ph": "i", "s": "t", "pid": pid, "tid": 1, "ts": time,
@@ -137,6 +136,4 @@ def export_perfetto(report: dict, path) -> Path:
                 "exact": divergence["exact"],
             },
         })
-    with _open_creating_dirs(path) as f:
-        json.dump({"traceEvents": trace, "displayTimeUnit": "ms"}, f)
-    return Path(path)
+    return write_perfetto(trace, path)

@@ -27,34 +27,27 @@ the store); ``resume`` is an explicit alias.  A plan can also come
 from a JSON file (``--plan plan.json``, see
 :meth:`repro.campaign.CampaignPlan.save`).
 
-Telemetry subcommands observe a single traced run::
+One observed run (see docs/OBSERVABILITY.md)::
 
-    python -m repro.experiments.cli telemetry report --intensity 0.75
-    python -m repro.experiments.cli telemetry trace --trace-out run
-    python -m repro.experiments.cli telemetry trace --trace-in run.jsonl
+    python -m repro.experiments.cli obs --intensity 0.75 --out run.html \\
+        --trace-out trace/run --json-out snap.json
+    python -m repro.experiments.cli obs --json-in snap.json --out snap.html
+    python -m repro.experiments.cli obs --store fig4-store --out campaign.html
+    python -m repro.experiments.cli obs --trace-in trace/run.jsonl
 
-``report`` prints per-epoch MPKI/RBL/BLP/cluster tables and a Fig.
-7-style cluster timeline; ``trace`` writes (or converts a JSONL log
-into) a Chrome/Perfetto-loadable trace.  All commands accept
-``--log-level {debug,...}``.
-
-Observability subcommands (see docs/OBSERVABILITY.md)::
-
-    python -m repro.experiments.cli obs report --intensity 0.75
-    python -m repro.experiments.cli obs attribution --scheduler stfm
-    python -m repro.experiments.cli obs dashboard --out run.html
-    python -m repro.experiments.cli obs dashboard --json-in snap.json
-    python -m repro.experiments.cli obs dashboard --store fig4-store \\
-        --out campaign.html
-
-``obs report`` runs one workload with request-lifecycle spans enabled
-and prints the interference-attribution matrix (who delayed whom, in
-cycles), per-thread cause breakdowns, and slowdown estimates;
-``attribution`` prints just the matrix; ``dashboard`` observes one run
-with spans, the epoch sampler and explain (``--shadows``) together and
-renders its self-contained HTML run page — or re-renders a saved
-explain snapshot (``--json-in``), or, with ``--store``, renders a
-whole campaign's page.
+``obs`` simulates one workload once, with request-lifecycle spans, the
+epoch sampler and explain (``--shadows``, default every evaluated
+policy but the primary) attached, and prints its text report: the
+interference-attribution matrix (who delayed whom, in cycles), cause
+breakdowns, slowdowns, per-epoch MPKI/RBL/BLP/cluster tables, the Fig.
+7-style cluster timeline and explain's disagreement and margin tables.
+From the same run it writes the self-contained HTML run page
+(``--out``), the JSONL event log and Chrome/Perfetto trace
+(``--trace-out STEM`` writes ``STEM.jsonl`` and ``STEM.json``) and the
+explain snapshot (``--json-out``).  Without simulating, it renders a
+saved snapshot (``--json-in``), a campaign store's page (``--store``)
+or converts a JSONL log into a Perfetto trace (``--trace-in``).  All
+commands accept ``--log-level {debug,...}``.
 
 Validation subcommands (see docs/VALIDATION.md)::
 
@@ -78,7 +71,7 @@ Divergence-forensics subcommands (see docs/DIVERGENCE.md)::
     python -m repro.experiments.cli diverge bisect --record baseline.json
     python -m repro.experiments.cli diverge run --baseline baseline.json
     python -m repro.experiments.cli diverge report --json-in report.json \\
-        --out report.html --perfetto trace.json
+        --out report.html --trace-out trace.json
 
 ``diverge run`` lockstep-compares two runs (vary ``--seed-b`` or
 ``--scheduler-b``) or one run against a ``--baseline`` recording,
@@ -98,8 +91,8 @@ Self-profiling subcommands (see docs/PROFILING.md)::
     python -m repro.experiments.cli prof dashboard --out perf.html
 
 ``prof run`` profiles the *simulator itself* on one workload and
-prints component wall-time shares plus the slowest stack paths
-(``--deep`` adds a cProfile table); ``flame`` writes a self-contained
+prints the prof section of the run report: component wall-time shares
+plus the slowest stack paths (``--deep`` adds a cProfile table); ``flame`` writes a self-contained
 SVG flame graph (and optionally Brendan Gregg collapsed stacks);
 ``history`` lists the BENCH_history.json records; ``compare`` checks
 the latest records against a baseline history and exits non-zero on a
@@ -389,11 +382,9 @@ _PAPER = {
 _ACTIONS = {
     "paper": tuple(_PAPER),
     "campaign": ("run", "resume", "status", "compact"),
-    "telemetry": ("report", "trace"),
     "validate": ("run", "goldens"),
     "diverge": ("bisect", "run", "report"),
-    "explain": ("run", "report"),
-    "obs": ("report", "attribution", "dashboard"),
+    "obs": ("run",),
     "prof": ("run", "flame", "history", "compare", "dashboard"),
 }
 
@@ -403,74 +394,7 @@ def _cmd_paper(args, config):
 
 
 # ----------------------------------------------------------------------
-# telemetry subcommands
-# ----------------------------------------------------------------------
-
-
-def _cmd_telemetry(args, config):
-    from repro.telemetry import Telemetry, jsonl_to_perfetto
-    from repro.telemetry.report import render_report
-
-    action = _action(args, "telemetry")
-
-    if action == "trace" and args.trace_in:
-        # Pure conversion: JSONL event log -> Perfetto trace_event JSON.
-        out = args.trace_out or args.trace_in.rsplit(".", 1)[0] + ".json"
-        count = jsonl_to_perfetto(args.trace_in, out)
-        print(f"wrote {out} ({count} events)")
-        return
-
-    from repro.experiments.runner import run_shared
-
-    workload = _workload(args, config)
-    scheduler = args.scheduler or "tcm"
-    if action == "trace":
-        if not args.trace_out:
-            raise SystemExit(
-                "telemetry trace: provide --trace-out PREFIX (or "
-                "--trace-in FILE to convert an existing log)"
-            )
-        base = args.trace_out.rsplit(".", 1)[0]
-        telemetry = Telemetry.tracing(
-            jsonl_path=base + ".jsonl", perfetto_path=base + ".json",
-            epoch_cycles=args.epoch_cycles,
-        )
-        run_shared(workload, scheduler, config, seed=args.seed,
-                   telemetry=telemetry)
-        telemetry.close()
-        print(f"wrote {base}.jsonl and {base}.json "
-              f"({telemetry.tracer.events_emitted} events, "
-              f"{len(telemetry.samples)} epochs)")
-        return
-
-    telemetry = Telemetry.in_memory(epoch_cycles=args.epoch_cycles,
-                                    validate=False)
-    if args.explain:
-        # explain-augmented report: same run, with shadow-policy
-        # counterfactuals attached; the disagreement and margin tables
-        # append to the ordinary telemetry report
-        from repro.explain import explain_run, render_explain_report
-
-        _, collector = explain_run(
-            workload, scheduler, config=config, seed=args.seed,
-            shadows=_explain_shadow_specs(args, scheduler),
-            telemetry=telemetry,
-        )
-        print(f"workload {workload.name} under {scheduler}")
-        print(render_report(telemetry.samples,
-                            benchmarks=workload.benchmark_names))
-        print()
-        print(render_explain_report(collector.snapshot()))
-        return
-    run_shared(workload, scheduler, config, seed=args.seed,
-               telemetry=telemetry)
-    print(f"workload {workload.name} under {scheduler}")
-    print(render_report(telemetry.samples,
-                        benchmarks=workload.benchmark_names))
-
-
-# ----------------------------------------------------------------------
-# explain subcommands
+# obs: one observed run
 # ----------------------------------------------------------------------
 
 
@@ -488,141 +412,65 @@ def _explain_shadow_specs(args, primary: str):
     )
 
 
-def _write_snapshot(snapshot: dict, path) -> None:
+def _cmd_obs(args, config):
+    """Observe one run, once — spans, the epoch sampler and explain on
+    one ``System`` — print its text report and write its page, trace
+    and snapshot; or render without simulating: a saved snapshot
+    (``--json-in``), a campaign store (``--store``), a JSONL log
+    (``--trace-in``)."""
     import json as json_mod
     from pathlib import Path
 
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json_mod.dumps(snapshot, indent=1))
-    print(f"wrote {out}")
+    from repro.obs.text import render_run_text
 
+    _action(args, "obs")
+    # a trace path's stem: the suffix of its last component goes, so
+    # ``trace/run``, ``trace/run.json`` and ``out.d/run`` keep their
+    # directories
+    stem = os.path.splitext(args.trace_out or args.trace_in or "")[0]
+    if args.trace_in:
+        from repro.telemetry import jsonl_to_perfetto
 
-def _cmd_explain(args, config):
-    import json as json_mod
-    from pathlib import Path
-
-    from repro.explain import explain_run, render_explain_report
-
-    action = _action(args, "explain")
-
-    if action == "report" and args.json_in:
-        # render a saved snapshot: no simulation
-        print(render_explain_report(
-            json_mod.loads(Path(args.json_in).read_text())))
+        count = jsonl_to_perfetto(args.trace_in, stem + ".json")
+        print(f"wrote {stem}.json ({count} events)")
         return
-
-    workload = _workload(args, config)
-    scheduler = args.scheduler or "tcm"
-    shadows = _explain_shadow_specs(args, scheduler)
-    telemetry = None
-    if args.trace_out:
-        from repro.telemetry import Telemetry
-
-        base = args.trace_out.rsplit(".", 1)[0]
-        telemetry = Telemetry.tracing(
-            jsonl_path=base + ".jsonl", perfetto_path=base + ".json",
-            epoch_cycles=args.epoch_cycles,
-        )
-    result, collector = explain_run(
-        workload, scheduler, config=config, seed=args.seed,
-        shadows=shadows, telemetry=telemetry,
-    )
-    if telemetry is not None:
-        telemetry.close()
-        base = args.trace_out.rsplit(".", 1)[0]
-        print(f"wrote {base}.jsonl and {base}.json "
-              f"({telemetry.tracer.events_emitted} events)")
-    snapshot = collector.snapshot()
-    if args.json_out:
-        _write_snapshot(snapshot, args.json_out)
-    print(f"workload {workload.name} under {scheduler} "
-          f"(seed {args.seed}, {result.cycles} cycles, "
-          f"{result.total_requests} requests)")
-    print()
-    print(render_explain_report(snapshot))
-
-
-# ----------------------------------------------------------------------
-# obs subcommands
-# ----------------------------------------------------------------------
-
-
-def _obs_dashboard(args, config):
-    """``obs dashboard``: a campaign store's page (``--store``), a saved
-    explain snapshot's run page (``--json-in``), or one run observed
-    with spans, the epoch sampler and explain together, on one page."""
-    import json as json_mod
-    from pathlib import Path
-
-    from repro.obs.aggregate import observe_campaign, observe_run
-    from repro.obs.dashboard import (
-        render_campaign_page,
-        render_run_page,
-        write_page,
-    )
-
     if args.store:
-        # campaign page straight from a result store: no simulation
+        from repro.obs.aggregate import observe_campaign
+        from repro.obs.dashboard import render_campaign_page, write_page
+
         page = render_campaign_page(observe_campaign(args.store),
                                     title=str(args.store))
         print(f"wrote {write_page(page, args.out or 'obs_campaign.html')}")
         return
     if args.json_in:
+        run, title = None, args.json_in
         snapshot = json_mod.loads(Path(args.json_in).read_text())
-        page = render_run_page(explain=snapshot, title=args.json_in)
     else:
-        workload = _workload(args, config)
+        from repro.obs.aggregate import observe_run
+        from repro.telemetry import JsonlSink, PerfettoSink
+
         scheduler = args.scheduler or "tcm"
-        obs = observe_run(workload, scheduler, config, seed=args.seed,
-                          epoch_cycles=args.epoch_cycles,
-                          shadows=_explain_shadow_specs(args, scheduler))
+        sinks = ((JsonlSink(stem + ".jsonl"), PerfettoSink(stem + ".json"))
+                 if args.trace_out else ())
+        run = observe_run(_workload(args, config), scheduler, config,
+                          seed=args.seed, epoch_cycles=args.epoch_cycles,
+                          shadows=_explain_shadow_specs(args, scheduler),
+                          sinks=sinks)
+        title, snapshot = None, run.explain
+        if sinks:
+            print(f"wrote {stem}.jsonl and {stem}.json ({run.events} "
+                  f"events, {len(run.samples)} epochs)")
         if args.json_out:
-            _write_snapshot(obs.explain, args.json_out)
-        page = render_run_page(obs, explain=obs.explain)
-    print(f"wrote {write_page(page, args.out or 'obs_run.html')}")
+            out = Path(args.json_out)
+            out.parent.mkdir(parents=True, exist_ok=True)
+            out.write_text(json_mod.dumps(snapshot, indent=1))
+            print(f"wrote {out}")
+    print(render_run_text(run, explain=snapshot))
+    if args.out:
+        from repro.obs.dashboard import render_run_page, write_page
 
-
-def _cmd_obs(args, config):
-    from repro.obs.aggregate import observe_run
-    from repro.obs.attribution import render_matrix_text
-
-    action = _action(args, "obs")
-    if action == "dashboard":
-        _obs_dashboard(args, config)
-        return
-
-    workload = _workload(args, config)
-    scheduler = args.scheduler or "tcm"
-    obs = observe_run(workload, scheduler, config, seed=args.seed,
-                      epoch_cycles=args.epoch_cycles)
-
-    print(f"workload {obs.workload} under {obs.scheduler} "
-          f"(seed {obs.seed}, {obs.cycles} cycles)")
-    print()
-    print(render_matrix_text(obs.report, benchmarks=obs.benchmarks))
-    print()
-    print("reconciliation: "
-          + ", ".join(f"{k}={v}" for k, v in obs.report.checks.items()))
-    if action == "report":
-        if obs.report.causes is not None:
-            rows = [
-                [f"t{t}:{obs.benchmarks[t]}", row["queue"], row["row"],
-                 row["bus"], row["queue_partial"]]
-                for t, row in enumerate(obs.report.causes)
-            ]
-            print()
-            print(format_table(
-                ["thread", "queueing", "row-conflict", "bus", "partial"],
-                rows, title="other-inflicted delay by cause (cycles)",
-            ))
-        if obs.metrics:
-            print()
-            print(f"WS={obs.metrics['ws']:.3f}  "
-                  f"MS={obs.metrics['ms']:.3f}  "
-                  f"HS={obs.metrics['hs']:.3f}  "
-                  f"requests={obs.total_requests}  "
-                  f"row-hit={obs.row_hit_rate:.1%}")
+        page = render_run_page(run, explain=snapshot, title=title)
+        print(f"wrote {write_page(page, args.out)}")
 
 
 # ----------------------------------------------------------------------
@@ -809,8 +657,8 @@ def _cmd_diverge(args, config):
         print(report["summary"])
         if args.out:
             _divergence_page(report, args.out)
-        if args.perfetto:
-            where = export_perfetto(report, args.perfetto)
+        if args.trace_out:
+            where = export_perfetto(report, args.trace_out)
             print(f"wrote {where} (load at https://ui.perfetto.dev)")
         return
 
@@ -879,8 +727,8 @@ def _cmd_diverge(args, config):
         print(f"wrote {where}")
     if args.out:
         _divergence_page(report, args.out)
-    if args.perfetto:
-        where = export_perfetto(report, args.perfetto)
+    if args.trace_out:
+        where = export_perfetto(report, args.trace_out)
         print(f"wrote {where} (load at https://ui.perfetto.dev)")
     if result.diverged:
         raise SystemExit(2)
@@ -948,7 +796,9 @@ def _cmd_prof(args, config):
     )
 
     if action == "run":
-        print(report.format_text())
+        from repro.obs.text import render_run_text
+
+        print(render_run_text(profile=report))
         return
 
     from repro.obs.dashboard import render_run_page, write_page
@@ -1071,11 +921,9 @@ def _cmd_campaign(args, config):
 _COMMANDS = {
     "campaign": _cmd_campaign,
     "diverge": _cmd_diverge,
-    "explain": _cmd_explain,
     "obs": _cmd_obs,
     "paper": _cmd_paper,
     "prof": _cmd_prof,
-    "telemetry": _cmd_telemetry,
     "validate": _cmd_validate,
     "run": _cmd_run,
 }
@@ -1099,13 +947,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--intensity", type=float, default=0.5,
                         help="memory-intensive fraction of the workload "
-                             "(run, telemetry, explain, obs, validate run, "
-                             "prof, diverge)")
+                             "(run, obs, validate run, prof, diverge)")
     parser.add_argument("--workload-file", default=None,
                         help="JSON workload definition instead of "
-                             "--intensity (run, telemetry, explain, obs, "
-                             "validate run, prof; see "
-                             "repro.workloads.save_workload)")
+                             "--intensity (run, obs, validate run, prof; "
+                             "see repro.workloads.save_workload)")
     parser.add_argument("--schedulers", default=None,
                         help="comma-separated scheduler list (run, "
                              "validate run)")
@@ -1113,7 +959,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="campaign worker processes (default: serial)")
     parser.add_argument("--store", default=None,
                         help="campaign store directory (persistent result "
-                             "cache; enables resume)")
+                             "cache; enables resume); obs: render its "
+                             "campaign page")
     parser.add_argument("--plan", default=None,
                         help="campaign plan JSON file (campaign command)")
     parser.add_argument("--preset", default=None,
@@ -1128,23 +975,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--force", action="store_true",
                         help="re-run campaign points even if stored")
     parser.add_argument("--scheduler", default=None,
-                        help="scheduler of the one observed run: "
-                             "telemetry, obs, explain, prof, diverge "
-                             "(side A) (default tcm)")
+                        help="scheduler of the one observed run: obs, "
+                             "prof, diverge (side A) (default tcm)")
     parser.add_argument("--epoch-cycles", type=int, default=None,
                         help="epoch-sampler period in cycles (default: "
                              "quantum length)")
     parser.add_argument("--trace-in", default=None,
-                        help="existing JSONL event log to convert "
-                             "(telemetry trace)")
+                        help="obs: convert this JSONL event log to a "
+                             "Perfetto trace (STEM.json) instead of "
+                             "simulating")
     parser.add_argument("--trace-out", default=None,
-                        help="output path/prefix for trace files "
-                             "(telemetry trace)")
+                        help="obs: write the run's trace as STEM.jsonl "
+                             "and STEM.json (a suffix of the last path "
+                             "component is dropped); diverge: write a "
+                             "Chrome trace_event JSON with the divergence "
+                             "marked to this file")
     parser.add_argument("--trace-dir", default=None,
                         help="write per-point JSONL traces here "
                              "(campaign run)")
     parser.add_argument("--out", default=None,
-                        help="output path (obs/prof dashboard and diverge "
+                        help="output path (obs, prof dashboard and diverge "
                              "HTML pages, prof flame SVG)")
     parser.add_argument("--deep", action="store_true",
                         help="prof run/flame: add cProfile deep mode")
@@ -1200,27 +1050,19 @@ def build_parser() -> argparse.ArgumentParser:
                              "baseline instead of a second live run")
     parser.add_argument("--json-in", default=None,
                         help="diverge report: forensic report JSON to "
-                             "render; explain report, obs dashboard: saved "
-                             "explain snapshot JSON to render")
-    parser.add_argument("--perfetto", default=None,
-                        help="diverge: also export a Chrome trace_event "
-                             "JSON with the divergence marked")
+                             "render; obs: saved explain snapshot JSON to "
+                             "render")
     parser.add_argument("--goldens-path", default=None,
                         help="golden matrix JSON path (validate goldens; "
                              "default tests/goldens/golden_matrix.json)")
     parser.add_argument("--shadows", default=None,
-                        help="explain, obs dashboard, telemetry "
-                             "--explain: comma-separated shadow policies "
+                        help="obs: comma-separated shadow policies "
                              "(default: every evaluated policy except "
                              "the primary)")
-    parser.add_argument("--explain", action="store_true",
-                        help="telemetry report: attach shadow-policy "
-                             "counterfactuals and append disagreement / "
-                             "margin tables")
     parser.add_argument("--json-out", default=None,
                         help="diverge: write the forensic report JSON "
-                             "here; explain, obs dashboard: write the "
-                             "explain snapshot JSON here")
+                             "here; obs: write the explain snapshot JSON "
+                             "here")
     add_log_level_argument(parser)
     return parser
 

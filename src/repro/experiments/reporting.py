@@ -9,10 +9,12 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence, Union
 
-Cell = Union[str, int, float]
+Cell = Union[str, int, float, None]
 
 
 def _render_cell(value: Cell, precision: int) -> str:
+    if value is None:
+        return "-"
     if isinstance(value, float):
         return f"{value:.{precision}f}"
     return str(value)
@@ -26,8 +28,8 @@ def format_table(
 ) -> str:
     """Render an aligned ASCII table.
 
-    Floats are rounded to ``precision`` decimals; column widths adapt
-    to content.
+    Floats are rounded to ``precision`` decimals and ``None`` prints
+    as ``-``; column widths adapt to content.
     """
     str_rows: List[List[str]] = [
         [_render_cell(c, precision) for c in row] for row in rows

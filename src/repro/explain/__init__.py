@@ -18,11 +18,11 @@ says *why each grant won* and *what a different policy would have done*:
   (:mod:`repro.sim.observer`) — bit-identical results with or without
   it — plus a starvation watch and the TCM cluster-flip timeline.
 * **Surfaces**: ``explain`` / ``starvation`` telemetry events, Perfetto
-  counters and markers (:mod:`repro.telemetry.sinks`), text tables
-  (:mod:`repro.explain.report`), the explain section of the no-JS run
-  page (:func:`repro.obs.dashboard.render_run_page`, drawn by ``obs
-  dashboard`` beside the same run's attribution) and the CLI
-  ``explain run|report``.
+  counters and markers (:mod:`repro.telemetry.sinks`), and the explain
+  sections of the run report and the no-JS run page
+  (:func:`repro.obs.text.render_run_text`,
+  :func:`repro.obs.dashboard.render_run_page`), which the CLI ``obs``
+  prints and draws beside the same run's attribution.
 
 See docs/EXPLAIN.md for the record schema and the shadow fidelity
 contract (a self-shadow agrees with 100% of grants).
@@ -33,7 +33,6 @@ from repro.explain.collector import (
     STARVATION_THRESHOLD,
     ExplainCollector,
     attach_explain,
-    explain_run,
 )
 from repro.explain.records import (
     CLASS_BIT,
@@ -45,15 +44,6 @@ from repro.explain.records import (
     Margin,
     margin_of,
     record_structure,
-)
-from repro.explain.report import (
-    cluster_flip_summary,
-    disagreement_table,
-    grant_delta_table,
-    margin_table,
-    render_explain_report,
-    shadow_table,
-    starvation_table,
 )
 from repro.explain.shadow import (
     ShadowPARBS,
@@ -79,15 +69,7 @@ __all__ = [
     "TIE_QUEUE_ORDER",
     "attach_explain",
     "canonical_policy_key",
-    "cluster_flip_summary",
-    "disagreement_table",
-    "explain_run",
-    "grant_delta_table",
     "make_shadow",
     "margin_of",
-    "margin_table",
     "record_structure",
-    "render_explain_report",
-    "shadow_table",
-    "starvation_table",
 ]

@@ -561,38 +561,3 @@ def attach_explain(
     )
     return collector.attach(system)
 
-
-def explain_run(
-    workload,
-    scheduler_name: str,
-    config=None,
-    seed: int = 0,
-    params=None,
-    shadows: Sequence = (),
-    cycles: Optional[int] = None,
-    telemetry=None,
-    keep_records: Optional[int] = KEEP_RECORDS,
-    starvation_threshold: int = STARVATION_THRESHOLD,
-):
-    """Run ``workload`` under ``scheduler_name`` with explain attached.
-
-    Returns ``(RunResult, ExplainCollector)``.
-    """
-    from repro.schedulers.registry import make_scheduler
-    from repro.sim.system import System
-
-    system = System(
-        workload,
-        make_scheduler(scheduler_name, params),
-        config=config,
-        seed=seed,
-        telemetry=telemetry,
-    )
-    collector = attach_explain(
-        system,
-        shadows=shadows,
-        keep_records=keep_records,
-        starvation_threshold=starvation_threshold,
-    )
-    result = system.run(cycles)
-    return result, collector

@@ -1,4 +1,5 @@
-"""repro.obs — request-lifecycle spans, interference attribution, pages.
+"""repro.obs — request-lifecycle spans, interference attribution, the
+run report and pages.
 
 The observability layer over :mod:`repro.telemetry`'s raw events:
 
@@ -11,6 +12,9 @@ The observability layer over :mod:`repro.telemetry`'s raw events:
 * :mod:`repro.obs.aggregate` — collect page-ready data from a single
   run (spans, epoch samples and explain observing one simulation) or a
   whole campaign store;
+* :mod:`repro.obs.text` — the only module that prints a run's text
+  report: :func:`~repro.obs.text.render_run_text`, with the run page's
+  sections as aligned tables;
 * :mod:`repro.obs.dashboard` — the only module that draws pages: one
   self-contained HTML run page (inline SVG, no JS) with a section per
   kind of observer data — spans, explain, prof, diverge — and one

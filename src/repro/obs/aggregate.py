@@ -3,11 +3,11 @@
 Two entry points, mirroring :mod:`repro.obs.dashboard`'s two pages:
 
 * :func:`observe_run` — execute one workload under one scheduler with
-  full observability (spans + epoch sampler, and explain when given
-  shadow policies) and fold the result into a :class:`RunObservation`:
-  reconciled attribution report, true alone-run slowdowns, paper
-  metrics, epoch samples for the cluster timeline, the explain
-  snapshot.
+  full observability (spans + epoch sampler, explain when given shadow
+  policies, trace files when given sinks) and fold the result into a
+  :class:`RunObservation`: reconciled attribution report, true
+  alone-run slowdowns, paper metrics, epoch samples for the cluster
+  timeline, the explain snapshot.
 * :func:`observe_campaign` — read a :class:`repro.campaign` store and
   gather every point's metrics per scheduler plus the failure list into
   a :class:`CampaignObservation`.
@@ -38,6 +38,8 @@ class RunObservation:
     metrics: Optional[Dict[str, float]] = None
     total_requests: int = 0
     row_hit_rate: float = 0.0
+    #: trace events the run emitted
+    events: int = 0
     #: explain-collector snapshot when shadows were given, else None
     explain: Optional[dict] = None
 
@@ -64,6 +66,7 @@ def observe_run(
     with_alone: bool = True,
     epoch_cycles: Optional[int] = None,
     shadows: Optional[Sequence[str]] = None,
+    sinks: Sequence = (),
 ) -> RunObservation:
     """Run ``workload`` under full observability and fold the results.
 
@@ -71,7 +74,9 @@ def observe_run(
     the observation carries true slowdowns and the paper's metrics;
     disable it for quick structural looks at big workloads.
     ``shadows`` attaches explain to the same run with those shadow
-    policies (``()`` for none) and keeps its snapshot.
+    policies (``()`` for none) and keeps its snapshot.  ``sinks`` are
+    extra tracer sinks (JSONL, Perfetto) fed by the same run and closed
+    after it.
     """
     from repro.metrics import (
         harmonic_speedup,
@@ -84,6 +89,8 @@ def observe_run(
 
     config = config or SimConfig()
     telemetry = Telemetry.observing(epoch_cycles=epoch_cycles)
+    for sink in sinks:
+        telemetry.tracer.add_sink(sink)
     scheduler = make_scheduler(scheduler_name, params)
     system = System(workload, scheduler, config, seed=seed,
                     telemetry=telemetry)
@@ -93,6 +100,7 @@ def observe_run(
 
         collector = attach_explain(system, shadows=shadows)
     result = system.run()
+    telemetry.close()
 
     true_slowdowns = None
     metrics = None
@@ -131,6 +139,7 @@ def observe_run(
         metrics=metrics,
         total_requests=result.total_requests,
         row_hit_rate=(result.row_hits / total) if total else 0.0,
+        events=telemetry.tracer.events_emitted,
         explain=collector.snapshot() if collector else None,
     )
 

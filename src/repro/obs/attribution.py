@@ -250,34 +250,3 @@ def attribution_report(
         checks=checks,
     )
 
-
-def render_matrix_text(report: AttributionReport,
-                       benchmarks: Optional[Sequence[str]] = None) -> str:
-    """Plain-text rendering of the attribution matrix for CLI output."""
-    n = report.num_threads
-    names = [
-        f"t{t}" + (f":{benchmarks[t][:10]}" if benchmarks else "")
-        for t in range(n)
-    ]
-    width = max(8, max(len(name) for name in names) + 1)
-    lines = ["victim \\ culprit".ljust(18)
-             + "".join(name.rjust(width) for name in names)
-             + "row_sum".rjust(12)]
-    for v in range(n):
-        cells = "".join(str(report.matrix[v][c]).rjust(width)
-                        for c in range(n))
-        lines.append(names[v].ljust(18) + cells
-                     + str(report.victim_totals[v]).rjust(12))
-    lines.append("caused".ljust(18)
-                 + "".join(str(c).rjust(width)
-                           for c in report.culprit_totals)
-                 + str(report.total_attributed).rjust(12))
-    lines.append("")
-    lines.append("thread   est_slowdown" +
-                 ("   true_slowdown" if report.true_slowdowns else ""))
-    for t in range(n):
-        row = f"{names[t]:<10} {report.estimated_slowdowns[t]:>10.3f}"
-        if report.true_slowdowns:
-            row += f" {report.true_slowdowns[t]:>14.3f}"
-        lines.append(row)
-    return "\n".join(lines)

@@ -149,37 +149,6 @@ class ProfileReport:
     def requests_per_sec(self) -> float:
         return self.requests / self.wall_s if self.wall_s > 0 else 0.0
 
-    # -- text rendering -------------------------------------------------
-
-    def format_text(self, limit: int = 12) -> str:
-        """Human-readable component table + slowest-path table."""
-        selfs = self.self_times()
-        lines = [
-            f"profiled {self.workload or '?'} under "
-            f"{self.scheduler or '?'}: wall {self.wall_s:.3f}s, "
-            f"{self.events} events "
-            f"({self.events_per_sec():,.0f} ev/s), "
-            f"{self.requests} requests "
-            f"({self.requests_per_sec():,.0f} req/s)",
-            "",
-            f"{'component':<12} {'share':>7} {'self s':>9}",
-        ]
-        for name, share in self.component_shares().items():
-            lines.append(
-                f"{name:<12} {share:>6.1%} "
-                f"{self.component_times()[name]:>9.4f}"
-            )
-        lines += ["", f"{'self s':>9} {'calls':>9}  slowest paths"]
-        for node in self.slowest(limit):
-            lines.append(
-                f"{selfs.get(node.path, 0.0):>9.4f} {node.calls:>9}  "
-                + ";".join(node.path)
-            )
-        if self.deep_table:
-            lines += ["", "deep (cProfile, top cumulative):",
-                      self.deep_table]
-        return "\n".join(lines)
-
 
 class Profiler(Observer):
     """Phase-scoped wall-time profiler for one simulated run.

@@ -43,6 +43,7 @@ from repro.telemetry.sinks import (
     Sink,
     events_to_perfetto,
     jsonl_to_perfetto,
+    write_perfetto,
 )
 from repro.telemetry.tracer import Tracer, memory_tracer
 
@@ -183,4 +184,5 @@ __all__ = [
     "memory_tracer",
     "validate_event",
     "validate_jsonl",
+    "write_perfetto",
 ]

@@ -4,7 +4,10 @@ The JSONL stream (one event object per line, schema in
 :mod:`repro.telemetry.schema`) is the canonical format; the Perfetto
 sink — and the :func:`jsonl_to_perfetto` converter — render the same
 events into the Chrome ``trace_event`` JSON that https://ui.perfetto.dev
-and ``chrome://tracing`` open directly:
+and ``chrome://tracing`` open directly.  :func:`write_perfetto` is the
+one writer of that document: the sink, the converter and the
+divergence export (:func:`repro.diverge.export_perfetto`) all go
+through it.
 
 * each DRAM bank is a thread-track of the "DRAM" process: ``dram_cmd``
   events become duration slices named by their row-buffer outcome;
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import json
 import os
+from pathlib import Path
 from typing import Dict, Iterable, List, Optional
 
 
@@ -86,8 +90,8 @@ class PerfettoSink(Sink):
     def close(self) -> None:
         if self._events is None:
             return
-        with _open_creating_dirs(self.path) as f:
-            json.dump(events_to_perfetto(self._events), f)
+        write_perfetto(events_to_perfetto(self._events)["traceEvents"],
+                       self.path)
         self._events = None
 
 
@@ -96,14 +100,22 @@ class PerfettoSink(Sink):
 # ----------------------------------------------------------------------
 
 
-def _meta(pid: int, name: str, tid: Optional[int] = None,
-          thread_name: Optional[str] = None) -> List[dict]:
-    out = [{"ph": "M", "pid": pid, "tid": 0, "name": "process_name",
-            "args": {"name": name}}]
-    if tid is not None:
-        out = [{"ph": "M", "pid": pid, "tid": tid, "name": "thread_name",
-                "args": {"name": thread_name}}]
-    return out
+def track_name(pid: int, name: str, tid: Optional[int] = None) -> dict:
+    """Metadata record naming process ``pid``, or its track ``tid``."""
+    if tid is None:
+        return {"ph": "M", "pid": pid, "tid": 0, "name": "process_name",
+                "args": {"name": name}}
+    return {"ph": "M", "pid": pid, "tid": tid, "name": "thread_name",
+            "args": {"name": name}}
+
+
+def write_perfetto(trace: List[dict], path) -> Path:
+    """Write trace_event records to ``path`` as one Chrome trace_event
+    JSON document, creating missing directories; the one Perfetto
+    file writer."""
+    with _open_creating_dirs(path) as f:
+        json.dump({"traceEvents": trace, "displayTimeUnit": "ms"}, f)
+    return Path(path)
 
 
 def events_to_perfetto(events: Iterable[dict],
@@ -120,20 +132,18 @@ def events_to_perfetto(events: Iterable[dict],
         if key not in bank_tracks:
             tid = ch * banks_per_channel + bank
             bank_tracks[key] = tid
-            trace.extend(_meta(_PID_DRAM, "", tid=tid,
-                               thread_name=f"ch{ch} bank{bank}"))
+            trace.append(track_name(_PID_DRAM, f"ch{ch} bank{bank}", tid))
         return bank_tracks[key]
 
     def thread_tid(tid: int) -> int:
         if tid not in thread_tracks:
             thread_tracks.add(tid)
-            trace.extend(_meta(_PID_THREADS, "", tid=tid,
-                               thread_name=f"thread {tid}"))
+            trace.append(track_name(_PID_THREADS, f"thread {tid}", tid))
         return tid
 
-    trace.extend(_meta(_PID_DRAM, "DRAM"))
-    trace.extend(_meta(_PID_POLICY, "policy"))
-    trace.extend(_meta(_PID_THREADS, "threads"))
+    trace += [track_name(_PID_DRAM, "DRAM"),
+              track_name(_PID_POLICY, "policy"),
+              track_name(_PID_THREADS, "threads")]
     # running explain counters: cumulative disagreements per shadow
     disagreements: Dict[str, int] = {}
 
@@ -232,6 +242,5 @@ def jsonl_to_perfetto(src_path, dst_path) -> int:
             line = line.strip()
             if line:
                 events.append(json.loads(line))
-    with _open_creating_dirs(dst_path) as f:
-        json.dump(events_to_perfetto(events), f)
+    write_perfetto(events_to_perfetto(events)["traceEvents"], dst_path)
     return len(events)

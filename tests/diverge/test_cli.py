@@ -52,7 +52,7 @@ class TestDivergeBisect:
             ["diverge", "bisect", *QUICK, "--seed", "11", "--seed-b", "12",
              "--json-out", str(report_json),
              "--out", str(report_html),
-             "--perfetto", str(trace)]
+             "--trace-out", str(trace)]
         )
         assert code == 2
         out = capsys.readouterr().out
@@ -93,7 +93,7 @@ class TestDivergeReport:
         trace = tmp_path / "again_trace.json"
         assert _exit_code(
             ["diverge", "report", "--json-in", str(saved_report),
-             "--out", str(html), "--perfetto", str(trace)]
+             "--out", str(html), "--trace-out", str(trace)]
         ) == 0
         assert "first divergence" in capsys.readouterr().out
         assert html.exists() and trace.exists()

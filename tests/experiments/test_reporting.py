@@ -34,6 +34,10 @@ class TestFormatTable:
         text = format_table(["x"], [[42]])
         assert "42" in text and "42.00" not in text
 
+    def test_none_prints_as_dash(self):
+        header, rule, row = format_table(["x", "y"], [[None, 1]]).splitlines()
+        assert row.split() == ["-", "1"]
+
 
 class TestFormatScatter:
     def test_points_rendered(self):

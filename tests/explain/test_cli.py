@@ -1,5 +1,5 @@
-"""CLI surface: ``explain run | report``, the explain section of
-``obs dashboard`` and the ``telemetry report --explain`` augmentation."""
+"""CLI surface of explain: the explain sections of the ``obs`` report
+and page, its snapshot (``--json-out`` / ``--json-in``) and trace."""
 
 import json
 
@@ -20,14 +20,14 @@ def _exit_code(argv):
 class TestExplainRun:
     def test_run_prints_the_report(self, capsys):
         assert _exit_code(
-            ["explain", "run", *QUICK, "--shadows", "frfcfs"]
+            ["obs", *QUICK, "--shadows", "frfcfs"]
         ) in (0, None)
         out = capsys.readouterr().out
         assert "shadow:frfcfs" in out
         assert "decided by" in out.lower()
 
     def test_default_shadows_are_the_evaluated_set(self, capsys):
-        assert _exit_code(["explain", "run", *QUICK]) in (0, None)
+        assert _exit_code(["obs", *QUICK]) in (0, None)
         out = capsys.readouterr().out
         # tcm primary: the other four paper policies ride shadow
         for label in ("shadow:frfcfs", "shadow:stfm", "shadow:parbs",
@@ -35,11 +35,14 @@ class TestExplainRun:
             assert label in out
 
     def test_unknown_action_rejected(self):
-        assert _exit_code(["explain", "explode"]) not in (0, None)
+        # explain is no verb of its own: ``obs`` observes the run
+        assert _exit_code(["explain", "run", *QUICK]) not in (0, None)
+        assert _exit_code(["obs", "explode"]) not in (0, None)
 
     def test_dashboard_is_an_obs_action(self):
         # the run page draws explain's section: one page, one run
         assert _exit_code(["explain", "dashboard"]) not in (0, None)
+        assert _exit_code(["obs", "dashboard"]) not in (0, None)
 
 
 class TestExplainArtifacts:
@@ -47,7 +50,7 @@ class TestExplainArtifacts:
         html_out = tmp_path / "explain.html"
         json_out = tmp_path / "explain.json"
         code = _exit_code(
-            ["obs", "dashboard", *QUICK, "--shadows", "frfcfs",
+            ["obs", *QUICK, "--shadows", "frfcfs",
              "--out", str(html_out), "--json-out", str(json_out)]
         )
         assert code in (0, None)
@@ -60,24 +63,25 @@ class TestExplainArtifacts:
 
     def test_report_from_saved_snapshot(self, capsys, tmp_path):
         json_out = tmp_path / "explain.json"
-        _exit_code(["explain", "run", *QUICK, "--shadows", "frfcfs",
+        _exit_code(["obs", *QUICK, "--shadows", "frfcfs",
                     "--json-out", str(json_out)])
-        capsys.readouterr()
-        code = _exit_code(
-            ["explain", "report", "--json-in", str(json_out)]
-        )
+        live = capsys.readouterr().out
+        code = _exit_code(["obs", "--json-in", str(json_out)])
         assert code in (0, None)
-        assert "shadow:frfcfs" in capsys.readouterr().out
+        saved = capsys.readouterr().out
+        assert "shadow:frfcfs" in saved
+        # the saved snapshot renders the live run's explain section
+        explain = saved[saved.index("== Why each grant"):]
+        assert explain in live
 
     def test_dashboard_from_saved_snapshot(self, capsys, tmp_path):
         json_out = tmp_path / "explain.json"
         html_out = tmp_path / "explain.html"
-        _exit_code(["explain", "run", *QUICK, "--shadows", "frfcfs",
+        _exit_code(["obs", *QUICK, "--shadows", "frfcfs",
                     "--json-out", str(json_out)])
         capsys.readouterr()
         code = _exit_code(
-            ["obs", "dashboard", "--json-in", str(json_out),
-             "--out", str(html_out)]
+            ["obs", "--json-in", str(json_out), "--out", str(html_out)]
         )
         assert code in (0, None)
         html = html_out.read_text()
@@ -92,7 +96,7 @@ class TestExplainArtifacts:
         # re-clusters within a short CLI run and degenerates to FR-FCFS)
         base = tmp_path / "trace"
         code = _exit_code(
-            ["explain", "run", *QUICK, "--scheduler", "parbs",
+            ["obs", *QUICK, "--scheduler", "parbs",
              "--intensity", "1.0", "--shadows", "frfcfs",
              "--trace-out", str(base) + ".json"]
         )
@@ -107,14 +111,17 @@ class TestExplainArtifacts:
 
 class TestTelemetryExplainFlag:
     def test_report_gains_the_forensics_tables(self, capsys):
+        # no --explain flag: explain always rides the observed run
+        assert _exit_code(["obs", *QUICK, "--explain"]) not in (0, None)
+        capsys.readouterr()
         code = _exit_code(
-            ["telemetry", "report", *QUICK, "--explain",
-             "--shadows", "frfcfs"]
+            ["obs", *QUICK, "--shadows", "frfcfs", "--epoch-cycles",
+             "10000"]
         )
         assert code in (0, None)
         out = capsys.readouterr().out
-        # the ordinary telemetry report is still there...
-        assert "workload" in out
-        # ...and the explain tables append to it
+        # the epoch-sample tables are still there...
+        assert "workload" in out and "cluster timeline" in out
+        # ...and the explain tables follow them
         assert "shadow:frfcfs" in out
         assert "decided by" in out.lower()

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.config import SimConfig
-from repro.explain import ExplainCollector, attach_explain, explain_run
+from repro.explain import ExplainCollector, attach_explain
 from repro.schedulers.registry import make_scheduler
 from repro.sim.fused import fusable
 from repro.sim.system import System
@@ -80,6 +80,7 @@ class TestObserverNeutrality:
     def test_explain_runs_on_the_fused_loop(self):
         system = _system()
         collector = attach_explain(system)
+        assert isinstance(collector, ExplainCollector)
         assert fusable(system)
         system.run()
         # the fused loop fires on_decision at every grant
@@ -167,15 +168,3 @@ class TestStarvationWatch:
         system.run()
         assert collector.starvation_events == []
 
-
-class TestExplainRun:
-    def test_returns_result_and_collector(self):
-        workload = make_intensity_workload(0.75, num_threads=4, seed=3)
-        config = SimConfig(run_cycles=CYCLES, num_threads=4)
-        result, collector = explain_run(
-            workload, "tcm", config=config, seed=1, shadows=("frfcfs",)
-        )
-        assert result.total_requests > 0
-        assert isinstance(collector, ExplainCollector)
-        assert collector.decisions_total > 0
-        assert collector.labels[1] == "shadow:frfcfs"

@@ -1,10 +1,11 @@
-"""Text report and run-page renderings of an explain snapshot."""
+"""The run report's and the run page's explain sections."""
 
 import json
 
 from repro.config import SimConfig
-from repro.explain import attach_explain, render_explain_report
+from repro.explain import attach_explain
 from repro.obs.dashboard import render_run_page, write_page
+from repro.obs.text import render_run_text
 from repro.schedulers.registry import make_scheduler
 from repro.sim.system import System
 from repro.workloads import make_intensity_workload
@@ -27,7 +28,7 @@ def _snapshot(shadows=("frfcfs", "atlas"), starvation_threshold=300):
 
 class TestTextReport:
     def test_report_covers_every_section(self):
-        report = render_explain_report(_snapshot())
+        report = render_run_text(explain=_snapshot())
         for needle in (
             "disagreement", "shadow:frfcfs", "shadow:atlas",
             "decided by", "queue-order", "starvation",
@@ -35,15 +36,15 @@ class TestTextReport:
             assert needle in report.lower(), f"missing {needle!r}"
 
     def test_report_without_shadows(self):
-        report = render_explain_report(_snapshot(shadows=()))
+        report = render_run_text(explain=_snapshot(shadows=()))
         assert "decided by" in report.lower()
         assert "shadow:" not in report
 
     def test_report_survives_json_round_trip(self):
         snapshot = _snapshot()
         round_tripped = json.loads(json.dumps(snapshot))
-        assert render_explain_report(round_tripped) == \
-            render_explain_report(snapshot)
+        assert render_run_text(explain=round_tripped) == \
+            render_run_text(explain=snapshot)
 
 
 class TestDashboard:

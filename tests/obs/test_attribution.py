@@ -9,7 +9,6 @@ from repro.obs.attribution import (
     ReconciliationError,
     cause_breakdown,
     estimated_slowdown,
-    render_matrix_text,
     span_matrix,
 )
 from repro.schedulers import SCHEDULERS, make_scheduler
@@ -96,12 +95,28 @@ class TestReportShape:
         assert all(v == "ok" for v in payload["checks"].values())
 
     def test_render_matrix_text(self):
+        # the attribution matrix is a table of the run report's spans
+        # section
+        from repro.obs.aggregate import RunObservation
+        from repro.obs.text import render_run_text
+
         collector, _ = observed("frfcfs")
         report = attribution_report(collector)
-        text = render_matrix_text(report, benchmarks=["a", "b", "c", "d"])
+        run = RunObservation(workload="mix", scheduler="FRFCFS", seed=9,
+                             cycles=CFG.run_cycles,
+                             benchmarks=["a", "b", "c", "d"],
+                             report=report, samples=[])
+        text = render_run_text(run)
         assert "victim \\ culprit" in text
         assert "est_slowdown" in text
         assert "t0:a" in text
+        rows = [line.split() for line in text.splitlines()]
+        assert ["t0:a", *map(str, report.matrix[0]),
+                str(report.victim_totals[0])] in rows
+        assert ["caused", *map(str, report.culprit_totals),
+                str(report.total_attributed)] in rows
+        # no alone runs: the true slowdown prints as '-'
+        assert ["t0:a", f"{report.estimated_slowdowns[0]:.3f}", "-"] in rows
 
     def test_estimated_slowdown_floor(self):
         assert estimated_slowdown(999, 500) == 1.0

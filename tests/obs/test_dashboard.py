@@ -143,16 +143,19 @@ def test_every_page_is_valid_and_self_contained(
 
 def test_page_module_is_imported_lazily():
     # nothing the simulator, the engine or the CLI import at module
-    # level pulls the page module in; only drawing a page does
+    # level pulls the page module or the text report module in; only
+    # drawing a page or printing a report does
     code = (
         f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r})\n"
         "import repro, repro.campaign, repro.diverge, repro.explain\n"
         "import repro.experiments.cli, repro.prof, repro.telemetry\n"
-        "print('repro.obs.dashboard' in sys.modules)\n"
+        "import repro.obs, repro.obs.aggregate\n"
+        "print('repro.obs.dashboard' in sys.modules,"
+        " 'repro.obs.text' in sys.modules)\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 class TestRunDashboard:

@@ -1,4 +1,7 @@
-"""Tests for the ``obs`` CLI command (report | attribution | dashboard)."""
+"""Tests for the ``obs`` CLI command: one observed run, or a render of
+a saved snapshot, a campaign store or a JSONL log."""
+
+import json
 
 import pytest
 
@@ -24,25 +27,30 @@ def pair_file(tmp_path):
 
 class TestObsCli:
     def test_report(self, capsys, pair_file):
-        assert main(["obs", "report", "--workload-file", pair_file,
-                     "--cycles", "40000"]) == 0
+        assert main(["obs", "--workload-file", pair_file,
+                     "--cycles", "40000", "--epoch-cycles", "10000"]) == 0
         out = capsys.readouterr().out
         assert "victim \\ culprit" in out
         assert "reconciliation:" in out
         assert "diagonal_zero=ok" in out
         assert "WS=" in out
         assert "other-inflicted delay by cause" in out
+        # the same report carries the epoch samples and explain
+        assert "cluster timeline (4 epochs" in out
+        assert "decided by" in out
 
     def test_attribution_is_matrix_only(self, capsys, pair_file):
-        assert main(["obs", "attribution", "--workload-file", pair_file,
+        # the matrix is a section of the one report: ``obs attribution``
+        # is gone, and an STFM run reconciles with STFM's own books
+        with pytest.raises(SystemExit, match="unknown action"):
+            main(["obs", "attribution"])
+        assert main(["obs", "--workload-file", pair_file,
                      "--cycles", "40000", "--scheduler", "stfm"]) == 0
-        out = capsys.readouterr().out
-        assert "stfm_shadow_exact=ok" in out
-        assert "other-inflicted delay by cause" not in out
+        assert "stfm_shadow_exact=ok" in capsys.readouterr().out
 
     def test_run_dashboard(self, capsys, pair_file, tmp_path):
         out_file = tmp_path / "run.html"
-        assert main(["obs", "dashboard", "--workload-file", pair_file,
+        assert main(["obs", "--workload-file", pair_file,
                      "--cycles", "40000", "--out", str(out_file)]) == 0
         assert f"wrote {out_file}" in capsys.readouterr().out
         html = out_file.read_text()
@@ -52,11 +60,13 @@ class TestObsCli:
 
     def test_one_run_one_page(self, capsys, monkeypatch, tmp_path):
         """Spans, the epoch sampler and explain observe the same shared
-        run, once; its result equals an unobserved run's, and its page
-        carries both the attribution and the disagreement heatmaps."""
+        run, once; its result equals an unobserved run's, and the text
+        report, the page, both trace files and the snapshot all come
+        from it."""
         from repro.config import SimConfig
         from repro.experiments.runner import run_shared
         from repro.sim.system import System
+        from repro.telemetry import validate_jsonl
         from repro.workloads import make_intensity_workload
 
         shared, run = [], System.run
@@ -69,25 +79,60 @@ class TestObsCli:
 
         monkeypatch.setattr(System, "run", counted)
         out_file = tmp_path / "run.html"
-        assert main(["obs", "dashboard", "--intensity", "0.75",
+        snap_file = tmp_path / "snap.json"
+        stem = tmp_path / "trace"
+        assert main(["obs", "--intensity", "0.75",
                      "--cycles", "20000", "--scheduler", "tcm",
-                     "--out", str(out_file)]) == 0
+                     "--out", str(out_file), "--trace-out", str(stem),
+                     "--json-out", str(snap_file)]) == 0
         monkeypatch.undo()
         assert len(shared) == 1
+        result = shared[0]
         workload = make_intensity_workload(0.75, num_threads=24, seed=0)
-        assert shared[0] == run_shared(workload, "tcm",
-                                       SimConfig(run_cycles=20_000))
+        assert result == run_shared(workload, "tcm",
+                                    SimConfig(run_cycles=20_000))
         html = out_file.read_text()
         assert "interference attribution heatmap" in html
         assert "policy disagreement heatmap" in html
         for label in ("shadow:frfcfs", "shadow:stfm", "shadow:parbs",
                       "shadow:atlas"):
             assert label in html
+        text = capsys.readouterr().out
+        assert (f"(seed 0, {result.cycles} cycles, "
+                f"{result.total_requests} requests)") in text
+        snapshot = json.loads(snap_file.read_text())
+        assert snapshot["decisions"] > 0
+        assert f"{snapshot['decisions']} decisions" in text
+        events = [json.loads(line) for line in
+                  (tmp_path / "trace.jsonl").read_text().splitlines()]
+        assert validate_jsonl(tmp_path / "trace.jsonl") == len(events)
+        assert events[-1]["ev"] == "run_end"
+        assert sum(e["ev"] == "explain" for e in events) == \
+            snapshot["decisions"]
+        perfetto = json.loads((tmp_path / "trace.json").read_text())
+        assert perfetto["traceEvents"]
+
+    def test_trace_paths_keep_their_directory(self, capsys, tmp_path,
+                                              monkeypatch):
+        # a suffix-less stem in a directory, and a dotted directory
+        monkeypatch.chdir(tmp_path)
+        for stem in ("./trace/run", "out.d/run"):
+            assert main(["obs", "--cycles", "10000",
+                         "--trace-out", stem]) == 0
+        for path in ("trace/run.jsonl", "trace/run.json",
+                     "out.d/run.jsonl", "out.d/run.json"):
+            assert (tmp_path / path).is_file(), path
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["out.d", "trace"]
+        # --trace-in converts next to the log unless --trace-out says
+        (tmp_path / "trace" / "run.json").unlink()
+        assert main(["obs", "--trace-in", "trace/run.jsonl"]) == 0
+        assert json.loads((tmp_path / "trace" / "run.json").read_text())
 
     def test_campaign_dashboard_from_store(self, capsys, tmp_path):
         seeded_store(tmp_path)
         out_file = tmp_path / "campaign.html"
-        assert main(["obs", "dashboard", "--store",
+        assert main(["obs", "--store",
                      str(tmp_path / "store"), "--out", str(out_file)]) == 0
         html = out_file.read_text()
         assert "<polyline" in html

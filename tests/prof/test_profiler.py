@@ -123,9 +123,13 @@ class TestReport:
         slowest = report.slowest(limit=5)
         assert len(slowest) == 5
         assert slowest[0].inclusive_s >= slowest[-1].inclusive_s
-        text = report.format_text()
+        # the prof section of the run report
+        from repro.obs.text import render_run_text
+
+        text = render_run_text(profile=report)
         assert "component" in text
         assert "engine" in text and "scheduler" in text
+        assert ";".join(slowest[0].path) in text
 
 
 class TestAttachedLayers:

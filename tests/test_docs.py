@@ -3,15 +3,16 @@
 Scans the user-facing Markdown for ``python -m repro.experiments.cli
 VERB`` (VERB must be a CLI verb), ``--preset NAME`` (a campaign preset),
 ``paper NAME`` written as a command (a figure the ``paper`` verb
-regenerates) and ``cli VERB ACTION`` or `` `VERB ACTION` `` (ACTION
-must be one of the verb's actions).
+regenerates), ``cli VERB ACTION`` or `` `VERB ACTION` `` (ACTION
+must be one of the verb's actions) and every ``--flag`` of a
+documented command line (a parser option).
 """
 
 import re
 from pathlib import Path
 
 from repro.campaign import PRESET_PLANS
-from repro.experiments.cli import _ACTIONS, _COMMANDS, _PAPER
+from repro.experiments.cli import _ACTIONS, _COMMANDS, _PAPER, build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = [ROOT / name for name in ("README.md", "EXPERIMENTS.md", "DESIGN.md")]
@@ -29,6 +30,14 @@ CHECKS = (
 ACTION = re.compile(
     r"(?:repro\.experiments\.cli[ \t]+|`)([a-z][\w-]*)[ \t]+([a-z][\w-]*)"
 )
+
+#: a documented command line: to the end of its line, with the lines a
+#: trailing backslash continues it onto; an inline one ends at its
+#: closing backtick, and a shell comment is not part of it
+COMMAND = re.compile(
+    r"python -m repro\.experiments\.cli\b((?:[^\n`#]*\\\n)*[^\n`#]*)"
+)
+FLAG = re.compile(r"(?<![\w-])--[a-z][\w-]*")
 
 
 def test_docs_name_real_verbs_presets_and_figures():
@@ -59,4 +68,20 @@ def test_docs_name_real_actions():
                 unknown.append(f"{doc.name}:{line}: {verb} has no action "
                                f"{action!r}")
     assert shown > 20
+    assert unknown == []
+
+
+def test_docs_pass_real_flags():
+    options = {option for action in build_parser()._actions
+               for option in action.option_strings}
+    shown, unknown = 0, []
+    for doc in DOCS:
+        text = doc.read_text(encoding="utf-8")
+        for match in COMMAND.finditer(text):
+            for flag in FLAG.findall(match.group(1)):
+                shown += 1
+                if flag not in options:
+                    line = text.count("\n", 0, match.start()) + 1
+                    unknown.append(f"{doc.name}:{line}: no flag {flag}")
+    assert shown > 50
     assert unknown == []
