@@ -39,8 +39,9 @@ from repro.core.shuffle import (
     WeightedRandomShuffler,
     should_use_insertion,
 )
+from repro.dram.channel import Channel
 from repro.dram.request import MemoryRequest
-from repro.schedulers.base import Scheduler
+from repro.schedulers.base import Scheduler, empty_queue
 
 _TIMER_KEY = "tcm-shuffle"
 
@@ -296,6 +297,50 @@ class TCMScheduler(Scheduler):
         else:
             rank = 0
         return (rank, row_hit, -request.arrival)
+
+    def select(
+        self, channel: Channel, bank_id: int, now: int
+    ) -> MemoryRequest:
+        # ``priority``'s slots compared in place, one pass: the first
+        # request in queue order maximising (demand, rank, row hit,
+        # -arrival), exactly as the base scan picks.  A channel's
+        # queues hold only its own requests, so the channel's rank map
+        # is each candidate's.
+        queue = channel.queues[bank_id]
+        if not queue:
+            raise empty_queue(channel, bank_id)
+        best = queue[0]
+        if len(queue) == 1:
+            return best
+        open_row = channel.banks[bank_id].open_row
+        rank_of = (
+            self._ranks[channel.channel_id] if self._ranks else {}
+        ).get
+        best_prefetch = best.is_prefetch
+        best_rank = rank_of(best.thread_id, 0)
+        best_hit = best.row == open_row
+        best_arrival = best.arrival
+        for request in queue:
+            # skip unless strictly above the best so far, slot by slot
+            rank = rank_of(request.thread_id, 0)
+            if request.is_prefetch != best_prefetch:
+                if not best_prefetch:
+                    continue
+            elif rank < best_rank:
+                continue
+            elif rank == best_rank:
+                hit = request.row == open_row
+                if hit != best_hit:
+                    if best_hit:
+                        continue
+                elif request.arrival >= best_arrival:
+                    continue
+            best = request
+            best_prefetch = request.is_prefetch
+            best_rank = rank
+            best_hit = request.row == open_row
+            best_arrival = request.arrival
+        return best
 
     def explain_components(
         self, request: MemoryRequest, row_hit: bool, now: int, key=None

@@ -44,7 +44,7 @@ class MemoryRequest:
     row: int
     arrival: int
     episode_id: int = 0
-    request_id: int = field(default_factory=lambda: next(_request_ids))
+    request_id: int = field(default_factory=_request_ids.__next__)
     is_write: bool = False
     is_prefetch: bool = False
     marked: bool = False

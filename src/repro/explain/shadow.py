@@ -96,6 +96,11 @@ class ShadowSystemView:
 class ShadowPARBS(PARBSScheduler):
     """PAR-BS whose batch marks live in a side set, not on requests."""
 
+    #: PAR-BS's one-pass ``select`` reads ``request.marked``, the
+    #: primary's marks; this ``priority`` reads the side set, so the
+    #: shadow keeps the base scan over it.
+    select = Scheduler.select
+
     def __init__(self, params=None):
         super().__init__(params)
         self._shadow_marked: Set[int] = set()

@@ -75,22 +75,29 @@ def observe_run(
     disable it for quick structural looks at big workloads.
     ``shadows`` attaches explain to the same run with those shadow
     policies (``()`` for none) and keeps its snapshot.  ``sinks`` are
-    extra tracer sinks (JSONL, Perfetto) fed by the same run and closed
-    after it.
+    the tracer's sinks (JSONL, Perfetto), fed by the same run and
+    closed after it; without them the run's events are only counted.
     """
     from repro.metrics import (
         harmonic_speedup,
         maximum_slowdown,
         weighted_speedup,
     )
+    from repro.obs.spans import SpanCollector
     from repro.schedulers import make_scheduler
     from repro.sim import System
-    from repro.telemetry import Telemetry
+    from repro.telemetry import EpochSampler, Telemetry, Tracer
+    from repro.telemetry.sinks import NullSink
 
     config = config or SimConfig()
-    telemetry = Telemetry.observing(epoch_cycles=epoch_cycles)
-    for sink in sinks:
-        telemetry.tracer.add_sink(sink)
+    # ``Telemetry.observing`` without its in-memory sink: nothing here
+    # reads the events, so the tracer feeds only ``sinks`` (a null sink
+    # when none are given) and just counts them
+    telemetry = Telemetry(
+        tracer=Tracer(list(sinks) or [NullSink()]),
+        sampler=EpochSampler(epoch_cycles),
+        spans=SpanCollector(),
+    )
     scheduler = make_scheduler(scheduler_name, params)
     system = System(workload, scheduler, config, seed=seed,
                     telemetry=telemetry)

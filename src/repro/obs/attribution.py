@@ -57,7 +57,8 @@ class AttributionReport:
     total_attributed: int
     #: per-thread total request latency (arrival -> completion)
     t_shared: List[int]
-    #: STFM-formula slowdown estimate per thread (1.0 when below floor)
+    #: STFM-formula slowdown estimate per thread over its completed
+    #: requests (1.0 when below floor)
     estimated_slowdowns: List[float]
     #: per-victim other-inflicted cycles by cause (full-span runs only):
     #: ``causes[victim] = {"queue": .., "row": .., "bus": ..}``
@@ -238,9 +239,12 @@ def attribution_report(
         culprit_totals=culprit_totals,
         total_attributed=collector.total_attributed,
         t_shared=list(collector.t_shared),
+        # shared latency and interference over the same requests: the
+        # grant rule also charges requests still queued at the horizon,
+        # whose latency ``t_shared`` never sees
         estimated_slowdowns=[
             estimated_slowdown(collector.t_shared[t],
-                               collector.t_interference[t])
+                               collector.completed_interference[t])
             for t in range(n)
         ],
         causes=causes,

@@ -170,6 +170,11 @@ class SpanCollector(Observer):
         self.t_interference: List[int] = []
         #: total request latency (arrival -> completion), per thread
         self.t_shared: List[int] = []
+        #: grant-rule cycles charged to *completed* requests, per thread:
+        #: the part of ``t_interference`` that ``t_shared`` covers
+        #: (requests still queued at the horizon are charged in
+        #: ``t_interference`` but have no latency yet)
+        self.completed_interference: List[int] = []
         #: grant-rule delay matrix: ``matrix[victim][culprit]``
         self.matrix: List[List[int]] = []
         #: sum of all off-diagonal matrix entries
@@ -192,6 +197,7 @@ class SpanCollector(Observer):
         self.num_threads = n
         self.t_interference = [0] * n
         self.t_shared = [0] * n
+        self.completed_interference = [0] * n
         self.matrix = [[0] * n for _ in range(n)]
         self.total_attributed = 0
         self.spans = []
@@ -272,7 +278,9 @@ class SpanCollector(Observer):
 
     def on_complete(self, request: MemoryRequest, now: int) -> None:
         """``request`` returned its data; finalise and file the span."""
-        self.t_shared[request.thread_id] += now - request.arrival
+        tid = request.thread_id
+        self.t_shared[tid] += now - request.arrival
+        self.completed_interference[tid] += request.interference
         self.requests_completed += 1
         if not self.record_intervals:
             return

@@ -19,8 +19,9 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.config import ATLASParams
 from repro.core.monitor import QuantumSnapshot
+from repro.dram.channel import Channel
 from repro.dram.request import MemoryRequest
-from repro.schedulers.base import Scheduler
+from repro.schedulers.base import Scheduler, empty_queue
 
 
 class ATLASScheduler(Scheduler):
@@ -133,3 +134,51 @@ class ATLASScheduler(Scheduler):
             row_hit,
             -request.arrival,
         )
+
+    def select(
+        self, channel: Channel, bank_id: int, now: int
+    ) -> MemoryRequest:
+        # ``priority``'s slots compared in place, one pass: the first
+        # request in queue order maximising (demand, starving, rank,
+        # row hit, -arrival), exactly as the base scan picks.  A
+        # request starves once ``now - arrival`` exceeds the threshold.
+        queue = channel.queues[bank_id]
+        if not queue:
+            raise empty_queue(channel, bank_id)
+        best = queue[0]
+        if len(queue) == 1:
+            return best
+        open_row = channel.banks[bank_id].open_row
+        horizon = now - self.params.starvation_threshold
+        rank_of = self._rank.get
+        best_prefetch = best.is_prefetch
+        best_starving = best.arrival < horizon
+        best_rank = rank_of(best.thread_id, 0)
+        best_hit = best.row == open_row
+        best_arrival = best.arrival
+        for request in queue:
+            # skip unless strictly above the best so far, slot by slot
+            if request.is_prefetch != best_prefetch:
+                if not best_prefetch:
+                    continue
+            elif (request.arrival < horizon) != best_starving:
+                if best_starving:
+                    continue
+            else:
+                rank = rank_of(request.thread_id, 0)
+                if rank < best_rank:
+                    continue
+                if rank == best_rank:
+                    hit = request.row == open_row
+                    if hit != best_hit:
+                        if best_hit:
+                            continue
+                    elif request.arrival >= best_arrival:
+                        continue
+            best = request
+            best_prefetch = request.is_prefetch
+            best_starving = request.arrival < horizon
+            best_rank = rank_of(request.thread_id, 0)
+            best_hit = request.row == open_row
+            best_arrival = request.arrival
+        return best

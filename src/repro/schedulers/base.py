@@ -10,10 +10,15 @@ consistent).  The simulation system calls its hooks:
 * ``on_timer`` — self-scheduled periodic callbacks (e.g. shuffling);
 * ``select`` — pick the next request to service at a free bank.
 
-``select``'s default implementation maximises the tuple returned by
-:meth:`Scheduler.priority`, so most algorithms only implement
-``priority`` (larger tuples win; ties broken by request age is the
-usual last component).
+``priority`` is each policy's contract: larger tuples win, and request
+age is the usual last component.  ``select``'s default implementation
+is the reference scan, which maximises ``(demand, *priority)`` over the
+bank queue, so most algorithms only implement ``priority``.  The
+evaluated policies (FCFS, FR-FCFS, TCM, ATLAS, PAR-BS, STFM) override
+``select`` with one pass that compares the same slots in place and
+returns the reference scan's first maximum.  A subclass that overrides
+``priority`` keeps the reference scan (``select = Scheduler.select``,
+as :class:`repro.explain.shadow.ShadowPARBS` does).
 """
 
 from __future__ import annotations
@@ -28,14 +33,22 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.system import System
 
 
+def empty_queue(channel: Channel, bank_id: int) -> RuntimeError:
+    """The error every ``select`` raises on an empty bank queue."""
+    return RuntimeError(
+        f"select() on empty queue ch{channel.channel_id}/b{bank_id}"
+    )
+
+
 class Scheduler:
     """Base memory scheduler; concrete policies override ``priority``."""
 
     #: short identifier used in registries and reports
     name = "base"
 
-    #: Class-level ``select`` overrides must still return a request of
-    #: maximal ``priority`` tuple (demand before prefetch) — they exist
+    #: Class-level ``select`` overrides — FCFS, FR-FCFS, TCM, ATLAS,
+    #: PAR-BS and STFM each have one — must still return a request of
+    #: maximal ``priority`` tuple (demand before prefetch): they exist
     #: to compute the same answer faster, not to change policy.  The
     #: invariant oracle audits every grant against ``priority`` under
     #: this flag; a scheduler whose grant rule genuinely cannot be
@@ -208,13 +221,14 @@ class Scheduler:
 
         Demand requests are always preferred over prefetches (the
         baseline prefetch policy of [6]); within each class the
-        scheduler's ``priority`` tuple decides.
+        scheduler's ``priority`` tuple decides.  This is the reference
+        scan: the first request in queue order whose
+        ``(demand, *priority)`` key is maximal.  A policy's one-pass
+        override must return exactly this request.
         """
         queue = channel.queues[bank_id]
         if not queue:
-            raise RuntimeError(
-                f"select() on empty queue ch{channel.channel_id}/b{bank_id}"
-            )
+            raise empty_queue(channel, bank_id)
         # ``priority`` is a pure decision function (policy contract), so
         # a single candidate needs no scoring, and the manual loop below
         # keeps max()'s first-maximal tie-break without the per-element

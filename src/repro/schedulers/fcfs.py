@@ -11,7 +11,7 @@ from typing import Tuple
 
 from repro.dram.channel import Channel
 from repro.dram.request import MemoryRequest
-from repro.schedulers.base import Scheduler
+from repro.schedulers.base import Scheduler, empty_queue
 
 
 class FCFSScheduler(Scheduler):
@@ -28,16 +28,15 @@ class FCFSScheduler(Scheduler):
     def select(
         self, channel: Channel, bank_id: int, now: int
     ) -> MemoryRequest:
-        # Queues append in arrival order, so the oldest request is the
-        # head; same-cycle ties resolve to the first append, exactly
-        # like the base first-maximal scan over ``(-arrival,)``.  The
-        # demand-over-prefetch class bit only matters when prefetches
-        # can exist, so defer to the generic scan then.
-        if self._prefetch_possible:
-            return super().select(channel, bank_id, now)
+        # Queues append in arrival order, so the oldest demand request
+        # is the first one in queue order (same-cycle ties resolve to
+        # the first append), exactly like the base first-maximal scan
+        # over ``(demand, -arrival)``; an all-prefetch queue grants its
+        # head.
         queue = channel.queues[bank_id]
         if not queue:
-            raise RuntimeError(
-                f"select() on empty queue ch{channel.channel_id}/b{bank_id}"
-            )
+            raise empty_queue(channel, bank_id)
+        for request in queue:
+            if not request.is_prefetch:
+                return request
         return queue[0]

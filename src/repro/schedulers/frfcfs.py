@@ -11,7 +11,7 @@ from typing import Tuple
 
 from repro.dram.channel import Channel
 from repro.dram.request import MemoryRequest
-from repro.schedulers.base import Scheduler
+from repro.schedulers.base import Scheduler, empty_queue
 
 
 class FRFCFSScheduler(Scheduler):
@@ -28,22 +28,26 @@ class FRFCFSScheduler(Scheduler):
     def select(
         self, channel: Channel, bank_id: int, now: int
     ) -> MemoryRequest:
-        # Queues append in arrival order, so the first row hit in queue
-        # order is the oldest row hit, and the head is the oldest
-        # request overall — the base first-maximal scan over
-        # ``(row_hit, -arrival)`` reduced to two attribute compares.
-        # The demand-over-prefetch class bit only matters when
-        # prefetches can exist; defer to the generic scan then.
-        if self._prefetch_possible:
-            return super().select(channel, bank_id, now)
+        # Queues append in arrival order, so the first request of each
+        # class in queue order is that class's oldest: the base
+        # first-maximal scan over ``(demand, row_hit, -arrival)`` is the
+        # first demand row hit, else the first demand request, else the
+        # first prefetch row hit, else the head.
         queue = channel.queues[bank_id]
         if not queue:
-            raise RuntimeError(
-                f"select() on empty queue ch{channel.channel_id}/b{bank_id}"
-            )
+            raise empty_queue(channel, bank_id)
         open_row = channel.banks[bank_id].open_row
-        if open_row is not None:
-            for request in queue:
-                if request.row == open_row:
+        demand = prefetch_hit = None
+        for request in queue:
+            if request.is_prefetch:
+                if prefetch_hit is None and request.row == open_row:
+                    prefetch_hit = request
+            elif request.row == open_row:
+                return request
+            elif demand is None:
+                if open_row is None:  # a closed bank has no row hits
                     return request
-        return queue[0]
+                demand = request
+        if demand is not None:
+            return demand
+        return queue[0] if prefetch_hit is None else prefetch_hit

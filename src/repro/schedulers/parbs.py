@@ -19,8 +19,9 @@ from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import PARBSParams
+from repro.dram.channel import Channel
 from repro.dram.request import MemoryRequest
-from repro.schedulers.base import Scheduler
+from repro.schedulers.base import Scheduler, empty_queue
 
 
 class PARBSScheduler(Scheduler):
@@ -138,3 +139,47 @@ class PARBSScheduler(Scheduler):
             self._rank.get(request.thread_id, 0),
             -request.arrival,
         )
+
+    def select(
+        self, channel: Channel, bank_id: int, now: int
+    ) -> MemoryRequest:
+        # ``priority``'s slots compared in place, one pass: the first
+        # request in queue order maximising (demand, marked, row hit,
+        # rank, -arrival), exactly as the base scan picks.
+        queue = channel.queues[bank_id]
+        if not queue:
+            raise empty_queue(channel, bank_id)
+        best = queue[0]
+        if len(queue) == 1:
+            return best
+        open_row = channel.banks[bank_id].open_row
+        rank_of = self._rank.get
+        best_prefetch = best.is_prefetch
+        best_marked = best.marked
+        best_hit = best.row == open_row
+        best_rank = rank_of(best.thread_id, 0)
+        best_arrival = best.arrival
+        for request in queue:
+            # skip unless strictly above the best so far, slot by slot
+            if request.is_prefetch != best_prefetch:
+                if not best_prefetch:
+                    continue
+            elif request.marked != best_marked:
+                if best_marked:
+                    continue
+            elif (request.row == open_row) != best_hit:
+                if best_hit:
+                    continue
+            else:
+                rank = rank_of(request.thread_id, 0)
+                if rank < best_rank or (
+                    rank == best_rank and request.arrival >= best_arrival
+                ):
+                    continue
+            best = request
+            best_prefetch = request.is_prefetch
+            best_marked = request.marked
+            best_hit = request.row == open_row
+            best_rank = rank_of(request.thread_id, 0)
+            best_arrival = request.arrival
+        return best

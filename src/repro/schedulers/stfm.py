@@ -24,8 +24,9 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.config import STFMParams
+from repro.dram.channel import Channel
 from repro.dram.request import MemoryRequest
-from repro.schedulers.base import Scheduler
+from repro.schedulers.base import Scheduler, empty_queue
 
 #: Minimum accumulated shared memory cycles before a thread's slowdown
 #: estimate is considered meaningful.
@@ -143,3 +144,42 @@ class STFMScheduler(Scheduler):
     ) -> Tuple:
         is_victim = self._victim is not None and request.thread_id == self._victim
         return (is_victim, row_hit, -request.arrival)
+
+    def select(
+        self, channel: Channel, bank_id: int, now: int
+    ) -> MemoryRequest:
+        # ``priority``'s slots compared in place, one pass: the first
+        # request in queue order maximising (demand, is_victim, row hit,
+        # -arrival), exactly as the base scan picks.  With no victim no
+        # thread id equals ``None``, so the victim slot never decides.
+        queue = channel.queues[bank_id]
+        if not queue:
+            raise empty_queue(channel, bank_id)
+        best = queue[0]
+        if len(queue) == 1:
+            return best
+        open_row = channel.banks[bank_id].open_row
+        victim = self._victim
+        best_prefetch = best.is_prefetch
+        best_victim = best.thread_id == victim
+        best_hit = best.row == open_row
+        best_arrival = best.arrival
+        for request in queue:
+            # skip unless strictly above the best so far, slot by slot
+            if request.is_prefetch != best_prefetch:
+                if not best_prefetch:
+                    continue
+            elif (request.thread_id == victim) != best_victim:
+                if best_victim:
+                    continue
+            elif (request.row == open_row) != best_hit:
+                if best_hit:
+                    continue
+            elif request.arrival >= best_arrival:
+                continue
+            best = request
+            best_prefetch = request.is_prefetch
+            best_victim = request.thread_id == victim
+            best_hit = request.row == open_row
+            best_arrival = request.arrival
+        return best

@@ -51,6 +51,13 @@ class Sink:
         """Flush and release resources (idempotent)."""
 
 
+class NullSink(Sink):
+    """Drop every event: the tracer still counts what it emits."""
+
+    def write(self, event: dict) -> None:
+        pass
+
+
 class MemorySink(Sink):
     """Collect events into a list (tests, report rendering)."""
 

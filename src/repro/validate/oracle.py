@@ -36,7 +36,8 @@ guarantees the rest of the repo silently assumes:
   count must equal the system's grant counter.
 * **Policy invariants** — the selected request must maximise the
   scheduler's own priority tuple over the queue (for every scheduler
-  using the base ``select``); TCM must never service a
+  whose ``select`` keeps ``SELECT_IS_PRIORITY_MAXIMAL``, the one-pass
+  overrides included); TCM must never service a
   bandwidth-cluster demand request while a latency-cluster demand
   request waits at the same bank; ATLAS must service starving requests
   first.
@@ -202,9 +203,10 @@ class InvariantOracle(Observer):
         self._explain = None
         self._records_seen = 0
         self._candidates: Set[int] = set()
-        # fcfs/frfcfs override select() for speed but keep the
-        # priority-maximal contract (SELECT_IS_PRIORITY_MAXIMAL), so
-        # their grants are audited like everyone else's.
+        # fcfs, frfcfs, tcm, atlas, parbs and stfm override select()
+        # with one pass for speed but keep the priority-maximal
+        # contract (SELECT_IS_PRIORITY_MAXIMAL), so their grants are
+        # audited against priority() like everyone else's.
         self._generic_select = getattr(
             type(system.scheduler), "SELECT_IS_PRIORITY_MAXIMAL", True
         )

@@ -41,6 +41,24 @@ class TestObserveRun:
         assert obs.metrics is None
         assert obs.report.true_slowdowns is None
 
+    def test_counts_events_without_keeping_them(self, monkeypatch):
+        """Nothing reads an observed run's events, so no sink holds
+        them; the tracer still counts as many as an in-memory one."""
+        from repro.schedulers import make_scheduler
+        from repro.sim import System
+        from repro.telemetry import Telemetry
+        from repro.telemetry.sinks import MemorySink
+
+        telemetry = Telemetry.observing()
+        System(PAIR, make_scheduler("frfcfs"), CFG, seed=5,
+               telemetry=telemetry).run()
+        kept = []
+        monkeypatch.setattr(MemorySink, "write",
+                            lambda self, event: kept.append(event))
+        obs = observe_run(PAIR, "frfcfs", CFG, seed=5, with_alone=False)
+        assert obs.events == len(telemetry.events) > 0
+        assert kept == []
+
     def test_stfm_observation_carries_exact_shadow_check(self):
         obs = observe_run(PAIR, "stfm", CFG, seed=5, with_alone=False)
         assert obs.report.checks.get("stfm_shadow_exact") == "ok"

@@ -123,6 +123,38 @@ class TestReportShape:
         assert estimated_slowdown(2000, 1000) == 2.0
 
 
+class TestShortRunEstimate:
+    """The grant rule charges requests still queued at the horizon,
+    which have no latency in ``t_shared`` yet.  The estimate takes
+    interference over completed requests only, or a short run's books
+    let interference exceed shared latency and the ``max(1, ...)``
+    floor returns ``shared`` itself (``obs --intensity 0.75 --cycles
+    20000`` printed 45126.000 for a thread whose true slowdown is
+    30.4)."""
+
+    def test_estimate_counts_completed_requests_only(self):
+        cfg = SimConfig(run_cycles=20_000)
+        workload = make_intensity_workload(
+            0.75, num_threads=cfg.num_threads, seed=0
+        )
+        collector, _ = observed("tcm", workload, cfg, seed=0)
+        report = attribution_report(collector)
+        shared = collector.t_shared
+        assert [
+            tid for tid, estimate in enumerate(report.estimated_slowdowns)
+            if estimate == shared[tid]
+        ] == []
+        assert all(
+            completed <= shared[tid]
+            for tid, completed in enumerate(collector.completed_interference)
+        )
+        # the run does leave charged requests queued at the horizon
+        assert any(
+            total > shared[tid]
+            for tid, total in enumerate(collector.t_interference)
+        )
+
+
 class TestReconcileFailures:
     def test_corrupt_matrix_raises(self):
         collector, _ = observed("frfcfs")

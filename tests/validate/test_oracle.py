@@ -50,6 +50,27 @@ def dispatched_run(*args, **kwargs):
         return checked_run(*args, **kwargs)
 
 
+_MODES = {
+    "writes": SimConfig(run_cycles=40_000, num_threads=8, model_writes=True),
+    "detailed": SimConfig(run_cycles=40_000, num_threads=8,
+                          timings=DramTimings(detailed=True)),
+    "closed_page": SimConfig(run_cycles=40_000, num_threads=8,
+                             timings=DramTimings(page_policy="closed")),
+    "prefetch": SimConfig(run_cycles=40_000, num_threads=8,
+                          prefetch_degree=2),
+    "writes_prefetch": SimConfig(run_cycles=40_000, num_threads=8,
+                                 model_writes=True, prefetch_degree=2),
+}
+_MODE_POINTS = [
+    pytest.param(cfg, name, id=f"{mode}-{name}")
+    for mode, cfg in _MODES.items()
+    for name in (
+        ("frfcfs", "tcm", "atlas", "parbs", "stfm")
+        if mode in ("prefetch", "writes_prefetch") else ("frfcfs", "tcm")
+    )
+]
+
+
 class TestOracleGreen:
     @pytest.mark.parametrize("name", sorted(SCHEDULERS))
     def test_full_registry_on_three_mixes(self, name, fused_advances):
@@ -68,25 +89,13 @@ class TestOracleGreen:
             assert report.checks == dispatched.checks
         assert len(fused_advances) == len(MIXES)
 
-    @pytest.mark.parametrize("name", ["frfcfs", "tcm"])
-    @pytest.mark.parametrize(
-        "cfg",
-        [
-            SimConfig(run_cycles=40_000, num_threads=8, model_writes=True),
-            SimConfig(run_cycles=40_000, num_threads=8,
-                      timings=DramTimings(detailed=True)),
-            SimConfig(run_cycles=40_000, num_threads=8,
-                      timings=DramTimings(page_policy="closed")),
-            SimConfig(run_cycles=40_000, num_threads=8, prefetch_degree=2),
-            SimConfig(run_cycles=40_000, num_threads=8, model_writes=True,
-                      prefetch_degree=2),
-        ],
-        ids=["writes", "detailed", "closed_page", "prefetch",
-             "writes_prefetch"],
-    )
+    @pytest.mark.parametrize("cfg, name", _MODE_POINTS)
     def test_simulator_modes(self, name, cfg, fused_advances):
         """Every mode passes on both loops with the same checks; only
-        detailed timings keep a checked run off the fused loop."""
+        detailed timings keep a checked run off the fused loop.  Every
+        evaluated policy runs the prefetch modes, so each one-pass
+        ``select`` is audited against ``priority`` at every grant with
+        prefetches queued."""
         result, report = checked_run(MIXES[2], name, cfg, seed=3)
         assert report.ok, report.violations[:3]
         assert bool(fused_advances) == (not cfg.timings.detailed)
