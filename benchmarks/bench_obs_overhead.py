@@ -20,8 +20,10 @@ The TCM baseline workload is deliberately reused: one committed
 reference point guards both observability layers.
 """
 
+import gc
 import os
 import time
+import tracemalloc
 from pathlib import Path
 
 from conftest import STRICT_TOLERANCE, record_history
@@ -125,6 +127,20 @@ def test_spans_off_overhead_vs_baseline(benchmark):
         )
 
 
+def _held_bytes(telemetry=None) -> int:
+    """Bytes tracemalloc sees still allocated after one run."""
+    system = _system(telemetry)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        system.run()
+        del system
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
 def test_full_span_overhead_is_bounded(benchmark):
     """Record the cost of full span collection (informational).
 
@@ -132,7 +148,9 @@ def test_full_span_overhead_is_bounded(benchmark):
     ratio lands in the benchmark artifact and, as the
     ``obs_attached[tcm]`` record, in the benchmark history, so a
     pathological regression (e.g. accidental O(queue²) work per grant)
-    is visible.
+    is visible.  So does ``span_bytes_per_request``: what a full
+    collector holds after its run, over a spans-off run, per completed
+    request.
     """
     def timed(factory):
         timings = []
@@ -147,9 +165,14 @@ def test_full_span_overhead_is_bounded(benchmark):
     on_timings = timed(lambda: _system(Telemetry(spans=SpanCollector())))
     ratio = min(on_timings) / off
     benchmark.extra_info["spans_full_vs_off"] = ratio
+    full = Telemetry(spans=SpanCollector())
+    span_bytes = ((_held_bytes(full) - _held_bytes())
+                  / full.spans.requests_completed)
+    benchmark.extra_info["span_bytes_per_request"] = span_bytes
     record_history(
         "obs_attached[tcm]", "obs_overhead", on_timings,
         spans_full_vs_off=ratio,
+        span_bytes_per_request=span_bytes,
     )
     benchmark.pedantic(
         lambda: _system(Telemetry(spans=SpanCollector())).run(),

@@ -745,6 +745,7 @@ def _cmd_prof(args, config):
         load,
         profile_run,
         render_flame_svg,
+        short_sha,
         strict_mode,
     )
 
@@ -757,7 +758,7 @@ def _cmd_prof(args, config):
             format_table(
                 ["bench", "date", "sha", "median s", "best s", "events/s"],
                 [[r.get("bench", "?"), r.get("recorded_on", "?"),
-                  (r.get("git_sha") or "?")[:9],
+                  short_sha(r),
                   round(r["wall_s"]["median"], 4),
                   round(r["wall_s"]["best"], 4),
                   (round(r["events_per_sec"])

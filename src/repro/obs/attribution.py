@@ -103,6 +103,13 @@ def cause_breakdown(collector: SpanCollector) -> List[Dict[str, int]]:
     matrix; partial arrival-time waits are reported separately under
     ``queue_partial``.
     """
+    return _causes_and_latencies(collector)[0]
+
+
+def _causes_and_latencies(collector: SpanCollector
+                          ) -> Tuple[List[Dict[str, int]], List[List[int]]]:
+    """:func:`cause_breakdown` and the completed demand requests'
+    latencies per thread, in one pass over the spans."""
     if not collector.record_intervals:
         raise ValueError("cause breakdown needs a full span collector "
                          "(record_intervals=True)")
@@ -111,7 +118,8 @@ def cause_breakdown(collector: SpanCollector) -> List[Dict[str, int]]:
          "queue_partial": 0, CAUSE_SERVICE: 0}
         for _ in range(collector.num_threads)
     ]
-    for span in collector.all_spans():
+    latencies: List[List[int]] = [[] for _ in range(collector.num_threads)]
+    for span in collector.iter_spans():
         row = causes[span.thread_id]
         tid = span.thread_id
         for interval in span.intervals:
@@ -122,7 +130,10 @@ def cause_breakdown(collector: SpanCollector) -> List[Dict[str, int]]:
                 row["queue_partial"] += cycles
             else:
                 row[interval.cause] += cycles
-    return causes
+        # open spans come last and have no latency
+        if not span.is_prefetch and span.latency is not None:
+            latencies[tid].append(span.latency)
+    return causes, latencies
 
 
 def span_matrix(collector: SpanCollector) -> List[List[int]]:
@@ -135,7 +146,7 @@ def span_matrix(collector: SpanCollector) -> List[List[int]]:
     """
     n = collector.num_threads
     matrix = [[0] * n for _ in range(n)]
-    for span in collector.all_spans():
+    for span in collector.iter_spans():
         tid = span.thread_id
         for interval in span.intervals:
             if (interval.cause == CAUSE_QUEUE and not interval.partial
@@ -227,11 +238,7 @@ def attribution_report(
     causes = None
     latencies = None
     if collector.record_intervals and collector.keep_spans:
-        causes = cause_breakdown(collector)
-        latencies = [[] for _ in range(n)]
-        for span in collector.spans:
-            if not span.is_prefetch and span.latency is not None:
-                latencies[span.thread_id].append(span.latency)
+        causes, latencies = _causes_and_latencies(collector)
     return AttributionReport(
         num_threads=n,
         matrix=matrix,

@@ -647,7 +647,7 @@ def _explain_section(snapshot: dict, clusters: str) -> str:
 
 
 def _perf_section(profile, records: List[dict]) -> str:
-    from repro.prof.history import benches
+    from repro.prof.history import benches, short_sha
 
     names = benches(records)
     machines = {tuple(sorted((r.get("machine") or {}).items()))
@@ -656,8 +656,7 @@ def _perf_section(profile, records: List[dict]) -> str:
         ("records", _fmt(len(records))),
         ("benchmarks", _fmt(len(names))),
         ("machines", _fmt(len(machines))),
-        ("latest sha", ((records[-1] if records else {}).get("git_sha")
-                        or "?")[:9]),
+        ("latest sha", short_sha(records[-1] if records else {})),
     ]
     if profile is not None:
         tiles += [("events/s", f"{profile.events_per_sec():,.0f}"),
@@ -669,7 +668,7 @@ def _perf_section(profile, records: List[dict]) -> str:
             history = [r for r in records if r.get("bench") == bench]
             points = []
             for i, r in enumerate(history):
-                sha = (r.get("git_sha") or "?")[:9]
+                sha = short_sha(r)
                 median, best = r["wall_s"]["median"], r["wall_s"]["best"]
                 points.append((i, median,
                                f"{r.get('recorded_on', '?')} @ {sha}: "

@@ -38,6 +38,7 @@ from repro.prof.history import (
     append,
     compare,
     compare_histories,
+    git_dirty,
     git_sha,
     latest,
     load,
@@ -45,6 +46,7 @@ from repro.prof.history import (
     machine_fingerprint,
     make_record,
     same_machine,
+    short_sha,
     strict_mode,
 )
 from repro.prof.profiler import (
@@ -68,6 +70,7 @@ __all__ = [
     "compare",
     "compare_histories",
     "component_of",
+    "git_dirty",
     "git_sha",
     "latest",
     "load",
@@ -79,5 +82,6 @@ __all__ = [
     "render_collapsed",
     "render_flame_svg",
     "same_machine",
+    "short_sha",
     "strict_mode",
 ]

@@ -11,10 +11,11 @@ benchmark records under a versioned envelope::
                   "machine": {...}, "git_sha": "...", ...}, ...]}
 
 Every record carries a machine fingerprint and the git SHA it was
-measured at, so :func:`compare` can tell a genuine regression from a
-different machine: records from different fingerprints yield a
-``fingerprint-mismatch`` verdict (warn, never fail) instead of a bogus
-ratio.
+measured at (``git_dirty`` marks a measurement of uncommitted changes
+to tracked files, shown as ``33bea3ac*``), so :func:`compare` can tell
+a genuine regression from a different machine: records from different
+fingerprints yield a ``fingerprint-mismatch`` verdict (warn, never
+fail) instead of a bogus ratio.
 
 The regression gate: :func:`compare` takes the **median** of a record's
 rounds (robust against one noisy round), a configurable tolerance
@@ -77,17 +78,42 @@ def same_machine(a: Optional[dict], b: Optional[dict]) -> bool:
     return all(a.get(k) == b.get(k) for k in keys)
 
 
-def git_sha(cwd: Optional[str] = None) -> Optional[str]:
-    """Current git commit SHA, or ``None`` outside a work tree."""
+def _git(args: List[str], cwd: Optional[str]) -> Optional[str]:
+    """``git args`` output, or ``None`` when git fails (no work tree)."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True, text=True, timeout=10, cwd=cwd,
+            ["git", *args], capture_output=True, text=True, timeout=10,
+            cwd=cwd,
         )
     except (OSError, subprocess.TimeoutExpired):  # pragma: no cover
         return None
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else None
+    return out.stdout if out.returncode == 0 else None
+
+
+def git_sha(cwd: Optional[str] = None) -> Optional[str]:
+    """Current git commit SHA, or ``None`` outside a work tree."""
+    sha = (_git(["rev-parse", "HEAD"], cwd) or "").strip()
+    return sha or None
+
+
+def git_dirty(cwd: Optional[str] = None) -> Optional[bool]:
+    """Whether tracked files differ from the commit :func:`git_sha`
+    names, so a record measured now measured uncommitted code; ``None``
+    outside a work tree.
+
+    The history file itself is left out: appending one record must not
+    mark the next one of the same session.
+    """
+    status = _git(["status", "--porcelain", "--untracked-files=no", "--",
+                   ":/", f":(top,exclude){DEFAULT_HISTORY}"], cwd)
+    return None if status is None else bool(status.strip())
+
+
+def short_sha(record: dict) -> str:
+    """A record's SHA for tables: 9 characters, the last a ``*`` when
+    it was measured on a modified tree (``33bea3ac*``)."""
+    sha = record.get("git_sha") or "?"
+    return sha[:8] + "*" if record.get("git_dirty") else sha[:9]
 
 
 # ----------------------------------------------------------------------
@@ -124,6 +150,7 @@ def make_record(
         "tolerance": tolerance,
         "machine": machine_fingerprint(),
         "git_sha": git_sha(),
+        "git_dirty": git_dirty(),
         "recorded_on": datetime.date.today().isoformat(),
     }
     record.update(metrics)

@@ -563,7 +563,7 @@ class InvariantOracle(Observer):
             or not collector.keep_spans
         ):
             return
-        for span in collector.spans:
+        for span in collector.iter_spans(include_open=False):
             self._check_span(span)
 
     def _check_span(self, span) -> None:

@@ -93,3 +93,32 @@ class TestProfDashboard:
                      "--history", str(tmp_path / "missing.json"),
                      "--out", str(out)]) == 0
         assert "</html>" in out.read_text(encoding="utf-8")
+
+
+class TestDirtyShas:
+    """Records measured on a modified tree show their SHA with a ``*``."""
+
+    @staticmethod
+    def seed(path):
+        for sha, dirty in (("a" * 40, False), ("33bea3ac" + "0" * 32, True)):
+            record = history.make_record("engine_speed[tcm]", "engine_speed",
+                                         [0.1])
+            record.update(git_sha=sha, git_dirty=dirty)
+            history.append(path, record)
+
+    def test_history_table(self, capsys, tmp_path):
+        path = tmp_path / "hist.json"
+        self.seed(path)
+        assert main(["prof", "history", "--history", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "aaaaaaaaa " in out
+        assert "33bea3ac* " in out
+
+    def test_dashboard_table(self, capsys, tmp_path):
+        path = tmp_path / "hist.json"
+        self.seed(path)
+        out = tmp_path / "perf.html"
+        assert main(["prof", "dashboard", *FAST, "--history", str(path),
+                     "--out", str(out)]) == 0
+        html = out.read_text(encoding="utf-8")
+        assert "@ 33bea3ac*:" in html and "@ aaaaaaaaa:" in html

@@ -1,6 +1,7 @@
 """Benchmark-history store: records, verdicts, and the legacy shim."""
 
 import json
+import subprocess
 
 import pytest
 
@@ -182,3 +183,58 @@ class TestEnvironment:
         sha = history.git_sha()
         assert sha is None or (len(sha) == 40
                                and all(c in "0123456789abcdef" for c in sha))
+
+
+class TestGitDirty:
+    """``git_dirty`` marks records measured on uncommitted code."""
+
+    @staticmethod
+    def git(cwd, *args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], cwd=cwd, check=True, capture_output=True)
+
+    @pytest.fixture
+    def repo(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+        repo = tmp_path / "repo"
+        repo.mkdir()
+        self.git(repo, "init", "-q")
+        (repo / "code.py").write_text("x = 1\n")
+        (repo / "sub").mkdir()
+        (repo / "sub" / "more.py").write_text("z = 1\n")
+        (repo / history.DEFAULT_HISTORY).write_text("{}\n")
+        self.git(repo, "add", ".")
+        self.git(repo, "commit", "-q", "-m", "init")
+        return repo
+
+    def test_clean_tree(self, repo):
+        assert history.git_dirty(cwd=str(repo)) is False
+
+    def test_edited_tracked_file(self, repo):
+        (repo / "code.py").write_text("x = 2\n")
+        assert history.git_dirty(cwd=str(repo)) is True
+        # the whole tree counts, not only the directory asked from
+        assert history.git_dirty(cwd=str(repo / "sub")) is True
+
+    def test_untracked_and_history_files_do_not_count(self, repo):
+        (repo / "new.py").write_text("y = 1\n")
+        (repo / history.DEFAULT_HISTORY).write_text('{"records": []}\n')
+        assert history.git_dirty(cwd=str(repo)) is False
+
+    def test_no_repo(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+        outside = tmp_path / "plain"
+        outside.mkdir()
+        assert history.git_dirty(cwd=str(outside)) is None
+        assert history.git_sha(cwd=str(outside)) is None
+
+    def test_record_and_table_mark_a_dirty_sha(self):
+        record = history.make_record("b", "f", [1.0])
+        assert record["git_dirty"] in (True, False, None)
+        sha = "33bea3ac" + "0" * 32
+        assert history.short_sha({"git_sha": sha}) == "33bea3ac0"
+        assert history.short_sha({"git_sha": sha, "git_dirty": False}) \
+            == "33bea3ac0"
+        assert history.short_sha({"git_sha": sha, "git_dirty": True}) \
+            == "33bea3ac*"
+        assert history.short_sha({}) == "?"
