@@ -23,7 +23,7 @@ import os
 import time
 from pathlib import Path
 
-from conftest import STRICT_TOLERANCE, record_history
+from conftest import STRICT_TOLERANCE, alternating_rounds, record_history
 from repro import SimConfig, System, make_scheduler
 from repro.diverge import StateProbe, resolve_cadence
 from repro.prof.history import load_baseline, machine_fingerprint, same_machine
@@ -129,23 +129,13 @@ def test_probe_attached_cost_is_recorded(benchmark):
     regression (e.g. accidental per-event snapshotting) is visible.
     """
     cadence = resolve_cadence("quantum", SimConfig())
-
-    def timed(factory):
-        best = float("inf")
-        for _ in range(3):
-            t0 = time.perf_counter()
-            factory()
-            best = min(best, time.perf_counter() - t0)
-        return best
-
-    off = timed(lambda: _system().run())
-    on_timings = []
-    for _ in range(3):
-        t0 = time.perf_counter()
-        _probed_run(cadence)
-        on_timings.append(time.perf_counter() - t0)
-    on = min(on_timings)
-    ratio = on / off
+    # both sides time building the system, as the probed run must
+    off_timings, on_timings = alternating_rounds(
+        lambda: lambda: _system().run(),
+        lambda: lambda: _probed_run(cadence),
+        rounds=3,
+    )
+    ratio = min(on_timings) / min(off_timings)
     benchmark.extra_info["probe_attached_vs_off"] = ratio
     benchmark.extra_info["cadence_cycles"] = cadence
     record_history(

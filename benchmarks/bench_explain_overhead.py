@@ -24,7 +24,7 @@ import os
 import time
 from pathlib import Path
 
-from conftest import STRICT_TOLERANCE, record_history
+from conftest import STRICT_TOLERANCE, alternating_rounds, record_history
 from repro import SimConfig, System, make_scheduler
 from repro.explain import attach_explain
 from repro.prof.history import load_baseline, machine_fingerprint, same_machine
@@ -124,22 +124,10 @@ def test_explain_attached_cost_is_bounded(benchmark):
     stay proportionate (the collector is a forensic tool that still
     has to be usable on full-length runs).
     """
-
-    # interleaved best-of-5: alternating off/on pairs keeps a slow
-    # scheduling quantum from landing entirely on one side of the ratio
-    off_timings = []
-    on_timings = []
-    for _ in range(5):
-        system = _system()
-        t0 = time.perf_counter()
-        system.run()
-        off_timings.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        _explained_run()
-        on_timings.append(time.perf_counter() - t0)
-    off = min(off_timings)
-    on = min(on_timings)
-    ratio = on / off
+    # the attached side times building and attaching too
+    off_timings, on_timings = alternating_rounds(
+        lambda: _system().run, lambda: _explained_run, rounds=5)
+    ratio = min(on_timings) / min(off_timings)
     benchmark.extra_info["explain_attached_vs_off"] = ratio
     record_history(
         "explain_attached[tcm]", "explain_overhead", on_timings,

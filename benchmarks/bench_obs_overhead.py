@@ -20,13 +20,16 @@ The TCM baseline workload is deliberately reused: one committed
 reference point guards both observability layers.
 """
 
-import gc
 import os
 import time
-import tracemalloc
 from pathlib import Path
 
-from conftest import STRICT_TOLERANCE, record_history
+from conftest import (
+    STRICT_TOLERANCE,
+    alternating_rounds,
+    held_bytes,
+    record_history,
+)
 from repro import SimConfig, System, make_scheduler
 from repro.obs import SpanCollector, reconcile
 from repro.prof.history import load_baseline, machine_fingerprint, same_machine
@@ -127,20 +130,6 @@ def test_spans_off_overhead_vs_baseline(benchmark):
         )
 
 
-def _held_bytes(telemetry=None) -> int:
-    """Bytes tracemalloc sees still allocated after one run."""
-    system = _system(telemetry)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        system.run()
-        del system
-        gc.collect()
-        return tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-
-
 def test_full_span_overhead_is_bounded(benchmark):
     """Record the cost of full span collection (informational).
 
@@ -152,21 +141,15 @@ def test_full_span_overhead_is_bounded(benchmark):
     collector holds after its run, over a spans-off run, per completed
     request.
     """
-    def timed(factory):
-        timings = []
-        for _ in range(3):
-            system = factory()
-            t0 = time.perf_counter()
-            system.run()
-            timings.append(time.perf_counter() - t0)
-        return timings
-
-    off = min(timed(_system))
-    on_timings = timed(lambda: _system(Telemetry(spans=SpanCollector())))
-    ratio = min(on_timings) / off
+    off_timings, on_timings = alternating_rounds(
+        lambda: _system().run,
+        lambda: _system(Telemetry(spans=SpanCollector())).run,
+        rounds=3,
+    )
+    ratio = min(on_timings) / min(off_timings)
     benchmark.extra_info["spans_full_vs_off"] = ratio
     full = Telemetry(spans=SpanCollector())
-    span_bytes = ((_held_bytes(full) - _held_bytes())
+    span_bytes = ((held_bytes(lambda: _system(full)) - held_bytes(_system))
                   / full.spans.requests_completed)
     benchmark.extra_info["span_bytes_per_request"] = span_bytes
     record_history(

@@ -30,10 +30,16 @@ import os
 import time
 from pathlib import Path
 
-from conftest import STRICT_TOLERANCE, record_history
+from conftest import (
+    STRICT_TOLERANCE,
+    alternating_rounds,
+    held_bytes,
+    record_history,
+)
 from repro import SimConfig, System, make_scheduler
 from repro.prof.history import load_baseline, machine_fingerprint, same_machine
-from repro.telemetry import Telemetry
+from repro.telemetry import EpochSampler, Telemetry, Tracer
+from repro.telemetry.sinks import NullSink
 from repro.workloads import make_intensity_workload
 
 BASELINE = load_baseline(Path(__file__).parent / "telemetry_baseline.json")
@@ -147,24 +153,28 @@ def test_disabled_overhead_vs_baseline(benchmark):
 def test_tracing_overhead_is_recorded(benchmark):
     """Record the cost of in-memory tracing and epoch sampling
     (informational, no budget) as the ``telemetry_attached[tcm]``
-    history record: interleaved best of 5, attached over detached.
+    history record: best of 5 alternating rounds, attached over
+    detached.  So is ``trace_bytes_per_event``: what an in-memory
+    tracer holds after its run, over a tracer whose sink keeps nothing,
+    per event emitted.
     """
-    off_timings = []
-    on_timings = []
-    for _ in range(5):
-        system = _system()
-        t0 = time.perf_counter()
-        system.run()
-        off_timings.append(time.perf_counter() - t0)
-        system = _system(Telemetry.in_memory(validate=False))
-        t0 = time.perf_counter()
-        system.run()
-        on_timings.append(time.perf_counter() - t0)
+    off_timings, on_timings = alternating_rounds(
+        lambda: _system().run,
+        lambda: _system(Telemetry.in_memory(validate=False)).run,
+        rounds=5,
+    )
     ratio = min(on_timings) / min(off_timings)
     benchmark.extra_info["telemetry_attached_vs_off"] = ratio
+    memory = Telemetry.in_memory(validate=False)
+    null = Telemetry(tracer=Tracer([NullSink()]), sampler=EpochSampler())
+    trace_bytes = ((held_bytes(lambda: _system(memory))
+                    - held_bytes(lambda: _system(null)))
+                   / memory.tracer.events_emitted)
+    benchmark.extra_info["trace_bytes_per_event"] = trace_bytes
     record_history(
         "telemetry_attached[tcm]", "telemetry_overhead", on_timings,
         telemetry_attached_vs_off=ratio,
+        trace_bytes_per_event=trace_bytes,
     )
     benchmark.pedantic(
         lambda: _system(Telemetry.in_memory(validate=False)).run(),

@@ -26,10 +26,14 @@ committed history with ``prof compare``).
 
 Speed guards assert only under ``REPRO_BENCH_STRICT=1`` on the machine
 that recorded their baseline, and all of them share one budget,
-:data:`STRICT_TOLERANCE`.
+:data:`STRICT_TOLERANCE`.  Attached-vs-off ratios time their two kinds
+of run in alternating rounds (:func:`alternating_rounds`).
 """
 
+import gc
 import os
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -107,3 +111,39 @@ def record_history(bench: str, family: str, rounds_s, **metrics) -> None:
         history.make_record(bench, family, list(rounds_s), extra=extra,
                             **metrics),
     )
+
+
+def alternating_rounds(off, on, rounds: int):
+    """Time an off run then an on run, ``rounds`` times over.
+
+    ``off`` and ``on`` are called untimed and return the zero-argument
+    callable that is timed, so a bench chooses whether building the
+    system counts.  Returns ``(off_timings, on_timings)``.  A shared
+    host's speed drifts within seconds; alternating the two kinds of
+    run lands that drift on both sides of an attached-vs-off ratio
+    instead of between two blocks of runs.
+    """
+    off_timings, on_timings = [], []
+    for _ in range(rounds):
+        for prepare, timings in ((off, off_timings), (on, on_timings)):
+            run = prepare()
+            t0 = time.perf_counter()
+            run()
+            timings.append(time.perf_counter() - t0)
+    return off_timings, on_timings
+
+
+def held_bytes(build) -> int:
+    """Bytes tracemalloc sees still allocated after running the system
+    ``build()`` returns, the system itself freed: what its observers
+    keep."""
+    system = build()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        system.run()
+        del system
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()

@@ -301,13 +301,10 @@ class ExplainCollector(Observer):
                 shadow.label for shadow, picked in zip(self.shadows, picks)
                 if picked is not winner
             ]
-        self._tracer.write({
-            "ev": "explain", "ts": now, "ch": winner.channel_id,
-            "bank": winner.bank_id, "tid": winner.thread_id,
-            "queued": queued, "tie": tie_break, "tied": tied,
-            "component": "" if component is None else component,
-            "delta": delta, "disagree": disagreed,
-        })
+        self._tracer.write_row("explain", (
+            now, winner.channel_id, winner.bank_id, winner.thread_id,
+            queued, tie_break, tied, "" if component is None else component,
+            delta, disagreed))
 
     def on_grant(self, request, waiting, access, completion: int,
                  now: int) -> None:

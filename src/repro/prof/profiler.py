@@ -267,6 +267,7 @@ class Profiler(Observer):
         # observability layers, when this run carries them
         if system._tracer is not None:
             self._wrap(system._tracer, "write", "telemetry.write")
+            self._wrap(system._tracer, "write_row", "telemetry.write_row")
         if system._sampler is not None:
             self._wrap(system._sampler, "sample", "telemetry.sample")
         for observer in system.observers:

@@ -318,16 +318,8 @@ def advance_fused(system, limit: int) -> None:
         if tracer is not None:
             kind = ("closed" if open_row is None
                     else "hit" if open_row == row else "conflict")
-            tracer.write({
-                "ev": "sched_decision", "ts": time, "ch": channel_id,
-                "bank": bank_id, "tid": tid, "queued": len(queue) + 1,
-                "row_hit": kind == "hit",
-            })
-            tracer.write({
-                "ev": "dram_cmd", "ts": time, "ch": channel_id,
-                "bank": bank_id, "row": row, "tid": tid, "kind": kind,
-                "start": time, "end": data_end,
-            })
+            tracer.write_row("grant", (time, channel_id, bank_id, tid,
+                                       len(queue) + 1, row, kind, data_end))
         service_cycles[channel_id][tid] += busy_cycles
         l_service[tid] += busy_cycles
         if on_scheduled is not None:

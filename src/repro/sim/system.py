@@ -359,18 +359,9 @@ class System:
         busy_cycles = access.data_end - self.now
         self.sched_decisions += 1
         if self._tracer is not None:
-            now = self.now
-            self._tracer.write({
-                "ev": "sched_decision", "ts": now, "ch": channel_id,
-                "bank": bank_id, "tid": request.thread_id,
-                "queued": queued, "row_hit": access.is_row_hit,
-            })
-            self._tracer.write({
-                "ev": "dram_cmd", "ts": now, "ch": channel_id,
-                "bank": bank_id, "row": request.row,
-                "tid": request.thread_id, "kind": access.kind,
-                "start": now, "end": access.data_end,
-            })
+            self._tracer.write_row("grant", (
+                self.now, channel_id, bank_id, request.thread_id, queued,
+                request.row, access.kind, access.data_end))
         self.monitor.on_request_service(request, busy_cycles)
         waiting = channel.queues[bank_id]
         self.scheduler.on_request_scheduled(

@@ -9,6 +9,12 @@ plus the type's own required fields.  Extra fields are allowed (they
 flow through to the sinks untouched); missing or mistyped required
 fields fail :func:`validate_event`.
 
+The per-grant events travel as *rows*: one tuple of field values in
+the fixed order :data:`ROW_FIELDS` gives, in place of the dicts.  A
+``grant`` row stands for a ``sched_decision`` and a ``dram_cmd``, an
+``explain`` row for one ``explain`` event; :func:`row_events` builds
+the dicts a row stands for, keys in schema order.
+
 The schema doubles as documentation: docs/TELEMETRY.md renders from the
 same definitions, and CI validates a freshly traced run against it.
 """
@@ -16,7 +22,8 @@ same definitions, and CI validates a freshly traced run against it.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 #: field-name -> allowed types (json-decoded)
 _NUM = (int, float)
@@ -72,9 +79,80 @@ EVENT_SCHEMA: Dict[str, Dict[str, Tuple[type, ...]]] = {
 
 _KIND_VALUES = {"hit", "closed", "conflict"}
 
+#: row kind -> its field names, in row order
+ROW_FIELDS: Dict[str, Tuple[str, ...]] = {
+    "grant": ("ts", "ch", "bank", "tid", "queued", "row", "kind", "end"),
+    # ``delta`` is a float
+    "explain": ("ts", "ch", "bank", "tid", "queued", "tie", "tied",
+                "component", "delta", "disagree"),
+}
+
+#: row kind -> the events one row stands for, in emission order
+ROW_EVENTS: Dict[str, Tuple[str, ...]] = {
+    "grant": ("sched_decision", "dram_cmd"),
+    "explain": ("explain",),
+}
+
+#: event fields a row stands for without holding them: the row field
+#: each is computed from, and how (``None``: it is that field's value)
+ROW_DERIVED: Dict[str, Tuple[str, Optional[Callable]]] = {
+    "row_hit": ("kind", "hit".__eq__),
+    "start": ("ts", None),
+}
+
 
 class SchemaError(ValueError):
     """An event failed schema validation."""
+
+
+def _row_plan(kind: str) -> tuple:
+    """``(width, derive, events, plans)`` for :func:`row_events`.
+
+    A row is read extended by its derived values and then its event
+    names: ``derive`` holds one ``(row index, function)`` per computed
+    field and ``plans`` one tuple of ``(key, extended index)`` pairs
+    per event, keys in schema order.
+    """
+    fields = ROW_FIELDS[kind]
+    events = ROW_EVENTS[kind]
+    at = {name: i for i, name in enumerate(fields)}
+    derive = []
+    for ev in events:
+        for key in EVENT_SCHEMA[ev]:
+            if key not in at:
+                source, fn = ROW_DERIVED[key]
+                if fn is None:
+                    at[key] = at[source]
+                else:
+                    at[key] = len(fields) + len(derive)
+                    derive.append((at[source], fn))
+    first = len(fields) + len(derive)
+    plans = tuple(
+        (("ev", first + n), ("ts", at["ts"]))
+        + tuple((key, at[key]) for key in EVENT_SCHEMA[ev])
+        for n, ev in enumerate(events)
+    )
+    return len(fields), tuple(derive), events, plans
+
+
+_ROW_PLANS = {kind: _row_plan(kind) for kind in ROW_FIELDS}
+
+
+def row_events(kind: str, row: Sequence) -> List[dict]:
+    """The event dicts one row of ``kind`` stands for.
+
+    Keys come in schema order, after ``ev`` and ``ts``; a row of the
+    wrong width or an unknown kind raises :class:`SchemaError`.
+    """
+    plan = _ROW_PLANS.get(kind)
+    if plan is None:
+        raise SchemaError(f"unknown row kind {kind!r}")
+    width, derive, events, plans = plan
+    if len(row) != width:
+        raise SchemaError(
+            f"{kind} row: expected {width} fields, got {len(row)}")
+    values = (*row, *[fn(row[i]) for i, fn in derive], *events)
+    return [{key: values[i] for key, i in pairs} for pairs in plans]
 
 
 def validate_event(event: dict) -> None:

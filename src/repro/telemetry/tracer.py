@@ -3,18 +3,21 @@
 The tracer is designed so a *disabled* tracer costs exactly one branch
 at each emit site: the system binds ``self._tracer`` to ``None`` when
 tracing is off and the hot path does ``if tr is not None: tr.emit(...)``.
-An *enabled* tracer hands one dict per event to every sink: ``emit``
-builds it from keyword fields, while the per-grant sites (the event
-loops, explain) build it themselves and call ``write``.  Events are
-validated against the schema only when ``validate=True`` (tests and
-CI), not on the production path.
+An *enabled* tracer hands every sink each event: ``emit`` builds a
+dict from keyword fields and ``write`` passes one on, while the
+per-grant sites (the event loops, explain) hand ``write_row`` a row,
+the events' field values in the order of
+:data:`~repro.telemetry.schema.ROW_FIELDS`, and each sink decides what
+the row becomes.  Events are validated against the schema only when
+``validate=True`` (tests and CI), not on the production path; a row is
+validated as the dicts it stands for.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.telemetry.schema import validate_event
+from repro.telemetry.schema import ROW_EVENTS, row_events, validate_event
 from repro.telemetry.sinks import MemorySink, Sink
 
 
@@ -51,6 +54,15 @@ class Tracer:
         self.events_emitted += 1
         for sink in self.sinks:
             sink.write(event)
+
+    def write_row(self, kind: str, row: Sequence) -> None:
+        """Record the events one row of ``kind`` stands for."""
+        if self.validate:
+            for event in row_events(kind, row):
+                validate_event(event)
+        self.events_emitted += len(ROW_EVENTS[kind])
+        for sink in self.sinks:
+            sink.write_row(kind, row)
 
     def close(self) -> None:
         for sink in self.sinks:
