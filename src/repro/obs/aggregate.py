@@ -106,8 +106,12 @@ def observe_run(
         from repro.explain import attach_explain
 
         collector = attach_explain(system, shadows=shadows)
-    result = system.run()
-    telemetry.close()
+    try:
+        result = system.run()
+    finally:
+        # an interrupted run still leaves whole trace files of the
+        # events it emitted
+        telemetry.close()
 
     true_slowdowns = None
     metrics = None
