@@ -11,6 +11,9 @@ be approached).  Three layers:
   attaches ``repro.prof`` component shares as ``extra_info`` so the
   artifact says *where* the cycles went, and appends a
   ``repro.prof.history`` record when ``REPRO_BENCH_RECORD=1``.
+  ``engine_speed[tcm]`` also carries ``system_bytes``, the heap one
+  built, unrun ``SimConfig()`` TCM System holds (informational, no
+  bound).
 * **Profiler identity** — a profiled run returns a ``RunResult`` equal
   to the plain run's (the wrapping idiom must never perturb the
   simulation).  This doubles as the fused-vs-dispatch loop identity
@@ -25,9 +28,11 @@ be approached).  Three layers:
   ratio lands in ``extra_info`` either way.
 """
 
+import gc
 import os
 import statistics
 import time
+import tracemalloc
 
 import pytest
 
@@ -64,6 +69,22 @@ def _system(scheduler_name, features=None):
                   _config(features or {}), seed=0)
 
 
+def _system_bytes() -> int:
+    """Bytes tracemalloc sees one built, unrun ``SimConfig()`` TCM System
+    hold, the mix built before tracing starts."""
+    workload = _workload()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        system = System(workload, make_scheduler("tcm"), SimConfig(), seed=0)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        del system
+    finally:
+        tracemalloc.stop()
+    return held
+
+
 def _timed_run(scheduler_name, features=None):
     system = _system(scheduler_name, features)
     t0 = time.perf_counter()
@@ -92,7 +113,9 @@ def test_engine_speed(benchmark, point, name, features):
     )
     assert prof_result == result, "profiler changed the simulated outcome"
     shares = {k: round(v, 4) for k, v in report.component_shares().items()}
+    footprint = {"system_bytes": _system_bytes()} if point == "tcm" else {}
 
+    benchmark.extra_info.update(footprint)
     benchmark.extra_info["requests"] = result.total_requests
     benchmark.extra_info["cycles"] = CYCLES
     benchmark.extra_info["events_per_sec"] = round(events / median)
@@ -108,6 +131,7 @@ def test_engine_speed(benchmark, point, name, features):
         events_per_sec=round(events / median),
         requests_per_sec=round(result.total_requests / median),
         extra={"component_shares": shares},
+        **footprint,
     )
     benchmark.pedantic(lambda: _system(name, features).run(),
                        rounds=1, iterations=1)

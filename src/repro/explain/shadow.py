@@ -43,8 +43,8 @@ class ShadowSystemView:
 
     __slots__ = ("_system", "_index")
 
-    #: shadows never register metrics providers (the registry is the
-    #: primary policy's namespace) ...
+    #: shadows see no metrics registry (the System's registry holds the
+    #: primary policy's providers only) ...
     metrics = None
     #: ... and never emit tracer events (``Scheduler.trace`` reads this)
     _tracer = None

@@ -78,10 +78,6 @@ class Scheduler:
         self._prefetch_possible = (
             getattr(system, "prefetchers", None) is not None
         )
-        # Stub systems used in unit tests may not carry a registry.
-        metrics = getattr(system, "metrics", None)
-        if metrics is not None:
-            self.register_metrics(metrics)
         self.on_attach()
 
     def on_attach(self) -> None:
@@ -94,7 +90,8 @@ class Scheduler:
     def register_metrics(self, registry) -> None:
         """Register policy counters into the system's metrics registry.
 
-        Called once at attach time, before :meth:`on_attach`.
+        Called once, by the System this scheduler drives, when that
+        System's registry is first read (after :meth:`on_attach`).
         Subclasses extend this (calling ``super()``) with their own
         providers; the base registers only the scheduler's identity.
         """

@@ -125,8 +125,9 @@ class System:
         #: True while an advance() call runs (detach is refused then)
         self._advancing = False
         self._bind_hooks()
-        # telemetry: the registry always exists (providers are polled,
-        # so registration is init-only and per-event cost is zero);
+        # telemetry: the registry always exists, and its providers are
+        # registered at its first read (a registry nobody reads holds
+        # none; polled providers cost nothing per event either way);
         # tracer/sampler are bound only when a Telemetry bundle is
         # passed, leaving one is-None branch per emit site otherwise.
         self.telemetry = telemetry
@@ -146,7 +147,7 @@ class System:
         )
         self._sampler = telemetry.sampler if telemetry is not None else None
         self._sample_period = 0
-        self._register_metrics()
+        self.metrics.fill_on_read(self._register_metrics)
         if self.config.prefetch_degree > 0:
             self.prefetchers: Optional[List[StreamPrefetcher]] = [
                 StreamPrefetcher(self.config.prefetch_degree)
@@ -204,7 +205,8 @@ class System:
     # ------------------------------------------------------------------
 
     def _register_metrics(self) -> None:
-        """Register polled providers over every component's counters."""
+        """Register polled providers over every component's counters,
+        then the scheduler's; the registry runs this at its first read."""
         registry = self.metrics
         for channel in self.channels:
             channel.register_metrics(registry)
@@ -215,6 +217,7 @@ class System:
         registry.register("sim.quanta", lambda: self.quantum_count)
         registry.register("scheduler.decisions",
                           lambda: self.sched_decisions)
+        self.scheduler.register_metrics(registry)
 
     def _push_sample(self, time: int) -> None:
         """Queue an epoch-sampler tick sorting after all peers at ``time``."""

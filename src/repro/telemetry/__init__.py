@@ -5,7 +5,8 @@ Three cooperating pieces, all optional and all zero-cost when unused:
 * :class:`~repro.telemetry.registry.MetricsRegistry` — *polled
   providers* over the attribute counters components already keep.
   Every :class:`~repro.sim.system.System` builds one
-  (``system.metrics``); polling happens only when a snapshot is taken.
+  (``system.metrics``) and registers its providers at the first read;
+  polling happens only when a snapshot is taken.
 * :class:`~repro.telemetry.tracer.Tracer` — schema'd event stream
   (DRAM commands, scheduler decisions, clustering, shuffles, epochs)
   fanned out to sinks: JSONL and Chrome/Perfetto ``trace_event``.
