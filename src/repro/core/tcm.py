@@ -92,14 +92,6 @@ class TCMScheduler(Scheduler):
                      if self._clustering is not None else 0),
         )
 
-    def prof_points(self):
-        # the shuffle path (rank rebuild on every shuffle tick) is
-        # TCM's likely hot spot at scale — surface it separately
-        return super().prof_points() + [
-            ("sched.rank[TCM]", "_rebuild_ranks"),
-            ("sched.pick_shuffler[TCM]", "_pick_shuffler"),
-        ]
-
     def epoch_annotations(self, thread_id: int) -> dict:
         if self._clustering is None:
             return {}

@@ -31,23 +31,29 @@ One observed run (see docs/OBSERVABILITY.md)::
 
     python -m repro.experiments.cli obs --intensity 0.75 --out run.html \\
         --trace-out trace/run --json-out snap.json
+    python -m repro.experiments.cli obs --out run.html \\
+        --collapsed stacks.txt --history BENCH_history.json
     python -m repro.experiments.cli obs --json-in snap.json --out snap.html
     python -m repro.experiments.cli obs --store fig4-store --out campaign.html
     python -m repro.experiments.cli obs --trace-in trace/run.jsonl
 
 ``obs`` simulates one workload once, with request-lifecycle spans, the
-epoch sampler and explain (``--shadows``, default every evaluated
-policy but the primary) attached, and prints its text report: the
-interference-attribution matrix (who delayed whom, in cycles), cause
-breakdowns, slowdowns, per-epoch MPKI/RBL/BLP/cluster tables, the Fig.
-7-style cluster timeline and explain's disagreement and margin tables.
-From the same run it writes the self-contained HTML run page
-(``--out``), the JSONL event log and Chrome/Perfetto trace
-(``--trace-out STEM`` writes ``STEM.jsonl`` and ``STEM.json``) and the
-explain snapshot (``--json-out``).  Without simulating, it renders a
-saved snapshot (``--json-in``), a campaign store's page (``--store``)
-or converts a JSONL log into a Perfetto trace (``--trace-in``).  All
-commands accept ``--log-level {debug,...}``.
+epoch sampler, explain (``--shadows``, default every evaluated policy
+but the primary) and the sampling self-profiler attached, and prints
+its text report: the interference-attribution matrix (who delayed
+whom, in cycles), cause breakdowns, slowdowns, per-epoch
+MPKI/RBL/BLP/cluster tables, the Fig. 7-style cluster timeline,
+explain's disagreement and margin tables, and where the simulator's
+own time went (component shares and the slowest stack paths).  From
+the same run it writes the self-contained HTML run page (``--out``,
+with the flame graph, and the ``--history`` speed records when given),
+the collapsed stacks (``--collapsed``), the JSONL event log and
+Chrome/Perfetto trace (``--trace-out STEM`` writes ``STEM.jsonl`` and
+``STEM.json``) and the explain snapshot (``--json-out``).  Without
+simulating, it renders a saved snapshot (``--json-in``), a campaign
+store's page (``--store``) or converts a JSONL log into a Perfetto
+trace (``--trace-in``).  All commands accept ``--log-level
+{debug,...}``.
 
 Validation subcommands (see docs/VALIDATION.md)::
 
@@ -58,10 +64,12 @@ Validation subcommands (see docs/VALIDATION.md)::
 ``validate run`` executes the workload under every registered
 scheduler with the invariant oracle attached and exits non-zero on
 any violation; ``validate goldens`` recomputes the pinned golden
-matrix and fails on fingerprint drift (``--update`` regenerates it
-and its checkpoint recording) — exit 3 means values drifted, exit 4
-means only the matrix structure changed, and ``--forensics DIR``
-replays the first failing point against its recorded checkpoints.
+matrix and fails on fingerprint drift — exit 3 means values drifted,
+exit 4 means only the matrix structure changed, and ``--forensics
+DIR`` replays the first failing point against its recorded
+checkpoints.  ``--update`` regenerates the matrix (and, at the default
+``--goldens-path``, its checkpoint recording) and prints the drift
+report of what it overwrote.
 
 Divergence-forensics subcommands (see docs/DIVERGENCE.md)::
 
@@ -80,25 +88,15 @@ refines that mismatch down to the exact first divergent cycle and
 prints the field-level state diff; ``report`` re-renders a saved
 forensic report.  Exit code 2 signals a divergence.
 
-Self-profiling subcommands (see docs/PROFILING.md)::
+Speed-record subcommands (see docs/PROFILING.md)::
 
-    python -m repro.experiments.cli prof run --scheduler tcm
-    python -m repro.experiments.cli prof run --deep
-    python -m repro.experiments.cli prof flame --out flame.svg \\
-        --collapsed flame.txt
     python -m repro.experiments.cli prof history
     python -m repro.experiments.cli prof compare --against new.json
-    python -m repro.experiments.cli prof dashboard --out perf.html
 
-``prof run`` profiles the *simulator itself* on one workload and
-prints the prof section of the run report: component wall-time shares
-plus the slowest stack paths (``--deep`` adds a cProfile table); ``flame`` writes a self-contained
-SVG flame graph (and optionally Brendan Gregg collapsed stacks);
-``history`` lists the BENCH_history.json records; ``compare`` checks
-the latest records against a baseline history and exits non-zero on a
-same-machine regression under ``REPRO_BENCH_STRICT=1`` or
-``--strict``; ``dashboard`` profiles a plain run and renders its run
-page with the perf trajectories and the embedded flame graph.
+``prof history`` lists the BENCH_history.json records; ``compare``
+checks the latest records against a baseline history and exits
+non-zero on a same-machine regression under ``REPRO_BENCH_STRICT=1``
+or ``--strict``.  The profile of a run is a section of ``obs``.
 """
 
 from __future__ import annotations
@@ -385,7 +383,7 @@ _ACTIONS = {
     "validate": ("run", "goldens"),
     "diverge": ("bisect", "run", "report"),
     "obs": ("run",),
-    "prof": ("run", "flame", "history", "compare", "dashboard"),
+    "prof": ("history", "compare"),
 }
 
 
@@ -413,11 +411,11 @@ def _explain_shadow_specs(args, primary: str):
 
 
 def _cmd_obs(args, config):
-    """Observe one run, once — spans, the epoch sampler and explain on
-    one ``System`` — print its text report and write its page, trace
-    and snapshot; or render without simulating: a saved snapshot
-    (``--json-in``), a campaign store (``--store``), a JSONL log
-    (``--trace-in``)."""
+    """Observe one run, once — spans, the epoch sampler, explain and
+    the self-profiler on one ``System`` — print its text report and
+    write its page, collapsed stacks, trace and snapshot; or render
+    without simulating: a saved snapshot (``--json-in``), a campaign
+    store (``--store``), a JSONL log (``--trace-in``)."""
     import json as json_mod
     from pathlib import Path
 
@@ -443,7 +441,7 @@ def _cmd_obs(args, config):
         print(f"wrote {write_page(page, args.out or 'obs_campaign.html')}")
         return
     if args.json_in:
-        run, title = None, args.json_in
+        run, title, profile = None, args.json_in, None
         snapshot = json_mod.loads(Path(args.json_in).read_text())
     else:
         from repro.obs.aggregate import observe_run
@@ -456,7 +454,7 @@ def _cmd_obs(args, config):
                           seed=args.seed, epoch_cycles=args.epoch_cycles,
                           shadows=_explain_shadow_specs(args, scheduler),
                           sinks=sinks)
-        title, snapshot = None, run.explain
+        title, snapshot, profile = None, run.explain, run.profile
         if sinks:
             print(f"wrote {stem}.jsonl and {stem}.json ({run.events} "
                   f"events, {len(run.samples)} epochs)")
@@ -465,11 +463,23 @@ def _cmd_obs(args, config):
             out.parent.mkdir(parents=True, exist_ok=True)
             out.write_text(json_mod.dumps(snapshot, indent=1))
             print(f"wrote {out}")
-    print(render_run_text(run, explain=snapshot))
+        if args.collapsed:
+            from repro.prof import render_collapsed
+
+            Path(args.collapsed).write_text(render_collapsed(profile),
+                                            encoding="utf-8")
+            print(f"wrote {args.collapsed}")
+    print(render_run_text(run, explain=snapshot, profile=profile))
     if args.out:
         from repro.obs.dashboard import render_run_page, write_page
+        from repro.prof import load
 
-        page = render_run_page(run, explain=snapshot, title=title)
+        try:
+            records = load(args.history) if args.history else []
+        except (ValueError, OSError):
+            records = []
+        page = render_run_page(run, explain=snapshot, profile=profile,
+                               history=records, title=title)
         print(f"wrote {write_page(page, args.out)}")
 
 
@@ -535,10 +545,12 @@ def _cmd_validate(args, config):
         OracleConfig,
         check_goldens,
         checked_run,
+        compare_fingerprints,
         compute_golden_matrix,
         drift_point_rows,
         drifts_exit_code,
         format_drift_report,
+        load_goldens,
         record_golden_checkpoints,
         save_golden_checkpoints,
         save_goldens,
@@ -549,13 +561,19 @@ def _cmd_validate(args, config):
     if action == "goldens":
         path = args.goldens_path or None
         kwargs = {"path": path} if path else {}
-        if args.update and args.check:
-            raise SystemExit("validate goldens: --update and --check "
-                             "are mutually exclusive")
         if args.update:
             matrix = compute_golden_matrix(progress=True)
+            try:
+                drifts = compare_fingerprints(load_goldens(**kwargs), matrix)
+            except (FileNotFoundError, ValueError):
+                drifts = None   # first generation or format change
+            if drifts:
+                print(format_drift_report(drifts))
             where = save_goldens(matrix, **kwargs)
-            print(f"wrote {where} ({len(matrix)} points)")
+            changed = ("no previous matrix" if drifts is None
+                       else f"{len(drifts)} fields changed" if drifts
+                       else "unchanged")
+            print(f"wrote {where} ({len(matrix)} points, {changed})")
             if not path:
                 where = save_golden_checkpoints(
                     record_golden_checkpoints(progress=True)
@@ -578,8 +596,10 @@ def _cmd_validate(args, config):
             print(f"exit {code}: "
                   + ("fingerprint drift — behaviour changed"
                      if code == 3 else
-                     "matrix structure changed — goldens out of date "
-                     "(regenerate with scripts/update_goldens.py)"))
+                     "matrix structure changed — goldens out of date")
+                  + "\nIf this drift is an intended behavioural change, "
+                  "regenerate with:\n    PYTHONPATH=src python -m "
+                  "repro.experiments.cli validate goldens --update")
             raise SystemExit(code)
         print("goldens: no drift")
         return
@@ -740,14 +760,7 @@ def _cmd_diverge(args, config):
 
 
 def _cmd_prof(args, config):
-    from repro.prof import (
-        compare_histories,
-        load,
-        profile_run,
-        render_flame_svg,
-        short_sha,
-        strict_mode,
-    )
+    from repro.prof import compare_histories, load, short_sha, strict_mode
 
     action = _action(args, "prof")
     history_path = args.history or "BENCH_history.json"
@@ -787,44 +800,6 @@ def _cmd_prof(args, config):
             raise SystemExit(
                 f"prof compare: {len(regressions)} regression(s)"
             )
-        return
-
-    # run | flame | dashboard all profile one run
-    workload = _workload(args, config)
-    scheduler = args.scheduler or "tcm"
-    result, report = profile_run(
-        workload, scheduler, config, seed=args.seed, deep=args.deep
-    )
-
-    if action == "run":
-        from repro.obs.text import render_run_text
-
-        print(render_run_text(profile=report))
-        return
-
-    from repro.obs.dashboard import render_run_page, write_page
-
-    title = f"{workload.name} under {scheduler} ({result.cycles} cycles)"
-    if action == "flame":
-        svg = render_flame_svg(report, title=f"repro.prof — {title}")
-        print(f"wrote {write_page(svg, args.out or 'flame.svg')}")
-        if args.collapsed:
-            from pathlib import Path
-
-            from repro.prof import render_collapsed
-
-            Path(args.collapsed).write_text(render_collapsed(report),
-                                            encoding="utf-8")
-            print(f"wrote {args.collapsed}")
-        return
-
-    # a plain run: a profile of an observed run measures the observers
-    try:
-        records = load(history_path)
-    except (ValueError, OSError):
-        records = []
-    page = render_run_page(profile=report, history=records, title=title)
-    print(f"wrote {write_page(page, args.out or 'perf.html')}")
 
 
 # ----------------------------------------------------------------------
@@ -948,11 +923,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--intensity", type=float, default=0.5,
                         help="memory-intensive fraction of the workload "
-                             "(run, obs, validate run, prof, diverge)")
+                             "(run, obs, validate run, diverge)")
     parser.add_argument("--workload-file", default=None,
                         help="JSON workload definition instead of "
-                             "--intensity (run, obs, validate run, prof; "
-                             "see repro.workloads.save_workload)")
+                             "--intensity (run, obs, validate run; see "
+                             "repro.workloads.save_workload)")
     parser.add_argument("--schedulers", default=None,
                         help="comma-separated scheduler list (run, "
                              "validate run)")
@@ -977,7 +952,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="re-run campaign points even if stored")
     parser.add_argument("--scheduler", default=None,
                         help="scheduler of the one observed run: obs, "
-                             "prof, diverge (side A) (default tcm)")
+                             "diverge (side A) (default tcm)")
     parser.add_argument("--epoch-cycles", type=int, default=None,
                         help="epoch-sampler period in cycles (default: "
                              "quantum length)")
@@ -995,16 +970,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write per-point JSONL traces here "
                              "(campaign run)")
     parser.add_argument("--out", default=None,
-                        help="output path (obs, prof dashboard and diverge "
-                             "HTML pages, prof flame SVG)")
-    parser.add_argument("--deep", action="store_true",
-                        help="prof run/flame: add cProfile deep mode")
+                        help="output path (obs and diverge HTML pages)")
     parser.add_argument("--collapsed", default=None,
-                        help="prof flame: also write Brendan Gregg "
-                             "collapsed stacks to this path")
+                        help="obs: also write the run's profile as "
+                             "Brendan Gregg collapsed stacks to this path")
     parser.add_argument("--history", default=None,
-                        help="prof: benchmark history file (default "
-                             "BENCH_history.json)")
+                        help="benchmark history file: prof (default "
+                             "BENCH_history.json); obs: draw its speed "
+                             "records on the page")
     parser.add_argument("--against", default=None,
                         help="prof compare: newer history file to check "
                              "against --history (default: compare the "
@@ -1017,13 +990,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="prof compare: exit non-zero on regression "
                              "even without REPRO_BENCH_STRICT=1")
     parser.add_argument("--update", action="store_true",
-                        help="regenerate the golden matrix instead of "
-                             "checking it (validate goldens)")
-    parser.add_argument("--check", action="store_true",
-                        help="validate goldens: explicitly request the "
-                             "check (the default); on failure prints the "
-                             "per-point mismatch table and exits 3 "
-                             "(value drift) or 4 (structure changed)")
+                        help="validate goldens: regenerate the golden "
+                             "matrix instead of checking it, and print "
+                             "the drift report of what it overwrites")
     parser.add_argument("--forensics", default=None,
                         help="validate goldens: on drift, replay the "
                              "first failing point against its recorded "

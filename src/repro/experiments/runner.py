@@ -4,13 +4,10 @@ The paper's metrics (weighted speedup, maximum slowdown, harmonic
 speedup) compare each thread's shared-system IPC against its IPC when
 running **alone** on the same memory system.  Alone runs depend only on
 the benchmark and the system configuration — not on the scheduler or
-the co-runners — so they are cached in two layers:
-
-* **L1** — a process-local dict (``_ALONE_CACHE``), always on.
-* **L2** — an optional persistent :class:`repro.campaign.CampaignStore`
-  attached with :func:`set_alone_store`; misses read through to it and
-  fresh computations write back, so alone IPCs survive process exit
-  and are shared across campaigns and sessions.
+the co-runners — so they are memoised in a process-local dict
+(``_ALONE_CACHE``).  The campaign engine persists alone IPCs in its
+store and seeds worker processes' caches with
+:func:`prime_alone_cache`.
 """
 
 from __future__ import annotations
@@ -25,10 +22,8 @@ from repro.sim import RunResult, System
 from repro.workloads.mixes import Workload, workload_from_specs
 from repro.workloads.spec import BenchmarkSpec
 
-#: L1: process-local alone-run IPCs, keyed by :func:`_alone_key`.
+#: process-local alone-run IPCs, keyed by :func:`_alone_key`
 _ALONE_CACHE: Dict[Tuple, float] = {}
-#: L2: optional persistent campaign store (read-through/write-back).
-_ALONE_STORE = None
 
 
 @dataclass(frozen=True)
@@ -44,7 +39,7 @@ class SchedulerScore:
 
 
 def _alone_key(spec: BenchmarkSpec, config: SimConfig, seed: int) -> Tuple:
-    """L1 cache key: *every* config field, via :meth:`SimConfig.cache_key`.
+    """Cache key: *every* config field, via :meth:`SimConfig.cache_key`.
 
     ``num_threads`` and ``config.seed`` are normalised away because an
     alone run simulates exactly one thread (``System`` sizes itself off
@@ -64,23 +59,10 @@ def _alone_key(spec: BenchmarkSpec, config: SimConfig, seed: int) -> Tuple:
     )
 
 
-def set_alone_store(store):
-    """Attach (or with None, detach) the persistent L2 alone-run store.
-
-    ``store`` is a :class:`repro.campaign.CampaignStore` (or anything
-    with its ``get``/``put``/``kind`` interface).  Returns the
-    previously attached store so callers can restore it.
-    """
-    global _ALONE_STORE
-    previous = _ALONE_STORE
-    _ALONE_STORE = store
-    return previous
-
-
 def prime_alone_cache(
     spec: BenchmarkSpec, config: SimConfig, seed: int, ipc: float
 ) -> None:
-    """Insert a known alone-run IPC into the process-local L1 cache.
+    """Insert a known alone-run IPC into the process-local cache.
 
     Campaign workers use this to seed their cache from store-backed
     hints so they never recompute an alone run another process already
@@ -89,17 +71,9 @@ def prime_alone_cache(
     _ALONE_CACHE[_alone_key(spec, config, seed)] = ipc
 
 
-def clear_alone_cache(persistent: bool = False) -> None:
-    """Drop memoised alone-run IPCs (mainly for tests).
-
-    Always clears the process-local L1 dict.  The persistent L2 store
-    (if attached via :func:`set_alone_store`) is *detached* — not
-    erased — when ``persistent=True``; on-disk artifacts are never
-    deleted by this function.
-    """
+def clear_alone_cache() -> None:
+    """Drop memoised alone-run IPCs (mainly for tests and benchmarks)."""
     _ALONE_CACHE.clear()
-    if persistent:
-        set_alone_store(None)
 
 
 def alone_ipc(
@@ -109,38 +83,16 @@ def alone_ipc(
 
     The scheduling algorithm is irrelevant with a single thread;
     FR-FCFS is used (it is what an uncontended controller does).
-    Reads through L1 (process dict) then L2 (persistent store, when
-    attached); computes and writes back on a full miss.
+    Memoised per process.
     """
     config = config or SimConfig()
     key = _alone_key(spec, config, seed)
     if key in _ALONE_CACHE:
         return _ALONE_CACHE[key]
-
-    store_key = None
-    if _ALONE_STORE is not None:
-        from repro.campaign.hashing import alone_key as _store_alone_key
-        from repro.campaign.store import KIND_ALONE
-
-        store_key = _store_alone_key(spec, config, seed)
-        if _ALONE_STORE.kind(store_key) == KIND_ALONE:
-            ipc = _ALONE_STORE.get(store_key)["payload"]["ipc"]
-            _ALONE_CACHE[key] = ipc
-            return ipc
-
     workload = workload_from_specs(f"alone-{spec.name}", (spec,))
     system = System(workload, make_scheduler("frfcfs"), config, seed=seed)
     ipc = system.run().threads[0].ipc
     _ALONE_CACHE[key] = ipc
-    if _ALONE_STORE is not None:
-        from repro.campaign.hashing import canonicalize
-        from repro.campaign.store import KIND_ALONE
-
-        _ALONE_STORE.put(
-            store_key, KIND_ALONE, {"ipc": ipc},
-            meta={"spec": canonicalize(spec), "seed": seed,
-                  "benchmark": spec.name},
-        )
     return ipc
 
 

@@ -4,10 +4,11 @@ Two entry points, mirroring :mod:`repro.obs.dashboard`'s two pages:
 
 * :func:`observe_run` — execute one workload under one scheduler with
   full observability (spans + epoch sampler, explain when given shadow
-  policies, trace files when given sinks) and fold the result into a
-  :class:`RunObservation`: reconciled attribution report, true
-  alone-run slowdowns, paper metrics, epoch samples for the cluster
-  timeline, the explain snapshot.
+  policies, trace files when given sinks, and the sampling
+  self-profiler) and fold the result into a :class:`RunObservation`:
+  reconciled attribution report, true alone-run slowdowns, paper
+  metrics, epoch samples for the cluster timeline, the explain
+  snapshot, the profile.
 * :func:`observe_campaign` — read a :class:`repro.campaign` store and
   gather every point's metrics per scheduler plus the failure list into
   a :class:`CampaignObservation`.
@@ -42,6 +43,8 @@ class RunObservation:
     events: int = 0
     #: explain-collector snapshot when shadows were given, else None
     explain: Optional[dict] = None
+    #: the self-profiler's :class:`~repro.prof.ProfileReport` of the run
+    profile: Optional[object] = None
 
 
 @dataclass
@@ -77,6 +80,8 @@ def observe_run(
     policies (``()`` for none) and keeps its snapshot.  ``sinks`` are
     the tracer's sinks (JSONL, Perfetto), fed by the same run and
     closed after it; without them the run's events are only counted.
+    The self-profiler samples the same run (the alone runs are not in
+    it), so its observer labels carry the other instruments' cost.
     """
     from repro.metrics import (
         harmonic_speedup,
@@ -84,6 +89,7 @@ def observe_run(
         weighted_speedup,
     )
     from repro.obs.spans import SpanCollector
+    from repro.prof import attach_profiler
     from repro.schedulers import make_scheduler
     from repro.sim import System
     from repro.telemetry import EpochSampler, Telemetry, Tracer
@@ -106,9 +112,11 @@ def observe_run(
         from repro.explain import attach_explain
 
         collector = attach_explain(system, shadows=shadows)
+    profiler = attach_profiler(system)
     try:
         result = system.run()
     finally:
+        profile = profiler.detach()
         # an interrupted run still leaves whole trace files of the
         # events it emitted
         telemetry.close()
@@ -152,6 +160,7 @@ def observe_run(
         row_hit_rate=(result.row_hits / total) if total else 0.0,
         events=telemetry.tracer.events_emitted,
         explain=collector.snapshot() if collector else None,
+        profile=profile,
     )
 
 

@@ -659,7 +659,8 @@ def _perf_section(profile, records: List[dict]) -> str:
         ("latest sha", short_sha(records[-1] if records else {})),
     ]
     if profile is not None:
-        tiles += [("events/s", f"{profile.events_per_sec():,.0f}"),
+        tiles += [("samples", _fmt(profile.samples)),
+                  ("events/s", f"{profile.events_per_sec():,.0f}"),
                   ("requests/s", f"{profile.requests_per_sec():,.0f}")]
     cards = []
     if records:
@@ -717,9 +718,10 @@ def _perf_section(profile, records: List[dict]) -> str:
         run = f"{profile.workload or '?'} under {profile.scheduler or '?'}"
         cards.append(_card(
             f"Slowest phases — {run}",
-            _table(["stack path", "self ms", "calls"],
+            _table(["stack path", "self ms", "samples"],
                    [[";".join(node.path),
-                     round(selfs.get(node.path, 0.0) * 1e3, 3), node.calls]
+                     round(selfs.get(node.path, 0.0) * 1e3, 3),
+                     node.samples]
                     for node in profile.slowest(12)], summary=None),
         ))
         cards.append(_card("Flame graph", render_flame_svg(

@@ -5,8 +5,8 @@
 (spans and epoch samples), why each grant went where (explain) and
 where the simulator's time went (prof).  Every table is the house
 :func:`~repro.experiments.reporting.format_table`.  The ``obs`` command
-prints it for its one observed run or a saved explain snapshot, and
-``prof run`` for a profile.
+prints it for its one observed run, all three sections from that run,
+or for a saved explain snapshot.
 """
 
 from __future__ import annotations
@@ -161,9 +161,10 @@ def _explain_section(snapshot: dict) -> List[str]:
 def _perf_section(profile) -> List[str]:
     times = profile.component_times()
     selfs = profile.self_times()
-    parts = [
+    return [
         f"profiled {profile.workload or '?'} under "
         f"{profile.scheduler or '?'}: wall {profile.wall_s:.3f}s, "
+        f"{profile.samples} samples, "
         f"{profile.events} events ({profile.events_per_sec():,.0f} ev/s), "
         f"{profile.requests} requests "
         f"({profile.requests_per_sec():,.0f} req/s)",
@@ -173,17 +174,13 @@ def _perf_section(profile) -> List[str]:
              for name, share in profile.component_shares().items()],
         ),
         format_table(
-            ["stack path", "self ms", "calls"],
+            ["stack path", "self ms", "samples"],
             [[";".join(node.path),
-              f"{selfs.get(node.path, 0.0) * 1e3:.3f}", node.calls]
+              f"{selfs.get(node.path, 0.0) * 1e3:.3f}", node.samples]
              for node in profile.slowest(12)],
             title="slowest phases",
         ),
     ]
-    if profile.deep_table:
-        parts.append("deep (cProfile, top cumulative):\n"
-                     + profile.deep_table)
-    return parts
 
 
 def render_run_text(run=None, *, explain: Optional[dict] = None,

@@ -7,11 +7,12 @@ and whether either regressed since the last commit.
 
 Three cooperating pieces:
 
-* :class:`Profiler` / :func:`profile_run` — phase-scoped wall-time
-  attribution over explicit instrumentation points (event dispatch,
-  per-scheduler grant/rank paths, DRAM service, CPU retire, attached
-  telemetry/obs overhead), attached per-instance so an unprofiled run
-  executes byte-identical code; optional cProfile deep mode.
+* :class:`Profiler` / :func:`profile_run` — a sampling profiler, an
+  observer on one ``ITIMER_PROF`` timer, that charges each sample to
+  the labels of the interrupted stack (the fused loop's tagged blocks,
+  the policy's functions, DRAM, the CPU model, and the attached
+  telemetry and observers); it wraps nothing, so a profiled run takes
+  the fused loop and stays bit-identical.
 * :mod:`repro.prof.flame` — collapsed-stack text (Brendan Gregg
   format, exact round-trip) and a self-contained no-JS SVG flame
   graph; the run page (:func:`repro.obs.dashboard.render_run_page`)
@@ -21,9 +22,10 @@ Three cooperating pieces:
   median-of-rounds regression verdicts (warn by default, fail under
   ``REPRO_BENCH_STRICT=1``).
 
-CLI: ``python -m repro.experiments.cli prof run|flame|history|``
-``compare|dashboard`` — ``dashboard`` profiles a plain run and renders
-its run page's perf section; see docs/PROFILING.md.
+CLI: ``python -m repro.experiments.cli obs`` prints and draws the prof
+section of the run it observes (``--collapsed`` writes the stacks,
+``--history`` adds the records to the page); ``prof history|compare``
+read the records; see docs/PROFILING.md.
 """
 
 from repro.prof.flame import (

@@ -77,12 +77,6 @@ class ATLASScheduler(Scheduler):
     ) -> None:
         self._quantum_service[request.thread_id] += busy_cycles
 
-    def prof_points(self):
-        # end-of-quantum attained-service decay + re-ranking
-        return super().prof_points() + [
-            ("sched.rank[ATLAS]", "_recompute_ranks"),
-        ]
-
     def _recompute_ranks(self) -> None:
         """Decay attained service and re-rank (least attained first)."""
         alpha = self.params.history_weight

@@ -107,26 +107,6 @@ class Scheduler:
         if tracer is not None:
             tracer.emit(ev, now, **fields)
 
-    def prof_points(self) -> List[Tuple[str, str]]:
-        """Instrumentation points the self-profiler wraps.
-
-        ``(frame label, method name)`` pairs consumed by
-        :class:`repro.prof.Profiler` at attach time — nothing here runs
-        on an unprofiled system.  The base list covers every policy's
-        lifecycle hooks and the grant decision; subclasses extend it
-        (calling ``super()``) with their internal hot paths so flame
-        graphs show *why* a scheduler is slow, not just that it is.
-        """
-        tag = self.name
-        return [
-            (f"sched.select[{tag}]", "select"),
-            (f"sched.arrival[{tag}]", "on_request_arrival"),
-            (f"sched.grant[{tag}]", "on_request_scheduled"),
-            (f"sched.complete[{tag}]", "on_request_complete"),
-            (f"sched.quantum[{tag}]", "on_quantum"),
-            (f"sched.timer[{tag}]", "on_timer"),
-        ]
-
     def explain_components(
         self, request: MemoryRequest, row_hit: bool, now: int, key=None
     ) -> dict:

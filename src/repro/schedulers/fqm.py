@@ -72,12 +72,6 @@ class FQMScheduler(Scheduler):
         )
         return digest
 
-    def prof_points(self):
-        # virtual-time floor scan over all threads, run per arrival
-        return super().prof_points() + [
-            ("sched.vt[FQM]", "_min_active_vt"),
-        ]
-
     def _min_active_vt(self) -> float:
         active = [
             self._virtual_time[t]

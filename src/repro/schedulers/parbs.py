@@ -41,14 +41,6 @@ class PARBSScheduler(Scheduler):
         super().register_metrics(registry)
         registry.register("parbs.batches", lambda: self.batches_formed)
 
-    def prof_points(self):
-        # batch formation walks every queue in the system — the cost
-        # that scales with queue depth, kept visible on its own frame
-        return super().prof_points() + [
-            ("sched.batch[PAR-BS]", "_form_batch"),
-            ("sched.rank[PAR-BS]", "_compute_ranking"),
-        ]
-
     def epoch_annotations(self, thread_id: int) -> dict:
         if not self._rank:
             return {}

@@ -54,12 +54,6 @@ class STFMScheduler(Scheduler):
         registry.register("stfm.evaluations", lambda: self.evaluations)
         registry.register("stfm.unfairness", lambda: self.last_unfairness)
 
-    def prof_points(self):
-        # periodic slowdown re-estimation over all threads
-        return super().prof_points() + [
-            ("sched.eval[STFM]", "_reevaluate"),
-        ]
-
     def state_digest(self) -> dict:
         digest = super().state_digest()
         digest.update(

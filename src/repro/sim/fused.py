@@ -52,8 +52,8 @@ from repro.workloads.synthetic import AddressStream
 
 def _shadowed(obj) -> bool:
     """True when an instance attribute hides a method of its class: a
-    per-instance wrapper (the profiler, the end-to-end benchmark's
-    traced run, fault injection)."""
+    per-instance wrapper (the end-to-end benchmark's traced run, fault
+    injection)."""
     cls = type(obj)
     return any(
         callable(getattr(cls, name, None)) for name in vars(obj)
@@ -67,7 +67,9 @@ def fusable(system) -> bool:
     Requires non-detailed timings; every component exactly its base
     class and built on the system's config; and no per-instance method
     override on the system, scheduler or any component (prefetchers
-    included).  Tracers, samplers and observers run on either loop.
+    included).  Tracers, samplers and observers run on either loop, the
+    sampling profiler (:mod:`repro.prof.profiler`) among them: it wraps
+    nothing.
     """
     config = system.config
     if config.timings.detailed:
@@ -129,6 +131,7 @@ def _chain(policy_hook, observer_hooks):
     return site
 
 
+# -- [engine.setup] the call's cached locals and hook sites
 def advance_fused(system, limit: int) -> None:
     """Dispatch every pending event with ``time <= limit``, inlined.
 
@@ -146,6 +149,10 @@ def advance_fused(system, limit: int) -> None:
     The observer hook tuples and the tracer are read once per call; a
     grant builds its :class:`~repro.dram.bank.BankAccess` only for
     ``on_grant`` hooks.
+
+    Each ``# -- [layer.block]`` comment tags the block that runs to the
+    next tag; the self-profiler (:mod:`repro.prof.profiler`) charges a
+    sample taken on a line of the block to its tag.
     """
     from repro.sim.system import (
         _EV_BANK_FREE, _EV_DONE, _EV_ISSUE, _EV_PHIT, _EV_QUANTUM,
@@ -226,16 +233,16 @@ def advance_fused(system, limit: int) -> None:
     outstanding = monitor._outstanding
     last_update = monitor._last_update
 
+    # -- [dram.grant] System._try_schedule + Channel.start_service +
+    # Bank.begin_access (non-detailed) + monitor service
     def try_schedule(channel_id, bank_id, time):
-        # System._try_schedule + Channel.start_service +
-        # Bank.begin_access (non-detailed) + monitor service
         bank = banks_by_ch[channel_id][bank_id]
         if time < bank.busy_until:
             return
         queue = queues_by_ch[channel_id][bank_id]
         if not queue:
-            # reads first (paper Table 3); drain a write when the bank
-            # would otherwise idle
+            # -- [dram.write] reads first (paper Table 3); drain a write
+            # when the bank would otherwise idle
             if model_writes:
                 channel = channels[channel_id]
                 write = channel.next_write_for(bank_id)
@@ -256,6 +263,7 @@ def advance_fused(system, limit: int) -> None:
                     heappush(events, (data_end, seq, _EV_BANK_FREE,
                                       channel_id, bank_id))
             return
+        # -- [dram.grant] the policy's select, then the bank access
         channel = channels[channel_id]
         request = select(channel, bank_id, time)
         if decision_hooks:
@@ -320,8 +328,10 @@ def advance_fused(system, limit: int) -> None:
                     else "hit" if open_row == row else "conflict")
             tracer.write_row("grant", (time, channel_id, bank_id, tid,
                                        len(queue) + 1, row, kind, data_end))
+        # -- [engine.monitor] BehaviorMonitor.on_request_service
         service_cycles[channel_id][tid] += busy_cycles
         l_service[tid] += busy_cycles
+        # -- [dram.grant] the grant hooks and the bank's next events
         if on_scheduled is not None:
             on_scheduled(request, queue, busy_cycles, time)
         if grant_hooks:
@@ -333,6 +343,8 @@ def advance_fused(system, limit: int) -> None:
                  (data_end, seq + 1, _EV_BANK_FREE, channel_id, bank_id))
         heappush(events, (completion, seq + 2, _EV_DONE, request, 0))
 
+    # -- [cpu.issue] ThreadModel.try_issue: the window check and the
+    # issue
     def issue_miss(tid, time):
         # System._issue_miss + ThreadModel.try_issue / issue_gap +
         # AddressStream.next_location + StreamPrefetcher.observe /
@@ -349,7 +361,7 @@ def advance_fused(system, limit: int) -> None:
         thread.issued = issue_id
         rob.append((issue_id, thread._pending_credit))
         thread._last_issue_time = time
-        # -- AddressStream.next_location
+        # -- [cpu.address] AddressStream.next_location
         addr = thread._addr
         rng = addr._rng
         pos = addr._pos
@@ -389,8 +401,8 @@ def advance_fused(system, limit: int) -> None:
         bank_id = gbank % banks_per_channel
         to_dram = True
         if prefetchers is not None:
-            # -- StreamPrefetcher.observe: keep the prefetcher topped up
-            # whichever path the miss takes
+            # -- [cpu.prefetch] StreamPrefetcher.observe: keep the
+            # prefetcher topped up whichever path the miss takes
             prefetcher = prefetchers[tid]
             pf_stats = prefetcher.stats
             inflight = prefetcher._inflight
@@ -427,7 +439,7 @@ def advance_fused(system, limit: int) -> None:
                         inflight[location] = (inflight.get(location, 0)
                                               + top_up)
                         pf_stats.issued += top_up
-                        # -- System._inject_prefetches
+                        # -- [cpu.prefetch] System._inject_prefetches
                         queue = queues_by_ch[channel_id][bank_id]
                         for _ in range(top_up):
                             prefetch = MemoryRequest(
@@ -438,7 +450,7 @@ def advance_fused(system, limit: int) -> None:
                             if on_arrival is not None:
                                 on_arrival(prefetch, time)
                             try_schedule(channel_id, bank_id, time)
-            # -- StreamPrefetcher.consume / try_merge
+            # -- [cpu.prefetch] StreamPrefetcher.consume / try_merge
             count = credits.get(location, 0)
             if count > 0:
                 if count > 1:
@@ -459,11 +471,12 @@ def advance_fused(system, limit: int) -> None:
                 waiters.setdefault(location, []).append(issue_id)
                 pf_stats.useful += 1
                 to_dram = False
+        # -- [dram.enqueue] the miss enters its bank queue
         if to_dram:
-            # -- enqueue + BehaviorMonitor.on_request_arrival
             request = MemoryRequest(tid, channel_id, bank_id, row, time,
                                     issue_id)
             queues_by_ch[channel_id][bank_id].append(request)
+            # -- [engine.monitor] BehaviorMonitor.on_request_arrival
             shadow = shadow_rows[channel_id][tid]
             shadow_accesses[channel_id][tid] += 1
             l_accesses[tid] += 1
@@ -486,6 +499,8 @@ def advance_fused(system, limit: int) -> None:
             if count == 1:
                 active_banks[tid] += 1
             outstanding[tid] += 1
+            # -- [dram.enqueue] the arrival hooks, a dirty line's
+            # writeback and the bank's grant
             if on_arrival is not None:
                 on_arrival(request, time)
             if model_writes and wb_rng.random() < writeback_ratio:
@@ -497,7 +512,7 @@ def advance_fused(system, limit: int) -> None:
                     time, is_write=True,
                 ))
             try_schedule(channel_id, bank_id, time)
-        # -- ThreadModel.issue_gap
+        # -- [cpu.issue_gap] ThreadModel.issue_gap
         gap = thread._current_ipm / ipc_peak
         rng = thread._rng
         i = rng._i
@@ -518,6 +533,7 @@ def advance_fused(system, limit: int) -> None:
         system._seq = seq
         heappush(events, (time + cycles, seq, _EV_ISSUE, tid, 0))
 
+    # -- [cpu.retire] a completion reaches its core
     def complete(request, time):
         # System._complete_request + BehaviorMonitor.on_request_complete
         # + StreamPrefetcher.fill + ThreadModel.on_request_completed +
@@ -526,8 +542,9 @@ def advance_fused(system, limit: int) -> None:
         if request.is_prefetch:
             if on_complete is not None:
                 on_complete(request, time)
-            # -- StreamPrefetcher.fill: the block goes to the prefetch
-            # buffer, or wakes a demand miss merged with this prefetch
+            # -- [cpu.prefetch] StreamPrefetcher.fill: the block goes to
+            # the prefetch buffer, or wakes a demand miss merged with
+            # this prefetch
             prefetcher = prefetchers[tid]
             location = (request.channel_id, request.bank_id, request.row)
             inflight = prefetcher._inflight
@@ -550,6 +567,7 @@ def advance_fused(system, limit: int) -> None:
                 credits[location] = credits.get(location, 0) + 1
                 prefetcher._credit_total += 1
             return
+        # -- [engine.monitor] BehaviorMonitor.on_request_complete
         dt = time - last_update[tid]
         if dt > 0 and outstanding[tid] > 0:
             weighted = active_banks[tid] * dt
@@ -567,6 +585,9 @@ def advance_fused(system, limit: int) -> None:
             del counts[gbank]
             active_banks[tid] -= 1
         outstanding[tid] -= 1
+        # -- [cpu.retire] the completion hooks, the latency books and
+        # in-order retirement: ThreadModel.on_request_completed +
+        # ThreadStats.retire
         if on_complete is not None:
             on_complete(request, time)
         latency_sum[tid] += time - request.arrival
@@ -603,9 +624,10 @@ def advance_fused(system, limit: int) -> None:
             thread.window_blocked = False
             issue_miss(tid, time)
 
+    # -- [cpu.retire] ThreadModel.on_request_completed +
+    # ThreadStats.retire for a prefetch-buffer hit or a merged miss, as
+    # complete() retires
     def retire(tid, issue_id, time):
-        # ThreadModel.on_request_completed + ThreadStats.retire for a
-        # prefetch-buffer hit or a merged miss, as complete() retires
         thread = threads[tid]
         rob = thread._rob
         if not rob:
@@ -638,6 +660,7 @@ def advance_fused(system, limit: int) -> None:
             thread.window_blocked = False
             issue_miss(tid, time)
 
+    # -- [engine.loop] pop the next event, move the clock, dispatch it
     pop = heappop
     if event_hooks:
         def pop(events):

@@ -25,8 +25,8 @@ from __future__ import annotations
 class Observer:
     """Base class of run observers; every hook is a no-op."""
 
-    #: short instrument name; the self-profiler labels this observer's
-    #: wrapped hooks ``obs.<name>.<hook>``
+    #: short instrument name; the self-profiler labels the samples taken
+    #: in this observer's hooks ``obs.<name>.<hook>``
     name = "observer"
 
     def begin(self, system) -> None:

@@ -13,9 +13,10 @@ runs, with or without writes and prefetching.  The dispatch loop below
 sends each event through the ``System`` methods instead.  It is the
 parity reference, and it runs what the fused loop does not: detailed
 DRAM timings, component subclasses, and every run a per-instance
-wrapper watches (the profiler, fault injection).  The two loops are
-bit-identical and fire the same hooks at the same sites, so the
-invariant oracle, an observer, audits whichever loop runs.
+wrapper watches (the end-to-end benchmark's traced run, fault
+injection).  The two loops are bit-identical and fire the same hooks
+at the same sites, so the invariant oracle and the self-profiler,
+both observers, watch whichever loop runs.
 """
 
 from __future__ import annotations

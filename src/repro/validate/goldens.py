@@ -4,9 +4,9 @@ A pinned matrix of (scheduler x workload mix x seed) runs is
 fingerprinted (see :mod:`repro.validate.fingerprint`) and committed
 under ``tests/goldens/``.  Any behavioural change to the simulator —
 intended or not — shows up as fingerprint drift; CI fails until the
-goldens are regenerated *deliberately* with
-``scripts/update_goldens.py`` (see docs/VALIDATION.md for when that is
-legitimate).
+goldens are regenerated *deliberately* with ``python -m
+repro.experiments.cli validate goldens --update`` (see
+docs/VALIDATION.md for when that is legitimate).
 
 The matrix is sized to stay cheap (a few seconds) while covering every
 registered scheduler, three memory-intensity classes, and several
@@ -139,7 +139,7 @@ def load_goldens(path=GOLDEN_PATH) -> Dict[str, Dict]:
         raise ValueError(
             f"golden file {path} has version {document.get('version')}, "
             f"expected {GOLDEN_VERSION} — regenerate with "
-            "scripts/update_goldens.py"
+            "python -m repro.experiments.cli validate goldens --update"
         )
     return document["matrix"]
 

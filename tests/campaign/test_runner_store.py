@@ -1,17 +1,14 @@
-"""Tests for the runner's two-layer alone cache (L1 dict + L2 store)."""
+"""Tests for the runner's process-local alone cache: priming from
+campaign hints and key normalisation."""
 
 import pytest
 
-from repro.campaign import CampaignStore
-from repro.campaign.hashing import alone_key
-from repro.campaign.store import KIND_ALONE
 from repro.config import SimConfig
 from repro.experiments import runner
 from repro.experiments.runner import (
     alone_ipc,
     clear_alone_cache,
     prime_alone_cache,
-    set_alone_store,
 )
 from repro.workloads.spec import benchmark
 
@@ -20,62 +17,9 @@ CFG = SimConfig(run_cycles=30_000)
 
 @pytest.fixture(autouse=True)
 def fresh_cache():
-    clear_alone_cache(persistent=True)
+    clear_alone_cache()
     yield
-    clear_alone_cache(persistent=True)
-
-
-class TestL2ReadThrough:
-    def test_compute_writes_back_to_store(self, tmp_path):
-        store = CampaignStore(tmp_path / "s")
-        set_alone_store(store)
-        spec = benchmark("mcf")
-        ipc = alone_ipc(spec, CFG, 0)
-        key = alone_key(spec, CFG, 0)
-        assert store.kind(key) == KIND_ALONE
-        assert store.get(key)["payload"]["ipc"] == ipc
-
-    def test_l2_hit_skips_simulation(self, tmp_path, monkeypatch):
-        store = CampaignStore(tmp_path / "s")
-        set_alone_store(store)
-        spec = benchmark("mcf")
-        ipc = alone_ipc(spec, CFG, 0)
-
-        clear_alone_cache()  # L1 gone; L2 still attached
-        monkeypatch.setattr(
-            runner, "workload_from_specs",
-            lambda *a, **k: pytest.fail("simulated despite L2 hit"),
-        )
-        assert alone_ipc(spec, CFG, 0) == ipc
-        # the read-through populated L1 again
-        assert len(runner._ALONE_CACHE) == 1
-
-    def test_l2_survives_process_restart_equivalent(self, tmp_path):
-        """A fresh store handle (new 'process') sees the artifact."""
-        spec = benchmark("povray")
-        with CampaignStore(tmp_path / "s") as store:
-            set_alone_store(store)
-            ipc = alone_ipc(spec, CFG, 0)
-        clear_alone_cache(persistent=True)
-        set_alone_store(CampaignStore(tmp_path / "s"))
-        assert alone_ipc(spec, CFG, 0) == ipc
-
-    def test_detach_restores_previous(self, tmp_path):
-        s1 = CampaignStore(tmp_path / "a")
-        s2 = CampaignStore(tmp_path / "b")
-        assert set_alone_store(s1) is None
-        assert set_alone_store(s2) is s1
-        assert set_alone_store(None) is s2
-
-    def test_clear_persistent_detaches_but_keeps_disk(self, tmp_path):
-        store = CampaignStore(tmp_path / "s")
-        set_alone_store(store)
-        spec = benchmark("mcf")
-        alone_ipc(spec, CFG, 0)
-        clear_alone_cache(persistent=True)
-        assert runner._ALONE_STORE is None
-        # on-disk artifact untouched
-        assert len(CampaignStore(tmp_path / "s")) == 1
+    clear_alone_cache()
 
 
 class TestPrime:

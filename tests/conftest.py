@@ -1,15 +1,13 @@
 """Shared test fixtures: state hygiene and hypothesis profiles.
 
 The simulator keeps a small amount of process-global state — the
-scheduler registry (``repro.schedulers.registry.SCHEDULERS``) and the
-experiment runner's alone-run store hook
-(:func:`repro.experiments.runner.set_alone_store`).  Tests that mutate
-either (registering a toy scheduler, pointing alone runs at a temp
-store) must not leak into later tests, so both are snapshotted and
-restored around every test automatically.
+scheduler registry (``repro.schedulers.registry.SCHEDULERS``).  Tests
+that mutate it (registering a toy scheduler) must not leak into later
+tests, so it is snapshotted and restored around every test
+automatically.
 
-The alone-run *L1 cache* is deliberately not cleared per test: it is
-keyed by the full config (benchmark spec, SimConfig fields, seed), so
+The alone-run cache is deliberately not cleared per test: it is keyed
+by the full config (benchmark spec, SimConfig fields, seed), so
 entries can never alias, and sharing it keeps the suite fast.
 """
 
@@ -23,7 +21,6 @@ from hypothesis import strategies as st
 
 import repro.sim.system
 from repro.config import DramTimings, SimConfig
-from repro.experiments import runner
 from repro.schedulers import registry
 
 # Pinned, derandomised hypothesis profile: identical example sequences
@@ -100,6 +97,20 @@ def dispatch_loop():
         repro.sim.system.fusable = fusable
 
 
+@pytest.fixture(scope="session")
+def tcm_profile():
+    """``(RunResult, ProfileReport)`` of one profiled ``SimConfig()`` TCM
+    run of the 24-thread 0.75 mix, seed 0.  Its CPU time (about 0.8 s)
+    gives the sampler some 200 samples, so a component holding a tenth
+    of the run or more is missing from it with negligible probability.
+    """
+    from repro.prof import profile_run
+    from repro.workloads import make_intensity_workload
+
+    return profile_run(make_intensity_workload(0.75, num_threads=24, seed=0),
+                       "tcm", SimConfig(), seed=0)
+
+
 @pytest.fixture
 def fused_advances(monkeypatch):
     """The limit of every ``System.advance`` call in the test that took
@@ -122,12 +133,3 @@ def _registry_guard():
     yield
     registry.SCHEDULERS.clear()
     registry.SCHEDULERS.update(snapshot)
-
-
-@pytest.fixture(autouse=True)
-def _alone_store_guard():
-    """Never let a test leave a persistent alone-run store installed."""
-    previous = runner.set_alone_store(None)
-    runner.set_alone_store(previous)
-    yield
-    runner.set_alone_store(previous)

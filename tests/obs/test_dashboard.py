@@ -93,11 +93,10 @@ def run_page(observation):
 
 
 @pytest.fixture(scope="module")
-def profile():
-    from repro.prof import profile_run
-
-    _, report = profile_run(PAIR, "tcm", CFG, seed=0)
-    return report
+def profile(tcm_profile):
+    """A profile with samples: the 2-thread ``CFG`` run is over before
+    the sampler's first tick."""
+    return tcm_profile[1]
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +193,7 @@ class TestRunDashboard:
 
         page = render_run_page(profile=profile)
         assert '<svg class="flame"' in page
+        assert "run;engine.advance;engine.loop" in page
         assert "http://www.w3.org/2000/svg" in render_flame_svg(profile)
 
 

@@ -59,12 +59,13 @@ class TestObsCli:
         assert "Interference attribution" in html
 
     def test_one_run_one_page(self, capsys, monkeypatch, tmp_path):
-        """Spans, the epoch sampler and explain observe the same shared
-        run, once; its result equals an unobserved run's, and the text
-        report, the page, both trace files and the snapshot all come
-        from it."""
+        """Spans, the epoch sampler, explain and the self-profiler
+        observe the same shared run, once; its result equals an
+        unobserved run's, and the text report, the page, the collapsed
+        stacks, both trace files and the snapshot all come from it."""
         from repro.config import SimConfig
         from repro.experiments.runner import run_shared
+        from repro.prof import parse_collapsed
         from repro.sim.system import System
         from repro.telemetry import validate_jsonl
         from repro.workloads import make_intensity_workload
@@ -80,24 +81,46 @@ class TestObsCli:
         monkeypatch.setattr(System, "run", counted)
         out_file = tmp_path / "run.html"
         snap_file = tmp_path / "snap.json"
+        stacks = tmp_path / "stacks.txt"
         stem = tmp_path / "trace"
         assert main(["obs", "--intensity", "0.75",
-                     "--cycles", "20000", "--scheduler", "tcm",
-                     "--out", str(out_file), "--trace-out", str(stem),
+                     "--cycles", "100000", "--scheduler", "tcm",
+                     "--out", str(out_file), "--collapsed", str(stacks),
+                     "--trace-out", str(stem),
                      "--json-out", str(snap_file)]) == 0
         monkeypatch.undo()
         assert len(shared) == 1
         result = shared[0]
         workload = make_intensity_workload(0.75, num_threads=24, seed=0)
         assert result == run_shared(workload, "tcm",
-                                    SimConfig(run_cycles=20_000))
+                                    SimConfig(run_cycles=100_000))
         html = out_file.read_text()
         assert "interference attribution heatmap" in html
         assert "policy disagreement heatmap" in html
         for label in ("shadow:frfcfs", "shadow:stfm", "shadow:parbs",
                       "shadow:atlas"):
             assert label in html
+        # the prof section of the same run: shares, slowest paths, flame
+        assert "Where the simulator&#x27;s time went — prof" in html
+        assert "Slowest phases" in html
+        assert '<svg class="flame"' in html
+        collapsed = parse_collapsed(stacks.read_text(encoding="utf-8"))
+        assert collapsed and all(path[0] == "run" for path in collapsed)
         text = capsys.readouterr().out
+        sections = [line for line in text.splitlines()
+                    if line.startswith("== ")]
+        assert sections == [
+            "== What the machine did — spans and epoch samples ==",
+            "== Why each grant went where — explain ==",
+            "== Where the simulator's time went — prof ==",
+        ]
+        prof = text.split(sections[-1])[1]
+        assert "slowest phases" in prof
+        # component shares, each rounded to 0.1%, sum to 100%
+        percents = [float(word[:-1]) for word
+                    in prof.split("slowest phases")[0].split()
+                    if word.endswith("%")]
+        assert percents and abs(sum(percents) - 100.0) < 0.6
         assert (f"(seed 0, {result.cycles} cycles, "
                 f"{result.total_requests} requests)") in text
         snapshot = json.loads(snap_file.read_text())

@@ -1,11 +1,14 @@
-"""CLI smoke tests for the five ``prof`` actions."""
+"""CLI smoke tests for ``prof history|compare`` and for the prof
+section of ``obs``, which profiles the run it observes."""
 
 import pytest
 
 from repro.experiments.cli import main
-from repro.prof import history
+from repro.prof import history, parse_collapsed
 
-FAST = ["--cycles", "25000", "--intensity", "0.75"]
+#: ``obs`` of a 24-thread run with every shadow: about 0.1 s of CPU
+#: time, so the profile holds some 20 samples
+FAST = ["obs", "--cycles", "25000", "--intensity", "0.75"]
 
 
 def _seed_history(path, rounds_pairs):
@@ -18,25 +21,34 @@ def _seed_history(path, rounds_pairs):
 
 class TestProfRun:
     def test_prints_component_table(self, capsys):
-        assert main(["prof", "run", *FAST]) == 0
+        assert main(FAST) == 0
         out = capsys.readouterr().out
-        assert "component" in out
-        assert "engine" in out and "scheduler" in out
+        section = out.split("== Where the simulator's time went — prof ==")
+        assert len(section) == 2
+        assert "component  share" in section[1]
+        assert "slowest phases" in section[1]
+        assert "run;engine.advance" in section[1]
 
     def test_unknown_action_rejected(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit, match="unknown action"):
             main(["prof", "juggle"])
+        # a run is profiled by obs now
+        for action in ("run", "flame", "dashboard"):
+            with pytest.raises(SystemExit, match="unknown action"):
+                main(["prof", action])
 
 
 class TestProfFlame:
     def test_writes_svg_and_collapsed(self, capsys, tmp_path):
-        svg = tmp_path / "flame.svg"
+        page = tmp_path / "run.html"
         collapsed = tmp_path / "stacks.txt"
-        assert main(["prof", "flame", *FAST, "--out", str(svg),
+        assert main([*FAST, "--out", str(page),
                      "--collapsed", str(collapsed)]) == 0
-        assert svg.read_text(encoding="utf-8").rstrip().endswith("</svg>")
-        first = collapsed.read_text(encoding="utf-8").splitlines()[0]
-        assert first.startswith("run")
+        html = page.read_text(encoding="utf-8")
+        assert '<svg class="flame"' in html
+        text = collapsed.read_text(encoding="utf-8")
+        assert text.splitlines()[0].startswith("run")
+        assert all(path[0] == "run" for path in parse_collapsed(text))
 
 
 class TestProfHistory:
@@ -81,7 +93,7 @@ class TestProfDashboard:
         path = tmp_path / "hist.json"
         _seed_history(path, [(0.10,), (0.11,)])
         out = tmp_path / "perf.html"
-        assert main(["prof", "dashboard", *FAST, "--history", str(path),
+        assert main([*FAST, "--history", str(path),
                      "--out", str(out)]) == 0
         html = out.read_text(encoding="utf-8")
         assert "<svg" in html  # embedded flame graph + sparklines
@@ -89,8 +101,7 @@ class TestProfDashboard:
 
     def test_works_without_history(self, capsys, tmp_path):
         out = tmp_path / "perf.html"
-        assert main(["prof", "dashboard", *FAST,
-                     "--history", str(tmp_path / "missing.json"),
+        assert main([*FAST, "--history", str(tmp_path / "missing.json"),
                      "--out", str(out)]) == 0
         assert "</html>" in out.read_text(encoding="utf-8")
 
@@ -118,7 +129,7 @@ class TestDirtyShas:
         path = tmp_path / "hist.json"
         self.seed(path)
         out = tmp_path / "perf.html"
-        assert main(["prof", "dashboard", *FAST, "--history", str(path),
+        assert main([*FAST, "--history", str(path),
                      "--out", str(out)]) == 0
         html = out.read_text(encoding="utf-8")
         assert "@ 33bea3ac*:" in html and "@ aaaaaaaaa:" in html

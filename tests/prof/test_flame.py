@@ -2,24 +2,18 @@
 
 import pytest
 
-from repro import SimConfig
 from repro.obs.dashboard import write_page
 from repro.prof import (
     parse_collapsed,
-    profile_run,
     render_collapsed,
     render_flame_svg,
 )
-from repro.workloads import make_intensity_workload
 
 
 @pytest.fixture(scope="module")
-def report():
-    """A 24-thread TCM run — the acceptance-criteria workload."""
-    workload = make_intensity_workload(0.75, num_threads=24, seed=0)
-    _, report = profile_run(workload, "tcm", SimConfig(run_cycles=40_000),
-                            seed=0)
-    return report
+def report(tcm_profile):
+    """A 24-thread TCM run long enough for some 200 samples."""
+    return tcm_profile[1]
 
 
 class TestCollapsed:

@@ -7,7 +7,7 @@ Replaying a point with :func:`repro.diverge.compare_to_recording`
 checks the simulator's whole state mid-run, not just its end result;
 a drift names the first checkpoint and component that left the
 recording.  Regenerate together with the goldens
-(``scripts/update_goldens.py``).
+(``python -m repro.experiments.cli validate goldens --update``).
 """
 
 import pytest

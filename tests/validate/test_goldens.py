@@ -72,8 +72,8 @@ class TestGoldenRegression:
         assert drifts == [], [str(d) for d in drifts[:10]]
 
     def test_drift_detected_and_script_fails(self, tmp_path):
-        """A perturbed golden file must make --check exit non-zero and
-        name the drifted field."""
+        """A perturbed golden file must make ``validate goldens`` exit
+        non-zero and name the drifted field."""
         document = json.loads(GOLDEN_PATH.read_text())
         key = next(iter(sorted(document["matrix"])))
         document["matrix"][key]["total_requests"] += 1
@@ -89,8 +89,8 @@ class TestGoldenRegression:
         )
 
         proc = subprocess.run(
-            [sys.executable, str(REPO / "scripts" / "update_goldens.py"),
-             "--check", "--quiet", "--path", str(tampered)],
+            [sys.executable, "-m", "repro.experiments.cli", "validate",
+             "goldens", "--goldens-path", str(tampered)],
             capture_output=True, text=True, cwd=REPO,
             env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
         )
