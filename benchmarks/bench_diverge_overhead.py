@@ -25,7 +25,7 @@ from pathlib import Path
 
 from conftest import STRICT_TOLERANCE, alternating_rounds, record_history
 from repro import SimConfig, System, make_scheduler
-from repro.diverge import StateProbe, resolve_cadence
+from repro.diverge import StateProbe
 from repro.prof.history import load_baseline, machine_fingerprint, same_machine
 from repro.workloads import make_intensity_workload
 
@@ -80,7 +80,7 @@ def test_probe_detached_matches_baseline_behaviour(benchmark):
 def test_probe_does_not_change_results():
     """Checkpointing at quantum cadence observes without perturbing."""
     plain = _system().run()
-    cadence = resolve_cadence("quantum", SimConfig())
+    cadence = SimConfig().quantum_cycles
     probed, probe = _probed_run(cadence)
     assert _result_fingerprint(probed) == _result_fingerprint(plain)
     assert probe.rings()["events"], "probe saw no events"
@@ -128,7 +128,7 @@ def test_probe_attached_cost_is_recorded(benchmark):
     the benchmark artifact and ``BENCH_history.json`` so a pathological
     regression (e.g. accidental per-event snapshotting) is visible.
     """
-    cadence = resolve_cadence("quantum", SimConfig())
+    cadence = SimConfig().quantum_cycles
     # both sides time building the system, as the probed run must
     off_timings, on_timings = alternating_rounds(
         lambda: lambda: _system().run(),

@@ -7,11 +7,11 @@ be approached).  Three layers:
 * **Per-scheduler speed** — every policy in the registry
   (``engine_speed[tcm]`` ...; see docs/PERFORMANCE.md), plus FR-FCFS
   and TCM with writes and prefetching on (``engine_speed[tcm-rw]`` ...,
-  the e2e benchmark's ``sim_rw`` configuration).  Each bench
-  attaches ``repro.prof`` component shares, with the sample count they
-  rest on, as ``extra_info`` so the artifact says *where* the cycles
-  went, and appends a ``repro.prof.history`` record when
-  ``REPRO_BENCH_RECORD=1``.
+  the e2e benchmark's ``sim_rw`` configuration).  Each bench appends
+  a ``repro.prof.history`` record when ``REPRO_BENCH_RECORD=1``.  It
+  records no component shares: a 60k-cycle run gets some 15 profiler
+  samples, too few for a share (``obs`` prints the shares of a run
+  long enough to carry them).
   ``engine_speed[tcm]`` also carries ``system_bytes``, the heap one
   built, unrun ``SimConfig()`` TCM System holds (informational, no
   bound).
@@ -95,7 +95,7 @@ def _timed_run(scheduler_name, features=None):
 @pytest.mark.parametrize("point, name, features", POINTS,
                          ids=[point for point, _, _ in POINTS])
 def test_engine_speed(benchmark, point, name, features):
-    """Engine speed and component shares for one registered policy."""
+    """Engine speed for one registered policy."""
     rounds, result, events = [], None, 0
     for _ in range(ROUNDS):
         dt, result, system = _timed_run(name, features)
@@ -104,16 +104,14 @@ def test_engine_speed(benchmark, point, name, features):
     assert result.total_requests > 500
     median = statistics.median(rounds)
 
-    # Where the cycles go: one profiled run, not a timed round.  Also
-    # the identity check: profiled and plain runs both take the fused
-    # loop, so this equality does not pin the loops to each other
-    # (tests/engine/test_backend_parity.py does).  A 60k-cycle run is
-    # some 15 samples: these shares are coarse.
-    prof_result, report = profile_run(
+    # The identity check: one profiled run, not a timed round.
+    # Profiled and plain runs both take the fused loop, so this
+    # equality does not pin the loops to each other
+    # (tests/engine/test_backend_parity.py does).
+    prof_result, _ = profile_run(
         _workload(), name, _config(features), seed=0,
     )
     assert prof_result == result, "profiler changed the simulated outcome"
-    shares = {k: round(v, 4) for k, v in report.component_shares().items()}
     footprint = {"system_bytes": _system_bytes()} if point == "tcm" else {}
 
     benchmark.extra_info.update(footprint)
@@ -123,8 +121,6 @@ def test_engine_speed(benchmark, point, name, features):
     benchmark.extra_info["requests_per_sec"] = round(
         result.total_requests / median
     )
-    benchmark.extra_info["component_shares"] = shares
-    benchmark.extra_info["profile_samples"] = report.samples
     record_history(
         f"engine_speed[{point}]", "engine_speed", rounds,
         requests=result.total_requests,
@@ -132,8 +128,6 @@ def test_engine_speed(benchmark, point, name, features):
         events=events,
         events_per_sec=round(events / median),
         requests_per_sec=round(result.total_requests / median),
-        extra={"component_shares": shares,
-               "profile_samples": report.samples},
         **footprint,
     )
     benchmark.pedantic(lambda: _system(name, features).run(),

@@ -11,14 +11,12 @@ the last events on each side":
   observer seams.
 * :mod:`repro.diverge.lockstep` — checkpoint-by-checkpoint
   differential execution of two runs, with geometric re-execution
-  bisection down to the exact first divergent cycle, plus recorded
-  fingerprint baselines.
-* :mod:`repro.diverge.report` — forensic JSON reports and Perfetto
-  export with the divergence marked; the run page
-  (:func:`repro.obs.dashboard.render_run_page`) draws a report as its
-  divergence section.
+  bisection down to the exact first divergent cycle.
 
-CLI: ``python -m repro.experiments.cli diverge run|bisect|report``.
+``validate goldens`` fingerprints every golden point's state once per
+quantum with :func:`fingerprint_state` and names the first checkpoint
+and the components that left the committed recording
+(:mod:`repro.validate.goldens`).
 """
 
 from repro.diverge.lockstep import (
@@ -26,23 +24,12 @@ from repro.diverge.lockstep import (
     LockstepResult,
     RunSpec,
     bisect_divergence,
-    compare_to_recording,
-    lockstep_compare,
-    record_checkpoints,
-    resolve_cadence,
-    spec_for_golden_key,
 )
 from repro.diverge.probe import (
     COMPONENTS,
     StateProbe,
     fingerprint_state,
     snapshot_state,
-)
-from repro.diverge.report import (
-    build_report,
-    export_perfetto,
-    load_report,
-    write_report,
 )
 
 __all__ = [
@@ -52,15 +39,6 @@ __all__ = [
     "RunSpec",
     "StateProbe",
     "bisect_divergence",
-    "build_report",
-    "compare_to_recording",
-    "export_perfetto",
     "fingerprint_state",
-    "load_report",
-    "lockstep_compare",
-    "record_checkpoints",
-    "resolve_cadence",
     "snapshot_state",
-    "spec_for_golden_key",
-    "write_report",
 ]

@@ -1,7 +1,7 @@
 """Lockstep differential execution with first-divergence bisection.
 
 Runs two simulations checkpoint-by-checkpoint — two seeds, two
-schedulers, two configs, or a live run vs a recorded baseline —
+schedulers, two configs, or a run and a fault-injecting copy of it —
 comparing :mod:`repro.diverge.probe` fingerprints at every
 checkpoint.  On the first mismatch, :func:`bisect_divergence` re-runs
 the bracketing window at geometrically finer cadence until two
@@ -20,9 +20,7 @@ divergence every round.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.config import SimConfig
@@ -43,7 +41,9 @@ class RunSpec:
     ``build()`` constructs a fresh :class:`~repro.sim.system.System`;
     the lockstep machinery only ever needs a zero-argument factory, so
     anything constructible by hand (custom workloads, fault-injecting
-    wrappers) can bypass this class entirely.
+    wrappers) can bypass this class entirely.  Each golden point's
+    checkpoint recording carries its spec (``to_json``), so
+    ``RunSpec(**spec).build()`` rebuilds that run.
     """
 
     scheduler: str = "tcm"
@@ -52,9 +52,6 @@ class RunSpec:
     mix_seed: int = 7
     seed: int = 11
     run_cycles: int = 150_000
-
-    def label(self) -> str:
-        return f"{self.scheduler}/i{self.intensity:g}/s{self.seed}"
 
     def build(self):
         from repro import System, make_scheduler
@@ -111,7 +108,7 @@ class Divergence:
 
 @dataclass
 class LockstepResult:
-    """Outcome of a lockstep comparison or bisection."""
+    """Outcome of a bisection (:func:`bisect_divergence`)."""
 
     diverged: bool
     horizon: int
@@ -209,44 +206,6 @@ def _scan(factory_a, factory_b, lo, hi, cadence, components, ring):
     return None, checked
 
 
-def resolve_cadence(cadence, config: Optional[SimConfig] = None) -> int:
-    """Map a cadence spec to cycles: a positive int passes through;
-    ``"quantum"`` (or None) means one checkpoint per scheduling
-    quantum; ``"cycle"`` means every cycle."""
-    if cadence is None or cadence == "quantum":
-        return (config or SimConfig()).quantum_cycles
-    if cadence == "cycle":
-        return 1
-    cadence = int(cadence)
-    if cadence < 1:
-        raise ValueError("checkpoint cadence must be >= 1 cycle")
-    return cadence
-
-
-def lockstep_compare(
-    factory_a: Callable[[], object],
-    factory_b: Callable[[], object],
-    horizon: int,
-    cadence: int,
-    components: Iterable[str] = COMPONENTS,
-    ring: int = DEFAULT_RING,
-) -> LockstepResult:
-    """One coarse lockstep pass: stop at the first mismatching
-    checkpoint, no refinement."""
-    components = tuple(components)
-    divergence, checked = _scan(
-        factory_a, factory_b, 0, horizon, cadence, components, ring
-    )
-    return LockstepResult(
-        diverged=divergence is not None,
-        horizon=horizon,
-        cadence=cadence,
-        checkpoints=checked,
-        rounds=1,
-        divergence=divergence,
-    )
-
-
 def bisect_divergence(
     factory_a: Callable[[], object],
     factory_b: Callable[[], object],
@@ -288,139 +247,4 @@ def bisect_divergence(
         checkpoints=checkpoints,
         rounds=rounds,
         divergence=divergence,
-    )
-
-
-def spec_for_golden_key(key: str) -> RunSpec:
-    """The :class:`RunSpec` reproducing one golden-matrix point.
-
-    Bridges ``validate goldens`` failures into the forensic machinery:
-    a drifting key like ``mix-50pct-s7/tcm/s11`` becomes a spec whose
-    ``build()`` replays exactly that run, so it can be compared with
-    its recorded checkpoints (:func:`compare_to_recording`).
-    """
-    import re
-
-    from repro.validate.goldens import (
-        GOLDEN_CONFIG,
-        GOLDEN_THREADS,
-        parse_golden_key,
-    )
-
-    mix, scheduler, seed = parse_golden_key(key)
-    match = re.fullmatch(r"mix-(\d+)pct-s(\d+)", mix)
-    if match is None or not scheduler or not seed:
-        raise ValueError(f"cannot reconstruct a run from golden key {key!r}")
-    return RunSpec(
-        scheduler=scheduler,
-        intensity=int(match.group(1)) / 100,
-        num_threads=GOLDEN_THREADS,
-        mix_seed=int(match.group(2)),
-        seed=int(seed),
-        run_cycles=GOLDEN_CONFIG.run_cycles,
-    )
-
-
-# ----------------------------------------------------------------------
-# recorded baselines
-# ----------------------------------------------------------------------
-
-RECORDING_SCHEMA = "repro.diverge.recording/v1"
-
-
-def record_checkpoints(
-    factory: Callable[[], object],
-    horizon: int,
-    cadence: int,
-    components: Iterable[str] = COMPONENTS,
-    path: Optional[Path] = None,
-    spec: Optional[RunSpec] = None,
-) -> dict:
-    """Run once, recording per-checkpoint fingerprints for later
-    live-vs-baseline comparison (e.g. across commits)."""
-    components = tuple(components)
-    system, probe = _start(factory, components, ring=0)
-    checkpoints: Dict[str, Dict[str, str]] = {}
-    cycle = 0
-    while cycle < horizon:
-        cycle = min(cycle + cadence, horizon)
-        system.advance(cycle)
-        checkpoints[str(cycle)] = probe.fingerprint()
-    recording = {
-        "schema": RECORDING_SCHEMA,
-        "horizon": horizon,
-        "cadence": cadence,
-        "components": list(components),
-        "spec": spec.to_json() if spec is not None else None,
-        "checkpoints": checkpoints,
-    }
-    if path is not None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(recording, indent=1, sort_keys=True))
-    return recording
-
-
-def compare_to_recording(
-    factory: Callable[[], object],
-    recording: dict,
-    ring: int = DEFAULT_RING,
-) -> LockstepResult:
-    """Replay a live run against a recorded baseline's checkpoints.
-
-    Localisation stops at the recording's cadence (a recording cannot
-    be refined after the fact); for exact-cycle bisection run both
-    sides live with :func:`bisect_divergence`.
-    """
-    if recording.get("schema") != RECORDING_SCHEMA:
-        raise ValueError(
-            f"not a diverge recording (schema {recording.get('schema')!r})"
-        )
-    components = tuple(recording["components"])
-    horizon = recording["horizon"]
-    cadence = recording["cadence"]
-    system, probe = _start(factory, components, ring)
-    baseline = recording["checkpoints"]
-    last_match = 0
-    checked = 0
-    cycle = 0
-    while cycle < horizon:
-        cycle = min(cycle + cadence, horizon)
-        system.advance(cycle)
-        expected = baseline.get(str(cycle))
-        live = probe.fingerprint()
-        checked += 1
-        if expected != live:
-            snapshot = probe.snapshot()
-            divergence = Divergence(
-                cycle=cycle,
-                last_match=last_match,
-                exact=cycle == last_match + 1,
-                components=sorted(
-                    name for name in live
-                    if expected is None or live[name] != expected.get(name)
-                ),
-                fingerprint_a=expected or {},
-                fingerprint_b=live,
-                diff=[],  # the baseline holds hashes, not state
-                snapshot_a={},
-                snapshot_b=snapshot,
-                rings_a={},
-                rings_b=probe.rings(),
-            )
-            return LockstepResult(
-                diverged=True,
-                horizon=horizon,
-                cadence=cadence,
-                checkpoints=checked,
-                rounds=1,
-                divergence=divergence,
-            )
-        last_match = cycle
-    return LockstepResult(
-        diverged=False,
-        horizon=horizon,
-        cadence=cadence,
-        checkpoints=checked,
-        rounds=1,
     )

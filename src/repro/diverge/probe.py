@@ -41,7 +41,8 @@ JSON round trip unchanged.
 The probe is a run observer (:mod:`repro.sim.observer`) and runs on
 either of ``System``'s event loops.  Its rings keep plain tuples per
 event and grant; :meth:`StateProbe.rings` turns them into the JSON
-lists and dicts of the forensic report.
+lists and dicts a bisected :class:`~repro.diverge.lockstep.Divergence`
+carries for each side.
 """
 
 from __future__ import annotations
@@ -374,8 +375,8 @@ class StateProbe(Observer):
 
     Once attached, the event loops feed the probe every dispatched event
     (:meth:`on_event`) and every grant (:meth:`on_grant`), which it
-    keeps in bounded ring buffers of plain tuples for the forensic
-    report (:meth:`rings`).  Fingerprints and snapshots are computed
+    keeps in bounded ring buffers of plain tuples for a divergence's
+    context (:meth:`rings`).  Fingerprints and snapshots are computed
     only when asked (between :meth:`~repro.sim.system.System.advance`
     windows), so probe overhead scales with checkpoint cadence, not
     event rate.

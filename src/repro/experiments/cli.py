@@ -63,30 +63,16 @@ Validation subcommands (see docs/VALIDATION.md)::
 
 ``validate run`` executes the workload under every registered
 scheduler with the invariant oracle attached and exits non-zero on
-any violation; ``validate goldens`` recomputes the pinned golden
-matrix and fails on fingerprint drift — exit 3 means values drifted,
-exit 4 means only the matrix structure changed, and ``--forensics
-DIR`` replays the first failing point against its recorded
-checkpoints.  ``--update`` regenerates the matrix (and, at the default
-``--goldens-path``, its checkpoint recording) and prints the drift
-report of what it overwrote.
-
-Divergence-forensics subcommands (see docs/DIVERGENCE.md)::
-
-    python -m repro.experiments.cli diverge run --cycles 150000 --seed-b 12
-    python -m repro.experiments.cli diverge bisect --seed 11 --seed-b 12 \\
-        --json-out report.json
-    python -m repro.experiments.cli diverge bisect --record baseline.json
-    python -m repro.experiments.cli diverge run --baseline baseline.json
-    python -m repro.experiments.cli diverge report --json-in report.json \\
-        --out report.html --trace-out trace.json
-
-``diverge run`` lockstep-compares two runs (vary ``--seed-b`` or
-``--scheduler-b``) or one run against a ``--baseline`` recording,
-checkpoint by checkpoint, and stops at the first mismatch; ``bisect``
-refines that mismatch down to the exact first divergent cycle and
-prints the field-level state diff; ``report`` re-renders a saved
-forensic report.  Exit code 2 signals a divergence.
+any violation; ``validate goldens`` runs each pinned golden point
+once and checks its end-of-run fingerprint against the matrix
+(``--goldens-path``) and its state fingerprints at every quantum
+against the ``golden_checkpoints.json`` beside it.  On drift it names,
+per drifting point, the first checkpoint and the components that left
+the recording (or that every checkpoint matched) before the mismatch
+table; exit 3 means values drifted, exit 4 means only the structure
+changed or a golden file is missing or stale.  ``--update`` rewrites
+both files from the same pass and prints the drift report of what it
+overwrote.
 
 Speed-record subcommands (see docs/PROFILING.md)::
 
@@ -381,7 +367,6 @@ _ACTIONS = {
     "paper": tuple(_PAPER),
     "campaign": ("run", "resume", "status", "compact"),
     "validate": ("run", "goldens"),
-    "diverge": ("bisect", "run", "report"),
     "obs": ("run",),
     "prof": ("history", "compare"),
 }
@@ -488,70 +473,22 @@ def _cmd_obs(args, config):
 # ----------------------------------------------------------------------
 
 
-def _goldens_forensics(drifts, directory) -> None:
-    """Replay the first drifting golden point against its recorded
-    checkpoints and drop forensic artifacts — drift list, report JSON,
-    HTML panel — into ``directory`` for CI upload."""
-    import json as json_mod
-    from pathlib import Path
-
-    from repro.diverge import (
-        build_report,
-        compare_to_recording,
-        spec_for_golden_key,
-        write_report,
-    )
-    from repro.validate import drift_point_rows, load_golden_checkpoints
-    from repro.validate.goldens import is_structural
-
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    (directory / "goldens_drift.json").write_text(json_mod.dumps(
-        [dict(zip(("mix", "scheduler", "seed", "field", "expected",
-                   "actual"), row))
-         for row in drift_point_rows(drifts)],
-        indent=1,
-    ))
-    # replay a point whose fingerprint *value* drifted if there is one;
-    # structural drifts (missing/new entries) have nothing to replay
-    key = next(
-        (d.key for d in drifts if not is_structural(d)), drifts[0].key
-    )
-    try:
-        spec = spec_for_golden_key(key)
-        recording = load_golden_checkpoints()[key]
-    except (ValueError, KeyError, FileNotFoundError) as exc:
-        print(f"forensics: cannot replay {key} ({exc!r}); "
-              "wrote drift list only")
-        return
-    print(f"forensics: replaying {key} against its recorded checkpoints")
-    result = compare_to_recording(spec.factory(), recording)
-    print(f"forensics: {result.summary()}")
-    if not result.diverged:
-        print("forensics: every recorded checkpoint matches — the drift "
-              "is in the alone runs or the end-of-run results (see the "
-              "drift list)")
-    report = build_report(
-        result, label_a="recording", label_b=spec.label(),
-        context={"golden_key": key, "reason": "goldens drift"},
-    )
-    write_report(report, directory / "diverge_report.json")
-    _divergence_page(report, directory / "diverge_report.html")
-    print(f"forensics: artifacts in {directory}")
-
-
 def _cmd_validate(args, config):
     from repro.validate import (
+        EXIT_MISSING,
+        GOLDEN_PATH,
+        GoldenFileError,
         OracleConfig,
         check_goldens,
         checked_run,
-        compare_fingerprints,
+        checkpoint_departures,
+        checkpoints_path,
         compute_golden_matrix,
         drift_point_rows,
         drifts_exit_code,
         format_drift_report,
-        load_goldens,
-        record_golden_checkpoints,
+        golden_drifts,
+        load_golden_files,
         save_golden_checkpoints,
         save_goldens,
     )
@@ -559,30 +496,39 @@ def _cmd_validate(args, config):
     action = _action(args, "validate")
 
     if action == "goldens":
-        path = args.goldens_path or None
-        kwargs = {"path": path} if path else {}
+        path = args.goldens_path or GOLDEN_PATH
         if args.update:
-            matrix = compute_golden_matrix(progress=True)
+            fresh = compute_golden_matrix(progress=True)
+            matrix, recordings = fresh
             try:
-                drifts = compare_fingerprints(load_goldens(**kwargs), matrix)
-            except (FileNotFoundError, ValueError):
+                drifts = golden_drifts(load_golden_files(path), fresh)
+            except GoldenFileError:
                 drifts = None   # first generation or format change
             if drifts:
                 print(format_drift_report(drifts))
-            where = save_goldens(matrix, **kwargs)
-            changed = ("no previous matrix" if drifts is None
+            changed = ("no previous goldens" if drifts is None
                        else f"{len(drifts)} fields changed" if drifts
                        else "unchanged")
-            print(f"wrote {where} ({len(matrix)} points, {changed})")
-            if not path:
-                where = save_golden_checkpoints(
-                    record_golden_checkpoints(progress=True)
-                )
-                print(f"wrote {where}")
+            print(f"wrote {save_goldens(matrix, path)} "
+                  f"({len(matrix)} points, {changed})")
+            where = save_golden_checkpoints(recordings, checkpoints_path(path))
+            print(f"wrote {where}")
             return
-        drifts = check_goldens(**kwargs, progress=True)
+        try:
+            drifts = check_goldens(path, progress=True)
+        except GoldenFileError as exc:
+            print(f"goldens: {exc}")
+            raise SystemExit(EXIT_MISSING) from None
         if drifts:
             print(format_drift_report(drifts))
+            print()
+            print("per-quantum checkpoints of each drifting point:")
+            for key, first in checkpoint_departures(drifts).items():
+                print(f"  {key}: " + (
+                    "every checkpoint matched — the drift is in the alone "
+                    "runs or the end-of-run results" if first is None
+                    else f"first left the recording at checkpoint "
+                         f"{first[0]}: {', '.join(first[1])}"))
             print()
             print(format_table(
                 ["mix", "scheduler", "seed", "field", "expected",
@@ -590,8 +536,6 @@ def _cmd_validate(args, config):
                 drift_point_rows(drifts),
                 title="golden mismatches by point",
             ))
-            if args.forensics:
-                _goldens_forensics(drifts, args.forensics)
             code = drifts_exit_code(drifts)
             print(f"exit {code}: "
                   + ("fingerprint drift — behaviour changed"
@@ -633,125 +577,6 @@ def _cmd_validate(args, config):
     )
     if failed:
         raise SystemExit(1)
-
-
-# ----------------------------------------------------------------------
-# diverge subcommands
-# ----------------------------------------------------------------------
-
-
-def _divergence_page(report: dict, path) -> None:
-    from repro.obs.dashboard import render_run_page, write_page
-
-    page = render_run_page(
-        divergence=report,
-        title=f"{report.get('label_a', 'a')} vs {report.get('label_b', 'b')}",
-    )
-    print(f"wrote {write_page(page, path)}")
-
-
-def _cmd_diverge(args, config):
-    import json as json_mod
-    from pathlib import Path
-
-    from repro.diverge import (
-        RunSpec,
-        bisect_divergence,
-        build_report,
-        compare_to_recording,
-        export_perfetto,
-        load_report,
-        lockstep_compare,
-        record_checkpoints,
-        resolve_cadence,
-        write_report,
-    )
-
-    action = _action(args, "diverge")
-
-    if action == "report":
-        if not args.json_in:
-            raise SystemExit("diverge report: --json-in REPORT.json "
-                             "is required")
-        report = load_report(args.json_in)
-        print(report["summary"])
-        if args.out:
-            _divergence_page(report, args.out)
-        if args.trace_out:
-            where = export_perfetto(report, args.trace_out)
-            print(f"wrote {where} (load at https://ui.perfetto.dev)")
-        return
-
-    cadence = resolve_cadence(args.cadence, config)
-    scheduler = args.scheduler or "tcm"
-    spec_a = RunSpec(
-        scheduler=scheduler,
-        intensity=args.intensity,
-        seed=args.seed,
-        run_cycles=args.cycles,
-    )
-
-    if args.record:
-        recording = record_checkpoints(
-            spec_a.factory(), args.cycles, cadence,
-            path=args.record, spec=spec_a,
-        )
-        print(f"wrote {args.record} "
-              f"({len(recording['checkpoints'])} checkpoints, "
-              f"cadence {cadence})")
-        return
-
-    if args.baseline:
-        recording = json_mod.loads(Path(args.baseline).read_text())
-        result = compare_to_recording(spec_a.factory(), recording)
-        label_a = f"baseline:{args.baseline}"
-        label_b = spec_a.label()
-        context = {"spec_b": spec_a.to_json(),
-                   "baseline_spec": recording.get("spec")}
-    else:
-        spec_b = RunSpec(
-            scheduler=args.scheduler_b or scheduler,
-            intensity=args.intensity,
-            seed=args.seed if args.seed_b is None else args.seed_b,
-            run_cycles=args.cycles,
-        )
-        if spec_a == spec_b:
-            raise SystemExit(
-                "diverge: both sides are the identical run — vary "
-                "--seed-b or --scheduler-b, or compare against a "
-                "--baseline recording"
-            )
-        label_a, label_b = spec_a.label(), spec_b.label()
-        context = {"spec_a": spec_a.to_json(), "spec_b": spec_b.to_json()}
-        compare = lockstep_compare if action == "run" else bisect_divergence
-        kwargs = {} if action == "run" else {"refine": args.refine}
-        result = compare(
-            spec_a.factory(), spec_b.factory(), args.cycles, cadence,
-            **kwargs,
-        )
-
-    print(f"{label_a}  vs  {label_b}")
-    print(result.summary())
-    divergence = result.divergence
-    if divergence is not None:
-        shown = divergence.diff[:10]
-        for entry in shown:
-            print(f"  {entry['path']}: {entry['a']!r} -> {entry['b']!r}")
-        more = len(divergence.diff) - len(shown)
-        if more > 0:
-            print(f"  ... and {more} more differing field(s) "
-                  "(see --json-out report)")
-    report = build_report(result, label_a, label_b, context=context)
-    if args.json_out:
-        where = write_report(report, args.json_out)
-        print(f"wrote {where}")
-    if args.out:
-        _divergence_page(report, args.out)
-    if args.trace_out:
-        where = export_perfetto(report, args.trace_out)
-        print(f"wrote {where} (load at https://ui.perfetto.dev)")
-    if result.diverged:
-        raise SystemExit(2)
 
 
 # ----------------------------------------------------------------------
@@ -896,7 +721,6 @@ def _cmd_campaign(args, config):
 
 _COMMANDS = {
     "campaign": _cmd_campaign,
-    "diverge": _cmd_diverge,
     "obs": _cmd_obs,
     "paper": _cmd_paper,
     "prof": _cmd_prof,
@@ -923,7 +747,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--intensity", type=float, default=0.5,
                         help="memory-intensive fraction of the workload "
-                             "(run, obs, validate run, diverge)")
+                             "(run, obs, validate run)")
     parser.add_argument("--workload-file", default=None,
                         help="JSON workload definition instead of "
                              "--intensity (run, obs, validate run; see "
@@ -951,8 +775,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--force", action="store_true",
                         help="re-run campaign points even if stored")
     parser.add_argument("--scheduler", default=None,
-                        help="scheduler of the one observed run: obs, "
-                             "diverge (side A) (default tcm)")
+                        help="obs: scheduler of the one observed run "
+                             "(default tcm)")
     parser.add_argument("--epoch-cycles", type=int, default=None,
                         help="epoch-sampler period in cycles (default: "
                              "quantum length)")
@@ -963,14 +787,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trace-out", default=None,
                         help="obs: write the run's trace as STEM.jsonl "
                              "and STEM.json (a suffix of the last path "
-                             "component is dropped); diverge: write a "
-                             "Chrome trace_event JSON with the divergence "
-                             "marked to this file")
+                             "component is dropped)")
     parser.add_argument("--trace-dir", default=None,
                         help="write per-point JSONL traces here "
                              "(campaign run)")
     parser.add_argument("--out", default=None,
-                        help="output path (obs and diverge HTML pages)")
+                        help="obs: output path of the HTML page")
     parser.add_argument("--collapsed", default=None,
                         help="obs: also write the run's profile as "
                              "Brendan Gregg collapsed stacks to this path")
@@ -991,48 +813,22 @@ def build_parser() -> argparse.ArgumentParser:
                              "even without REPRO_BENCH_STRICT=1")
     parser.add_argument("--update", action="store_true",
                         help="validate goldens: regenerate the golden "
-                             "matrix instead of checking it, and print "
-                             "the drift report of what it overwrites")
-    parser.add_argument("--forensics", default=None,
-                        help="validate goldens: on drift, replay the "
-                             "first failing point against its recorded "
-                             "checkpoints and write forensic artifacts "
-                             "to this directory")
-    parser.add_argument("--cadence", default=None,
-                        help="diverge: checkpoint cadence — 'quantum' "
-                             "(default), 'cycle', or an integer cycle "
-                             "count")
-    parser.add_argument("--refine", type=int, default=8,
-                        help="diverge bisect: cadence shrink factor per "
-                             "refinement round")
-    parser.add_argument("--seed-b", type=int, default=None,
-                        help="diverge: run seed for side B (default: "
-                             "same as --seed)")
-    parser.add_argument("--scheduler-b", default=None,
-                        help="diverge: scheduler for side B (default: "
-                             "same as --scheduler)")
-    parser.add_argument("--record", default=None,
-                        help="diverge run|bisect: record side A's "
-                             "checkpoint fingerprints to this JSON "
-                             "baseline instead of comparing")
-    parser.add_argument("--baseline", default=None,
-                        help="diverge: compare side A against a recorded "
-                             "baseline instead of a second live run")
+                             "matrix and its checkpoint recording instead "
+                             "of checking them, and print the drift "
+                             "report of what it overwrites")
     parser.add_argument("--json-in", default=None,
-                        help="diverge report: forensic report JSON to "
-                             "render; obs: saved explain snapshot JSON to "
-                             "render")
+                        help="obs: saved explain snapshot JSON to render")
     parser.add_argument("--goldens-path", default=None,
-                        help="golden matrix JSON path (validate goldens; "
-                             "default tests/goldens/golden_matrix.json)")
+                        help="validate goldens: golden matrix JSON path, "
+                             "its checkpoint recording the "
+                             "golden_checkpoints.json beside it (default "
+                             "tests/goldens/golden_matrix.json)")
     parser.add_argument("--shadows", default=None,
                         help="obs: comma-separated shadow policies "
                              "(default: every evaluated policy except "
                              "the primary)")
     parser.add_argument("--json-out", default=None,
-                        help="diverge: write the forensic report JSON "
-                             "here; obs: write the explain snapshot JSON "
-                             "here")
+                        help="obs: write the explain snapshot JSON here")
     add_log_level_argument(parser)
     return parser
 

@@ -17,8 +17,8 @@ The observability layer over :mod:`repro.telemetry`'s raw events:
   sections as aligned tables;
 * :mod:`repro.obs.dashboard` — the only module that draws pages: one
   self-contained HTML run page (inline SVG, no JS) with a section per
-  kind of observer data — spans, explain, prof, diverge — and one
-  campaign page, on one chart kit and one palette.
+  kind of observer data — spans, explain, prof — and one campaign
+  page, on one chart kit and one palette.
 
 Typical use::
 

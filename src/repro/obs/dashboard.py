@@ -687,30 +687,6 @@ def _perf_section(profile, records: List[dict]) -> str:
             _table(["bench", "date", "sha", "median s", "best s",
                     "events/s"], rows, "lll"),
         ))
-        # the latest record of each bench, if it carries shares
-        shares_of = {r.get("bench"): (r.get("extra") or {}).get(
-            "component_shares") for r in records}
-        latest = [(bench, shares_of[bench]) for bench in names
-                  if shares_of[bench]]
-        if latest:
-            components = sorted(
-                {c for _, shares in latest for c in shares},
-                key=lambda c: (COMPONENT_SLOTS.get(c, len(SERIES)), c))
-            cards.append(_card(
-                "Where the wall-time goes — component shares "
-                "(latest record per bench)",
-                _bars("component shares per benchmark",
-                      [bench for bench, _ in latest],
-                      [(c, _series_color(COMPONENT_SLOTS[c])
-                        if c in COMPONENT_SLOTS else "var(--muted)",
-                        [shares.get(c, 0.0) for _, shares in latest])
-                       for c in components],
-                      stacked=True, fmt=lambda v: f"{v:.1%}"),
-                _table(["bench"] + components,
-                       [[bench] + [f"{shares.get(c, 0.0):.1%}"
-                                   for c in components]
-                        for bench, shares in latest]),
-            ))
     if profile is not None:
         from repro.prof.flame import render_flame_svg
 
@@ -733,69 +709,6 @@ def _perf_section(profile, records: List[dict]) -> str:
     )
 
 
-def _divergence_section(report: dict) -> str:
-    divergence = report.get("divergence")
-    tiles = [
-        ("side A", report.get("label_a", "a")),
-        ("side B", report.get("label_b", "b")),
-        ("horizon", _fmt(report.get("horizon"))),
-        ("cadence", _fmt(report.get("cadence"))),
-        ("checkpoints", _fmt(report.get("checkpoints"))),
-        ("rounds", _fmt(report.get("rounds"))),
-    ]
-    title, summary = "Divergence — diverge", report.get("summary", "")
-    if divergence is None:
-        tiles.append(("first divergence", "none"))
-        return _section(title, summary, tiles, [
-            "<p>No fingerprint mismatch at any checkpoint — both sides "
-            "agree over the whole horizon.</p>"])
-    where = str(divergence["cycle"])
-    if not divergence["exact"]:
-        where += f" (window from {divergence['last_match']})"
-    tiles.append(("first divergence", where))
-    tiles.append(("components", ", ".join(divergence["components"])))
-    fp_a, fp_b = divergence["fingerprint_a"], divergence["fingerprint_b"]
-    cards = [_card("Component fingerprints", _table(
-        ["component", "side A", "side B", "match"],
-        [[name, fp_a.get(name, "-"), fp_b.get(name, "-"),
-          "ok" if fp_a.get(name) == fp_b.get(name) else "DIFF"]
-         for name in sorted(set(fp_a) | set(fp_b))],
-        summary="Fingerprints at the divergent checkpoint",
-    ))]
-    diff = divergence.get("diff") or []
-    truncated = divergence.get("diff_truncated")
-    cards.append(_card("State diff", _table(
-        ["field", "side A", "side B"],
-        [[d["path"], repr(d["a"]), repr(d["b"])] for d in diff],
-        summary=f"{len(diff)} differing field(s)"
-        + (f" (+{truncated} truncated)" if truncated else ""),
-    ) if diff else "<p>No field-level diff available (baseline "
-                   "recordings store fingerprints only).</p>"))
-    for side in ("a", "b"):
-        rings = divergence.get(f"rings_{side}") or {}
-        events = rings.get("events") or []
-        decisions = rings.get("decisions") or []
-        parts = []
-        if events:
-            parts.append(_table(
-                ["cycle", "kind", "payload", "aux"],
-                [[e[0], e[1], repr(e[2]), e[3]] for e in events],
-                summary=f"Last {len(events)} events",
-            ))
-        if decisions:
-            parts.append(_table(
-                ["cycle", "ch", "bank", "tid", "row", "queued", "kind",
-                 "row hit", "data end"],
-                [[d["cycle"], d["ch"], d["bank"], d["tid"], d["row"],
-                  d["queued"], d["kind"], "yes" if d["row_hit"] else "no",
-                  d["data_end"]] for d in decisions],
-                summary=f"Last {len(decisions)} scheduler decisions",
-            ))
-        label = report.get(f"label_{side}", side)
-        cards.append(_card(f"Side {side.upper()} — {label}", *parts))
-    return _section(title, summary, tiles, cards)
-
-
 # ----------------------------------------------------------------------
 # pages
 # ----------------------------------------------------------------------
@@ -806,14 +719,12 @@ def render_run_page(
     explain: Optional[dict] = None,
     profile=None,
     history: Sequence[dict] = (),
-    divergence: Optional[dict] = None,
     title: Optional[str] = None,
 ) -> str:
     """One run's page, with a section for each kind of data given:
     an :func:`~repro.obs.aggregate.observe_run` observation (spans and
     epoch samples), an explain snapshot, a ``ProfileReport`` and its
-    ``BENCH_history`` records, a :func:`~repro.diverge.build_report`
-    document.  TCM's cluster timeline is drawn once."""
+    ``BENCH_history`` records.  TCM's cluster timeline is drawn once."""
     clusters = _cluster_card(run, explain)
     sections, kinds = [], []
     if run is not None:
@@ -826,9 +737,6 @@ def render_run_page(
     if profile is not None or history:
         sections.append(_perf_section(profile, list(history)))
         kinds.append("prof")
-    if divergence is not None:
-        sections.append(_divergence_section(divergence))
-        kinds.append("diverge")
     if title is None:
         title = f"{run.workload} under {run.scheduler}" if run else "run"
     return _page(f"repro — {title}", " · ".join(kinds), "".join(sections))

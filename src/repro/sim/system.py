@@ -439,9 +439,10 @@ class System:
 
         First stage of :meth:`run`.  Callable at most once per system:
         the initial issue gaps consume RNG draws, so re-priming would
-        change the simulated outcome.  Exposed separately so the
-        divergence tooling (:mod:`repro.diverge`) can advance a run
-        checkpoint-by-checkpoint via :meth:`advance`.
+        change the simulated outcome.  Exposed separately so a run can
+        be advanced checkpoint by checkpoint via :meth:`advance`: the
+        golden check (:func:`repro.validate.goldens.run_golden_point`)
+        and the bisector (:mod:`repro.diverge`) do.
         """
         if self._started:
             raise RuntimeError("System.start_run() called twice")

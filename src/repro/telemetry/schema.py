@@ -15,15 +15,14 @@ the fixed order :data:`ROW_FIELDS` gives, in place of the dicts.  A
 ``explain`` row for one ``explain`` event; :func:`row_events` builds
 the dicts a row stands for, keys in schema order.
 
-The schema doubles as documentation: docs/TELEMETRY.md renders from the
-same definitions, and CI validates a freshly traced run against it.
+The schema doubles as documentation: docs/TELEMETRY.md lists the same
+definitions, and CI validates a freshly traced run against it.
 """
 
 from __future__ import annotations
 
 import json
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 #: field-name -> allowed types (json-decoded)
 _NUM = (int, float)
@@ -183,15 +182,6 @@ def validate_event(event: dict) -> None:
         raise SchemaError("dram_cmd: end before start")
 
 
-def validate_events(events: Iterable[dict]) -> int:
-    """Validate an event stream; returns the number of events checked."""
-    count = 0
-    for event in events:
-        validate_event(event)
-        count += 1
-    return count
-
-
 def validate_jsonl(path) -> int:
     """Validate a JSONL trace file; returns the number of events.
 
@@ -213,17 +203,3 @@ def validate_jsonl(path) -> int:
                 raise SchemaError(f"{path}:{lineno}: {exc}") from exc
             count += 1
     return count
-
-
-def schema_markdown() -> str:
-    """Render the event schema as a markdown table (for docs)."""
-    lines: List[str] = [
-        "| event | required fields |",
-        "|-------|-----------------|",
-    ]
-    for ev in sorted(EVENT_SCHEMA):
-        fields = ", ".join(
-            f"`{name}`" for name in sorted(EVENT_SCHEMA[ev])
-        )
-        lines.append(f"| `{ev}` | {fields or '—'} |")
-    return "\n".join(lines)

@@ -13,9 +13,8 @@ sink — and the :func:`jsonl_to_perfetto` converter — render the same
 events into the Chrome ``trace_event`` JSON that https://ui.perfetto.dev
 and ``chrome://tracing`` open directly.  One incremental converter
 turns events into trace records for all of them, and
-:func:`write_perfetto` is the one writer of that document: the sink,
-the converter and the divergence export
-(:func:`repro.diverge.export_perfetto`) all go through it.
+:func:`write_perfetto` is the one writer of that document: the sink
+and the converter both go through it.
 
 * each DRAM bank is a thread-track of the "DRAM" process: ``dram_cmd``
   events become duration slices named by their row-buffer outcome;

@@ -13,7 +13,8 @@ Three pillars, none of which touch a simulation that does not opt in:
   determinism, thread-permutation equivariance).
 * :mod:`repro.validate.goldens` — a **golden-run regression harness**:
   compact result fingerprints for a pinned (scheduler x mix x seed)
-  matrix, committed under ``tests/goldens/`` and compared in CI.
+  matrix and each point's state fingerprints per quantum, committed
+  under ``tests/goldens/`` and compared in CI by one run per point.
 
 See docs/VALIDATION.md for the full catalogue of checks and the golden
 regeneration policy.
@@ -48,19 +49,24 @@ from repro.validate.goldens import (
     GOLDEN_PATH,
     GOLDEN_SCHEDULERS,
     GOLDEN_SEEDS,
+    GoldenFileError,
     check_goldens,
+    checkpoint_departures,
+    checkpoints_path,
     classify_drifts,
     compute_golden_matrix,
     drift_point_rows,
     drifts_exit_code,
     golden_document,
+    golden_drifts,
     golden_key,
     golden_mixes,
     is_structural,
     load_golden_checkpoints,
+    load_golden_files,
     load_goldens,
     parse_golden_key,
-    record_golden_checkpoints,
+    run_golden_point,
     save_golden_checkpoints,
     save_goldens,
 )
@@ -83,6 +89,7 @@ __all__ = [
     "GOLDEN_PATH",
     "GOLDEN_SCHEDULERS",
     "GOLDEN_SEEDS",
+    "GoldenFileError",
     "InvariantOracle",
     "InvariantViolation",
     "OracleConfig",
@@ -94,6 +101,8 @@ __all__ = [
     "attach_oracle",
     "check_goldens",
     "checked_run",
+    "checkpoint_departures",
+    "checkpoints_path",
     "classify_drifts",
     "compare_fingerprints",
     "compute_golden_matrix",
@@ -103,15 +112,17 @@ __all__ = [
     "fingerprint_run",
     "format_drift_report",
     "golden_document",
+    "golden_drifts",
     "golden_key",
     "golden_mixes",
     "is_structural",
     "load_golden_checkpoints",
+    "load_golden_files",
     "load_goldens",
     "parse_golden_key",
     "permute_workload",
+    "run_golden_point",
     "run_matrix",
-    "record_golden_checkpoints",
     "run_outcome",
     "save_golden_checkpoints",
     "save_goldens",

@@ -111,6 +111,17 @@ def tcm_profile():
                        "tcm", SimConfig(), seed=0)
 
 
+@pytest.fixture(scope="session")
+def golden_pass():
+    """``(matrix, recordings)`` of one run of every golden point
+    (:func:`repro.validate.compute_golden_matrix`): the goldens' tests
+    read it, so the suite runs each golden point once, not once per
+    golden file."""
+    from repro.validate import compute_golden_matrix
+
+    return compute_golden_matrix()
+
+
 @pytest.fixture
 def fused_advances(monkeypatch):
     """The limit of every ``System.advance`` call in the test that took

@@ -210,8 +210,8 @@ def test_golden_matrix_on_dispatch_loop(monkeypatch):
 
     Every simulation of the golden matrix — alone runs included, with
     the alone-run cache cleared — is routed through the dispatch loop
-    and diffed against the committed fingerprints, which the default
-    check reproduces on the fused loop.
+    and diffed against the committed fingerprints and per-quantum
+    checkpoints, which the default check reproduces on the fused loop.
     """
     import repro.sim.system
     from repro.experiments import runner

@@ -18,6 +18,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig4"])
 
+    def test_diverge_is_not_a_verb(self):
+        # repro.diverge is a library; validate goldens localises drift
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["diverge", "bisect"])
+
     def test_defaults(self):
         args = build_parser().parse_args(["paper", "fig4"])
         assert args.action == "fig4"

@@ -1,8 +1,8 @@
 """Tests for repro.obs.dashboard — self-contained HTML pages.
 
 The acceptance bar: every page — the campaign page, and the run page
-with each section it can carry (spans, explain, prof with history,
-divergence) — is valid, fully self-contained HTML (inline SVG + CSS,
+with each section it can carry (spans, explain, prof with history)
+— is valid, fully self-contained HTML (inline SVG + CSS,
 zero JavaScript, no URLs, dark-mode aware), verified here by parsing
 the output.
 """
@@ -100,28 +100,17 @@ def profile(tcm_profile):
 
 
 @pytest.fixture(scope="module")
-def divergence():
-    from repro.diverge import RunSpec, bisect_divergence, build_report
-
-    a = RunSpec(seed=11, num_threads=4, run_cycles=10_000)
-    b = RunSpec(seed=12, num_threads=4, run_cycles=10_000)
-    result = bisect_divergence(a.factory(), b.factory(), 10_000, 2_000)
-    return build_report(result, label_a=a.label(), label_b=b.label())
-
-
-@pytest.fixture(scope="module")
 def history():
     from repro.prof import load
 
     return load(ROOT / "BENCH_history.json")
 
 
-def _page(kind, observation, profile, history, divergence):
+def _page(kind, observation, profile, history):
     sections = {
         "spans": {"run": observation},
         "explain": {"explain": _snapshot()},
         "prof": {"profile": profile, "history": history},
-        "divergence": {"divergence": divergence},
     }
     if kind == "all":
         return render_run_page(**{k: v for s in sections.values()
@@ -131,13 +120,13 @@ def _page(kind, observation, profile, history, divergence):
 
 # the spans-only and campaign pages are audited by TestRunDashboard and
 # TestCampaignDashboard below
-@pytest.mark.parametrize("kind", ["explain", "prof", "divergence", "all"])
+@pytest.mark.parametrize("kind", ["explain", "prof", "all"])
 def test_every_page_is_valid_and_self_contained(
-        kind, observation, profile, history, divergence):
-    html = _page(kind, observation, profile, history, divergence)
+        kind, observation, profile, history):
+    html = _page(kind, observation, profile, history)
     audit = audited(html)
     assert_self_contained(html, audit)
-    assert audit.counts["section"] == (4 if kind == "all" else 1)
+    assert audit.counts["section"] == (3 if kind == "all" else 1)
 
 
 def test_page_module_is_imported_lazily():

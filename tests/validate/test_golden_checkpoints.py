@@ -1,18 +1,19 @@
 """Golden checkpoint recording: every golden point's state, per quantum.
 
 ``tests/goldens/golden_checkpoints.json`` holds, for each point of the
-golden matrix, :func:`repro.diverge.record_checkpoints` of its run —
-all seven state components fingerprinted at every quantum boundary.
-Replaying a point with :func:`repro.diverge.compare_to_recording`
-checks the simulator's whole state mid-run, not just its end result;
-a drift names the first checkpoint and component that left the
-recording.  Regenerate together with the goldens
+golden matrix, all seven :mod:`repro.diverge` state components
+fingerprinted at every quantum boundary of its run.  The one run of
+each point (the ``golden_pass`` fixture, the run ``validate goldens``
+makes) must reproduce its recording, so the simulator's whole state
+is checked mid-run, not just its end result; a drift names the first
+checkpoint and component that left the recording.  Regenerate
+together with the goldens
 (``python -m repro.experiments.cli validate goldens --update``).
 """
 
 import pytest
 
-from repro.diverge import COMPONENTS, compare_to_recording, spec_for_golden_key
+from repro.diverge import COMPONENTS
 from repro.validate import GOLDEN_CONFIG, load_golden_checkpoints
 from repro.validate.goldens import golden_keys
 
@@ -31,12 +32,9 @@ def recordings():
     return load_golden_checkpoints()
 
 
-def _replay(recordings, key):
-    result = compare_to_recording(
-        spec_for_golden_key(key).factory(), recordings[key]
-    )
-    assert not result.diverged, f"{key}: {result.summary()}"
-    assert result.checkpoints == len(recordings[key]["checkpoints"])
+def _replay(recordings, golden_pass, key):
+    _, fresh = golden_pass
+    assert fresh[key] == recordings[key]
 
 
 def test_recording_covers_the_golden_matrix(recordings):
@@ -48,11 +46,11 @@ def test_recording_covers_the_golden_matrix(recordings):
 
 
 @pytest.mark.parametrize("key", SAMPLE)
-def test_sampled_points_replay(recordings, key):
-    _replay(recordings, key)
+def test_sampled_points_replay(recordings, golden_pass, key):
+    _replay(recordings, golden_pass, key)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("key", golden_keys())
-def test_every_point_replays(recordings, key):
-    _replay(recordings, key)
+def test_every_point_replays(recordings, golden_pass, key):
+    _replay(recordings, golden_pass, key)

@@ -1,16 +1,14 @@
 """Failure triage for ``validate goldens``: mismatch table, distinct
-exit codes, and the forensics hand-off to :mod:`repro.diverge`'s
-recorded checkpoints."""
-
-import json
+exit codes, and where each drifting point left its per-quantum
+checkpoint recording."""
 
 import pytest
 
-from repro.experiments.cli import _goldens_forensics
 from repro.validate import (
     EXIT_DRIFT,
     EXIT_MISSING,
     Drift,
+    checkpoint_departures,
     classify_drifts,
     drift_point_rows,
     drifts_exit_code,
@@ -69,58 +67,30 @@ class TestMismatchTable:
         assert rows[1][3] == "<entry>"
 
 
-class TestForensicsHook:
-    def test_unreconstructable_key_writes_drift_list_only(
-        self, capsys, tmp_path
-    ):
-        weird = Drift("custom/thing", "ipc", 1, 2)
-        _goldens_forensics([weird], tmp_path)
-        out = capsys.readouterr().out
-        assert "drift list only" in out
-        listed = json.loads((tmp_path / "goldens_drift.json").read_text())
-        assert listed[0]["field"] == "ipc"
-        assert not (tmp_path / "diverge_report.json").exists()
+class TestCheckpointDepartures:
+    def test_first_checkpoint_in_cycle_order_and_its_components(self):
+        key = VALUE_DRIFT.key
+        drifts = [
+            Drift(key, "checkpoints.100000.dram", "a", "b"),
+            Drift(key, "checkpoints.50000.monitor", "a", "b"),
+            Drift(key, "checkpoints.50000.rng", "a", "b"),
+        ]
+        assert checkpoint_departures(drifts) == {
+            key: (50_000, ["monitor", "rng"]),
+        }
 
-    def test_prefers_value_drift_over_structural(self, capsys, tmp_path,
-                                                 monkeypatch):
-        captured = {}
+    def test_end_of_run_drift_left_no_checkpoint(self):
+        key = "mix-25pct-s7/fcfs/s11"
+        drifts = [VALUE_DRIFT,
+                  Drift(key, "checkpoints.150000.cpu", "a", "b")]
+        assert checkpoint_departures(drifts) == {
+            VALUE_DRIFT.key: None,
+            key: (150_000, ["cpu"]),
+        }
 
-        def fake_spec(key):
-            captured.setdefault("keys", []).append(key)
-            raise ValueError("stop here")
-
-        import repro.diverge
-
-        monkeypatch.setattr(
-            repro.diverge, "spec_for_golden_key", fake_spec
-        )
-        _goldens_forensics([NEW_ENTRY, VALUE_DRIFT], tmp_path)
-        assert captured["keys"] == [VALUE_DRIFT.key]
-
-    def test_replays_the_point_against_its_recording(self, capsys,
-                                                     tmp_path):
-        _goldens_forensics([VALUE_DRIFT], tmp_path)
-        out = capsys.readouterr().out
-        assert "every recorded checkpoint matches" in out
-        report = json.loads((tmp_path / "diverge_report.json").read_text())
-        assert report["diverged"] is False
-
-    def test_reports_first_divergent_checkpoint_and_component(
-        self, capsys, tmp_path, monkeypatch
-    ):
-        import repro.validate
-
-        recordings = repro.validate.load_golden_checkpoints()
-        recording = recordings[VALUE_DRIFT.key]
-        recording["checkpoints"]["100000"]["monitor"] = "0" * 16
-        monkeypatch.setattr(repro.validate, "load_golden_checkpoints",
-                            lambda: recordings)
-        _goldens_forensics([VALUE_DRIFT], tmp_path)
-        assert "first divergence at window (50000, 100000]: monitor " \
-            "differ" in capsys.readouterr().out
-        report = json.loads((tmp_path / "diverge_report.json").read_text())
-        assert report["divergence"]["cycle"] == 100_000
-        assert report["divergence"]["components"] == ["monitor"]
-        # the HTML artifact is the run page's divergence section
-        page = (tmp_path / "diverge_report.html").read_text()
-        assert "Component fingerprints" in page and "monitor" in page
+    def test_unrecorded_point_leaves_as_a_whole(self):
+        drifts = [NEW_ENTRY, Drift(NEW_ENTRY.key, "checkpoints",
+                                   "<absent>", "<new entry>")]
+        assert checkpoint_departures(drifts) == {
+            NEW_ENTRY.key: (0, ["<entry>"]),
+        }
