@@ -14,7 +14,11 @@ be approached).  Three layers:
   long enough to carry them).
   ``engine_speed[tcm]`` also carries ``system_bytes``, the heap one
   built, unrun ``SimConfig()`` TCM System holds (informational, no
-  bound).
+  bound).  ``engine_speed[tcm]`` and ``engine_speed[tcm-rw]`` carry
+  ``py_calls_per_request``, the Python frames ``advance`` enters per
+  granted request (:func:`repro.prof.py_calls_per_request`), a count
+  that is the same on any host; ``tests/engine/test_call_budget.py``
+  holds the ``tcm`` point to a ceiling.
 * **Profiler identity** — a profiled run returns a ``RunResult`` equal
   to the plain run's (sampling reads frames only and must never
   perturb the simulation).  The sampler wraps nothing, so both runs
@@ -39,7 +43,7 @@ import pytest
 from conftest import REPO_ROOT, STRICT_TOLERANCE, record_history
 from repro import SimConfig, System, make_scheduler
 from repro.prof import history as prof_history
-from repro.prof import profile_run
+from repro.prof import profile_run, py_calls_per_request
 from repro.schedulers.registry import SCHEDULERS
 from repro.workloads import make_intensity_workload
 
@@ -54,6 +58,8 @@ RW = {"model_writes": True, "prefetch_degree": 2}
 POINTS = [(name, name, {}) for name in sorted(SCHEDULERS)] + [
     (f"{name}-rw", name, RW) for name in ("frfcfs", "tcm")
 ]
+#: bench points whose records carry ``py_calls_per_request``
+CALL_COUNTED = ("tcm", "tcm-rw")
 
 
 def _workload():
@@ -85,6 +91,13 @@ def _system_bytes() -> int:
     return held
 
 
+def _calls_per_request(scheduler_name, features) -> float:
+    """Python frames one full run's ``advance`` enters per request."""
+    system = _system(scheduler_name, features)
+    system.start_run()
+    return round(py_calls_per_request(system, CYCLES), 3)
+
+
 def _timed_run(scheduler_name, features=None):
     system = _system(scheduler_name, features)
     t0 = time.perf_counter()
@@ -113,6 +126,8 @@ def test_engine_speed(benchmark, point, name, features):
     )
     assert prof_result == result, "profiler changed the simulated outcome"
     footprint = {"system_bytes": _system_bytes()} if point == "tcm" else {}
+    if point in CALL_COUNTED:
+        footprint["py_calls_per_request"] = _calls_per_request(name, features)
 
     benchmark.extra_info.update(footprint)
     benchmark.extra_info["requests"] = result.total_requests

@@ -55,6 +55,13 @@ class BehaviorMonitor:
     still attributable per channel (service cycles and shadow rows are
     kept per channel) mirroring the paper's per-controller monitors
     whose results the meta-controller aggregates.
+
+    The event hooks write only the per-quantum counters.
+    :meth:`reset_quantum` folds them into per-thread run totals before
+    clearing them, and the five ``lifetime_*`` lists are read-only: each
+    read builds a fresh list of the folded totals plus the current
+    quantum.  The fold is exact: the counts are ints, and each BLP
+    integral is a sum of integer products held in a float below 2**53.
     """
 
     def __init__(self, config: SimConfig, num_threads: int):
@@ -82,28 +89,39 @@ class BehaviorMonitor:
         self._last_update: List[int] = [0] * num_threads
         self._blp_integral: List[float] = [0.0] * num_threads
         self._busy_time: List[int] = [0] * num_threads
-        # lifetime copies (for end-of-run reporting)
-        self.lifetime_service_cycles: List[int] = [0] * num_threads
-        self.lifetime_shadow_hits: List[int] = [0] * num_threads
-        self.lifetime_shadow_accesses: List[int] = [0] * num_threads
-        self.lifetime_blp_integral: List[float] = [0.0] * num_threads
-        self.lifetime_busy_time: List[int] = [0] * num_threads
+        # run totals of the quanta already ended, folded in at
+        # reset_quantum (the lifetime_* lists add the current quantum)
+        self._folded_service_cycles: List[int] = [0] * num_threads
+        self._folded_shadow_hits: List[int] = [0] * num_threads
+        self._folded_shadow_accesses: List[int] = [0] * num_threads
+        self._folded_blp_integral: List[float] = [0.0] * num_threads
+        self._folded_busy_time: List[int] = [0] * num_threads
 
     def register_metrics(self, registry) -> None:
-        """Expose lifetime monitor counters as polled providers."""
+        """Expose lifetime monitor counters as polled providers (each
+        computes its one thread's total)."""
         for tid in range(self.num_threads):
             labels = {"tid": tid}
             registry.register(
                 "monitor.service_cycles",
-                lambda t=tid: self.lifetime_service_cycles[t], labels,
+                lambda t=tid: _thread_total(
+                    self._folded_service_cycles, self.service_cycles, t
+                ),
+                labels,
             )
             registry.register(
                 "monitor.shadow_hits",
-                lambda t=tid: self.lifetime_shadow_hits[t], labels,
+                lambda t=tid: _thread_total(
+                    self._folded_shadow_hits, self.shadow_hits, t
+                ),
+                labels,
             )
             registry.register(
                 "monitor.shadow_accesses",
-                lambda t=tid: self.lifetime_shadow_accesses[t], labels,
+                lambda t=tid: _thread_total(
+                    self._folded_shadow_accesses, self.shadow_accesses, t
+                ),
+                labels,
             )
             registry.register(
                 "monitor.rbl", lambda t=tid: self.lifetime_rbl(t), labels
@@ -121,8 +139,6 @@ class BehaviorMonitor:
         if dt > 0 and self._outstanding[tid] > 0:
             self._blp_integral[tid] += self._active_banks[tid] * dt
             self._busy_time[tid] += dt
-            self.lifetime_blp_integral[tid] += self._active_banks[tid] * dt
-            self.lifetime_busy_time[tid] += dt
         self._last_update[tid] = now
 
     def on_request_arrival(self, request: MemoryRequest, now: int) -> None:
@@ -132,10 +148,8 @@ class BehaviorMonitor:
         shadow = self._shadow_rows[ch][tid]
         prev = shadow.get(request.bank_id)
         self.shadow_accesses[ch][tid] += 1
-        self.lifetime_shadow_accesses[tid] += 1
         if prev == request.row:
             self.shadow_hits[ch][tid] += 1
-            self.lifetime_shadow_hits[tid] += 1
         shadow[request.bank_id] = request.row
 
         self._advance_blp(tid, now)
@@ -152,7 +166,6 @@ class BehaviorMonitor:
         """Attribute bank-busy cycles (memory service time) to the thread."""
         tid = request.thread_id
         self.service_cycles[request.channel_id][tid] += busy_cycles
-        self.lifetime_service_cycles[tid] += busy_cycles
 
     def on_request_complete(self, request: MemoryRequest, now: int) -> None:
         """Track BLP at request completion."""
@@ -198,7 +211,13 @@ class BehaviorMonitor:
         return metrics
 
     def reset_quantum(self) -> None:
-        """Clear per-quantum counters (shadow/row state is retained)."""
+        """Fold the per-quantum counters into the run totals and clear
+        them (shadow/row state is retained)."""
+        self._folded_service_cycles = self.lifetime_service_cycles
+        self._folded_shadow_hits = self.lifetime_shadow_hits
+        self._folded_shadow_accesses = self.lifetime_shadow_accesses
+        self._folded_blp_integral = self.lifetime_blp_integral
+        self._folded_busy_time = self.lifetime_busy_time
         for ch in range(len(self.service_cycles)):
             self.service_cycles[ch] = [0] * self.num_threads
             self.shadow_hits[ch] = [0] * self.num_threads
@@ -207,15 +226,70 @@ class BehaviorMonitor:
         self._busy_time = [0] * self.num_threads
 
     # ------------------------------------------------------------------
-    # lifetime reporting
+    # lifetime reporting: the folded quanta plus the current one, built
+    # at each read (a reader indexing per thread reads a list once)
     # ------------------------------------------------------------------
+
+    @property
+    def lifetime_service_cycles(self) -> List[int]:
+        """Whole-run bank-busy cycles attributed to each thread."""
+        return _with_quantum(self._folded_service_cycles, self.service_cycles)
+
+    @property
+    def lifetime_shadow_hits(self) -> List[int]:
+        """Whole-run shadow row-buffer hits of each thread."""
+        return _with_quantum(self._folded_shadow_hits, self.shadow_hits)
+
+    @property
+    def lifetime_shadow_accesses(self) -> List[int]:
+        """Whole-run shadow row-buffer accesses of each thread."""
+        return _with_quantum(self._folded_shadow_accesses, self.shadow_accesses)
+
+    @property
+    def lifetime_blp_integral(self) -> List[float]:
+        """Whole-run time integral of each thread's active banks."""
+        return [
+            folded + current
+            for folded, current in zip(self._folded_blp_integral,
+                                       self._blp_integral)
+        ]
+
+    @property
+    def lifetime_busy_time(self) -> List[int]:
+        """Whole-run cycles each thread had a request outstanding."""
+        return [
+            folded + current
+            for folded, current in zip(self._folded_busy_time, self._busy_time)
+        ]
 
     def lifetime_rbl(self, tid: int) -> float:
         """Whole-run shadow row-buffer hit rate for ``tid``."""
-        acc = self.lifetime_shadow_accesses[tid]
-        return self.lifetime_shadow_hits[tid] / acc if acc else 0.0
+        acc = _thread_total(
+            self._folded_shadow_accesses, self.shadow_accesses, tid
+        )
+        if not acc:
+            return 0.0
+        return _thread_total(self._folded_shadow_hits, self.shadow_hits, tid) / acc
 
     def lifetime_blp(self, tid: int) -> float:
         """Whole-run average bank-level parallelism for ``tid``."""
-        busy = self.lifetime_busy_time[tid]
-        return self.lifetime_blp_integral[tid] / busy if busy else 0.0
+        busy = self._folded_busy_time[tid] + self._busy_time[tid]
+        if not busy:
+            return 0.0
+        return (self._folded_blp_integral[tid] + self._blp_integral[tid]) / busy
+
+
+def _with_quantum(folded: List[int], per_channel: List[List[int]]) -> List[int]:
+    """Per thread: ``folded`` plus the current quantum's count summed
+    over the channels."""
+    return [
+        total + sum(column)
+        for total, column in zip(folded, zip(*per_channel))
+    ]
+
+
+def _thread_total(
+    folded: List[int], per_channel: List[List[int]], tid: int
+) -> int:
+    """One thread's entry of :func:`_with_quantum`."""
+    return folded[tid] + sum(row[tid] for row in per_channel)

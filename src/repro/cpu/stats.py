@@ -2,34 +2,51 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
 class ThreadStats:
     """Counters a core exposes to the memory-scheduling machinery.
 
-    ``quantum_*`` fields are reset at every quantum boundary; lifetime
-    fields accumulate for the whole run.  MPKI here is the L2 MPKI the
-    paper's monitors compute at the cache controller.
+    A retirement writes only the ``quantum_*`` counters.  Every quantum
+    boundary (:meth:`reset_quantum`) folds them into the run totals and
+    clears them, so ``instructions`` and ``misses`` read the folded
+    totals plus the current quantum.  ``episodes`` reads ``misses`` plus
+    an offset that each :meth:`retire` moves by ``1 - misses``: one
+    episode per call, whatever its miss count.  The counts are ints, so
+    the fold is exact.  MPKI here is the L2 MPKI the paper's monitors
+    compute at the cache controller.
     """
-
-    instructions: int = 0
-    misses: int = 0
-    stall_cycles: int = 0
-    compute_cycles: int = 0
-    episodes: int = 0
 
     quantum_instructions: int = 0
     quantum_misses: int = 0
+    #: run totals of the quanta already ended
+    _folded_instructions: int = 0
+    _folded_misses: int = 0
+    #: ``episodes - misses``
+    _episode_offset: int = 0
+
+    @property
+    def instructions(self) -> int:
+        """Instructions retired over the whole run."""
+        return self._folded_instructions + self.quantum_instructions
+
+    @property
+    def misses(self) -> int:
+        """Misses retired over the whole run."""
+        return self._folded_misses + self.quantum_misses
+
+    @property
+    def episodes(self) -> int:
+        """:meth:`retire` calls over the whole run."""
+        return self.misses + self._episode_offset
 
     def retire(self, instructions: int, misses: int) -> None:
         """Account one completed episode's instructions and misses."""
-        self.instructions += instructions
-        self.misses += misses
         self.quantum_instructions += instructions
         self.quantum_misses += misses
-        self.episodes += 1
+        self._episode_offset += 1 - misses
 
     def quantum_mpki(self) -> float:
         """Misses per kilo-instruction over the current quantum."""
@@ -39,9 +56,10 @@ class ThreadStats:
 
     def lifetime_mpki(self) -> float:
         """Misses per kilo-instruction over the whole run."""
-        if self.instructions == 0:
+        instructions = self.instructions
+        if instructions == 0:
             return 0.0
-        return 1000.0 * self.misses / self.instructions
+        return 1000.0 * self.misses / instructions
 
     def ipc(self, elapsed_cycles: int) -> float:
         """Retired instructions per cycle over ``elapsed_cycles``."""
@@ -50,7 +68,9 @@ class ThreadStats:
         return self.instructions / elapsed_cycles
 
     def reset_quantum(self) -> None:
-        """Start a fresh quantum accounting window."""
+        """Fold the quantum into the run totals and start a fresh one."""
+        self._folded_instructions += self.quantum_instructions
+        self._folded_misses += self.quantum_misses
         self.quantum_instructions = 0
         self.quantum_misses = 0
 

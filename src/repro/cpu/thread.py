@@ -47,6 +47,12 @@ MAX_OUTSTANDING_MISSES = 16
 #: Issue-gap jitter: each compute gap is scaled by ``uniform(low, high)``.
 JITTER = (0.9, 1.1)
 
+#: Per-instruction miss-rate multipliers a program phase draws from,
+#: uniformly: ``_PHASE_MULTIPLIERS[rng.integers(0, 3)]`` is the draw
+#: ``float(rng.choice(_PHASE_MULTIPLIERS))`` makes, from the same stream
+#: state, at a fifth of the cost.
+_PHASE_MULTIPLIERS = (0.5, 1.0, 2.0)
+
 
 class ThreadModel:
     """A single hardware context executing one benchmark.
@@ -60,6 +66,12 @@ class ThreadModel:
     * :meth:`on_request_completed` — a miss returned; retires its
       instructions and reports whether the window was blocked (in which
       case the system should immediately call :meth:`try_issue`).
+
+    The outstanding misses sit in the reorder buffer ``_rob``, oldest
+    first, as the bare instruction credit each carried at issue.  Issue
+    ids are consecutive and misses retire in order, so the head's id is
+    ``issued - len(_rob) + 1`` and no entry stores one; ``_completed``
+    holds the ids that completed ahead of an older miss.
     """
 
     def __init__(
@@ -103,9 +115,10 @@ class ThreadModel:
         # Reorder-buffer view of outstanding misses: completions retire
         # IN ORDER, so a single stalled miss blocks the whole window —
         # the fragility of high-BLP threads the paper builds niceness on.
-        # Entries are (issue id, instruction credit at issue time) so a
-        # phase change mid-flight cannot re-price in-flight misses.
-        self._rob: deque = deque()   # (issue id, instr credit), oldest first
+        # Each entry is the instruction credit a miss carried at issue
+        # time, so a phase change mid-flight cannot re-price in-flight
+        # misses.
+        self._rob: deque = deque()   # instr credits, oldest first
         self._completed: set = set()  # issue ids completed but not retired
         self._last_issue_time = 0
         # credit (instructions) carried by the next miss to issue;
@@ -146,7 +159,9 @@ class ThreadModel:
         mean = self.config.phase_mean_cycles
         if mean <= 0 or now < self._phase_end:
             return
-        self.phase_multiplier = float(self._phase_rng.choice((0.5, 1.0, 2.0)))
+        self.phase_multiplier = _PHASE_MULTIPLIERS[
+            self._phase_rng.integers(0, 3)
+        ]
         self._current_ipm = self.instrs_per_miss / self.phase_multiplier
         self.max_outstanding = self._window_limit()
         self._phase_end = now + max(1, int(self._phase_rng.exponential(mean)))
@@ -174,7 +189,7 @@ class ThreadModel:
             return None
         self.window_blocked = False
         self.issued += 1
-        self._rob.append((self.issued, self._pending_credit))
+        self._rob.append(self._pending_credit)
         self._last_issue_time = now
         return self._addr.next_location()
 
@@ -217,9 +232,11 @@ class ThreadModel:
             )
         self._completed.add(issue_id)
         freed = 0
-        while self._rob and self._rob[0][0] in self._completed:
-            head_id, head_credit = self._rob.popleft()
+        head_id = self.issued - len(self._rob) + 1
+        while self._rob and head_id in self._completed:
+            head_credit = self._rob.popleft()
             self._completed.discard(head_id)
+            head_id += 1
             freed += 1
             # Retire the instructions behind the miss; accumulate the
             # fractional part so long-run MPKI matches the spec exactly.

@@ -200,19 +200,19 @@ def _addr_snapshot(addr) -> dict:
 def snapshot_cpu(system) -> list:
     """Per-thread window state.
 
-    The ``(deque of (id, credit), completed-id set)`` window reduces
-    to: the head id (``issued + 1`` when the window is empty), the
-    in-window credits oldest-first, and completed-but-unretired
-    offsets from the head.
+    The ``(deque of credits, completed-id set)`` window reduces to: the
+    head id (``issued - len(rob) + 1``, so ``issued + 1`` when the
+    window is empty), the in-window credits oldest-first, and
+    completed-but-unretired offsets from the head.
     """
     threads = []
     for thread in system.threads:
-        rob = list(thread._rob)
-        head = rob[0][0] if rob else thread.issued + 1
+        rob = thread._rob
+        head = thread.issued - len(rob) + 1
         threads.append({
             "issued": thread.issued,
             "head": head,
-            "rob_credits": [credit for _id, credit in rob],
+            "rob_credits": list(rob),
             "completed": sorted(
                 issue_id - head for issue_id in thread._completed
             ),

@@ -9,20 +9,6 @@ from repro.dram.bank import Bank, BankAccess
 from repro.dram.request import MemoryRequest
 
 
-def _remove_identical(queue: List[MemoryRequest], request) -> None:
-    """Delete ``request`` itself from ``queue``.
-
-    ``list.remove`` would compare with the dataclass ``__eq__`` field
-    by field against every earlier entry; request ids are unique, so
-    the first entry that *is* the request is the one it would remove.
-    """
-    for index, queued in enumerate(queue):
-        if queued is request:
-            del queue[index]
-            return
-    raise ValueError(f"{request!r} is not queued")
-
-
 class Channel:
     """A memory controller with per-bank request queues.
 
@@ -162,7 +148,7 @@ class Channel:
         Removes the request from its queue, advances bank and bus state,
         and stamps service timing onto the request.
         """
-        _remove_identical(self.queues[request.bank_id], request)
+        self.queues[request.bank_id].remove(request)
         access = self._begin_access(request.bank_id, request.row, now,
                                     request.thread_id)
         request.start_service = now
@@ -206,7 +192,7 @@ class Channel:
         The bank is busy until ``access.data_end`` (writes have no
         core-visible round trip, so there is no separate completion).
         """
-        _remove_identical(self.write_buffer, request)
+        self.write_buffer.remove(request)
         access = self._begin_access(request.bank_id, request.row, now,
                                     request.thread_id)
         request.start_service = now

@@ -9,9 +9,13 @@ from typing import Optional
 _request_ids = itertools.count()
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class MemoryRequest:
     """A single request from a thread to a DRAM bank.
+
+    Equality is identity (``eq=False``): a request is one object from
+    its arrival to its completion, so ``queue.remove(request)`` finds
+    it without comparing fields.
 
     Most requests are demand reads.  A stream prefetcher
     (``SimConfig.prefetch_degree``) adds prefetch reads, tagged

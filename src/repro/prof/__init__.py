@@ -22,6 +22,10 @@ Three cooperating pieces:
   median-of-rounds regression verdicts (warn by default, fail under
   ``REPRO_BENCH_STRICT=1``).
 
+Beside them, :func:`py_calls_per_request` counts the Python frames an
+``advance`` enters per granted request: a cost count that, unlike a
+timing, is the same on any host.
+
 CLI: ``python -m repro.experiments.cli obs`` prints and draws the prof
 section of the run it observes (``--collapsed`` writes the stacks,
 ``--history`` adds the records to the page); ``prof history|compare``
@@ -58,6 +62,7 @@ from repro.prof.profiler import (
     attach_profiler,
     component_of,
     profile_run,
+    py_calls_per_request,
 )
 
 __all__ = [
@@ -81,6 +86,7 @@ __all__ = [
     "make_record",
     "parse_collapsed",
     "profile_run",
+    "py_calls_per_request",
     "render_collapsed",
     "render_flame_svg",
     "same_machine",

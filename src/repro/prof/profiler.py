@@ -42,6 +42,7 @@ import inspect
 import os
 import re
 import signal
+import sys
 import time
 import types
 from bisect import bisect_right
@@ -416,3 +417,30 @@ def profile_run(
     finally:
         report = profiler.detach()
     return result, report
+
+
+def py_calls_per_request(system, limit: int) -> float:
+    """Python frames entered per request granted while
+    ``system.advance(limit)`` runs.
+
+    A frame is a ``"call"`` event of :func:`sys.setprofile`: a Python
+    function, comprehension or generator resumption (C calls are not
+    counted).  The count follows the code path alone, so for a given
+    Python version it is the same on any host, unlike a timing: a frame
+    added to the per-request path shows on a noisy machine too.
+    """
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    granted = system.sched_decisions
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        system.advance(limit)
+    finally:
+        sys.setprofile(previous)
+    return calls / (system.sched_decisions - granted)

@@ -148,7 +148,10 @@ def advance_fused(system, limit: int) -> None:
 
     The observer hook tuples and the tracer are read once per call; a
     grant builds its :class:`~repro.dram.bank.BankAccess` only for
-    ``on_grant`` hooks.
+    ``on_grant`` hooks.  Two calls that would do nothing enter no frame:
+    an issue event whose window is full with no phase change due sets
+    ``window_blocked`` in the loop, and an arrival or a prefetch tests
+    its bank's ``busy_until`` before calling ``try_schedule``.
 
     Each ``# -- [layer.block]`` comment tags the block that runs to the
     next tag; the self-profiler (:mod:`repro.prof.profiler`) charges a
@@ -217,17 +220,13 @@ def advance_fused(system, limit: int) -> None:
 
     # monitor structures that are never rebound; reset_quantum swaps
     # the inner per-channel lists and the per-quantum BLP lists, which
-    # are therefore reached through their owners at use
+    # are therefore reached through their owners at use (the monitor
+    # keeps no lifetime twins: reset_quantum folds the quantum in)
     monitor = system.monitor
     shadow_rows = monitor._shadow_rows
     shadow_accesses = monitor.shadow_accesses
     shadow_hits = monitor.shadow_hits
     service_cycles = monitor.service_cycles
-    l_service = monitor.lifetime_service_cycles
-    l_accesses = monitor.lifetime_shadow_accesses
-    l_hits = monitor.lifetime_shadow_hits
-    l_blp = monitor.lifetime_blp_integral
-    l_busy = monitor.lifetime_busy_time
     bank_outstanding = monitor._bank_outstanding
     active_banks = monitor._active_banks
     outstanding = monitor._outstanding
@@ -270,10 +269,7 @@ def advance_fused(system, limit: int) -> None:
             # before start_service: the candidate queue is still intact
             for hook in decision_hooks:
                 hook(channel, bank_id, request, time)
-        index = 0
-        while queue[index] is not request:  # request ids are unique
-            index += 1
-        del queue[index]
+        queue.remove(request)  # a request equals only itself
         row = request.row
         tid = request.thread_id
         open_row = bank.open_row
@@ -322,7 +318,6 @@ def advance_fused(system, limit: int) -> None:
         completion = data_end + fixed_overhead
         request.completion = completion
         channel.serviced_requests += 1
-        system.sched_decisions += 1
         if tracer is not None:
             kind = ("closed" if open_row is None
                     else "hit" if open_row == row else "conflict")
@@ -330,7 +325,6 @@ def advance_fused(system, limit: int) -> None:
                                        len(queue) + 1, row, kind, data_end))
         # -- [engine.monitor] BehaviorMonitor.on_request_service
         service_cycles[channel_id][tid] += busy_cycles
-        l_service[tid] += busy_cycles
         # -- [dram.grant] the grant hooks and the bank's next events
         if on_scheduled is not None:
             on_scheduled(request, queue, busy_cycles, time)
@@ -359,7 +353,7 @@ def advance_fused(system, limit: int) -> None:
         thread.window_blocked = False
         issue_id = thread.issued + 1
         thread.issued = issue_id
-        rob.append((issue_id, thread._pending_credit))
+        rob.append(thread._pending_credit)
         thread._last_issue_time = time
         # -- [cpu.address] AddressStream.next_location
         addr = thread._addr
@@ -441,6 +435,7 @@ def advance_fused(system, limit: int) -> None:
                         pf_stats.issued += top_up
                         # -- [cpu.prefetch] System._inject_prefetches
                         queue = queues_by_ch[channel_id][bank_id]
+                        bank = banks_by_ch[channel_id][bank_id]
                         for _ in range(top_up):
                             prefetch = MemoryRequest(
                                 tid, channel_id, bank_id, row, time,
@@ -449,7 +444,8 @@ def advance_fused(system, limit: int) -> None:
                             queue.append(prefetch)
                             if on_arrival is not None:
                                 on_arrival(prefetch, time)
-                            try_schedule(channel_id, bank_id, time)
+                            if time >= bank.busy_until:  # else a no-op
+                                try_schedule(channel_id, bank_id, time)
             # -- [cpu.prefetch] StreamPrefetcher.consume / try_merge
             count = credits.get(location, 0)
             if count > 0:
@@ -479,18 +475,13 @@ def advance_fused(system, limit: int) -> None:
             # -- [engine.monitor] BehaviorMonitor.on_request_arrival
             shadow = shadow_rows[channel_id][tid]
             shadow_accesses[channel_id][tid] += 1
-            l_accesses[tid] += 1
             if shadow.get(bank_id) == row:
                 shadow_hits[channel_id][tid] += 1
-                l_hits[tid] += 1
             shadow[bank_id] = row
             dt = time - last_update[tid]
             if dt > 0 and outstanding[tid] > 0:
-                weighted = active_banks[tid] * dt
-                monitor._blp_integral[tid] += weighted
+                monitor._blp_integral[tid] += active_banks[tid] * dt
                 monitor._busy_time[tid] += dt
-                l_blp[tid] += weighted
-                l_busy[tid] += dt
             last_update[tid] = time
             gbank = channel_id * banks_per_channel + bank_id
             counts = bank_outstanding[tid]
@@ -511,7 +502,8 @@ def advance_fused(system, limit: int) -> None:
                     tid, channel_id, bank_id, int(wb_rng.integers(num_rows)),
                     time, is_write=True,
                 ))
-            try_schedule(channel_id, bank_id, time)
+            if time >= banks_by_ch[channel_id][bank_id].busy_until:
+                try_schedule(channel_id, bank_id, time)  # else a no-op
         # -- [cpu.issue_gap] ThreadModel.issue_gap
         gap = thread._current_ipm / ipc_peak
         rng = thread._rng
@@ -570,11 +562,8 @@ def advance_fused(system, limit: int) -> None:
         # -- [engine.monitor] BehaviorMonitor.on_request_complete
         dt = time - last_update[tid]
         if dt > 0 and outstanding[tid] > 0:
-            weighted = active_banks[tid] * dt
-            monitor._blp_integral[tid] += weighted
+            monitor._blp_integral[tid] += active_banks[tid] * dt
             monitor._busy_time[tid] += dt
-            l_blp[tid] += weighted
-            l_busy[tid] += dt
         last_update[tid] = time
         gbank = request.channel_id * banks_per_channel + request.bank_id
         counts = bank_outstanding[tid]
@@ -598,7 +587,8 @@ def advance_fused(system, limit: int) -> None:
             raise RuntimeError(
                 f"thread {tid} completion with no outstanding misses"
             )
-        if rob[0][0] != request.episode_id:
+        head = thread.issued - len(rob) + 1
+        if head != request.episode_id:
             # an older miss is still out: retire later, in order
             thread._completed.add(request.episode_id)
             return
@@ -606,17 +596,15 @@ def advance_fused(system, limit: int) -> None:
         stats = thread.stats
         credit = thread._instr_credit
         while True:
-            credit += rob.popleft()[1]
+            credit += rob.popleft()
             instrs = int(credit)
             credit -= instrs
-            stats.instructions += instrs
-            stats.misses += 1
             stats.quantum_instructions += instrs
             stats.quantum_misses += 1
-            stats.episodes += 1
-            if not rob or rob[0][0] not in completed:
+            head += 1
+            if not rob or head not in completed:
                 break
-            completed.discard(rob[0][0])
+            completed.discard(head)
         thread._instr_credit = credit
         if thread.window_blocked:
             # the window was stalled on this completion; the next
@@ -634,7 +622,8 @@ def advance_fused(system, limit: int) -> None:
             raise RuntimeError(
                 f"thread {tid} completion with no outstanding misses"
             )
-        if rob[0][0] != issue_id:
+        head = thread.issued - len(rob) + 1
+        if head != issue_id:
             # an older miss is still out: retire later, in order
             thread._completed.add(issue_id)
             return
@@ -642,17 +631,15 @@ def advance_fused(system, limit: int) -> None:
         stats = thread.stats
         credit = thread._instr_credit
         while True:
-            credit += rob.popleft()[1]
+            credit += rob.popleft()
             instrs = int(credit)
             credit -= instrs
-            stats.instructions += instrs
-            stats.misses += 1
             stats.quantum_instructions += instrs
             stats.quantum_misses += 1
-            stats.episodes += 1
-            if not rob or rob[0][0] not in completed:
+            head += 1
+            if not rob or head not in completed:
                 break
-            completed.discard(rob[0][0])
+            completed.discard(head)
         thread._instr_credit = credit
         if thread.window_blocked:
             # the window was stalled on this completion; the next
@@ -676,6 +663,17 @@ def advance_fused(system, limit: int) -> None:
         time, _seq, kind, payload, aux = pop(events)
         system.now = time
         if kind == _EV_ISSUE:
+            # -- [cpu.issue] ThreadModel.try_issue's window check, when
+            # no phase change is due: a full window issues nothing (the
+            # retry happens at a completion), so enters no frame
+            thread = threads[payload]
+            if (
+                len(thread._rob) >= thread.max_outstanding
+                and (not phased or time < thread._phase_end)
+            ):
+                thread.window_blocked = True
+                continue
+            # -- [engine.loop] dispatch the event
             issue_miss(payload, time)
         elif kind == _EV_DONE:
             complete(payload, time)

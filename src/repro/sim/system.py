@@ -114,8 +114,6 @@ class System:
         self._latency_sum: List[int] = [0] * workload.num_threads
         self._latency_count: List[int] = [0] * workload.num_threads
         self.quantum_count = 0
-        #: scheduler decisions taken (requests granted service)
-        self.sched_decisions = 0
         #: per-quantum IPC of every thread (one tuple per quantum)
         self.ipc_timeline: List[Tuple[float, ...]] = []
         self._wb_rng = np.random.default_rng((self.seed, 0x3B))
@@ -159,6 +157,12 @@ class System:
         for observer in observers:
             self.attach(observer)
         scheduler.attach(self)
+
+    @property
+    def sched_decisions(self) -> int:
+        """Scheduler decisions taken: the requests granted service, the
+        sum of every channel's ``serviced_requests``."""
+        return sum(channel.serviced_requests for channel in self.channels)
 
     # ------------------------------------------------------------------
     # observers
@@ -361,7 +365,6 @@ class System:
                 hook(channel, bank_id, request, self.now)
         access, completion = channel.start_service(request, self.now)
         busy_cycles = access.data_end - self.now
-        self.sched_decisions += 1
         if self._tracer is not None:
             self._tracer.write_row("grant", (
                 self.now, channel_id, bank_id, request.thread_id, queued,
@@ -538,6 +541,7 @@ class System:
         for thread in self.threads:
             thread.finalize(horizon)
 
+        service_cycles = self.monitor.lifetime_service_cycles
         threads = tuple(
             ThreadResult(
                 thread_id=tid,
@@ -548,7 +552,7 @@ class System:
                 mpki=thread.stats.lifetime_mpki(),
                 blp=self.monitor.lifetime_blp(tid),
                 rbl=self.monitor.lifetime_rbl(tid),
-                service_cycles=self.monitor.lifetime_service_cycles[tid],
+                service_cycles=service_cycles[tid],
                 avg_latency=(
                     self._latency_sum[tid] / self._latency_count[tid]
                     if self._latency_count[tid]
@@ -560,18 +564,17 @@ class System:
         row_hits = sum(b.row_hits for ch in self.channels for b in ch.banks)
         conflicts = sum(b.row_conflicts for ch in self.channels for b in ch.banks)
         closed = sum(b.row_closed for ch in self.channels for b in ch.banks)
+        requests = self.sched_decisions
         if self._tracer is not None:
             self._tracer.emit(
-                "run_end", horizon,
-                requests=sum(ch.serviced_requests for ch in self.channels),
-                row_hits=row_hits,
+                "run_end", horizon, requests=requests, row_hits=row_hits,
             )
         result = RunResult(
             scheduler=self.scheduler.name,
             workload=self.workload.name,
             cycles=horizon,
             threads=threads,
-            total_requests=sum(ch.serviced_requests for ch in self.channels),
+            total_requests=requests,
             row_hits=row_hits,
             row_conflicts=conflicts,
             row_closed=closed,

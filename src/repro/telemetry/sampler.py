@@ -91,19 +91,27 @@ class EpochSampler:
             self._prev = [_PerThreadPrev() for _ in range(n)]
             self._prev_accesses = [0] * len(system.channels)
         monitor = system.monitor
+        # each lifetime list is built at its read: read each once
+        shadow_hits = monitor.lifetime_shadow_hits
+        shadow_accesses = monitor.lifetime_shadow_accesses
+        blp_integral = monitor.lifetime_blp_integral
+        busy_time = monitor.lifetime_busy_time
+        service_cycles = monitor.lifetime_service_cycles
         scheduler = system.scheduler
         elapsed = max(1, now - self._last_cycle)
         rows: List[dict] = []
         for tid in range(n):
             prev = self._prev[tid]
             stats = system.threads[tid].stats
-            d_instr = stats.instructions - prev.instructions
-            d_miss = stats.misses - prev.misses
-            d_sh = monitor.lifetime_shadow_hits[tid] - prev.shadow_hits
-            d_sa = monitor.lifetime_shadow_accesses[tid] - prev.shadow_accesses
-            d_blp = monitor.lifetime_blp_integral[tid] - prev.blp_integral
-            d_busy = monitor.lifetime_busy_time[tid] - prev.busy_time
-            d_svc = monitor.lifetime_service_cycles[tid] - prev.service_cycles
+            instructions = stats.instructions
+            misses = stats.misses
+            d_instr = instructions - prev.instructions
+            d_miss = misses - prev.misses
+            d_sh = shadow_hits[tid] - prev.shadow_hits
+            d_sa = shadow_accesses[tid] - prev.shadow_accesses
+            d_blp = blp_integral[tid] - prev.blp_integral
+            d_busy = busy_time[tid] - prev.busy_time
+            d_svc = service_cycles[tid] - prev.service_cycles
             row = {
                 "tid": tid,
                 "instructions": d_instr,
@@ -116,13 +124,13 @@ class EpochSampler:
             }
             row.update(scheduler.epoch_annotations(tid))
             rows.append(row)
-            prev.instructions = stats.instructions
-            prev.misses = stats.misses
-            prev.shadow_hits = monitor.lifetime_shadow_hits[tid]
-            prev.shadow_accesses = monitor.lifetime_shadow_accesses[tid]
-            prev.blp_integral = monitor.lifetime_blp_integral[tid]
-            prev.busy_time = monitor.lifetime_busy_time[tid]
-            prev.service_cycles = monitor.lifetime_service_cycles[tid]
+            prev.instructions = instructions
+            prev.misses = misses
+            prev.shadow_hits = shadow_hits[tid]
+            prev.shadow_accesses = shadow_accesses[tid]
+            prev.blp_integral = blp_integral[tid]
+            prev.busy_time = busy_time[tid]
+            prev.service_cycles = service_cycles[tid]
         burst = system.config.timings.burst
         bus = []
         for ch_idx, channel in enumerate(system.channels):

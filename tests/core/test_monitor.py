@@ -5,6 +5,11 @@ import pytest
 from repro.config import SimConfig
 from repro.core.monitor import BehaviorMonitor, QuantumSnapshot, ThreadMetrics
 from repro.dram.request import MemoryRequest
+from repro.schedulers.registry import make_scheduler
+from repro.sim.fused import fusable
+from repro.sim.observer import Observer
+from repro.sim.system import System
+from repro.workloads.mixes import make_intensity_workload
 
 
 CFG = SimConfig()
@@ -154,3 +159,109 @@ class TestQuantum:
         )
         assert snap.total_bw_usage == 300
         assert snap.num_threads == 2
+
+
+class EagerLifetime(Observer):
+    """The monitor's whole-run counts, accumulated eagerly from the
+    observer hooks at every request: the reference its folded lifetime
+    lists must equal."""
+
+    name = "eager"
+
+    def __init__(self, num_threads: int, banks_per_channel: int):
+        self.banks_per_channel = banks_per_channel
+        self.service_cycles = [0] * num_threads
+        self.shadow_hits = [0] * num_threads
+        self.shadow_accesses = [0] * num_threads
+        self.blp_integral = [0.0] * num_threads
+        self.busy_time = [0] * num_threads
+        self._shadow = {}  # (channel, thread, bank) -> last row
+        self._outstanding = [dict() for _ in range(num_threads)]
+        self._last = [0] * num_threads
+
+    def _advance(self, tid, now):
+        dt = now - self._last[tid]
+        banks = self._outstanding[tid]
+        if dt > 0 and banks:
+            self.blp_integral[tid] += len(banks) * dt
+            self.busy_time[tid] += dt
+        self._last[tid] = now
+
+    def _bank(self, request):
+        return request.channel_id * self.banks_per_channel + request.bank_id
+
+    def on_arrival(self, request, now):
+        if request.is_prefetch:
+            return
+        tid = request.thread_id
+        key = (request.channel_id, tid, request.bank_id)
+        self.shadow_accesses[tid] += 1
+        self.shadow_hits[tid] += self._shadow.get(key) == request.row
+        self._shadow[key] = request.row
+        self._advance(tid, now)
+        banks = self._outstanding[tid]
+        bank = self._bank(request)
+        banks[bank] = banks.get(bank, 0) + 1
+
+    def on_grant(self, request, waiting, access, completion, now):
+        self.service_cycles[request.thread_id] += access.data_end - now
+
+    def on_complete(self, request, now):
+        if request.is_prefetch:
+            return
+        tid = request.thread_id
+        self._advance(tid, now)
+        banks = self._outstanding[tid]
+        bank = self._bank(request)
+        banks[bank] -= 1
+        if not banks[bank]:
+            del banks[bank]
+
+    def on_quantum(self, snapshot, now):
+        # the quantum's metrics bring every thread's BLP up to now
+        for tid in range(len(self._last)):
+            self._advance(tid, now)
+
+
+class TestLifetimeFold:
+    def test_lifetime_lists_equal_an_eager_accumulation(self):
+        """Read mid-quantum and just after each ``reset_quantum`` of a
+        short fused-loop run, each lifetime list equals the eager
+        reference exactly (the BLP integral too: a float sum of ints)."""
+        config = SimConfig(run_cycles=60_000, quantum_cycles=15_000)
+        system = System(
+            make_intensity_workload(0.75, num_threads=8, seed=0),
+            make_scheduler("tcm"), config, seed=0,
+        )
+        eager = system.attach(
+            EagerLifetime(len(system.threads), config.banks_per_channel)
+        )
+        assert fusable(system)
+        system.start_run()
+        quantum = config.quantum_cycles
+        monitor = system.monitor
+        for index in range(4):
+            for limit in (index * quantum + quantum // 2,
+                          (index + 1) * quantum):
+                system.advance(limit)
+                assert system.quantum_count == (
+                    index + (limit % quantum == 0))
+                for name in ("service_cycles", "shadow_hits",
+                             "shadow_accesses", "blp_integral",
+                             "busy_time"):
+                    assert getattr(monitor, "lifetime_" + name) == (
+                        getattr(eager, name)), name
+                for tid in range(len(system.threads)):
+                    busy = eager.busy_time[tid]
+                    accesses = eager.shadow_accesses[tid]
+                    assert monitor.lifetime_blp(tid) == (
+                        eager.blp_integral[tid] / busy if busy else 0.0)
+                    assert monitor.lifetime_rbl(tid) == (
+                        eager.shadow_hits[tid] / accesses
+                        if accesses else 0.0)
+        assert all(eager.busy_time) and all(eager.shadow_hits)
+
+    def test_lifetime_lists_are_read_only(self, monitor):
+        monitor.on_request_service(req(), busy_cycles=100)
+        monitor.lifetime_service_cycles[0] = 0
+        assert monitor.lifetime_service_cycles[0] == 100

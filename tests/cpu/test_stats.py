@@ -21,6 +21,31 @@ class TestRetire:
         assert stats.quantum_misses == 5
 
 
+class TestFold:
+    """``instructions``, ``misses`` and ``episodes`` fold the quantum in
+    at each ``reset_quantum``; they read what a plain accumulation of
+    every ``retire`` does, mid-quantum and across boundaries."""
+
+    @pytest.mark.parametrize("pattern", [(0,), (1,), (5,), (0, 1, 5, 2)])
+    def test_fold_matches_plain_accumulation(self, pattern):
+        stats = ThreadStats()
+        instructions = misses = episodes = 0
+        for quantum in range(4):
+            for step, retired_misses in enumerate(pattern * 2):
+                retired = 100 * quantum + step
+                stats.retire(retired, retired_misses)
+                instructions += retired
+                misses += retired_misses
+                episodes += 1
+                assert (stats.instructions, stats.misses,
+                        stats.episodes) == (instructions, misses, episodes)
+            stats.reset_quantum()
+            assert (stats.instructions, stats.misses,
+                    stats.episodes) == (instructions, misses, episodes)
+            assert (stats.quantum_instructions, stats.quantum_misses) == (
+                0, 0)
+
+
 class TestMPKI:
     def test_quantum_mpki(self):
         stats = ThreadStats()

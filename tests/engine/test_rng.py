@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 np = pytest.importorskip("numpy")
 
+from repro.cpu.thread import _PHASE_MULTIPLIERS  # noqa: E402
 from repro.workloads.rng import BLOCK, FIRST_BLOCK, BufferedPCG64  # noqa: E402
 
 
@@ -156,3 +157,21 @@ def test_peek_does_not_consume():
                                dtype=np.uint64).tolist()
     assert peeked == expected
     assert [buffered.next64() for _ in range(2 * BLOCK)] == expected
+
+
+def test_phase_draw_matches_choice():
+    """``ThreadModel`` draws a phase's miss-rate multiplier as
+    ``_PHASE_MULTIPLIERS[rng.integers(0, 3)]``, in place of
+    ``float(rng.choice((0.5, 1.0, 2.0)))``.  The two must agree draw for
+    draw, interleaved with the ``exponential`` phase lengths, and leave
+    the stream in the same state: a numpy whose ``choice`` draws
+    differently fails here, not only as golden drift."""
+    seed = (0, 5, 0xF5)  # a thread's phase stream: (seed, stream, 0xF5)
+    fast = np.random.default_rng(seed)
+    reference = np.random.default_rng(seed)
+    for _ in range(20_000):
+        drawn = _PHASE_MULTIPLIERS[fast.integers(0, 3)]
+        assert type(drawn) is float
+        assert drawn == float(reference.choice((0.5, 1.0, 2.0)))
+        assert fast.exponential(40_000) == reference.exponential(40_000)
+    assert fast.bit_generator.state == reference.bit_generator.state
