@@ -24,12 +24,14 @@ be approached).  Three layers:
   perturb the simulation).  The sampler wraps nothing, so both runs
   take the fused loop: this check does not pin the fused loop to the
   dispatch loop, which ``tests/engine/test_backend_parity.py`` does.
-* **Off-path overhead guard** — best-of-5 plain-run wall clock against
-  the committed ``BENCH_history.json`` record for ``engine_speed[tcm]``
+* **Plain-run guard** — the median of 5 plain runs against the
+  committed ``BENCH_history.json`` record for ``engine_speed[tcm]``
   via :func:`repro.prof.history.compare` at ``STRICT_TOLERANCE``.
   Asserted only under ``REPRO_BENCH_STRICT=1`` *and* a matching machine
   fingerprint (fingerprint mismatch is a warn-verdict by design); the
-  ratio lands in ``extra_info`` either way.
+  ratio lands in ``extra_info`` either way.  It is the one guard on a
+  plain run's speed: the observer-overhead bench times its plain runs
+  only against attached ones.
 """
 
 import gc
@@ -40,7 +42,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import REPO_ROOT, STRICT_TOLERANCE, record_history
+from conftest import REPO_ROOT, record_history
 from repro import SimConfig, System, make_scheduler
 from repro.prof import history as prof_history
 from repro.prof import profile_run, py_calls_per_request
@@ -51,6 +53,10 @@ CYCLES = 60_000
 THREADS = 24
 ROUNDS = 3
 STRICT = os.environ.get("REPRO_BENCH_STRICT") == "1"
+#: the plain-run guard's budget (fresh median / committed median).
+#: Same-build runs on one machine spread 5-15%, so a tighter budget
+#: fires on noise rather than on a regression.
+STRICT_TOLERANCE = 1.15
 #: writes and prefetching on, as in the e2e benchmark's sim_rw workload
 RW = {"model_writes": True, "prefetch_degree": 2}
 #: (bench id, scheduler, config features): every registered policy,
@@ -149,12 +155,13 @@ def test_engine_speed(benchmark, point, name, features):
                        rounds=1, iterations=1)
 
 
-def test_prof_off_path_overhead_vs_history(benchmark):
-    """Plain (profiler-off) wall clock vs the committed history record.
+def test_plain_run_vs_history(benchmark):
+    """Plain-run wall clock vs the committed history record.
 
-    A run without the profiler carries no trace of it; best-of-5
-    against the committed ``engine_speed[tcm]`` median must stay within
-    ``STRICT_TOLERANCE`` on the machine that recorded it.
+    The profiler wraps nothing, so every run without an observer is
+    this run: the median of 5 against the committed
+    ``engine_speed[tcm]`` median must stay within ``STRICT_TOLERANCE``
+    on the machine that recorded it.
     """
     committed = prof_history.load(REPO_ROOT / prof_history.DEFAULT_HISTORY)
     baseline = prof_history.latest(committed, "engine_speed[tcm]")

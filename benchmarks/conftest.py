@@ -16,24 +16,21 @@ time — so a test or CLI that sets ``REPRO_BENCH_*`` after this module
 is imported (pytest imports every conftest up front) still takes
 effect.  ``tests/prof/test_bench_knobs.py`` guards that property.
 
-Perf-history recording (``repro.prof.history``): engine-speed and
-overhead benches call :func:`record_history` with their measured
-rounds.  Recording is opt-in via ``REPRO_BENCH_RECORD=1`` so a casual
-local ``pytest benchmarks/`` never mutates the committed
+Perf-history recording (``repro.prof.history``): the engine-speed and
+observer-overhead benches call :func:`record_history` with their
+measured rounds.  Recording is opt-in via ``REPRO_BENCH_RECORD=1`` so a
+casual local ``pytest benchmarks/`` never mutates the committed
 ``BENCH_history.json``; ``REPRO_BENCH_HISTORY`` points the append at a
 different file (CI appends to a job artifact and compares against the
 committed history with ``prof compare``).
 
-Speed guards assert only under ``REPRO_BENCH_STRICT=1`` on the machine
-that recorded their baseline, and all of them share one budget,
-:data:`STRICT_TOLERANCE`.  Attached-vs-off ratios time their two kinds
-of run in alternating rounds (:func:`alternating_rounds`).
+Speed bounds assert only under ``REPRO_BENCH_STRICT=1``: the plain
+run's against its committed ``engine_speed[tcm]`` record, on the
+machine that recorded it (``bench_engine_speed.py``), and explain's
+attached-vs-off ratio on any host (``bench_observer_overhead.py``).
 """
 
-import gc
 import os
-import time
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -42,11 +39,6 @@ from repro import SimConfig
 
 #: repo root (benchmarks/ lives directly under it)
 REPO_ROOT = Path(__file__).resolve().parent.parent
-
-#: wall-clock budget (fresh / baseline) of every strict speed guard.
-#: Same-build runs on one machine spread 5-15%, so a tighter budget
-#: fires on noise rather than on a regression.
-STRICT_TOLERANCE = 1.15
 
 
 def _env_int(name: str, default: int) -> int:
@@ -111,39 +103,3 @@ def record_history(bench: str, family: str, rounds_s, **metrics) -> None:
         history.make_record(bench, family, list(rounds_s), extra=extra,
                             **metrics),
     )
-
-
-def alternating_rounds(off, on, rounds: int):
-    """Time an off run then an on run, ``rounds`` times over.
-
-    ``off`` and ``on`` are called untimed and return the zero-argument
-    callable that is timed, so a bench chooses whether building the
-    system counts.  Returns ``(off_timings, on_timings)``.  A shared
-    host's speed drifts within seconds; alternating the two kinds of
-    run lands that drift on both sides of an attached-vs-off ratio
-    instead of between two blocks of runs.
-    """
-    off_timings, on_timings = [], []
-    for _ in range(rounds):
-        for prepare, timings in ((off, off_timings), (on, on_timings)):
-            run = prepare()
-            t0 = time.perf_counter()
-            run()
-            timings.append(time.perf_counter() - t0)
-    return off_timings, on_timings
-
-
-def held_bytes(build) -> int:
-    """Bytes tracemalloc sees still allocated after running the system
-    ``build()`` returns, the system itself freed: what its observers
-    keep."""
-    system = build()
-    gc.collect()
-    tracemalloc.start()
-    try:
-        system.run()
-        del system
-        gc.collect()
-        return tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()

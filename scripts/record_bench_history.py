@@ -1,16 +1,16 @@
 """Record a fresh set of benchmark-history records.
 
 Runs every bench that calls ``record_history`` (engine speed across
-the full scheduler registry; telemetry, obs, explain and diverge
-overhead, each detached and attached) with recording enabled and
-appends one ``repro.prof.history`` v1 record per bench to the target
-history file:
+the full scheduler registry; the telemetry, spans, explain and probe
+attached-vs-off ratios) with recording enabled and appends one
+``repro.prof.history`` v1 record per bench to the target history
+file:
 
     PYTHONPATH=src python scripts/record_bench_history.py              # repo root BENCH_history.json
     PYTHONPATH=src python scripts/record_bench_history.py --out p.json # elsewhere (CI artifact)
 
 The committed ``BENCH_history.json`` is the regression baseline that
-``prof compare`` and ``bench_engine_speed.py``'s off-path guard read;
+``prof compare`` and ``bench_engine_speed.py``'s plain-run guard read;
 regenerate it only on the machine class CI/development runs on, at a
 quiet moment, and commit the diff together with whatever perf-relevant
 change prompted it.
@@ -24,10 +24,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCHES = [
     "benchmarks/bench_engine_speed.py",
-    "benchmarks/bench_telemetry_overhead.py",
-    "benchmarks/bench_obs_overhead.py",
-    "benchmarks/bench_explain_overhead.py",
-    "benchmarks/bench_diverge_overhead.py",
+    "benchmarks/bench_observer_overhead.py",
 ]
 
 

@@ -16,8 +16,8 @@ Everything is *reconciled* rather than trusted: :func:`reconcile`
 checks the conservation laws that make the matrix meaningful — zero
 diagonal, row sums equal to per-victim interference totals, the grand
 total equal to the sum of attributed queueing cycles, exact agreement
-with STFM's private shadow accounting, and (full-span runs) exact
-agreement between the matrix and the recorded wait intervals.
+with STFM's private shadow accounting, and exact agreement between
+the matrix and the recorded wait intervals.
 """
 
 from __future__ import annotations
@@ -60,12 +60,12 @@ class AttributionReport:
     #: STFM-formula slowdown estimate per thread over its completed
     #: requests (1.0 when below floor)
     estimated_slowdowns: List[float]
-    #: per-victim other-inflicted cycles by cause (full-span runs only):
+    #: per-victim other-inflicted cycles by cause:
     #: ``causes[victim] = {"queue": .., "row": .., "bus": ..}``
-    causes: Optional[List[Dict[str, int]]] = None
-    #: per-thread completed-request latency histogram data
-    #: (full-span runs only): list of latencies per thread
-    latencies: Optional[List[List[int]]] = None
+    causes: List[Dict[str, int]]
+    #: per-thread completed-request latency histogram data: list of
+    #: latencies per thread
+    latencies: List[List[int]]
     #: true slowdowns (alone IPC / shared IPC) when the caller has them
     true_slowdowns: Optional[List[float]] = None
     checks: Dict[str, str] = field(default_factory=dict)
@@ -80,9 +80,8 @@ class AttributionReport:
             "t_shared": self.t_shared,
             "estimated_slowdowns": self.estimated_slowdowns,
             "checks": self.checks,
+            "causes": self.causes,
         }
-        if self.causes is not None:
-            out["causes"] = self.causes
         if self.true_slowdowns is not None:
             out["true_slowdowns"] = self.true_slowdowns
         return out
@@ -98,10 +97,9 @@ def estimated_slowdown(shared: int, interference: int) -> float:
 def cause_breakdown(collector: SpanCollector) -> List[Dict[str, int]]:
     """Other-inflicted cycles per victim, split by cause.
 
-    Requires a full collector (recorded intervals).  ``queue`` counts
-    only non-partial intervals, so it reconciles with the grant-rule
-    matrix; partial arrival-time waits are reported separately under
-    ``queue_partial``.
+    ``queue`` counts only non-partial intervals, so it reconciles with
+    the grant-rule matrix; partial arrival-time waits are reported
+    separately under ``queue_partial``.
     """
     return _causes_and_latencies(collector)[0]
 
@@ -110,9 +108,6 @@ def _causes_and_latencies(collector: SpanCollector
                           ) -> Tuple[List[Dict[str, int]], List[List[int]]]:
     """:func:`cause_breakdown` and the completed demand requests'
     latencies per thread, in one pass over the spans."""
-    if not collector.record_intervals:
-        raise ValueError("cause breakdown needs a full span collector "
-                         "(record_intervals=True)")
     causes = [
         {CAUSE_QUEUE: 0, CAUSE_ROW: 0, CAUSE_BUS: 0,
          "queue_partial": 0, CAUSE_SERVICE: 0}
@@ -142,7 +137,7 @@ def span_matrix(collector: SpanCollector) -> List[List[int]]:
     Independent of the counters the hot path maintains — summing
     non-partial other-thread queue intervals per (victim, culprit) pair
     must reproduce ``collector.matrix`` exactly, which :func:`reconcile`
-    uses as the strongest cross-check on full-span runs.
+    uses as its strongest cross-check.
     """
     n = collector.num_threads
     matrix = [[0] * n for _ in range(n)]
@@ -206,12 +201,11 @@ def reconcile(
             else f"shared accounting != STFM shadow at {diffs}"
         )
 
-    if collector.record_intervals and collector.keep_spans:
-        rebuilt = span_matrix(collector)
-        checks["intervals_rebuild_matrix"] = (
-            "ok" if rebuilt == matrix
-            else "matrix rebuilt from intervals differs from counters"
-        )
+    rebuilt = span_matrix(collector)
+    checks["intervals_rebuild_matrix"] = (
+        "ok" if rebuilt == matrix
+        else "matrix rebuilt from intervals differs from counters"
+    )
 
     if strict:
         failures = {k: v for k, v in checks.items() if v != "ok"}
@@ -235,10 +229,7 @@ def attribution_report(
     matrix = [list(row) for row in collector.matrix]
     victim_totals = [sum(row) for row in matrix]
     culprit_totals = [sum(matrix[v][c] for v in range(n)) for c in range(n)]
-    causes = None
-    latencies = None
-    if collector.record_intervals and collector.keep_spans:
-        causes, latencies = _causes_and_latencies(collector)
+    causes, latencies = _causes_and_latencies(collector)
     return AttributionReport(
         num_threads=n,
         matrix=matrix,

@@ -473,9 +473,7 @@ def _spans_section(run: RunObservation, clusters: str) -> str:
         tiles += [("weighted speedup", f"{run.metrics['ws']:.3f}"),
                   ("max slowdown", f"{run.metrics['ms']:.3f}"),
                   ("harmonic speedup", f"{run.metrics['hs']:.3f}")]
-    cards = []
-    if report.latencies is not None:
-        cards.append(_latency_card(report.latencies, labels))
+    cards = [_latency_card(report.latencies, labels)]
     cards.append(_card(
         "Interference attribution — delay[victim][culprit] "
         "(queueing cycles)",
@@ -484,20 +482,18 @@ def _spans_section(run: RunObservation, clusters: str) -> str:
                  lambda v, c, value: f"victim {labels[v]} ← culprit "
                                      f"{labels[c]}: {value} cycles"),
     ))
-    if report.causes is not None:
-        series = [(desc, _series_color(slot),
-                   [row[key] for row in report.causes])
-                  for slot, (key, desc, _) in enumerate(_CAUSES)]
-        rows = [[label] + [row[key] for key, _, _ in _CAUSES]
-                + [sum(row[key] for key, _, _ in _CAUSES)]
-                for label, row in zip(labels, report.causes)]
-        cards.append(_card(
-            "Other-inflicted delay by cause",
-            _bars("interference cause breakdown", labels, series,
-                  stacked=True),
-            _table(["thread"] + [h for _, _, h in _CAUSES] + ["total"],
-                   rows),
-        ))
+    series = [(desc, _series_color(slot),
+               [row[key] for row in report.causes])
+              for slot, (key, desc, _) in enumerate(_CAUSES)]
+    rows = [[label] + [row[key] for key, _, _ in _CAUSES]
+            + [sum(row[key] for key, _, _ in _CAUSES)]
+            for label, row in zip(labels, report.causes)]
+    cards.append(_card(
+        "Other-inflicted delay by cause",
+        _bars("interference cause breakdown", labels, series,
+              stacked=True),
+        _table(["thread"] + [h for _, _, h in _CAUSES] + ["total"], rows),
+    ))
     estimated, true = report.estimated_slowdowns, report.true_slowdowns
     series = [("estimated (attribution)", "var(--s1)", estimated)]
     if true:

@@ -21,26 +21,25 @@ attached before the run (``System(..., telemetry=Telemetry(spans=...))``
 or :func:`attach_spans`).  Collectors never mutate simulation state, so
 spans on/off runs are bit-identical.
 
-Two accounting tiers share one class:
+A collector keeps two kinds of books:
 
-* **lite** (``record_intervals=False``) — per-request ``interference``
-  cycles, per-thread totals and the T×T victim/culprit matrix, all
-  maintained with STFM's original grant-time rule: when a request is
-  granted service, every *other* thread's request still waiting at that
-  bank is delayed by the full service occupancy.  ``t_interference``
-  here therefore matches STFM's own ``_t_interference`` books
-  *exactly* — an independent cross-check of the policy's accounting
+* **grant-rule counters** — per-request ``interference`` cycles,
+  per-thread totals and the T×T victim/culprit matrix, all maintained
+  with STFM's original grant-time rule: when a request is granted
+  service, every *other* thread's request still waiting at that bank
+  is delayed by the full service occupancy.  ``t_interference``
+  therefore matches STFM's own ``_t_interference`` books *exactly* —
+  an independent cross-check of the policy's accounting
   (:func:`repro.obs.attribution.reconcile`).
-* **full** (``record_intervals=True``, the default) — additionally
-  records, per request, the wait intervals themselves: disjoint,
-  cause-tagged, culprit-tagged, and tiling the request's entire
-  latency from arrival to completion (an invariant the
-  :mod:`repro.validate` oracle checks).  Full spans also capture the
+* **intervals** — per request, the wait intervals themselves:
+  disjoint, cause-tagged, culprit-tagged, and tiling the request's
+  entire latency from arrival to completion (an invariant the
+  :mod:`repro.validate` oracle checks).  Spans also capture the
   *partial* interval a request spends behind a service that was already
   underway when it arrived; those cycles complete the latency tiling
   but are kept out of the matrix so the matrix stays STFM-comparable.
 
-A full collector stores ints, not spans.  Each bank keeps a grant log,
+A collector stores ints, not spans.  Each bank keeps a grant log,
 an ``array('q')`` of ``(start, end, culprit)`` per grant that left
 requests waiting: a request's queue waits are the slice of its bank's
 log between its arrival and its own grant.  Each completed request is
@@ -199,13 +198,11 @@ class SpanCollector(Observer):
 
     The grant-rule books (``request.interference``, ``t_interference``,
     ``matrix``, ``total_attributed``, ``completed_interference``) are
-    updated for every waiting request at every grant, in both tiers.
-    A full collector also stores each request as ints (see the module
-    docstring): what it holds grows with banks and grants, 24 bytes per
-    grant that leaves requests waiting, plus one row of
-    :data:`ROW_WIDTH` ints per completed request.  With
-    ``keep_spans=False`` the rows are dropped but the grant logs stay,
-    so requests still open at the horizon can be read.
+    updated for every waiting request at every grant.  The collector
+    also stores each request as ints (see the module docstring): what
+    it holds grows with banks and grants, 24 bytes per grant that
+    leaves requests waiting, plus one row of :data:`ROW_WIDTH` ints per
+    completed request.
 
     Spans are built when read.  :meth:`iter_spans` builds them one at a
     time and keeps none; ``spans`` and :meth:`all_spans` build every
@@ -214,10 +211,7 @@ class SpanCollector(Observer):
 
     name = "spans"
 
-    def __init__(self, record_intervals: bool = True,
-                 keep_spans: bool = True):
-        self.record_intervals = record_intervals
-        self.keep_spans = keep_spans and record_intervals
+    def __init__(self):
         self.num_threads = 0
         #: grant-rule queueing cycles charged to other threads, per victim
         self.t_interference: List[int] = []
@@ -272,8 +266,6 @@ class SpanCollector(Observer):
 
     def on_arrival(self, request: MemoryRequest, now: int) -> None:
         """A read/prefetch request entered a controller queue."""
-        if not self.record_intervals:
-            return
         bank = request.channel_id * self._banks_per_channel + request.bank_id
         busy_until = self._busy_until[bank]
         if busy_until > now:
@@ -294,9 +286,8 @@ class SpanCollector(Observer):
 
         Applies the grant-time attribution rule (identical to STFM's
         original accounting: full service occupancy charged to every
-        waiting request of another thread) and, in full mode, logs the
-        grant once for the requests it delays and stores the granted
-        request's timing.
+        waiting request of another thread), logs the grant once for the
+        requests it delays and stores the granted request's timing.
         """
         tid = request.thread_id
         end = access.data_end
@@ -310,8 +301,6 @@ class SpanCollector(Observer):
                 t_interference[other_tid] += busy
                 matrix[other_tid][tid] += busy
                 self.total_attributed += busy
-        if not self.record_intervals:
-            return
         bank = request.channel_id * self._banks_per_channel + request.bank_id
         log = self._logs[bank]
         request_id = request.request_id
@@ -336,8 +325,6 @@ class SpanCollector(Observer):
 
     def on_write(self, request: MemoryRequest, access, now: int) -> None:
         """A buffered write was drained; the bank is busy on its behalf."""
-        if not self.record_intervals:
-            return
         bank = request.channel_id * self._banks_per_channel + request.bank_id
         self._busy_until[bank] = access.data_end
         self._busy_by[bank] = request.thread_id
@@ -348,10 +335,8 @@ class SpanCollector(Observer):
         self.t_shared[tid] += now - request.arrival
         self.completed_interference[tid] += request.interference
         self.requests_completed += 1
-        if not self.record_intervals:
-            return
         state = self._open.pop(request.request_id, None)
-        if state is not None and self.keep_spans:
+        if state is not None:
             rows = self._rows
             rows.extend(state)
             rows.append(now)
@@ -459,5 +444,6 @@ class SpanCollector(Observer):
 
 def attach_spans(system, collector: Optional[SpanCollector] = None
                  ) -> SpanCollector:
-    """Attach a (full, by default) collector to ``system`` before its run."""
+    """Attach a collector (a new one by default) to ``system`` before
+    its run."""
     return system.attach(collector or SpanCollector())

@@ -67,15 +67,12 @@ def _spans_section(run) -> List[str]:
         + [["caused", *report.culprit_totals, report.total_attributed]],
         title="interference attribution — delay[victim][culprit] "
               "(queueing cycles)",
+    ), format_table(
+        ["thread", "queueing", "row-conflict", "bus", "partial"],
+        [[label, row["queue"], row["row"], row["bus"], row["queue_partial"]]
+         for label, row in zip(labels, report.causes)],
+        title="other-inflicted delay by cause (cycles)",
     )]
-    if report.causes is not None:
-        parts.append(format_table(
-            ["thread", "queueing", "row-conflict", "bus", "partial"],
-            [[label, row["queue"], row["row"], row["bus"],
-              row["queue_partial"]]
-             for label, row in zip(labels, report.causes)],
-            title="other-inflicted delay by cause (cycles)",
-        ))
     true = report.true_slowdowns
     parts.append(format_table(
         ["thread", "est_slowdown", "true_slowdown"],

@@ -48,7 +48,6 @@ from repro.prof.history import (
     git_sha,
     latest,
     load,
-    load_baseline,
     machine_fingerprint,
     make_record,
     same_machine,
@@ -81,7 +80,6 @@ __all__ = [
     "git_sha",
     "latest",
     "load",
-    "load_baseline",
     "machine_fingerprint",
     "make_record",
     "parse_collapsed",

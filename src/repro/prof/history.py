@@ -23,11 +23,6 @@ rounds (robust against one noisy round), a configurable tolerance
 ``fingerprint-mismatch``.  Callers decide severity; the convention
 throughout the repo is *warn by default, fail under*
 ``REPRO_BENCH_STRICT=1``.
-
-Legacy shim (one release): :func:`load_baseline` also reads the
-pre-prof ``benchmarks/telemetry_baseline.json`` shape (a bare dict
-with ``min_s``/``requests`` keys) and normalises it into the v1 record
-fields the overhead benches consume.
 """
 
 from __future__ import annotations
@@ -167,10 +162,7 @@ def load(path) -> List[dict]:
     doc = json.loads(p.read_text())
     if isinstance(doc, dict) and doc.get("format") == FORMAT:
         return list(doc.get("records", []))
-    raise ValueError(
-        f"{p}: not a {FORMAT} file "
-        "(legacy baselines load via load_baseline)"
-    )
+    raise ValueError(f"{p}: not a {FORMAT} file")
 
 
 def append(path, record: dict) -> int:
@@ -203,51 +195,6 @@ def benches(records: List[dict]) -> List[str]:
         if name and name not in seen:
             seen.append(name)
     return seen
-
-
-# ----------------------------------------------------------------------
-# legacy baseline shim (telemetry_baseline.json, pre-prof shape)
-# ----------------------------------------------------------------------
-
-#: keys the overhead benches consume from a baseline
-_BASELINE_KEYS = ("scheduler", "intensity", "num_threads", "seed",
-                  "run_cycles", "requests", "min_s", "max_slowdown")
-
-
-def load_baseline(path) -> dict:
-    """Normalised overhead-bench baseline from either on-disk format.
-
-    * v1 history file: the latest ``telemetry_overhead`` family record;
-      its ``workload`` sub-dict plus ``wall_s.best`` map onto the
-      legacy keys.
-    * legacy bare dict (``min_s`` at top level): returned as-is.
-
-    The legacy branch is a one-release shim — drop it once no checkout
-    carries the old ``telemetry_baseline.json`` shape.
-    """
-    doc = json.loads(Path(path).read_text())
-    if isinstance(doc, dict) and doc.get("format") == FORMAT:
-        records = [r for r in doc.get("records", [])
-                   if r.get("family") == "telemetry_overhead"]
-        if not records:
-            raise ValueError(f"{path}: no telemetry_overhead record")
-        record = records[-1]
-        workload = record.get("workload", {})
-        return {
-            "scheduler": workload["scheduler"],
-            "intensity": workload["intensity"],
-            "num_threads": workload["num_threads"],
-            "seed": workload["seed"],
-            "run_cycles": workload["run_cycles"],
-            "requests": record["requests"],
-            "min_s": record["wall_s"]["best"],
-            "max_slowdown": record.get("tolerance", 1.03),
-            "machine": record.get("machine"),
-        }
-    if isinstance(doc, dict) and "min_s" in doc:  # legacy shape
-        return {key: doc[key] for key in _BASELINE_KEYS if key in doc}
-    raise ValueError(f"{path}: neither a {FORMAT} file nor a legacy "
-                     "baseline dict")
 
 
 # ----------------------------------------------------------------------

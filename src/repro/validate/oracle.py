@@ -86,7 +86,7 @@ class OracleConfig:
     default (None) disables the check because strict-priority policies
     (``static``) legitimately starve deprioritised threads for as long
     as high-priority traffic lasts.  The span and decision-record
-    checks run when the run carries a full span collector or an explain
+    checks run when the run carries a span collector or an explain
     collector.
     """
 
@@ -557,11 +557,7 @@ class InvariantOracle(Observer):
         from repro.obs.spans import SpanCollector
 
         collector = find_observer(self.system, SpanCollector)
-        if (
-            collector is None
-            or not collector.record_intervals
-            or not collector.keep_spans
-        ):
+        if collector is None:
             return
         for span in collector.iter_spans(include_open=False):
             self._check_span(span)

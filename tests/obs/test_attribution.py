@@ -182,11 +182,6 @@ class TestReconcileFailures:
 
 
 class TestCauseBreakdown:
-    def test_lite_collector_refused(self):
-        collector = SpanCollector(record_intervals=False)
-        with pytest.raises(ValueError, match="full span collector"):
-            cause_breakdown(collector)
-
     def test_causes_cover_other_inflicted_delay(self):
         collector, _ = observed("frfcfs")
         causes = cause_breakdown(collector)

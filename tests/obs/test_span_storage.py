@@ -10,7 +10,7 @@ with::
 
     PYTHONPATH=src python -m tests.obs.test_span_storage
 
-**Storage.**  A full collector keeps ints: a grant log per bank and one
+**Storage.**  A collector keeps ints: a grant log per bank and one
 row per completed request.  Spans are built only when read, so what a
 run holds does not grow with the requests it completes.
 """

@@ -1,4 +1,4 @@
-"""Benchmark-history store: records, verdicts, and the legacy shim."""
+"""Benchmark-history store: records and verdicts."""
 
 import json
 import subprocess
@@ -47,6 +47,13 @@ class TestRecords:
         path.write_text('{"format": "something/else", "records": []}')
         with pytest.raises(ValueError):
             history.load(path)
+
+    def test_load_names_only_the_v1_format(self, tmp_path):
+        path = tmp_path / "bare.json"
+        path.write_text(json.dumps({"min_s": 0.106, "requests": 4994}))
+        with pytest.raises(ValueError) as error:
+            history.load(path)
+        assert str(error.value) == f"{path}: not a repro.prof.history/v1 file"
 
     def test_latest_and_benches(self):
         records = [_record(rounds=(0.2,)), _record(rounds=(0.1,)),
@@ -123,53 +130,6 @@ class TestCompareHistories:
         verdicts = history.compare_histories(base, new, tolerance=1.05)
         assert len(verdicts) == 1  # only overlapping benches compared
         assert verdicts[0].verdict == history.VERDICT_IMPROVEMENT
-
-
-class TestLoadBaseline:
-    V1_WORKLOAD = {"scheduler": "tcm", "intensity": 0.75,
-                   "num_threads": 24, "seed": 0, "run_cycles": 120000}
-
-    def test_v1_telemetry_overhead_record(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        record = _record(bench="telemetry_overhead[tcm]",
-                         family="telemetry_overhead",
-                         rounds=(0.12, 0.10, 0.11),
-                         tolerance=1.03, requests=4994,
-                         workload=self.V1_WORKLOAD)
-        history.append(path, record)
-        baseline = history.load_baseline(path)
-        assert baseline["scheduler"] == "tcm"
-        assert baseline["run_cycles"] == 120000
-        assert baseline["requests"] == 4994
-        assert baseline["min_s"] == 0.10
-        assert baseline["max_slowdown"] == 1.03
-        assert baseline["machine"] == history.machine_fingerprint()
-
-    def test_legacy_bare_dict(self, tmp_path):
-        path = tmp_path / "legacy.json"
-        path.write_text(json.dumps({
-            "scheduler": "tcm", "intensity": 0.75, "num_threads": 24,
-            "seed": 0, "run_cycles": 120000, "requests": 4994,
-            "min_s": 0.106, "max_slowdown": 1.03,
-        }))
-        baseline = history.load_baseline(path)
-        assert baseline["min_s"] == 0.106
-        assert baseline.get("machine") is None
-
-    def test_committed_baseline_is_v1(self):
-        from pathlib import Path
-
-        path = (Path(__file__).resolve().parents[2]
-                / "benchmarks" / "telemetry_baseline.json")
-        baseline = history.load_baseline(path)
-        assert baseline["scheduler"] == "tcm"
-        assert baseline["min_s"] > 0
-
-    def test_rejects_unknown_shape(self, tmp_path):
-        path = tmp_path / "junk.json"
-        path.write_text('{"hello": 1}')
-        with pytest.raises(ValueError):
-            history.load_baseline(path)
 
 
 class TestEnvironment:

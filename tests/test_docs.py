@@ -4,8 +4,9 @@ Scans the user-facing Markdown for ``python -m repro.experiments.cli
 VERB`` (VERB must be a CLI verb), ``--preset NAME`` (a campaign preset),
 ``paper NAME`` written as a command (a figure the ``paper`` verb
 regenerates), ``cli VERB ACTION`` or `` `VERB ACTION` `` (ACTION
-must be one of the verb's actions) and every ``--flag`` of a
-documented command line (a parser option).
+must be one of the verb's actions), every ``--flag`` of a
+documented command line (a parser option) and every repository path
+in inline code (a file or directory, or a glob that matches one).
 """
 
 import re
@@ -38,6 +39,13 @@ COMMAND = re.compile(
     r"python -m repro\.experiments\.cli\b((?:[^\n`#]*\\\n)*[^\n`#]*)"
 )
 FLAG = re.compile(r"(?<![\w-])--[a-z][\w-]*")
+
+#: inline code, and a repository path in it; a test id's ``::name``
+#: is not part of the path
+CODE = re.compile(r"`([^`\n]+)`")
+PATH = re.compile(
+    r"(?<![\w/.-])(?:benchmarks|scripts|src|tests|examples|docs)/[\w./*<>-]*"
+)
 
 
 def test_docs_name_real_verbs_presets_and_figures():
@@ -85,3 +93,19 @@ def test_docs_pass_real_flags():
                     unknown.append(f"{doc.name}:{line}: no flag {flag}")
     assert shown > 50
     assert unknown == []
+
+
+def test_docs_name_real_paths():
+    shown, missing = 0, []
+    for doc in DOCS:
+        text = doc.read_text(encoding="utf-8")
+        for code in CODE.finditer(text):
+            for path in PATH.findall(code.group(1)):
+                if "<" in path:  # a placeholder, as in bench_<exp>*.py
+                    continue
+                shown += 1
+                if not any(ROOT.glob(path)):
+                    line = text.count("\n", 0, code.start()) + 1
+                    missing.append(f"{doc.name}:{line}: no path {path}")
+    assert shown > 50
+    assert missing == []
