@@ -15,6 +15,10 @@ probe that checkpoints at quantum cadence.  For each of them:
   history record.  Explain's ratio alone has a bound,
   :data:`MAX_ATTACHED`, asserted under ``REPRO_BENCH_STRICT=1`` on any
   host: both sides of the ratio run on the same host seconds apart.
+  Explain's record also carries ``py_calls_per_request``, the Python
+  frames an explain-attached run's ``advance`` enters per granted
+  request (:func:`repro.prof.py_calls_per_request`), a count that is
+  the same on any host (informational, no bound).
 
 The plain run's own speed has one guard,
 ``bench_engine_speed.py::test_plain_run_vs_history``.
@@ -31,6 +35,7 @@ from repro import SimConfig, System, make_scheduler
 from repro.diverge import StateProbe
 from repro.explain import attach_explain
 from repro.obs import SpanCollector, reconcile
+from repro.prof import py_calls_per_request
 from repro.prof.history import strict_mode
 from repro.telemetry import EpochSampler, Telemetry, Tracer
 from repro.telemetry.sinks import NullSink
@@ -238,7 +243,8 @@ def test_explain_attached_cost_is_bounded(benchmark):
     Attached runs score every queued candidate at every grant and
     drive a full shadow scheduler, so the cost is real, but it must
     stay proportionate: the collector is a forensic tool that still
-    has to be usable on full-length runs.
+    has to be usable on full-length runs.  One more, untimed,
+    attached run counts its Python frames per request.
     """
     # both sides build (and attach) untimed: the ratio is the run's
     ratio, on_timings = _attached_ratio(
@@ -247,10 +253,15 @@ def test_explain_attached_cost_is_bounded(benchmark):
         lambda: _explained_system()[0].run,
         rounds=5,
     )
+    counted, _ = _explained_system()
+    counted.start_run()
+    calls = round(py_calls_per_request(counted, CYCLES), 3)
     benchmark.extra_info["explain_attached_vs_off"] = ratio
+    benchmark.extra_info["py_calls_per_request"] = calls
     record_history(
         "explain_attached[tcm]", "explain_overhead", on_timings,
         explain_attached_vs_off=ratio,
+        py_calls_per_request=calls,
     )
     if strict_mode():
         assert ratio <= MAX_ATTACHED, (

@@ -334,6 +334,22 @@ class TCMScheduler(Scheduler):
             best_arrival = request.arrival
         return best
 
+    def demand_keys(
+        self, channel: Channel, bank_id: int, now: int
+    ) -> List[Tuple]:
+        # ``priority``'s slots built in place, one pass over the queue;
+        # the channel's rank map is each candidate's, as in ``select``
+        open_row = channel.banks[bank_id].open_row
+        rank_of = (
+            self._ranks[channel.channel_id] if self._ranks else {}
+        ).get
+        keys = []
+        append = keys.append
+        for request in channel.queues[bank_id]:
+            append((not request.is_prefetch, rank_of(request.thread_id, 0),
+                    request.row == open_row, -request.arrival))
+        return keys
+
     def explain_components(
         self, request: MemoryRequest, row_hit: bool, now: int, key=None
     ) -> dict:

@@ -98,18 +98,14 @@ _request_state = attrgetter(
 )
 
 
-def _state_digest(state: tuple) -> list:
-    """The JSON digest of one :data:`_request_state` tuple."""
+def _request_digest(request: MemoryRequest) -> list:
+    """A request's identity and lifecycle state as a JSON list."""
     (tid, channel, bank, row, arrival, episode, is_write, is_prefetch,
-     marked, start_service, completion, interference) = state
+     marked, start_service, completion, interference) = \
+        _request_state(request)
     return [tid, channel, bank, row, arrival, episode, int(is_write),
             int(is_prefetch), int(marked), start_service, completion,
             interference]
-
-
-def _request_digest(request: MemoryRequest) -> list:
-    """A request's identity and lifecycle state as a JSON list."""
-    return _state_digest(_request_state(request))
 
 
 def _kind_name(kind: int) -> str:
@@ -117,8 +113,7 @@ def _kind_name(kind: int) -> str:
 
 
 def _event_entry(time: int, kind: int, payload, aux: int) -> list:
-    """One canonical event record; request payloads are digested
-    immediately (they mutate as the run proceeds)."""
+    """One canonical event record, a request payload digested."""
     if isinstance(payload, MemoryRequest):
         payload = _request_digest(payload)
     return [time, _kind_name(kind), payload, aux]
@@ -376,10 +371,16 @@ class StateProbe(Observer):
     Once attached, the event loops feed the probe every dispatched event
     (:meth:`on_event`) and every grant (:meth:`on_grant`), which it
     keeps in bounded ring buffers of plain tuples for a divergence's
-    context (:meth:`rings`).  Fingerprints and snapshots are computed
-    only when asked (between :meth:`~repro.sim.system.System.advance`
-    windows), so probe overhead scales with checkpoint cadence, not
-    event rate.
+    context (:meth:`rings`).  The event ring keeps each popped event
+    tuple as it is, through the deque's own ``append``, so an event
+    costs no Python frame; a completion's request is digested only when
+    :meth:`rings` is read.  That digest equals one taken at the pop
+    because no queue holds a request once it is granted, and a
+    completion's request was granted: neither the span collector's
+    grant rule (``interference``) nor PAR-BS's batch marks write to it
+    afterwards.  Fingerprints and snapshots are computed only when
+    asked (between :meth:`~repro.sim.system.System.advance` windows),
+    so probe overhead scales with checkpoint cadence, not event rate.
     """
 
     name = "probe"
@@ -402,6 +403,8 @@ class StateProbe(Observer):
         self.events: deque = deque(maxlen=ring)
         self.decisions: deque = deque(maxlen=ring)
         self.system = None
+        # the hook the loops call is the ring's append (see on_event)
+        self.on_event = self.events.append
 
     def attach(self, system) -> "StateProbe":
         if find_observer(system, StateProbe) is not None:
@@ -417,14 +420,11 @@ class StateProbe(Observer):
 
     # -- observer hooks --------------------------------------------------
 
-    def on_event(self, time: int, kind: int, payload, aux: int) -> None:
-        # a request payload is captured now: the request mutates later
-        if isinstance(payload, MemoryRequest):
-            self.events.append(
-                (time, kind, None, aux, _request_state(payload))
-            )
-        else:
-            self.events.append((time, kind, payload, aux, None))
+    def on_event(self, event: tuple) -> None:
+        """Ring the popped event as it is.  Each probe's own
+        ``on_event`` is ``self.events.append``, which does just this
+        without a Python frame."""
+        self.events.append(event)
 
     def on_grant(self, request, waiting, access, completion: int,
                  now: int) -> None:
@@ -447,9 +447,8 @@ class StateProbe(Observer):
         """The latest events and grants, oldest first, as JSON."""
         return {
             "events": [
-                [time, _kind_name(kind),
-                 payload if state is None else _state_digest(state), aux]
-                for time, kind, payload, aux, state in self.events
+                _event_entry(time, kind, payload, aux)
+                for time, _seq, kind, payload, aux in self.events
             ],
             "decisions": [
                 {

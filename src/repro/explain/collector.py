@@ -189,17 +189,20 @@ class ExplainCollector(Observer):
     def on_decision(self, channel, bank_id: int, winner, now: int) -> None:
         """Score the candidates, relay to the shadows, ring a raw tuple.
 
-        The queue still holds the winner.  The ring keeps the candidate
-        requests themselves — their ids, thread, arrival, row and class
-        never change — with their keys (the demand class bit + the
-        priority tuple, as ``select`` compares them) and the open row of
-        this instant, which is everything a record is built from:
-        ``(now, winner, open_row, key)`` for an only candidate, else
-        ``(now, winner, open_row, candidates, keys, component, delta,
-        runner_up, picks, tied)``.  Richer per-policy detail (ATLAS
-        attained service, STFM slowdown, TCM cluster) stays available
-        through ``scheduler.explain_components`` — ``priority`` is
-        pure, so re-deriving is exact.
+        The queue still holds the winner.  The policy's ``demand_keys``
+        scores the whole queue in one call: each candidate's key is the
+        demand class bit + the priority tuple, as ``select`` compares
+        them.  The ring keeps the candidate requests themselves — their
+        ids, thread, arrival, row and class never change — with their
+        keys and the open row of this instant, which is everything a
+        record is built from: ``(now, winner, open_row, key)`` for an
+        only candidate, else ``(now, winner, open_row, candidates,
+        keys, component, delta, runner_up, picks, tied)``.  Richer
+        per-policy detail (ATLAS attained service, STFM slowdown, TCM
+        cluster) stays available through
+        ``scheduler.explain_components`` — ``priority`` is pure, so
+        re-deriving is exact.  With a tracer, the grant's ``explain``
+        event is written here too.
         """
         queue = channel.queues[bank_id]
         open_row = channel.banks[bank_id].open_row
@@ -208,35 +211,27 @@ class ExplainCollector(Observer):
         winner_tid = winner.thread_id
         self.actual_granted[winner_tid] += 1
         shadows = self.shadows
-        priority = scheduler.priority
+        tracer = self._tracer
+        keys = scheduler.demand_keys(channel, bank_id, now)
 
-        if len(queue) == 1:
-            key = (not winner.is_prefetch,) + priority(
-                winner, winner.row == open_row, now
-            )
+        if len(keys) == 1:
             self.only_candidate += 1
             # every policy's select grants the only candidate (select is
             # a pure decision function), so the shadows need no asking
             for shadow in shadows:
                 shadow.granted[winner_tid] += 1
                 shadow.agreed += 1
-            raw = (now, winner, open_row, key)
+            raw = (now, winner, open_row, keys[0])
         else:
             candidates = tuple(queue)
-            keys = []
-            append = keys.append
-            best_key = None
-            for request in candidates:
-                key = (not request.is_prefetch,) + priority(
-                    request, request.row == open_row, now
-                )
-                append(key)
-                if request is winner:
-                    winner_key = key
-                # the runner-up is the first maximal key among the others
-                elif best_key is None or key > best_key:
-                    best_key = key
-                    runner_up = request
+            position = candidates.index(winner)  # a request equals itself
+            winner_key = keys[position]
+            # the runner-up is the first maximal key among the others
+            best_key = max(keys[:position] + keys[position + 1:])
+            index = keys.index(best_key)
+            if index == position:
+                index = keys.index(best_key, position + 1)
+            runner_up = candidates[index]
             component, delta = margin_of(winner_key, best_key,
                                          scheduler.PRIORITY_COMPONENTS)
             if component is None:
@@ -253,10 +248,11 @@ class ExplainCollector(Observer):
             tied = 1 if delta > 0 else keys.count(winner_key)
 
             # shadow counterfactuals: which request would each grant?
-            picks = [shadow.scheduler.select(channel, bank_id, now)
-                     for shadow in shadows]
+            picks = []
             disagreed = False
-            for shadow, picked in zip(shadows, picks):
+            for shadow in shadows:
+                picked = shadow.scheduler.select(channel, bank_id, now)
+                picks.append(picked)
                 shadow.granted[picked.thread_id] += 1
                 if picked is winner:
                     shadow.agreed += 1
@@ -282,29 +278,24 @@ class ExplainCollector(Observer):
 
         self._last = raw
         self._ring.append(raw)
-        if self._tracer is not None:
-            self._trace(raw)
-
-    def _trace(self, raw) -> None:
-        """Emit one grant's ``explain`` event from its raw ring entry."""
-        now, winner = raw[0], raw[1]
-        if len(raw) == 4:
-            queued, tie_break, tied, component, delta = \
-                1, TIE_ONLY, 1, None, 0.0
-            disagreed = []
-        else:
-            component, delta, picks, tied = raw[5], raw[6], raw[8], raw[9]
-            queued = len(raw[3])
-            tie_break = TIE_QUEUE_ORDER if component is None \
-                else TIE_PRIORITY
-            disagreed = [] if picks is None else [
-                shadow.label for shadow, picked in zip(self.shadows, picks)
-                if picked is not winner
-            ]
-        self._tracer.write_row("explain", (
-            now, winner.channel_id, winner.bank_id, winner.thread_id,
-            queued, tie_break, tied, "" if component is None else component,
-            delta, disagreed))
+        if tracer is not None:
+            # the grant's ``explain`` event
+            if len(raw) == 4:
+                tracer.write_row("explain", (
+                    now, winner.channel_id, winner.bank_id, winner_tid, 1,
+                    TIE_ONLY, 1, "", 0.0, []))
+            else:
+                disagreed = []
+                if picks is not None:
+                    for shadow, picked in zip(shadows, picks):
+                        if picked is not winner:
+                            disagreed.append(shadow.label)
+                tracer.write_row("explain", (
+                    now, winner.channel_id, winner.bank_id, winner_tid,
+                    len(candidates),
+                    TIE_QUEUE_ORDER if component is None else TIE_PRIORITY,
+                    tied, "" if component is None else component, delta,
+                    disagreed))
 
     def on_grant(self, request, waiting, access, completion: int,
                  now: int) -> None:

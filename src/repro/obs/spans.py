@@ -53,6 +53,7 @@ from __future__ import annotations
 
 from array import array
 from functools import partial
+from struct import Struct
 from typing import Dict, Iterator, List, NamedTuple, Optional
 
 from repro.dram.request import MemoryRequest
@@ -90,6 +91,11 @@ ROW_WIDTH = len(ROW_FIELDS)
 _ARRIVAL_WIDTH = ROW_FIELDS.index("log_end")
 #: the fields of a request not yet granted, after its arrival ones
 _UNGRANTED = (-1,) * (ROW_WIDTH - 1 - _ARRIVAL_WIDTH)
+#: a completed row and a grant-log entry as machine int64s, packed in
+#: one C call for ``array.frombytes`` (``array.extend`` converts and
+#: grows item by item)
+_pack_row = Struct(f"{ROW_WIDTH}q").pack
+_pack_grant = Struct("3q").pack
 
 
 class WaitInterval(NamedTuple):
@@ -319,7 +325,7 @@ class SpanCollector(Observer):
         # every request still queued waits out this grant, and only
         # those: a later arrival's slice starts after it
         if waiting:
-            log.extend((now, end, tid))
+            log.frombytes(_pack_grant(now, end, tid))
         self._busy_until[bank] = end
         self._busy_by[bank] = tid
 
@@ -337,9 +343,7 @@ class SpanCollector(Observer):
         self.requests_completed += 1
         state = self._open.pop(request.request_id, None)
         if state is not None:
-            rows = self._rows
-            rows.extend(state)
-            rows.append(now)
+            self._rows.frombytes(_pack_row(*state, now))
 
     # ------------------------------------------------------------------
     # readers

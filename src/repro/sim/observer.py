@@ -35,8 +35,13 @@ class Observer:
     def end(self, system, horizon: int) -> None:
         """The run finished: fires last in ``System.finish_run``."""
 
-    def on_event(self, time: int, kind: int, payload, aux: int) -> None:
-        """An event was popped; fires *before* it is dispatched."""
+    def on_event(self, event: tuple) -> None:
+        """An event was popped; fires *before* it is dispatched.
+
+        ``event`` is the popped ``(time, seq, kind, payload, aux)``
+        tuple itself, so a hook that only keeps events can be a bound
+        C method (``deque.append``) and enter no Python frame.
+        """
 
     def on_arrival(self, request, now: int) -> None:
         """A demand or prefetch request entered a controller queue."""

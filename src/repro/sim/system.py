@@ -496,11 +496,12 @@ class System:
         events = self._events
         on_event = self._on_event
         while events and events[0][0] <= limit:
-            time, _seq, kind, payload, aux = heapq.heappop(events)
+            event = heapq.heappop(events)
+            time, _seq, kind, payload, aux = event
             self.now = time
             if on_event:
                 for hook in on_event:
-                    hook(time, kind, payload, aux)
+                    hook(event)
             if kind == _EV_ISSUE:
                 self._issue_miss(payload)
             elif kind == _EV_BANK_FREE:

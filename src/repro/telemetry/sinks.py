@@ -34,6 +34,7 @@ import json
 import os
 from array import array
 from pathlib import Path
+from struct import Struct
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.telemetry.schema import (
@@ -87,11 +88,12 @@ class _RowTable:
 
     A field whose type is not int holds a code instead: a string's or
     a list's is its index in the sink's table of values, and a float's
-    is 0, its value going to ``floats``.
+    is 0, its value going to ``floats``.  ``pack`` turns a row's ints
+    into machine int64s in one C call, for ``ints.frombytes``.
     """
 
     __slots__ = ("kind", "code", "width", "coded", "lists", "reals",
-                 "ints", "floats")
+                 "ints", "floats", "pack")
 
     def __init__(self, kind: str, code: int) -> None:
         types = {"ts": (int,)}
@@ -107,6 +109,7 @@ class _RowTable:
         self.reals = tuple(i for i, t in enumerate(fields) if float in t)
         self.ints = array("q")
         self.floats = array("d")
+        self.pack = Struct(f"{self.width}q").pack
 
     def row(self, index: int, values: list) -> list:
         """Row ``index`` as written, each field its own value again."""
@@ -166,7 +169,7 @@ class MemorySink(Sink):
         for i in table.reals:
             table.floats.append(values[i])
             values[i] = 0
-        table.ints.extend(values)
+        table.ints.frombytes(table.pack(*values))
         self._order.append(table.code)
 
     @property

@@ -10,13 +10,18 @@ with :func:`fingerprint_state` between ``advance`` windows.
 """
 
 import json
+from collections import deque
+from contextlib import nullcontext
 
 import pytest
 
 from repro.config import SimConfig
 from repro.diverge import COMPONENTS, StateProbe, snapshot_state
-from repro.diverge.probe import fingerprint_state
+from repro.diverge.probe import _event_entry, fingerprint_state
+from repro.obs.spans import SpanCollector
 from repro.sim.fused import fusable
+from repro.sim.observer import Observer
+from repro.telemetry import Telemetry
 from repro.workloads import make_intensity_workload
 from tests.conftest import dispatch_loop
 
@@ -181,3 +186,52 @@ class TestAttachment:
         assert rings["decisions"], "no scheduler decisions captured"
         cycles = [entry[0] for entry in rings["events"]]
         assert cycles == sorted(cycles)
+
+
+class _DigestAtPop(Observer):
+    """Digests each event the moment it is popped."""
+
+    def __init__(self, ring):
+        self.entries = deque(maxlen=ring)
+
+    def on_event(self, event):
+        time, _seq, kind, payload, aux = event
+        self.entries.append(_event_entry(time, kind, payload, aux))
+
+
+class TestRingsDigestOnRead:
+    """The probe rings each popped event as it is and digests a
+    completion's request when ``rings()`` is read.  That equals a
+    digest taken at the pop because a completion's request was granted,
+    and no queue holds a granted request: the span collector's grant
+    rule (``interference``) and PAR-BS's batch marks, the writers of
+    queued requests, never reach it again."""
+
+    @pytest.mark.parametrize("loop", ["reference", "fast"])
+    @pytest.mark.parametrize("scheduler", ["parbs", "stfm"])
+    def test_digest_on_read_equals_digest_at_pop(self, loop, scheduler):
+        from repro import System, make_scheduler
+
+        ring = 4_096  # old completions stay in the ring until read
+        config = SimConfig(run_cycles=CYCLES, num_threads=4,
+                           model_writes=True, prefetch_degree=2)
+        system = System(make_intensity_workload(0.75, num_threads=4, seed=3),
+                        make_scheduler(scheduler), config, seed=5,
+                        telemetry=Telemetry(spans=SpanCollector()))
+        probe = StateProbe(ring=ring).attach(system)
+        at_pop = system.attach(_DigestAtPop(ring))
+        system.start_run()
+        if loop == "fast":
+            assert fusable(system)
+        for limit in range(500, CYCLES + 1, 500):
+            with dispatch_loop() if loop == "reference" else nullcontext():
+                system.advance(limit)
+            assert probe.rings()["events"] == list(at_pop.entries), limit
+        completed = [entry[2] for entry in at_pop.entries
+                     if entry[1] == "done"]
+        # the rings held completions that waited behind other threads
+        # (interference) and, under PAR-BS, batch-marked ones
+        assert any(request[11] > 0 for request in completed)
+        if scheduler == "parbs":
+            assert any(request[8] for request in completed)
+        assert any(request[7] for request in completed)  # prefetches

@@ -298,8 +298,8 @@ class TestAttachedLayers:
             assert "dram.grant" in path
 
     def test_explain_shadows_are_cut_off(self):
-        """Explain scores the primary policy's ``priority`` inside its
-        hook: the sample is explain's, not the scheduler's."""
+        """Explain scores the primary policy's queue (``demand_keys``)
+        inside its hook: the sample is explain's, not the scheduler's."""
         from repro.explain import attach_explain
         from repro.explain.collector import ExplainCollector
 
@@ -308,7 +308,8 @@ class TestAttachedLayers:
         profiler = attach_profiler(system)
         _, path = _path_inside(
             system, profiler,
-            _called_from("priority", ExplainCollector.on_decision.__code__))
+            _called_from("demand_keys",
+                         ExplainCollector.on_decision.__code__))
         profiler.detach()
         assert path[-1] == "obs.explain.decision"
         assert not any(label.startswith("sched.") for label in path)

@@ -201,7 +201,8 @@ class LoggingObserver(Observer):
     def end(self, system, horizon):
         self.log.append(("obs", "end", horizon))
 
-    def on_event(self, time, kind, payload, aux):
+    def on_event(self, event):
+        _time, _seq, kind, payload, _aux = event
         key = payload.request_id if kind == _EV_DONE else None
         self.log.append(("obs", "event", kind, key))
 
@@ -390,7 +391,7 @@ class EventCounter(Observer):
     def begin(self, system):
         self.system = system
 
-    def on_event(self, time, kind, payload, aux):
+    def on_event(self, event):
         self.events += 1
 
     def on_grant(self, request, waiting, access, completion, now):
