@@ -51,7 +51,7 @@ from repro.workloads import make_intensity_workload
 
 CYCLES = 60_000
 THREADS = 24
-ROUNDS = 3
+ROUNDS = 5
 STRICT = os.environ.get("REPRO_BENCH_STRICT") == "1"
 #: the plain-run guard's budget (fresh median / committed median).
 #: Same-build runs on one machine spread 5-15%, so a tighter budget
