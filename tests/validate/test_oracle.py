@@ -239,6 +239,27 @@ class TestInjectedBugs:
         with pytest.raises(InvariantViolation, match=r"\[policy\]"):
             system.run()
 
+    def test_grant_from_outside_the_queue_is_a_conservation_finding(self):
+        """The policy audit scores only a request its queue holds; one
+        granted from elsewhere is the conservation check's finding."""
+        system = small_system()
+        oracle = attach_oracle(system, COLLECT)
+        channel = system.channels[0]
+        queued = MemoryRequest(
+            thread_id=0, channel_id=0, bank_id=0, row=1, arrival=0
+        )
+        stranger = MemoryRequest(
+            thread_id=1, channel_id=0, bank_id=0, row=2, arrival=5
+        )
+        channel.queues[0].append(queued)
+        oracle.on_arrival(queued, 0)
+        oracle.on_arrival(stranger, 5)
+        oracle.on_decision(channel, 0, stranger, 5)
+        violations = oracle.report.violations
+        assert any(v.startswith("[conservation]")
+                   and "absent from its queue" in v for v in violations)
+        assert not any(v.startswith("[policy]") for v in violations)
+
     def test_policy_bug_on_fused_loop(self, fused_advances):
         system = System(MIXES[1], _WorstFRFCFS(), CFG, seed=11)
         attach_oracle(system)
