@@ -97,39 +97,6 @@ class BehaviorMonitor:
         self._folded_blp_integral: List[float] = [0.0] * num_threads
         self._folded_busy_time: List[int] = [0] * num_threads
 
-    def register_metrics(self, registry) -> None:
-        """Expose lifetime monitor counters as polled providers (each
-        computes its one thread's total)."""
-        for tid in range(self.num_threads):
-            labels = {"tid": tid}
-            registry.register(
-                "monitor.service_cycles",
-                lambda t=tid: _thread_total(
-                    self._folded_service_cycles, self.service_cycles, t
-                ),
-                labels,
-            )
-            registry.register(
-                "monitor.shadow_hits",
-                lambda t=tid: _thread_total(
-                    self._folded_shadow_hits, self.shadow_hits, t
-                ),
-                labels,
-            )
-            registry.register(
-                "monitor.shadow_accesses",
-                lambda t=tid: _thread_total(
-                    self._folded_shadow_accesses, self.shadow_accesses, t
-                ),
-                labels,
-            )
-            registry.register(
-                "monitor.rbl", lambda t=tid: self.lifetime_rbl(t), labels
-            )
-            registry.register(
-                "monitor.blp", lambda t=tid: self.lifetime_blp(t), labels
-            )
-
     # ------------------------------------------------------------------
     # event hooks
     # ------------------------------------------------------------------

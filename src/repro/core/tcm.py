@@ -82,16 +82,6 @@ class TCMScheduler(Scheduler):
         self.cluster_history: List[ClusteringResult] = []
         self.shuffles_performed = 0
 
-    def register_metrics(self, registry) -> None:
-        super().register_metrics(registry)
-        registry.register("tcm.quanta", lambda: len(self.cluster_history))
-        registry.register("tcm.shuffles", lambda: self.shuffles_performed)
-        registry.register(
-            "tcm.latency_cluster_size",
-            lambda: (len(self._clustering.latency_cluster)
-                     if self._clustering is not None else 0),
-        )
-
     def epoch_annotations(self, thread_id: int) -> dict:
         if self._clustering is None:
             return {}

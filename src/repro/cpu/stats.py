@@ -73,11 +73,3 @@ class ThreadStats:
         self._folded_misses += self.quantum_misses
         self.quantum_instructions = 0
         self.quantum_misses = 0
-
-    def register_metrics(self, registry, labels) -> None:
-        """Expose the core's architectural counters as providers."""
-        registry.register("cpu.instructions",
-                          lambda: self.instructions, labels)
-        registry.register("cpu.misses", lambda: self.misses, labels)
-        registry.register("cpu.episodes", lambda: self.episodes, labels)
-        registry.register("cpu.mpki", self.lifetime_mpki, labels)

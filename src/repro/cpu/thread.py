@@ -136,15 +136,6 @@ class ThreadModel:
         self._current_ipm = self.instrs_per_miss
         self.max_outstanding = self._window_limit()
 
-    def register_metrics(self, registry) -> None:
-        """Expose the thread's counters as polled telemetry providers."""
-        labels = {"tid": self.thread_id}
-        self.stats.register_metrics(registry, labels)
-        registry.register("cpu.outstanding_misses",
-                          lambda: len(self._rob), labels)
-        registry.register("cpu.issued_misses",
-                          lambda: self.issued, labels)
-
     def _window_limit(self) -> int:
         """Outstanding-miss bound from window size and current miss rate."""
         return max(

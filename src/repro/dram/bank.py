@@ -124,22 +124,6 @@ class Bank:
             row_blocker=row_blocker,
         )
 
-    def register_metrics(self, registry) -> None:
-        """Expose the bank's counters as polled telemetry providers.
-
-        The hot path keeps its plain attribute arithmetic; the registry
-        only reads these attributes when a snapshot is taken.
-        """
-        labels = {"ch": self.channel_id, "bank": self.bank_id}
-        registry.register("dram.bank.row_hits",
-                          lambda: self.row_hits, labels)
-        registry.register("dram.bank.row_conflicts",
-                          lambda: self.row_conflicts, labels)
-        registry.register("dram.bank.row_closed",
-                          lambda: self.row_closed, labels)
-        registry.register("dram.bank.busy_cycles",
-                          lambda: self.busy_cycles, labels)
-
 
 class BankAccess:
     """Timing outcome of a single bank access.

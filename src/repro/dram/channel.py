@@ -52,29 +52,6 @@ class Channel:
         self._next_refresh = config.timings.t_refi
         self.refreshes_performed = 0
 
-    def register_metrics(self, registry) -> None:
-        """Expose controller counters (and its banks') to the registry."""
-        labels = {"ch": self.channel_id}
-        registry.register("dram.channel.serviced_requests",
-                          lambda: self.serviced_requests, labels)
-        registry.register("dram.channel.serviced_writes",
-                          lambda: self.serviced_writes, labels)
-        registry.register("dram.channel.dropped_writes",
-                          lambda: self.dropped_writes, labels)
-        registry.register("dram.channel.refreshes",
-                          lambda: self.refreshes_performed, labels)
-        registry.register("dram.channel.pending_requests",
-                          self.pending_requests, labels)
-        registry.register("dram.channel.write_buffer_occupancy",
-                          lambda: len(self.write_buffer), labels)
-        for bank in self.banks:
-            bank.register_metrics(registry)
-            registry.register(
-                "dram.bank.queued",
-                lambda b=bank.bank_id: len(self.queues[b]),
-                {"ch": self.channel_id, "bank": bank.bank_id},
-            )
-
     def enqueue(self, request: MemoryRequest) -> None:
         """Add a request to its bank's queue."""
         if request.channel_id != self.channel_id:

@@ -4,9 +4,9 @@ A shadow is a real registry scheduler attached to a
 :class:`ShadowSystemView` — a restricted proxy of the live system that
 forwards everything a policy is allowed to read (workload, config,
 seed, channels, monitor, prefetchers) while cutting everything a
-policy could perturb: metrics
-registration, tracer emission, and timers (rerouted through tuple
-payloads so the explain layer can dispatch them to the right shadow).
+policy could perturb: tracer emission and timers (rerouted through
+tuple payloads so the explain layer can dispatch them to the right
+shadow).
 
 Shadows are fed the *actual* run's arrivals, grants, completions,
 quantum snapshots and timer ticks — their internal state evolves
@@ -43,10 +43,7 @@ class ShadowSystemView:
 
     __slots__ = ("_system", "_index")
 
-    #: shadows see no metrics registry (the System's registry holds the
-    #: primary policy's providers only) ...
-    metrics = None
-    #: ... and never emit tracer events (``Scheduler.trace`` reads this)
+    #: shadows never emit tracer events (``Scheduler.trace`` reads this)
     _tracer = None
 
     def __init__(self, system, index: int):

@@ -39,10 +39,6 @@ class ATLASScheduler(Scheduler):
         self._weights: Tuple[int, ...] = ()
         self.quanta_completed = 0
 
-    def register_metrics(self, registry) -> None:
-        super().register_metrics(registry)
-        registry.register("atlas.quanta", lambda: self.quanta_completed)
-
     def epoch_annotations(self, thread_id: int) -> dict:
         if not self._rank:
             return {}

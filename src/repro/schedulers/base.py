@@ -18,8 +18,11 @@ of that key; the base ``select`` is the reference scan, its first
 maximum, so most algorithms only implement ``priority``.  The
 evaluated policies (FCFS, FR-FCFS, TCM, ATLAS, PAR-BS, STFM) override
 ``select`` with one pass that compares the same slots in place and
-returns the reference scan's first maximum; TCM, the policy explain
-watches in the benchmarks, also builds its ``demand_keys`` in place.
+returns the reference scan's first maximum: an override computes the
+same answer faster and never changes the policy, and the invariant
+oracle audits every grant against the base ``demand_keys``.  TCM, the
+policy explain watches in the benchmarks, also builds its
+``demand_keys`` in place.
 A subclass that overrides ``priority`` keeps the reference scan
 (``select = Scheduler.select``, as
 :class:`repro.explain.shadow.ShadowPARBS` does).
@@ -50,16 +53,6 @@ class Scheduler:
     #: short identifier used in registries and reports
     name = "base"
 
-    #: Class-level ``select`` overrides — FCFS, FR-FCFS, TCM, ATLAS,
-    #: PAR-BS and STFM each have one — must still return a request of
-    #: maximal ``priority`` tuple (demand before prefetch): they exist
-    #: to compute the same answer faster, not to change policy.  The
-    #: invariant oracle audits every grant against the base
-    #: ``demand_keys`` (built on ``priority``) under this flag; a
-    #: scheduler whose grant rule genuinely cannot be
-    #: expressed as a priority maximum sets it to False to opt out.
-    SELECT_IS_PRIORITY_MAXIMAL = True
-
     #: Names for the slots of the ``priority`` tuple, in order — the
     #: vocabulary :mod:`repro.explain` uses to decompose a decision
     #: into per-policy components ("rank", "row_hit", "age", ...).
@@ -84,16 +77,6 @@ class Scheduler:
     # ------------------------------------------------------------------
     # telemetry
     # ------------------------------------------------------------------
-
-    def register_metrics(self, registry) -> None:
-        """Register policy counters into the system's metrics registry.
-
-        Called once, by the System this scheduler drives, when that
-        System's registry is first read (after :meth:`on_attach`).
-        Subclasses extend this (calling ``super()``) with their own
-        providers; the base registers only the scheduler's identity.
-        """
-        registry.register("scheduler.name", lambda: self.name)
 
     def trace(self, ev: str, now: int, **fields) -> None:
         """Emit a tracer event if the bound system is tracing.

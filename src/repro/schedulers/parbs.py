@@ -37,10 +37,6 @@ class PARBSScheduler(Scheduler):
         self._rank: Dict[int, int] = {}
         self.batches_formed = 0
 
-    def register_metrics(self, registry) -> None:
-        super().register_metrics(registry)
-        registry.register("parbs.batches", lambda: self.batches_formed)
-
     def epoch_annotations(self, thread_id: int) -> dict:
         if not self._rank:
             return {}

@@ -49,11 +49,6 @@ class STFMScheduler(Scheduler):
         self.evaluations = 0
         self.last_unfairness = 1.0
 
-    def register_metrics(self, registry) -> None:
-        super().register_metrics(registry)
-        registry.register("stfm.evaluations", lambda: self.evaluations)
-        registry.register("stfm.unfairness", lambda: self.last_unfairness)
-
     def state_digest(self) -> dict:
         digest = super().state_digest()
         digest.update(

@@ -128,24 +128,6 @@ def fusable(system) -> bool:
     return True
 
 
-def _chain(policy_hook, observer_hooks):
-    """One callable for a hook site: ``policy_hook`` (None when the
-    policy keeps the base no-op), then each observer hook, with the same
-    arguments; the one hook itself when the site has only one."""
-    if not observer_hooks:
-        return policy_hook
-    if policy_hook is None and len(observer_hooks) == 1:
-        return observer_hooks[0]
-
-    def site(*args):
-        if policy_hook is not None:
-            policy_hook(*args)
-        for hook in observer_hooks:
-            hook(*args)
-
-    return site
-
-
 # -- [engine.setup] the call's cached locals and hook sites
 def advance_fused(system, limit: int) -> None:
     """Dispatch every pending event with ``time <= limit``, inlined.
@@ -208,28 +190,29 @@ def advance_fused(system, limit: int) -> None:
 
     scheduler = system.scheduler
     cls = type(scheduler)
-    # the policy's hooks, then the observers' at the same site
-    # (System._bind_hooks builds the tuples): a site nobody hooks costs
-    # one is-None branch
-    on_arrival = _chain(
+    # at each site the policy's hook (None when the policy keeps the
+    # base no-op), then the observers' (System._bind_hooks builds the
+    # tuples): a site nobody hooks costs an is-None and an empty-tuple
+    # branch
+    on_arrival = (
         scheduler.on_request_arrival
         if cls.on_request_arrival is not Scheduler.on_request_arrival
-        else None,
-        system._on_arrival,
+        else None
     )
     on_scheduled = (
         scheduler.on_request_scheduled
         if cls.on_request_scheduled is not Scheduler.on_request_scheduled
         else None
     )
-    on_complete = _chain(
+    on_complete = (
         scheduler.on_request_complete
         if cls.on_request_complete is not Scheduler.on_request_complete
-        else None,
-        system._on_complete,
+        else None
     )
     select = scheduler.select
     new_access = object.__new__
+    arrival_hooks = system._on_arrival
+    complete_hooks = system._on_complete
     decision_hooks = system._on_decision
     event_hooks = system._on_event
     grant_hooks = system._on_grant
@@ -470,6 +453,9 @@ def advance_fused(system, limit: int) -> None:
                             queue.append(prefetch)
                             if on_arrival is not None:
                                 on_arrival(prefetch, time)
+                            if arrival_hooks:
+                                for hook in arrival_hooks:
+                                    hook(prefetch, time)
                             if time >= bank.busy_until:  # else a no-op
                                 try_schedule(channel_id, bank_id, time)
             # -- [cpu.prefetch] StreamPrefetcher.consume / try_merge
@@ -520,6 +506,9 @@ def advance_fused(system, limit: int) -> None:
             # writeback and the bank's grant
             if on_arrival is not None:
                 on_arrival(request, time)
+            if arrival_hooks:
+                for hook in arrival_hooks:
+                    hook(request, time)
             if model_writes and wb_rng.random() < writeback_ratio:
                 # the miss evicts a dirty line: buffer its writeback
                 # (same bank as the fill; the evicted line's row is
@@ -560,6 +549,9 @@ def advance_fused(system, limit: int) -> None:
         if request.is_prefetch:
             if on_complete is not None:
                 on_complete(request, time)
+            if complete_hooks:
+                for hook in complete_hooks:
+                    hook(request, time)
             # -- [cpu.prefetch] StreamPrefetcher.fill: the block goes to
             # the prefetch buffer, or wakes a demand miss merged with
             # this prefetch
@@ -605,6 +597,9 @@ def advance_fused(system, limit: int) -> None:
         # ThreadStats.retire
         if on_complete is not None:
             on_complete(request, time)
+        if complete_hooks:
+            for hook in complete_hooks:
+                hook(request, time)
         latency_sum[tid] += time - request.arrival
         latency_count[tid] += 1
         thread = threads[tid]

@@ -36,7 +36,6 @@ from repro.dram.request import MemoryRequest
 from repro.schedulers.base import Scheduler
 from repro.sim.fused import advance_fused, fusable
 from repro.sim.observer import HOOKS, Observer, overridden_hooks
-from repro.telemetry.registry import MetricsRegistry
 from repro.workloads.mixes import Workload
 
 def _benchmark_streams(workload: Workload) -> List[int]:
@@ -124,19 +123,12 @@ class System:
         #: True while an advance() call runs (detach is refused then)
         self._advancing = False
         self._bind_hooks()
-        # telemetry: the registry always exists, and its providers are
-        # registered at its first read (a registry nobody reads holds
-        # none; polled providers cost nothing per event either way);
-        # tracer/sampler are bound only when a Telemetry bundle is
-        # passed, leaving one is-None branch per emit site otherwise.
+        # telemetry: tracer/sampler are bound only when a Telemetry
+        # bundle is passed, leaving one is-None branch per emit site
+        # otherwise.
         self.telemetry = telemetry
         if telemetry is not None:
             telemetry.bind(self)
-        self.metrics: MetricsRegistry = (
-            telemetry.registry
-            if telemetry is not None and telemetry.registry is not None
-            else MetricsRegistry()
-        )
         self._tracer = (
             telemetry.tracer
             if telemetry is not None
@@ -146,7 +138,6 @@ class System:
         )
         self._sampler = telemetry.sampler if telemetry is not None else None
         self._sample_period = 0
-        self.metrics.fill_on_read(self._register_metrics)
         if self.config.prefetch_degree > 0:
             self.prefetchers: Optional[List[StreamPrefetcher]] = [
                 StreamPrefetcher(self.config.prefetch_degree)
@@ -208,21 +199,6 @@ class System:
     # ------------------------------------------------------------------
     # telemetry
     # ------------------------------------------------------------------
-
-    def _register_metrics(self) -> None:
-        """Register polled providers over every component's counters,
-        then the scheduler's; the registry runs this at its first read."""
-        registry = self.metrics
-        for channel in self.channels:
-            channel.register_metrics(registry)
-        for thread in self.threads:
-            thread.register_metrics(registry)
-        self.monitor.register_metrics(registry)
-        registry.register("sim.now", lambda: self.now)
-        registry.register("sim.quanta", lambda: self.quantum_count)
-        registry.register("scheduler.decisions",
-                          lambda: self.sched_decisions)
-        self.scheduler.register_metrics(registry)
 
     def _push_sample(self, time: int) -> None:
         """Queue an epoch-sampler tick sorting after all peers at ``time``."""

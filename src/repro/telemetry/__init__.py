@@ -1,12 +1,7 @@
-"""repro.telemetry — cycle-level tracing, metrics, and observability.
+"""repro.telemetry — cycle-level tracing, epoch sampling and observability.
 
-Three cooperating pieces, all optional and all zero-cost when unused:
+Two cooperating pieces, both optional and both zero-cost when unused:
 
-* :class:`~repro.telemetry.registry.MetricsRegistry` — *polled
-  providers* over the attribute counters components already keep.
-  Every :class:`~repro.sim.system.System` builds one
-  (``system.metrics``) and registers its providers at the first read;
-  polling happens only when a snapshot is taken.
 * :class:`~repro.telemetry.tracer.Tracer` — schema'd event stream
   (DRAM commands, scheduler decisions, clustering, shuffles, epochs)
   fanned out to sinks: JSONL and Chrome/Perfetto ``trace_event``.
@@ -29,7 +24,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.telemetry.log import configure_logging, get_logger
-from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.sampler import EpochSample, EpochSampler
 from repro.telemetry.schema import (
     EVENT_SCHEMA,
@@ -50,22 +44,18 @@ from repro.telemetry.tracer import Tracer, memory_tracer
 
 
 class Telemetry:
-    """A run's observability bundle: tracer + sampler + registry.
+    """A run's observability bundle: tracer + sampler (+ spans).
 
     Pass one to :class:`repro.sim.System`; the system binds it at
     construction (resetting any state left by a previous run) and
-    drives the tracer and sampler from its event loop.  ``registry``
-    is optional — when omitted the system builds its own, reachable as
-    ``system.metrics`` either way.
+    drives the tracer and sampler from its event loop.
     """
 
     def __init__(self, tracer: Optional[Tracer] = None,
                  sampler: Optional[EpochSampler] = None,
-                 registry: Optional[MetricsRegistry] = None,
                  spans=None) -> None:
         self.tracer = tracer
         self.sampler = sampler
-        self.registry = registry
         #: optional repro.obs.spans.SpanCollector; the system attaches it
         #: as an observer at construction
         self.spans = spans
@@ -76,7 +66,6 @@ class Telemetry:
     @classmethod
     def tracing(cls, jsonl_path=None, perfetto_path=None,
                 epoch_cycles: Optional[int] = None,
-                snapshot_registry: bool = False,
                 validate: bool = False) -> "Telemetry":
         """Telemetry with file sinks and an epoch sampler."""
         sinks = []
@@ -86,8 +75,7 @@ class Telemetry:
             sinks.append(PerfettoSink(perfetto_path))
         return cls(
             tracer=Tracer(sinks, validate=validate),
-            sampler=EpochSampler(epoch_cycles,
-                                 snapshot_registry=snapshot_registry),
+            sampler=EpochSampler(epoch_cycles),
         )
 
     @classmethod
@@ -120,8 +108,6 @@ class Telemetry:
 
     def bind(self, system) -> None:
         """Attach to a system run; resets per-run state if reused."""
-        if self.system is not None and self.registry is not None:
-            self.registry.reset()
         self.system = system
         if self.sampler is not None:
             self.sampler.reset()
@@ -150,14 +136,16 @@ class Telemetry:
         }
         if self.spans is not None:
             out["spans"] = self.spans.requests_completed
-        if self.system is not None:
-            reg = self.system.metrics
-            out["requests"] = int(reg.sum("dram.channel.serviced_requests"))
-            hits = reg.sum("dram.bank.row_hits")
-            total = (hits + reg.sum("dram.bank.row_conflicts")
-                     + reg.sum("dram.bank.row_closed"))
+        system = self.system
+        if system is not None:
+            out["requests"] = system.sched_decisions
+            banks = [bank for channel in system.channels
+                     for bank in channel.banks]
+            hits = sum(bank.row_hits for bank in banks)
+            total = hits + sum(bank.row_conflicts + bank.row_closed
+                               for bank in banks)
             out["row_hit_rate"] = hits / total if total else 0.0
-            out["quanta"] = int(reg.value("sim.quanta"))
+            out["quanta"] = system.quantum_count
         return out
 
     def close(self) -> None:
@@ -172,7 +160,6 @@ __all__ = [
     "EpochSampler",
     "JsonlSink",
     "MemorySink",
-    "MetricsRegistry",
     "PerfettoSink",
     "SchemaError",
     "Sink",

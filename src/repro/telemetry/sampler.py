@@ -15,7 +15,7 @@ are bit-identical).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.system import System
@@ -33,7 +33,6 @@ class EpochSample:
     threads: List[dict]
     queue_depths: Tuple[int, ...]
     bus_busy: Tuple[float, ...]
-    registry: Optional[Dict[str, float]] = None
 
     def thread(self, tid: int) -> dict:
         return self.threads[tid]
@@ -51,18 +50,14 @@ class _PerThreadPrev:
 
 
 class EpochSampler:
-    """Snapshot the registry and per-thread metrics every N cycles.
+    """Snapshot per-thread metrics every N cycles.
 
     ``epoch_cycles=None`` aligns epochs to the system's quantum length
-    (the natural resolution of the paper's mechanisms).  Set
-    ``snapshot_registry=True`` to additionally store the full flat
-    registry snapshot with every sample (larger, but lossless).
+    (the natural resolution of the paper's mechanisms).
     """
 
-    def __init__(self, epoch_cycles: Optional[int] = None,
-                 snapshot_registry: bool = False) -> None:
+    def __init__(self, epoch_cycles: Optional[int] = None) -> None:
         self.epoch_cycles = epoch_cycles
-        self.snapshot_registry = snapshot_registry
         self.samples: List[EpochSample] = []
         self._prev: List[_PerThreadPrev] = []
         self._prev_accesses: List[int] = []
@@ -148,8 +143,6 @@ class EpochSampler:
                 ch.pending_requests() for ch in system.channels
             ),
             bus_busy=tuple(bus),
-            registry=(system.metrics.snapshot()
-                      if self.snapshot_registry else None),
         )
         self.samples.append(sample)
         self._last_cycle = now

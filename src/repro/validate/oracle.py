@@ -35,9 +35,8 @@ guarantees the rest of the repo silently assumes:
   queue's occupancy at select time; at the end of the run the record
   count must equal the system's grant counter.
 * **Policy invariants** — the selected request must maximise the
-  scheduler's own priority tuple over the queue (for every scheduler
-  whose ``select`` keeps ``SELECT_IS_PRIORITY_MAXIMAL``, the one-pass
-  overrides included); TCM must never service a
+  scheduler's own priority tuple over the queue (for every scheduler,
+  the one-pass ``select`` overrides included); TCM must never service a
   bandwidth-cluster demand request while a latency-cluster demand
   request waits at the same bank; ATLAS must service starving requests
   first.
@@ -204,13 +203,6 @@ class InvariantOracle(Observer):
         self._explain = None
         self._records_seen = 0
         self._candidates: Set[int] = set()
-        # fcfs, frfcfs, tcm, atlas, parbs and stfm override select()
-        # with one pass for speed but keep the priority-maximal
-        # contract (SELECT_IS_PRIORITY_MAXIMAL), so their grants are
-        # audited against priority() like everyone else's.
-        self._generic_select = getattr(
-            type(system.scheduler), "SELECT_IS_PRIORITY_MAXIMAL", True
-        )
 
     # ------------------------------------------------------------------
     # bookkeeping helpers
@@ -437,23 +429,23 @@ class InvariantOracle(Observer):
     def _check_policy(self, scheduler, channel, bank_id: int, now: int,
                       chosen: MemoryRequest) -> None:
         queue = channel.queues[bank_id]
-        if self._generic_select:
-            # the chosen request must maximise the scheduler's own
-            # demand key, re-evaluated by the base definition
-            # (priority() is pure), never by the policy's override;
-            # a chosen request missing from the queue is the
-            # conservation check's finding (``on_decision``)
-            keys = Scheduler.demand_keys(scheduler, channel, bank_id, now)
-            best = max(keys)
-            for request, key in zip(queue, keys):
-                if request is chosen:
-                    self._expect(
-                        key == best,
-                        "policy",
-                        f"{scheduler.name} chose {chosen!r} with priority "
-                        f"{key}, but a queued request has {best}",
-                    )
-                    break
+        # the chosen request must maximise the scheduler's own demand
+        # key, re-evaluated by the base definition (priority() is
+        # pure), never by the policy's override, which fcfs, frfcfs,
+        # tcm, atlas, parbs and stfm keep for speed; a chosen request
+        # missing from the queue is the conservation check's finding
+        # (``on_decision``)
+        keys = Scheduler.demand_keys(scheduler, channel, bank_id, now)
+        best = max(keys)
+        for request, key in zip(queue, keys):
+            if request is chosen:
+                self._expect(
+                    key == best,
+                    "policy",
+                    f"{scheduler.name} chose {chosen!r} with priority "
+                    f"{key}, but a queued request has {best}",
+                )
+                break
         self._check_tcm(scheduler, queue, chosen)
         self._check_atlas(scheduler, queue, chosen, now)
 

@@ -11,9 +11,9 @@ configuration both ways, the reference side inside
 ``tests.conftest.dispatch_loop`` (``fusable`` patched off):
 
 * a **smoke tier** (always on) differencing six scheduler/intensity
-  points plus telemetry counters and sampled runs, and holding the
-  span tiling and explain decision records of an instrumented run
-  (dispatch loop) against the plain fused run's books;
+  points plus every component's final state and sampled runs, and
+  holding the span tiling and explain decision records of an
+  instrumented run (dispatch loop) against the plain fused run's books;
 * a **write/prefetch smoke tier** (always on) differencing the e2e
   benchmark's ``sim_rw`` shape — FR-FCFS and TCM at 100% intensity
   with writes and prefetching on — plus one point whose write buffer
@@ -37,11 +37,11 @@ from __future__ import annotations
 import pytest
 
 from repro.config import SimConfig
+from repro.diverge import snapshot_state
 from repro.schedulers.registry import SCHEDULERS, make_scheduler
 from repro.sim.fused import fusable
 from repro.sim.system import System
 from repro.telemetry import Telemetry
-from repro.telemetry.registry import MetricsRegistry
 from repro.validate.fingerprint import fingerprint_run
 from repro.validate.goldens import (
     GOLDEN_MIX_INTENSITIES,
@@ -227,30 +227,33 @@ def test_golden_matrix_on_dispatch_loop(monkeypatch):
 
 
 def test_telemetry_counter_parity():
-    """Metric registries (polled counters) agree across the loops."""
-    registries = {}
+    """Every counter and every piece of state a run leaves (all of
+    ``snapshot_state``'s components) agrees across the loops."""
+    states = {}
     for dispatch in (True, False):
-        telemetry = Telemetry(registry=MetricsRegistry())
-        system = _build("tcm", 0.75, 12_000, telemetry=telemetry)
+        system = _build("tcm", 0.75, 12_000)
         if dispatch:
             _on_dispatch_loop(system)
         else:
             system.run()
-        registries[dispatch] = system.metrics.snapshot()
-    assert registries[True] == registries[False]
+        states[dispatch] = snapshot_state(system)
+    assert states[True] == states[False]
 
 
 def test_observed_run_parity():
     """A sampled and traced run on the dispatch loop equals the
-    unobserved run on the fused loop: result and final counters."""
+    unobserved run on the fused loop: result and the final state of
+    every component but ``events`` and ``progress``, where the
+    sampler's ticks are extra events and sequence numbers."""
     telemetry = Telemetry.in_memory(epoch_cycles=4_000)
     observed = _build("atlas", 0.5, 12_000, telemetry=telemetry)
     observed_result = _on_dispatch_loop(observed)
     assert telemetry.samples
-    plain = _build("atlas", 0.5, 12_000,
-                   telemetry=Telemetry(registry=MetricsRegistry()))
+    plain = _build("atlas", 0.5, 12_000)
     assert plain.run() == observed_result
-    assert plain.metrics.snapshot() == observed.metrics.snapshot()
+    components = ("dram", "cpu", "rng", "monitor", "scheduler")
+    assert snapshot_state(plain, components) == \
+        snapshot_state(observed, components)
 
 
 def _bank_books(system):

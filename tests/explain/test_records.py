@@ -60,8 +60,9 @@ class TestRecordCapture:
             assert winner.thread_id == record.winner_thread_id
 
     def test_winner_key_is_maximal(self):
-        # TCM's select is priority-maximal (SELECT_IS_PRIORITY_MAXIMAL),
-        # so the winner's recorded key must top the candidate set
+        # TCM's select returns a request of maximal priority (the
+        # oracle audits every grant for it), so the winner's recorded
+        # key must top the candidate set
         _, collector = _explained()
         for record in collector.records:
             ids = [c.request_id for c in record.candidates]

@@ -73,7 +73,6 @@ class TestShadowIsolation:
             seed=1,
         )
         view = ShadowSystemView(system, 0)
-        assert view.metrics is None
         assert view._tracer is None
         # the forwarded surface is live
         assert view.workload is system.workload

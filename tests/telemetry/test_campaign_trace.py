@@ -39,7 +39,7 @@ class TestTracedCampaign:
         for r in report.results:
             digest = r.payload["telemetry"]
             assert digest["events"] > 0
-            assert digest["requests"] > 0
+            assert digest["requests"] == r.payload["summary"]["requests"] > 0
             assert digest["trace"].endswith(f"{r.key}.jsonl")
             assert validate_jsonl(digest["trace"]) == digest["events"]
 

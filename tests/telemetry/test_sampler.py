@@ -111,17 +111,3 @@ class TestNonPerturbation:
         assert traced.total_requests == untraced.total_requests
         assert traced.ipcs == untraced.ipcs
         assert telemetry.samples  # it really sampled
-
-    def test_snapshot_registry_option(self):
-        telemetry = Telemetry(
-            tracer=None,
-            sampler=__import__("repro.telemetry.sampler",
-                               fromlist=["EpochSampler"]).EpochSampler(
-                                   10_000, snapshot_registry=True),
-        )
-        workload = make_intensity_workload(0.75, num_threads=4, seed=3)
-        System(workload, make_scheduler("tcm"), CFG, seed=0,
-               telemetry=telemetry).run()
-        snap = telemetry.samples[-1].registry
-        assert snap["sim.quanta"] == 4
-        assert any(k.startswith("dram.bank.row_hits") for k in snap)

@@ -116,18 +116,6 @@ class TestReplay:
         result = system.run()
         assert all(t.ipc > 0 for t in result.threads)
 
-    def test_registry_polls_the_replay_threads(self, tmp_path):
-        """The registry fills at its first read, after replay_workload
-        swapped the replay threads in, so ``cpu.*`` reads them."""
-        paths = self._record(tmp_path)
-        system = replay_workload(
-            [paths[0], paths[1]], make_scheduler("tcm"), CFG, seed=0
-        )
-        result = system.run()
-        assert system.metrics.sum("cpu.misses") == sum(
-            t.misses for t in result.threads
-        ) > 0
-
     def test_replay_preserves_intensity(self, tmp_path):
         """Replaying an alone-recorded thread alone reproduces its
         original miss throughput."""
